@@ -19,9 +19,8 @@ from .kinematic import (KinematicReport, LemmaCheck, build_report,
 from .sampling import (AffineFlat, GroupElement, flat_hits, flat_weight,
                        sample_affine_flat, sample_group_element,
                        translation_region)
-from .symmetric import (eigendecompose, expm_sym, sample_gaussian_sym,
-                        sample_haar_orthogonal, sym_basis, sym_dim,
-                        sym_to_coords, coords_to_sym)
+from .symmetric import (expm_sym, sample_gaussian_sym, sample_haar_orthogonal,
+                        sym_basis, sym_dim, sym_to_coords, coords_to_sym)
 from .volumes import (QuadratureError, SteinerFit, Valuation,
                       batch_ellipsoid_intrinsic_volumes,
                       closed_intrinsic_volumes, euler_characteristic,

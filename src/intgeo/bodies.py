@@ -422,7 +422,8 @@ def distance_to_body(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     if isinstance(body, Ball):
         return np.maximum(np.linalg.norm(points - body.center, axis=1) - body.radius, 0.0)
     if isinstance(body, Ellipsoid):
-        return _ellipsoid_distance(body, points)
+        return centered_ellipsoid_distance((points - body.center) @ body.axes,
+                                           body.semiaxes)
     if isinstance(body, VPolytope):
         return _vpolytope_distance(body, points)
     if isinstance(body, HPolytope):
@@ -430,26 +431,34 @@ def distance_to_body(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
-def _ellipsoid_distance(e: Ellipsoid, points: np.ndarray) -> np.ndarray:
-    P = (points - e.center) @ e.axes
-    a2 = e.semiaxes**2
-    gauge2 = np.einsum("ij,j->i", P * P, 1.0 / a2)
-    out = np.zeros(points.shape[0])
+def centered_ellipsoid_distance(P: np.ndarray, semiaxes: np.ndarray) -> np.ndarray:
+    """Distance from each row of P to the ellipsoid sum_i (x_i / a_i)^2 <= 1.
+
+    P holds points in the ellipsoid's principal frame, relative to its
+    center. semiaxes is one (n,) vector for every row or an (m, n) array
+    with one ellipsoid per row. Outside points bisect the Lagrange
+    multiplier of the closest-point problem.
+    """
+    S = np.broadcast_to(semiaxes, P.shape)
+    a2 = S**2
+    gauge2 = np.einsum("ij,ij->i", P * P, 1.0 / a2)
+    out = np.zeros(P.shape[0])
     mask = gauge2 > 1.0
     if not np.any(mask):
         return out
     Q = P[mask]
+    A2 = a2[mask]
     # root of f(mu) = sum a_i^2 q_i^2 / (a_i^2 + mu)^2 - 1 in mu > 0
     lo = np.zeros(Q.shape[0])
-    hi = np.max(e.semiaxes) * np.linalg.norm(Q, axis=1) * 2.0 + 1e-30
+    hi = np.max(S[mask], axis=1) * np.linalg.norm(Q, axis=1) * 2.0 + 1e-30
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        f = np.einsum("ij,ij->i", a2 * Q * Q, 1.0 / (a2 + mid[:, None]) ** 2)
+        f = np.einsum("ij,ij->i", A2 * Q * Q, 1.0 / (A2 + mid[:, None]) ** 2)
         high = f > 1.0
         lo = np.where(high, mid, lo)
         hi = np.where(high, hi, mid)
     mu = 0.5 * (lo + hi)
-    diff = mu[:, None] * Q / (a2 + mu[:, None])
+    diff = mu[:, None] * Q / (A2 + mu[:, None])
     out[mask] = np.linalg.norm(diff, axis=1)
     return out
 

@@ -59,13 +59,14 @@ def run_sharded(worker, samples: int, seed: int, threads: int):
     """Run worker(rng, shard_samples) over a deterministic shard plan.
 
     Results come back in shard order regardless of scheduling, so the merged
-    estimate depends only on (seed, shard layout).
+    estimate depends only on (seed, shard layout). The pool never holds more
+    threads than the machine has cores, however many shards there are.
     """
     counts = _shard_counts(samples, threads)
     streams = np.random.SeedSequence(seed).spawn(len(counts))
     if len(counts) == 1:
         return [worker(np.random.default_rng(streams[0]), counts[0])], counts
-    with ThreadPoolExecutor(max_workers=len(counts)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(counts), os.cpu_count() or 1)) as pool:
         futs = [pool.submit(worker, np.random.default_rng(s), c)
                 for s, c in zip(streams, counts)]
         return [f.result() for f in futs], counts
@@ -199,7 +200,10 @@ def cmd_cj(args) -> dict:
     samples = parse_samples(args.samples or "1000000")
     js = None
     if args.j is not None:
-        js = sorted({int(x) for x in str(args.j).split(",")})
+        try:
+            js = sorted({int(x) for x in str(args.j).split(",")})
+        except ValueError as exc:
+            raise ConfigError(f"--j must be a comma list of integers, got {args.j!r}") from exc
         if any(j < 0 or j > n for j in js):
             raise ConfigError("--j entries must lie in [0, n]")
     threads = _threads(args)
@@ -242,11 +246,20 @@ def cmd_kinematic(args) -> dict:
         raise ConfigError("M and L must share a dimension")
     n = M.dim
     samples = parse_samples(args.samples or "1000000")
-    inner = int(args.inner_samples or 256)
+    inner = parse_samples(str(256 if args.inner_samples is None else args.inner_samples))
     cj_samples = parse_samples(args.cj_samples) if args.cj_samples else max(samples // 4, 10000)
     crofton_samples = (parse_samples(args.crofton_samples)
                        if args.crofton_samples else max(samples // 4, 10000))
-    window = float(args.window_radius) if args.window_radius else None
+    window = None
+    if args.window_radius:
+        try:
+            window = float(args.window_radius)
+        except ValueError as exc:
+            raise ConfigError(f"bad --window-radius {args.window_radius!r}") from exc
+        rad = bd.outer_radius(M)
+        if not (np.isfinite(window) and window >= rad):
+            raise ConfigError(f"--window-radius must be at least the outer radius "
+                              f"of M ({rad:.6g}), got {window}")
     threads = _threads(args)
 
     constants = None

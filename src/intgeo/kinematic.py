@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bodies as bd
 from .estimation import EstimatorResult, RunningMean, resolve_rng, z_score
-from .sampling import flat_hits, flat_weight, sample_affine_flat, sample_group_element
+from .sampling import AffineFlat, flat_hits, flat_weight, sample_affine_flat
 from .symmetric import sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 
@@ -52,67 +52,34 @@ def _frame(body) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise TypeError("frame requires a ball or ellipsoid")
 
 
-def _dist_leq(P: np.ndarray, S: np.ndarray, thresh: float) -> np.ndarray:
-    """Whether dist(origin-shifted point, centered ellipsoid) <= thresh, batched.
-
-    P holds the point in the ellipsoid's principal frame, S the semiaxes.
-    """
-    g2 = np.einsum("ij,ij->i", P / S, P / S)
-    res = g2 <= 1.0
-    out = ~res
-    if np.any(out):
-        Q = P[out]
-        A2 = S[out] ** 2
-        lo = np.zeros(Q.shape[0])
-        hi = 2.0 * np.max(S[out], axis=1) * np.linalg.norm(Q, axis=1) + 1e-30
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            f = np.einsum("ij,ij->i", A2 * Q * Q, 1.0 / (A2 + mid[:, None]) ** 2)
-            gt = f > 1.0
-            lo = np.where(gt, mid, lo)
-            hi = np.where(gt, hi, mid)
-        mu = 0.5 * (lo + hi)
-        d = np.linalg.norm(mu[:, None] * Q / (A2 + mu[:, None]), axis=1)
-        res[out] = d <= thresh
-    return res
-
-
 def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                   inner_samples: int = 256, strata: int = 0,
                   batch: int = 4096) -> EstimatorResult:
     """The group-side integral, estimated with the translation box folded in.
 
     phi may be "chi", "volume", or a Valuation; custom valuations need both
-    bodies as H-polytopes (the intersection must be constructible). Ball and
-    ellipsoid pairs run on a vectorized path; other pairs fall back to the
-    per-sample predicates.
+    bodies as H-polytopes (the intersection must be constructible). Every
+    pair draws k, X and t in batches; the image box of gL and the integrand
+    come from closed forms when both bodies are balls or ellipsoids, and
+    from support functions and the exact predicates of each row otherwise.
     """
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     kind = _phi_kind(phi)
     if M.dim != L.dim:
         raise ValueError("bodies must share a dimension")
+    if kind == "custom" and not (isinstance(M, bd.HPolytope)
+                                 and isinstance(L, bd.HPolytope)):
+        raise ValueError("custom valuations need H-polytope bodies "
+                         "(the intersection must be explicit)")
     rng, seed = resolve_rng(rng)
-    fast = (isinstance(M, (bd.Ball, bd.Ellipsoid))
-            and isinstance(L, (bd.Ball, bd.Ellipsoid))
-            and kind in ("chi", "volume"))
-    if fast:
-        acc = _lhs_fast(group, kind, M, L, samples, rng, inner_samples,
-                        strata, batch)
-    else:
-        acc = _lhs_generic(group, phi, kind, M, L, samples, rng, inner_samples,
-                           strata)
-    return EstimatorResult.from_accumulator(acc, seed)
-
-
-def _lhs_fast(group, kind, M, L, samples, rng, inner, strata, batch) -> RunningMean:
     component, compact = GROUPS[group]
     n = M.dim
-    _, cM, invM = _frame(M)
-    linL0, cL, invL0 = _frame(L)
-    e = np.eye(n)
-    hMp = np.array([bd.support(M, e[k]) for k in range(n)])
-    hMm = np.array([bd.support(M, -e[k]) for k in range(n)])
+    quadric = (isinstance(M, (bd.Ball, bd.Ellipsoid))
+               and isinstance(L, (bd.Ball, bd.Ellipsoid)))
+    if quadric:
+        _, cM, invM = _frame(M)
+        linL0, cL, invL0 = _frame(L)
     loM, hiM = bd.bounding_box(M)
     acc = RunningMean()
     done = 0
@@ -126,77 +93,68 @@ def _lhs_fast(group, kind, M, L, samples, rng, inner, strata, batch) -> RunningM
             lam, V = np.linalg.eigh(X)
             expX = np.einsum("bij,bj,bkj->bik", V, np.exp(lam), V)
             G = k @ expX
-        linL = G @ linL0
-        cg = np.einsum("bij,j->bi", G, cL) if np.any(cL) else np.zeros((B, n))
-        hw = np.linalg.norm(linL, axis=2)  # support of the centered image at +-e_i
-        hi = hMp[None, :] + hw - cg
-        lo = -(hMm[None, :] + hw + cg)
+        # the box of gL is cg +- hw per row
+        if quadric:
+            linL = G @ linL0
+            cg = np.einsum("bij,j->bi", G, cL) if np.any(cL) else np.zeros((B, n))
+            hw = np.linalg.norm(linL, axis=2)  # support of the centered image at +-e_i
+        else:
+            box = np.array([bd.bounding_box(bd.affine_image(L, bd.AffineMap(g, np.zeros(n))))
+                            for g in G])
+            cg = 0.5 * (box[:, 0] + box[:, 1])
+            hw = 0.5 * (box[:, 1] - box[:, 0])
+        hi = hiM[None, :] + hw - cg
+        lo = loM[None, :] - hw - cg
         wid = hi - lo
         volbox = np.prod(wid, axis=1)
         t = lo + rng.random((B, n)) * wid
         center = cg + t
-        if kind == "chi":
-            c2 = np.einsum("ij,bj->bi", invM, center - cM)
-            lin2 = np.einsum("ij,bjk->bik", invM, linL)
-            U2, S2, _ = np.linalg.svd(lin2)
-            P = -np.einsum("bji,bj->bi", U2, c2)
-            hit = _dist_leq(P, S2, 1.0)
-            acc.update(np.where(hit, volbox, 0.0))
-        else:
-            loI = np.maximum(loM[None, :], center - hw)
-            hiI = np.minimum(hiM[None, :], center + hw)
-            widI = np.clip(hiI - loI, 0.0, None)
-            volI = np.prod(widI, axis=1)
-            u = rng.random((B, inner, n))
-            pts = loI[:, None, :] + u * widI[:, None, :]
-            y = np.einsum("ij,bkj->bki", invM, pts - cM)
-            inM = np.einsum("bki,bki->bk", y, y) <= 1.0
+        loI = np.maximum(loM[None, :], center - hw)
+        hiI = np.minimum(hiM[None, :], center + hw)
+        if kind == "volume" or not quadric:
             if compact:
                 invG = np.swapaxes(k, 1, 2)
             else:
                 expXinv = np.einsum("bij,bj,bkj->bik", V, np.exp(-lam), V)
                 invG = np.einsum("bij,bkj->bik", expXinv, k)
-            invlin = np.einsum("ij,bjk->bik", invL0, invG)
-            z = np.einsum("bij,bkj->bki", invlin, pts - center[:, None, :])
-            inL = np.einsum("bki,bki->bk", z, z) <= 1.0
+        if kind == "volume":
+            widI = np.clip(hiI - loI, 0.0, None)
+            volI = np.prod(widI, axis=1)
+            u = rng.random((B, inner_samples, n))
+            pts = loI[:, None, :] + u * widI[:, None, :]
+            if quadric:
+                y = np.einsum("ij,bkj->bki", invM, pts - cM)
+                inM = np.einsum("bki,bki->bk", y, y) <= 1.0
+                invlin = np.einsum("ij,bjk->bik", invL0, invG)
+                z = np.einsum("bij,bkj->bki", invlin, pts - center[:, None, :])
+                inL = np.einsum("bki,bki->bk", z, z) <= 1.0
+            else:
+                inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(B, -1)
+                y = np.einsum("bij,bkj->bki", invG, pts - t[:, None, :])
+                inL = bd.contains_points(L, y.reshape(-1, n)).reshape(B, -1)
             frac = np.mean(inM & inL, axis=1)
             acc.update(volbox * volI * frac)
-        done += B
-    return acc
-
-
-def _lhs_generic(group, phi, kind, M, L, samples, rng, inner, strata) -> RunningMean:
-    component, compact = GROUPS[group]
-    if kind == "custom" and not (isinstance(M, bd.HPolytope)
-                                 and isinstance(L, bd.HPolytope)):
-        raise ValueError("custom valuations need H-polytope bodies "
-                         "(the intersection must be explicit)")
-    acc = RunningMean()
-    n = M.dim
-    for _ in range(int(samples)):
-        g, vol = sample_group_element(M, L, rng, component=component,
-                                      compact=compact, strata=strata)
-        moved = bd.affine_image(L, g.as_affine_map())
-        if kind == "chi":
-            val = vol if bd.intersects(M, moved) else 0.0
-        elif kind == "volume":
-            loM, hiM = bd.bounding_box(M)
-            loL, hiL = bd.bounding_box(moved)
-            loI = np.maximum(loM, loL)
-            hiI = np.minimum(hiM, hiL)
-            widI = np.clip(hiI - loI, 0.0, None)
-            volI = float(np.prod(widI))
-            if volI <= 0.0:
-                val = 0.0
-            else:
-                pts = loI + rng.random((inner, n)) * widI
-                hits = bd.contains_points(M, pts) & bd.contains_points(moved, pts)
-                val = vol * volI * float(np.mean(hits))
+        elif quadric:
+            c2 = np.einsum("ij,bj->bi", invM, center - cM)
+            lin2 = np.einsum("ij,bjk->bik", invM, linL)
+            U2, S2, _ = np.linalg.svd(lin2)
+            P = -np.einsum("bji,bj->bi", U2, c2)
+            hit = bd.centered_ellipsoid_distance(P, S2) <= 1.0
+            acc.update(np.where(hit, volbox, 0.0))
         else:
-            inter = bd.intersect_hrep(M, moved)
-            val = vol * phi(inter)
-        acc.update(np.array([val]))
-    return acc
+            moved = [bd.affine_image(L, bd.AffineMap(g, s)) for g, s in zip(G, t)]
+            if kind == "chi":
+                # the midpoint of the boxes' overlap, when it lies in both
+                # bodies, settles a hit without the intersection LP
+                mid = 0.5 * (loI + hiI)
+                sure = (bd.contains_points(M, mid)
+                        & bd.contains_points(L, np.einsum("bij,bj->bi", invG, mid - t)))
+                val = [float(s or bd.intersects(M, m)) for s, m in zip(sure, moved)]
+            else:
+                val = [phi(bd.intersect_hrep(M, m)) for m in moved]
+            acc.update(volbox * np.array(val))
+        done += B
+    return EstimatorResult.from_accumulator(acc, seed)
 
 
 def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
@@ -230,31 +188,24 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
                                samples=int(samples), seed=seed,
                                importance_volume=weight)
     acc = RunningMean()
-    if isinstance(M, bd.Ball):
-        c = M.center
-        done = 0
-        while done < samples:
-            B = min(batch, samples - done)
-            Q = sample_haar_orthogonal(n, rng, size=B)
-            W = Q[:, :, j:]
-            d = n - j
-            z = rng.standard_normal((B, d))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            r = window_radius * rng.random(B) ** (1.0 / d)
-            off = np.einsum("bik,bk->bi", W, r[:, None] * z)
+    done = 0
+    while done < samples:
+        B = min(batch, samples - done)
+        flats = sample_affine_flat(n, j, rng, window_radius, size=B)
+        if isinstance(M, bd.Ball):
+            c = M.center
             if j:
-                U = Q[:, :, :j]
+                U = flats.basis
                 proj = np.einsum("bik,bk->bi", U, np.einsum("bik,i->bk", U, c))
                 cperp = c[None, :] - proj
             else:
                 cperp = np.broadcast_to(c, (B, n))
-            hit = np.linalg.norm(cperp - off, axis=1) <= M.radius
-            acc.update(np.where(hit, weight, 0.0))
-            done += B
-    else:
-        for _ in range(int(samples)):
-            flat = sample_affine_flat(n, j, rng, window_radius)
-            acc.update(np.array([weight if flat_hits(M, flat) else 0.0]))
+            hit = np.linalg.norm(cperp - flats.offset, axis=1) <= M.radius
+        else:
+            hit = np.array([flat_hits(M, AffineFlat(U, off))
+                            for U, off in zip(flats.basis, flats.offset)])
+        acc.update(np.where(hit, weight, 0.0))
+        done += B
     return EstimatorResult.from_accumulator(acc, seed, importance_volume=weight)
 
 

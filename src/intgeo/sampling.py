@@ -44,7 +44,8 @@ class GroupElement:
 @dataclass
 class AffineFlat:
     """Affine j-flat {offset + basis @ s}; basis columns orthonormal, offset
-    orthogonal to the span (the canonical representative)."""
+    orthogonal to the span (the canonical representative). A batch of flats
+    carries a leading axis on both arrays: basis (m, n, j), offset (m, n)."""
 
     basis: np.ndarray
     offset: np.ndarray
@@ -52,39 +53,30 @@ class AffineFlat:
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
         self.offset = np.asarray(self.offset, dtype=float)
-        if self.basis.ndim != 2:
-            raise ValueError("basis must be (n, j)")
-        n, j = self.basis.shape
+        if self.basis.ndim not in (2, 3):
+            raise ValueError("basis must be (n, j) or (m, n, j)")
+        j = self.basis.shape[-1]
         if j:
-            if np.max(np.abs(self.basis.T @ self.basis - np.eye(j))) > 1e-9:
+            BT = np.swapaxes(self.basis, -1, -2)
+            if np.max(np.abs(BT @ self.basis - np.eye(j))) > 1e-9:
                 raise ValueError("flat basis must be orthonormal")
-            if np.max(np.abs(self.basis.T @ self.offset)) > 1e-8:
+            if np.max(np.abs(BT @ self.offset[..., None])) > 1e-8:
                 raise ValueError("offset must lie in the orthogonal complement")
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
 
 def translation_region(M: bd.ConvexBody, moved: bd.ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Axis box containing every t with M meeting (moved + t).
 
-    That set is the Minkowski difference body M + (-moved); the box comes
-    from 2n support evaluations, hi_k = h_M(e_k) + h_moved(-e_k).
+    That set is the Minkowski difference body M + (-moved); its box is the
+    difference of the two bounding boxes, hi_k = h_M(e_k) + h_moved(-e_k).
     """
-    n = M.dim
-    lo = np.empty(n)
-    hi = np.empty(n)
-    e = np.zeros(n)
-    for k in range(n):
-        e[k] = 1.0
-        hp = bd.support(M, e)
-        hm = bd.support(moved, e)
-        e[k] = -1.0
-        hi[k] = hp + bd.support(moved, e)
-        lo[k] = -(bd.support(M, e) + hm)
-        e[k] = 0.0
-    return lo, hi
+    loM, hiM = bd.bounding_box(M)
+    loL, hiL = bd.bounding_box(moved)
+    return loM - hiL, hiM - loL
 
 
 def sample_group_element(M: bd.ConvexBody, L: bd.ConvexBody,
@@ -109,27 +101,30 @@ def sample_group_element(M: bd.ConvexBody, L: bd.ConvexBody,
 
 
 def sample_affine_flat(n: int, j: int, rng: np.random.Generator,
-                       window_radius: float) -> AffineFlat:
-    """A random j-flat from the normalized invariant measure, windowed.
+                       window_radius: float, size: int | None = None) -> AffineFlat:
+    """Random j-flats from the normalized invariant measure, windowed.
 
     The direction is the span of the first j columns of a Haar orthogonal
     matrix; the offset is uniform in the (n-j)-ball of the window radius
-    inside the orthogonal complement.
+    inside the orthogonal complement. With size, one AffineFlat holds the
+    whole batch (see AffineFlat).
     """
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
     if window_radius <= 0:
         raise ValueError("window radius must be positive")
-    Q = sample_haar_orthogonal(n, rng)
-    U = Q[:, :j]
-    W = Q[:, j:]
+    m = 1 if size is None else int(size)
+    Q = sample_haar_orthogonal(n, rng, size=m)
     d = n - j
-    if d == 0:
-        return AffineFlat(U, np.zeros(n))
-    z = rng.standard_normal(d)
-    z /= max(np.linalg.norm(z), 1e-300)
-    r = window_radius * rng.random() ** (1.0 / d)
-    return AffineFlat(U, W @ (r * z))
+    off = np.zeros((m, n))
+    if d:
+        z = rng.standard_normal((m, d))
+        z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
+        r = window_radius * rng.random(m) ** (1.0 / d)
+        off = np.einsum("bik,bk->bi", Q[:, :, j:], r[:, None] * z)
+    if size is None:
+        return AffineFlat(Q[0, :, :j], off[0])
+    return AffineFlat(Q[:, :, :j], off)
 
 
 def flat_weight(n: int, j: int, window_radius: float) -> float:

@@ -65,10 +65,12 @@ def sym_to_coords(X: np.ndarray) -> np.ndarray:
 
 
 def as_symmetric(X: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+    """X symmetrized, for one matrix or a stack; raises if X is not symmetric."""
     X = np.asarray(X, dtype=float)
-    if np.max(np.abs(X - X.T)) > tol:
+    XT = np.swapaxes(X, -1, -2)
+    if np.max(np.abs(X - XT)) > tol:
         raise ValueError("matrix is not symmetric to tolerance")
-    return 0.5 * (X + X.T)
+    return 0.5 * (X + XT)
 
 
 def as_orthogonal(Q: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
@@ -104,74 +106,16 @@ def sample_gaussian_sym(n: int, rng: np.random.Generator, size: int | None = Non
     return X[0] if size is None else X
 
 
-def eigendecompose(X: np.ndarray, tol: float = 1e-13,
-                   max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues descending, V with orthonormal eigenvector columns)
-    with X = V diag(eigenvalues) V^T. Sweeps run until the off-diagonal
-    Frobenius mass falls below tol * ||X||_F.
-    """
-    A = as_symmetric(X).copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = np.linalg.norm(A)
-    if scale == 0.0:
-        return np.zeros(n), V
-    for _ in range(max_sweeps + 1):
-        # direct off-diagonal mass; the sum-minus-diagonal form cancels
-        # catastrophically once the mass drops below sqrt(eps) * ||A||
-        od = A.copy()
-        np.fill_diagonal(od, 0.0)
-        off = float(np.linalg.norm(od))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    # theta^2 overflows; the rotation angle is ~1/(2 theta)
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta == 0.0:
-                        t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                # the rotation annihilates this pair by construction; assign
-                # exact zeros so rounding drift cannot accumulate asymmetry
-                A[p, q] = A[q, p] = 0.0
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    lam = np.diag(A).copy()
-    order = np.argsort(lam)[::-1]
-    return lam[order], V[:, order]
-
-
 def expm_sym(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via its eigendecomposition."""
-    lam, V = eigendecompose(X)
-    return (V * np.exp(lam)) @ V.T
+    """Matrix exponential of a symmetric matrix, or of a stack of them, via eigh."""
+    lam, V = np.linalg.eigh(as_symmetric(X))
+    return (V * np.exp(lam)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
 def eigvals_sym_batch(X: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) for a stack of symmetric matrices.
 
-    Internal throughput path for the Monte Carlo layers; the scalar
-    eigendecompose op stays the reference implementation and a property test
-    pins the two against each other.
+    The tests pin LAPACK against a cyclic Jacobi reference implementation.
     """
     return np.linalg.eigvalsh(X)[..., ::-1]
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from intgeo import bodies as bd
+from intgeo import cli
 
 
 def run_cli(*args):
@@ -82,6 +84,49 @@ def test_bad_body_file(tmp_path):
     rc, _, err = run_cli("intrinsic", "--body", str(path), "--seed", "1")
     assert rc == 2
     assert "body" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["kinematic", "--window-radius", "0.5"], "outer radius"),
+    (["kinematic", "--window-radius", "abc"], "window-radius"),
+    (["kinematic", "--phi", "volume", "--inner-samples", "-3"], "sample count"),
+    (["cj", "--n", "2", "--j", "a"], "--j"),
+], ids=["window-below-outer-radius", "window-not-a-number",
+        "negative-inner-samples", "j-not-an-integer"])
+def test_bad_values_are_configuration_errors(ball2, args, message):
+    if args[0] == "kinematic":
+        args = args + ["--M", ball2, "--L", ball2, "--samples", "100"]
+    rc, _, err = run_cli(*args, "--seed", "1")
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+
+
+def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
+    # records the pool size instead of starting threads
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    parts, counts = cli.run_sharded(lambda rng, k: (k, rng.random()), 1000, 3, 100000)
+    assert pools == [2]
+    assert counts == [1] * 1000  # the shard plan still follows --threads
+    streams = np.random.SeedSequence(3).spawn(1000)
+    assert parts == [(1, np.random.default_rng(s).random()) for s in streams]
 
 
 def test_numerical_failure_exit_code(tmp_path):

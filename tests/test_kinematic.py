@@ -38,11 +38,17 @@ def test_rigid_chi_square_vs_disc():
     assert z_score(res.mean, res.std_error, 12.0 + math.pi) < 4.0
 
 
-def test_gl_volume_fubini_two_balls():
-    # separability: E[vol(M cap (gL + t)) dt] = vol(M) vol(L) E[det e^X]
-    res = lhs_kinematic("gl", "volume", bd.unit_ball(2), bd.unit_ball(2),
-                        30000, 7)
-    want = math.e * math.pi**2
+@pytest.mark.parametrize("M, L", [
+    (bd.unit_ball(2), bd.unit_ball(2)),
+    # both polytope membership kernels: halfspaces and a vertex hull
+    (bd.cube(2, side=2.0, centered=True),
+     bd.VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+], ids=["balls", "hsquare-vtriangle"])
+def test_gl_volume_fubini(M, L):
+    # separability: E[vol(M cap (gL + t)) dt] = vol(M) vol(L) E[det e^X],
+    # and E[det e^X] = E[e^(tr X)] = e^(n/2)
+    res = lhs_kinematic("gl", "volume", M, L, 30000, 7)
+    want = volume_exact(M) * volume_exact(L) * math.e
     assert z_score(res.mean, res.std_error, want) < 4.0
 
 
