@@ -36,7 +36,9 @@ class ConfigError(Exception):
     pass
 
 
-def parse_samples(text: str) -> int:
+def parse_samples(text: str | int | float) -> int:
+    if isinstance(text, bool) or not isinstance(text, (str, int, float)):
+        raise ConfigError(f"bad sample count {text!r}")
     try:
         val = float(text)
     except ValueError as exc:
@@ -85,12 +87,28 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, cfg: dict) -> None:
-    # explicit flags win; config fills the gaps
+def _merge_config(args: argparse.Namespace, cfg: dict,
+                  parser: argparse.ArgumentParser) -> None:
+    # explicit flags win; config fills the gaps. Each value takes the path a
+    # flag's text takes: as a string, through the subcommand parser's type=
+    # and choices checks
+    actions = {a.dest: a for a in parser._actions}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
+        if (val is None or attr not in actions or not hasattr(args, attr)
+                or getattr(args, attr) is not None):
+            continue
+        action = actions[attr]
+        val = str(val)
+        if action.type is not None:
+            try:
+                val = action.type(val)
+            except ValueError as exc:
+                raise ConfigError(f"bad config value {key!r}: {val!r}") from exc
+        if action.choices is not None and val not in action.choices:
+            raise ConfigError(f"config value {key!r} must be one of "
+                              f"{sorted(action.choices)}, got {val!r}")
+        setattr(args, attr, val)
 
 
 def _require_seed(args) -> int:
@@ -336,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags win")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("intrinsic", help="intrinsic volumes of one body")
     p.add_argument("--body", default=None, help="body JSON file")
@@ -384,7 +403,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, _load_config(args.config))
+        _merge_config(args, _load_config(args.config), args.parser)
         payload = args.func(args)
         _emit(payload, args)
     except ConfigError as exc:

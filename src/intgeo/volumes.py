@@ -8,13 +8,18 @@ V_j(B^n) = binom(n, j) kappa_n / kappa_{n-j} with kappa_j the volume of B^j.
 Ellipsoid intrinsic volumes follow the principal-axis representation
 
     V_j(E(a)) = kappa_j * sum_i a_i^2 e_{j-1}(a^2 without i) * I_i,
-    I_i = int_0^inf t^{j-1} dt / ((a_i^2 t^2 + 1) prod_l sqrt(a_l^2 t^2 + 1)),
+    I_i = int_0^inf t^{j-1} dt / ((a_i^2 t^2 + 1) prod_l sqrt(a_l^2 t^2 + 1)).
 
-evaluated two ways: an adaptive quadrature on the substitution t = u/(1-u)
-(the reference, absolute tolerance 1e-10 after scale normalization), and a
-fixed trapezoid grid in s = log t used by the million-sample Monte Carlo
-layers. The two agree to ~1e-10 relative on the spectra the samplers produce
-and a regression test keeps them pinned together.
+intrinsic_volume_ellipsoid evaluates it by adaptive quadrature on the
+substitution t = u/(1-u): the reference, absolute tolerance 1e-10 after scale
+normalization, axis ratios up to e^60. The batch evaluator behind the
+million-sample Monte Carlo layers picks an exact kernel per dimension:
+V_0 = 1 and V_n = kappa_n prod a_i always; for 0 < j < n, complete elliptic
+integrals at n = 2 and Carlson's R_G at n = 3 (Carlson 1995, Numer.
+Algorithms 10), both valid for any positive axes, and a fixed trapezoid grid
+in s = log t at n >= 4, valid to ~1e-10 relative for axis ratios up to e^20
+and refused (QuadratureError) beyond. Regression tests pin the batch
+evaluator to the reference.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ellipe, elliprg
 from scipy.spatial import ConvexHull
 
 from . import bodies as bd
@@ -32,7 +38,8 @@ from .estimation import EstimatorResult, RunningMean, resolve_rng
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge (pathological axis ratios)."""
+    """An ellipsoid V_j the evaluator cannot vouch for: the adaptive quadrature
+    did not converge, or an axis ratio lies beyond the batch grid's range."""
 
 
 def kappa(j: int) -> float:
@@ -54,14 +61,18 @@ def intrinsic_volume_cube(n: int, j: int, side: float = 1.0) -> float:
     return math.comb(n, j) * side**j
 
 
-def _elementary_symmetric(vals: np.ndarray, k: int) -> float:
-    # direct DP, exact for the small n used here
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for v in vals:
-        if k:
-            e[1:] = e[1:] + v * e[:-1]
-    return float(e[k])
+def _elementary_symmetric(vals: np.ndarray, k: int) -> np.ndarray:
+    """e_0, ..., e_k of the last axis of vals, shape vals.shape[:-1] + (k + 1,).
+
+    The direct DP, adding one value at a time in order; exact for the small n
+    used here.
+    """
+    vals = np.asarray(vals, dtype=float)
+    e = np.zeros(vals.shape[:-1] + (k + 1,))
+    e[..., 0] = 1.0
+    for l in range(vals.shape[-1]):
+        e[..., 1:] = e[..., 1:] + vals[..., l, None] * e[..., :-1]
+    return e
 
 
 def intrinsic_volume_ellipsoid(semiaxes, j: int, epsabs: float = 1e-10) -> float:
@@ -89,7 +100,7 @@ def intrinsic_volume_ellipsoid(semiaxes, j: int, epsabs: float = 1e-10) -> float
     pts = sorted(set(float(1.0 / (1.0 + bl)) for bl in b))
     for i in range(n):
         rest = np.delete(b2, i)
-        ek = _elementary_symmetric(rest, j - 1)
+        ek = _elementary_symmetric(rest, j - 1)[j - 1]
 
         def integrand(u, i=i):
             w = 1.0 - u
@@ -104,52 +115,96 @@ def intrinsic_volume_ellipsoid(semiaxes, j: int, epsabs: float = 1e-10) -> float
     return kappa(j) * total * scale**j
 
 
-# fixed log-grid for the batch evaluator; covers normalized axes down to e^-25
+# fixed log-grid for the n >= 4 batch evaluator. The integrand of I_i (in ds)
+# grows like e^{js} below the largest axis and decays at least like e^{-3s}
+# past the smallest, so the upper end s = 30 truncates at a relative
+# ~e^{-3(30 + log b_min)}: 1e-13 at the floor b_min = e^-20, rising by e^3 per
+# unit of log-spread beyond it. Against a 30-digit quadrature the grid is
+# within 2e-11 (n = 4, 5; spreads to 22) and 2e-10 (n = 8; step error).
 _GRID_H = 0.30
 _GRID_S = np.arange(-32.0, 30.0 + _GRID_H / 2, _GRID_H)
+_GRID_T2 = np.exp(2.0 * _GRID_S)
+_GRID_FLOOR = math.exp(-20.0)
+_GRID_ROWS = 256
+
+
+def _grid_intrinsic_volumes(B: np.ndarray) -> np.ndarray:
+    """V_j / kappa_j for j = 1..n-1 of rows B with max axis 1, shape (m, n - 1).
+
+    One pass over the axes: the kernel 1/((b_i^2 t^2 + 1) P) is formed once
+    per axis and integrated against every j by one matmul with H e^{j s}.
+    Every j is computed whichever are asked for, so a value never depends on
+    the other j requested. Rows go through in blocks of _GRID_ROWS so the
+    (rows, nodes) work arrays stay in cache.
+    """
+    m, n = B.shape
+    B2 = B * B
+    weights = _GRID_H * np.exp(np.outer(_GRID_S, np.arange(1, n)))
+    others = [[l for l in range(n) if l != i] for i in range(n)]
+    e = _elementary_symmetric(B2[:, others], n - 2)
+    core = np.zeros((m, n - 1))
+    for r in range(0, m, _GRID_ROWS):
+        b2 = B2[r:r + _GRID_ROWS]
+        f = np.empty((b2.shape[0], _GRID_T2.size))
+        inv_p = np.ones_like(f)
+        for l in range(n):
+            np.multiply(b2[:, l, None], _GRID_T2, out=f)
+            f += 1.0
+            inv_p *= np.sqrt(f, out=f)
+        np.reciprocal(inv_p, out=inv_p)
+        for i in range(n):
+            np.multiply(b2[:, i, None], _GRID_T2, out=f)
+            f += 1.0
+            np.divide(inv_p, f, out=f)
+            core[r:r + _GRID_ROWS] += b2[:, i, None] * e[r:r + _GRID_ROWS, i] * (f @ weights)
+    return core
 
 
 def batch_ellipsoid_intrinsic_volumes(semiaxes: np.ndarray, js) -> dict[int, np.ndarray]:
     """V_j for a stack of ellipsoids, all j in js at once.
 
-    semiaxes has shape (m, n). Fixed trapezoid rule in s = log t with shared
-    denominators across j; accurate to ~1e-9 relative for axis log-spreads up
-    to +-10, which covers Gaussian spectra by a wide margin.
+    semiaxes has shape (m, n). V_0 = 1 and V_n = kappa_n prod a_i for every n.
+    The other j take the cheapest exact kernel for their n:
+
+    - n = 2: V_1 = 2a E(1 - b^2/a^2) with a >= b (scipy.special.ellipe);
+    - n = 3: V_1 = 4 R_G(a^2, b^2, c^2) and V_2 = 2 pi R_G(b^2 c^2, a^2 c^2,
+      a^2 b^2) = 2 pi abc R_G(a^-2, b^-2, c^-2), with R_G Carlson's symmetric
+      integral (scipy.special.elliprg); exact for any positive axes;
+    - n >= 4: a fixed trapezoid rule in s = log t over the principal-axis
+      integrals, accurate to ~1e-10 relative while every axis is at least
+      e^-20 times the largest, a margin Gaussian spectra never approach.
+      A batch with any row beyond that raises QuadratureError.
     """
     A = np.atleast_2d(np.asarray(semiaxes, dtype=float))
     m, n = A.shape
     js = sorted(set(int(j) for j in js))
     if any(j < 0 or j > n for j in js):
         raise ValueError("need 0 <= j <= n")
-    scale = A.max(axis=1, keepdims=True)
-    B2 = (A / scale) ** 2
-    T2 = np.exp(2.0 * _GRID_S)
     out: dict[int, np.ndarray] = {}
-    pos = [j for j in js if j > 0]
     if 0 in js:
         out[0] = np.ones(m)
-    if not pos:
-        return out
-    fac = np.empty((m, n, T2.size))
-    P = np.ones((m, T2.size))
-    for l in range(n):
-        fl = B2[:, l, None] * T2[None, :] + 1.0
-        fac[:, l] = fl
-        P *= np.sqrt(fl)
-    for j in pos:
-        ejs = np.exp(j * _GRID_S)
-        core = np.zeros(m)
-        for i in range(n):
-            rest = np.delete(B2, i, axis=1)
-            e = np.zeros((m, j))
-            e[:, 0] = 1.0
-            for l in range(n - 1):
-                if j > 1:
-                    e[:, 1:] = e[:, 1:] + rest[:, l][:, None] * e[:, :-1]
-            integral = _GRID_H * np.einsum("k,mk->m", ejs, 1.0 / (fac[:, i] * P))
-            core += B2[:, i] * e[:, j - 1] * integral
-        out[j] = kappa(j) * core * scale[:, 0] ** j
-    return out
+    if n in js:
+        out[n] = kappa(n) * np.prod(A, axis=1)
+    mid = [j for j in js if 0 < j < n]
+    if n == 2 and mid:
+        a = A.max(axis=1)
+        out[1] = 2.0 * a * ellipe(1.0 - (A.min(axis=1) / a) ** 2)
+    elif n == 3 and mid:
+        A2 = A * A
+        if 1 in mid:
+            out[1] = 4.0 * elliprg(A2[:, 0], A2[:, 1], A2[:, 2])
+        if 2 in mid:
+            out[2] = 2.0 * math.pi * elliprg(A2[:, 1] * A2[:, 2], A2[:, 0] * A2[:, 2],
+                                             A2[:, 0] * A2[:, 1])
+    elif mid:
+        scale = A.max(axis=1, keepdims=True)
+        B = A / scale
+        if np.any(B.min(axis=1) < _GRID_FLOOR):
+            raise QuadratureError("axis ratio beyond the grid's e^20 range")
+        core = _grid_intrinsic_volumes(B)
+        for j in mid:
+            out[j] = kappa(j) * core[:, j - 1] * scale[:, 0] ** j
+    return {j: out[j] for j in js}
 
 
 def euler_characteristic(body) -> int:
@@ -218,16 +273,7 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
     if isinstance(body, bd.HPolytope):
         sides = _box_sides(body)
         if sides is not None:
-            n = body.dim
-            vals = np.zeros(n + 1)
-            for j in range(n + 1):
-                e = np.zeros(j + 1)
-                e[0] = 1.0
-                for s in sides:
-                    if j:
-                        e[1:] = e[1:] + s * e[:-1]
-                vals[j] = e[j]
-            return vals
+            return _elementary_symmetric(sides, body.dim)
         if body.dim == 2:
             return closed_intrinsic_volumes(bd.as_vpolytope(body))
         raise ValueError("no closed form for this halfspace system")

@@ -227,6 +227,29 @@ def test_config_file_merges_under_flags(ball2, tmp_path):
     assert data["params"]["group"] == "so"
 
 
+@pytest.mark.parametrize("cfg", [
+    {"threads": "two"},
+    {"samples": [1], "n": 2},
+    {"n": "x", "samples": "100"},
+], ids=["threads-not-an-integer", "samples-a-list", "n-not-an-integer"])
+def test_config_values_get_the_flag_checks(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["cj", "--config", str(path), "--seed", "1", "--method", "direct"]
+    if "n" not in cfg:
+        args += ["--n", "2", "--samples", "100"]
+    rc, _, err = run_cli(*args)
+    assert rc == 2
+    assert "Traceback" not in err
+
+
+def test_parse_samples_rejects_non_scalars():
+    for bad in ([1], {"n": 1}, True, None):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_samples(bad)
+    assert cli.parse_samples(1000) == cli.parse_samples("1e3") == 1000
+
+
 def test_out_writes_file(ball2, tmp_path):
     target = tmp_path / "res.json"
     rc, out, _ = run_cli("intrinsic", "--body", ball2, "--seed", "1",

@@ -105,15 +105,26 @@ def test_ellipsoid_input_validation():
 
 
 def test_batch_matches_quadrature_across_spreads():
-    # the fixed-grid fast path must track the adaptive reference closely on
-    # log-spreads well beyond what Gaussian spectra produce
+    # every kernel of the batch evaluator (closed forms at n <= 3, the grid at
+    # n >= 4) must track the adaptive reference closely on log-spreads well
+    # beyond what Gaussian spectra produce. The n = 2, 3 rows reach spreads of
+    # 10-20 only where the reference itself holds: it loses V_2 of a 2-D
+    # ellipse flatter than about e^-14.
     cases = {
+        1: [[1.0], [3.0], [np.exp(-8.0)]],
         2: [[1.0, 1.0], [2.0, 0.5], [np.exp(3.0), np.exp(-3.0)],
-            [np.exp(6.0), 1.0], [np.exp(-6.0), np.exp(-2.0)]],
+            [np.exp(6.0), 1.0], [np.exp(-6.0), np.exp(-2.0)],
+            [1.0, np.exp(-10.0)], [np.exp(6.0), np.exp(-6.0)], [1.0, np.exp(-14.0)]],
         3: [[1.0, 1.0, 1.0], [np.exp(2.0), 1.0, np.exp(-2.0)],
-            [5.0, 1.0, 0.2], [np.exp(6.0), np.exp(3.0), 1.0]],
+            [5.0, 1.0, 0.2], [np.exp(6.0), np.exp(3.0), 1.0],
+            [1.0, np.exp(-5.0), np.exp(-10.0)], [np.exp(8.0), 1.0, np.exp(-8.0)],
+            [1.0, np.exp(-8.0), np.exp(-16.0)], [1.0, np.exp(-16.0), np.exp(-16.0)],
+            [1.0, np.exp(-10.0), np.exp(-20.0)]],
         4: [[1.0, 1.0, 1.0, 1.0],
             [np.exp(3.0), np.exp(1.0), np.exp(-1.0), np.exp(-3.0)]],
+        5: [[1.0] * 5,
+            [np.exp(3.0), np.exp(1.5), 1.0, np.exp(-1.5), np.exp(-3.0)],
+            [np.exp(5.0), 1.0, 1.0, np.exp(-2.0), np.exp(-5.0)]],
     }
     for n, rows in cases.items():
         A = np.array(rows)
@@ -123,6 +134,35 @@ def test_batch_matches_quadrature_across_spreads():
             for i, axes in enumerate(rows):
                 ref = intrinsic_volume_ellipsoid(axes, j)
                 assert abs(got[j][i] - ref) <= 1e-8 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batch_subsets_of_j_agree(n):
+    # the evaluator branches on j (V_0, V_n and 0 < j < n take different
+    # kernels), so any subset of js must return the full set's values
+    rng = np.random.default_rng(n)
+    A = np.exp(rng.standard_normal((7, n)))
+    full = batch_ellipsoid_intrinsic_volumes(A, range(n + 1))
+    assert sorted(full) == list(range(n + 1))
+    for js in ([0], [n], [1], [1, n - 1]):
+        got = batch_ellipsoid_intrinsic_volumes(A, js)
+        assert sorted(got) == sorted(set(js))
+        for j in js:
+            np.testing.assert_array_equal(got[j], full[j])
+
+
+def test_batch_grid_refuses_rows_beyond_its_floor():
+    # n >= 4 runs on the log-grid, which covers normalized axes down to e^-20;
+    # one row past that floor fails the whole batch instead of returning a
+    # value the grid cannot vouch for
+    inside = np.array([[1.0, 0.5, np.exp(-3.0), np.exp(-19.5)]])
+    batch_ellipsoid_intrinsic_volumes(inside, [1, 2, 3])
+    outside = np.vstack([inside, [[2.0, 1.0, 0.5, 2.0 * np.exp(-20.5)]]])
+    with pytest.raises(QuadratureError):
+        batch_ellipsoid_intrinsic_volumes(outside, [1, 2, 3])
+    # V_0 and V_n are closed forms and need no grid
+    got = batch_ellipsoid_intrinsic_volumes(outside, [0, 4])
+    np.testing.assert_allclose(got[4], kappa(4) * np.prod(outside, axis=1), rtol=1e-15)
 
 
 def test_closed_intrinsic_volumes_bodies():
