@@ -162,6 +162,16 @@ def _emit(payload: dict, args) -> None:
 # subcommands
 
 
+def _radius(text: str) -> float:
+    try:
+        r = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad --radii entry {text!r}") from exc
+    if not (np.isfinite(r) and r > 0.0):
+        raise ConfigError(f"--radii entries must be finite and positive, got {text!r}")
+    return r
+
+
 def cmd_intrinsic(args) -> dict:
     seed = _require_seed(args)
     body = _load_body_arg(args.body, "--body")
@@ -180,7 +190,9 @@ def cmd_intrinsic(args) -> dict:
     elif method == "steiner":
         samples = parse_samples(args.samples or "100000")
         if args.radii:
-            radii = [float(r) for r in str(args.radii).split(",")]
+            radii = [_radius(r) for r in str(args.radii).split(",")]
+            if len(radii) < n + 1:
+                raise ConfigError(f"--radii needs at least n + 1 = {n + 1} entries")
         else:
             radii = [0.25 * (i + 1) for i in range(n + 2)]
         fit = steiner_fit(body, radii, samples, seed)
@@ -260,8 +272,10 @@ def cmd_kinematic(args) -> dict:
         raise ConfigError(f"unknown valuation {args.phi!r} (chi, volume)")
     M = _load_body_arg(args.M, "--M")
     L = _load_body_arg(args.L, "--L")
-    if M.dim != L.dim:
-        raise ConfigError("M and L must share a dimension")
+    try:
+        kinematic.check_lhs_inputs(group, phi, M, L)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     n = M.dim
     samples = parse_samples(args.samples or "1000000")
     inner = parse_samples(str(256 if args.inner_samples is None else args.inner_samples))

@@ -30,6 +30,8 @@ from .symmetric import sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 
 GROUPS = {"gl": ("full", False), "o": ("full", True), "so": ("special", True)}
+# inner points per row block of the volume integrand (~1 MB per array at n = 2)
+_BLOCK_POINTS = 1 << 16
 
 
 def _phi_kind(phi) -> str:
@@ -52,16 +54,13 @@ def _frame(body) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise TypeError("frame requires a ball or ellipsoid")
 
 
-def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
-                  inner_samples: int = 256, strata: int = 0,
-                  batch: int = 4096) -> EstimatorResult:
-    """The group-side integral, estimated with the translation box folded in.
+def check_lhs_inputs(group: str, phi, M, L) -> str:
+    """Refuse an LHS lhs_kinematic cannot evaluate; return the kind of phi.
 
-    phi may be "chi", "volume", or a Valuation; custom valuations need both
-    bodies as H-polytopes (the intersection must be constructible). Every
-    pair draws k, X and t in batches; the image box of gL and the integrand
-    come from closed forms when both bodies are balls or ellipsoids, and
-    from support functions and the exact predicates of each row otherwise.
+    Raises ValueError for an unknown group or valuation, bodies of different
+    dimensions, a custom valuation on bodies other than H-polytopes, and chi
+    on a ball or ellipsoid paired with a polytope at n >= 4, where the
+    intersection test needs polytope distances (n <= 3 only).
     """
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
@@ -72,6 +71,30 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                                  and isinstance(L, bd.HPolytope)):
         raise ValueError("custom valuations need H-polytope bodies "
                          "(the intersection must be explicit)")
+    quadrics = [isinstance(b, (bd.Ball, bd.Ellipsoid)) for b in (M, L)]
+    if kind == "chi" and M.dim >= 4 and any(quadrics) and not all(quadrics):
+        raise ValueError("chi of a ball or ellipsoid against a polytope needs "
+                         f"n <= 3, got n = {M.dim}")
+    return kind
+
+
+def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
+                  inner_samples: int = 256, strata: int = 0,
+                  batch: int = 4096) -> EstimatorResult:
+    """The group-side integral, estimated with the translation box folded in.
+
+    phi may be "chi", "volume", or a Valuation; custom valuations need both
+    bodies as H-polytopes (the intersection must be constructible). Every
+    pair draws k, X and t in batches; the image box of gL and the integrand
+    come from closed forms when both bodies are balls or ellipsoids, and
+    from support functions and the exact predicates of each row otherwise.
+    The volume integrand draws its inner_samples points per row in blocks
+    of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
+    near 1 MB whatever the batch; the draws are the ones a single
+    (batch, inner_samples, n) draw would give. Inputs are checked by
+    check_lhs_inputs before anything is drawn.
+    """
+    kind = check_lhs_inputs(group, phi, M, L)
     rng, seed = resolve_rng(rng)
     component, compact = GROUPS[group]
     n = M.dim
@@ -81,6 +104,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         _, cM, invM = _frame(M)
         linL0, cL, invL0 = _frame(L)
     loM, hiM = bd.bounding_box(M)
+    rows = max(1, _BLOCK_POINTS // inner_samples)
     acc = RunningMean()
     done = 0
     while done < samples:
@@ -120,19 +144,25 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         if kind == "volume":
             widI = np.clip(hiI - loI, 0.0, None)
             volI = np.prod(widI, axis=1)
-            u = rng.random((B, inner_samples, n))
-            pts = loI[:, None, :] + u * widI[:, None, :]
             if quadric:
-                y = np.einsum("ij,bkj->bki", invM, pts - cM)
-                inM = np.einsum("bki,bki->bk", y, y) <= 1.0
-                invlin = np.einsum("ij,bjk->bik", invL0, invG)
-                z = np.einsum("bij,bkj->bki", invlin, pts - center[:, None, :])
-                inL = np.einsum("bki,bki->bk", z, z) <= 1.0
-            else:
-                inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(B, -1)
-                y = np.einsum("bij,bkj->bki", invG, pts - t[:, None, :])
-                inL = bd.contains_points(L, y.reshape(-1, n)).reshape(B, -1)
-            frac = np.mean(inM & inL, axis=1)
+                invlin = invL0 @ invG
+            frac = np.empty(B)
+            # the inner points go in blocks of rows; drawing the blocks in
+            # turn consumes the stream a single (B, inner, n) draw would
+            for r0 in range(0, B, rows):
+                r1 = min(r0 + rows, B)
+                u = rng.random((r1 - r0, inner_samples, n))
+                pts = loI[r0:r1, None, :] + u * widI[r0:r1, None, :]
+                if quadric:
+                    y = (pts - cM) @ invM.T
+                    inM = np.einsum("bki,bki->bk", y, y) <= 1.0
+                    z = (pts - center[r0:r1, None, :]) @ np.swapaxes(invlin[r0:r1], 1, 2)
+                    inL = np.einsum("bki,bki->bk", z, z) <= 1.0
+                else:
+                    inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(r1 - r0, -1)
+                    y = np.einsum("bij,bkj->bki", invG[r0:r1], pts - t[r0:r1, None, :])
+                    inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
+                frac[r0:r1] = np.mean(inM & inL, axis=1)
             acc.update(volbox * volI * frac)
         elif quadric:
             c2 = np.einsum("ij,bj->bi", invM, center - cM)

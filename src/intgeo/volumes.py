@@ -1,4 +1,4 @@
-"""Intrinsic volumes: closed forms, quadrature for ellipsoids, and MC fits.
+"""Intrinsic volumes: closed forms, batched ellipsoid kernels, and MC fits.
 
 V_j is normalized so that it is intrinsic (independent of the ambient
 dimension): V_0 = Euler characteristic, V_1 = a multiple of mean width,
@@ -13,7 +13,8 @@ Ellipsoid intrinsic volumes follow the principal-axis representation
 intrinsic_volume_ellipsoid evaluates it by adaptive quadrature on the
 substitution t = u/(1-u): the reference, absolute tolerance 1e-10 after scale
 normalization, axis ratios up to e^60. The batch evaluator behind the
-million-sample Monte Carlo layers picks an exact kernel per dimension:
+million-sample Monte Carlo layers and closed_intrinsic_volumes picks an
+exact kernel per dimension:
 V_0 = 1 and V_n = kappa_n prod a_i always; for 0 < j < n, complete elliptic
 integrals at n = 2 and Carlson's R_G at n = 3 (Carlson 1995, Numer.
 Algorithms 10), both valid for any positive axes, and a fixed trapezoid grid
@@ -261,15 +262,17 @@ def _box_sides(body: bd.HPolytope) -> np.ndarray | None:
 def closed_intrinsic_volumes(body) -> np.ndarray:
     """The vector (V_0, ..., V_n) for bodies with a closed form.
 
-    Supported: balls, ellipsoids, axis-aligned boxes, and polygons (n = 2).
-    Raises ValueError otherwise; use steiner_fit for general bodies.
+    Supported: balls, ellipsoids (through batch_ellipsoid_intrinsic_volumes),
+    axis-aligned boxes, and polygons (n = 2). Raises ValueError otherwise;
+    use steiner_fit for general bodies.
     """
     if isinstance(body, bd.Ball):
         n = body.dim
         return np.array([intrinsic_volume_ball(n, j, body.radius) for j in range(n + 1)])
     if isinstance(body, bd.Ellipsoid):
         n = body.dim
-        return np.array([intrinsic_volume_ellipsoid(body.semiaxes, j) for j in range(n + 1)])
+        vals = batch_ellipsoid_intrinsic_volumes(body.semiaxes[None], range(n + 1))
+        return np.array([vals[j][0] for j in range(n + 1)])
     if isinstance(body, bd.HPolytope):
         sides = _box_sides(body)
         if sides is not None:

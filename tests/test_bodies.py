@@ -234,6 +234,51 @@ def test_distance_to_ellipsoid_against_dense_boundary():
             assert abs(di - brute) < 1e-6
 
 
+def bisection_ellipsoid_distance(P, semiaxes):
+    # reference: 90 bisection steps on the Lagrange multiplier mu of the
+    # closest-point problem, the root of sum a^2 q^2 / (a^2 + mu)^2 = 1
+    S = np.broadcast_to(semiaxes, P.shape)
+    a2 = S**2
+    out = np.zeros(P.shape[0])
+    mask = np.einsum("ij,ij->i", P * P, 1.0 / a2) > 1.0
+    Q, A2 = P[mask], a2[mask]
+    lo = np.zeros(Q.shape[0])
+    hi = np.max(S[mask], axis=1) * np.linalg.norm(Q, axis=1) * 2.0 + 1e-30
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        high = np.einsum("ij,ij->i", A2 * Q * Q, 1.0 / (A2 + mid[:, None]) ** 2) > 1.0
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+    mu = 0.5 * (lo + hi)
+    out[mask] = np.linalg.norm(mu[:, None] * Q / (A2 + mu[:, None]), axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_centered_ellipsoid_distance_matches_bisection(n):
+    # axis ratios up to e^24 (e^+-12), points at gauge 1e-3 (inside), just
+    # outside the surface, and far away (up to 1e3 times the surface)
+    rng = np.random.default_rng(n)
+    for spread in (0.0, 2.0, 6.0, 12.0):
+        S = np.exp(rng.uniform(-spread, spread, (2000, n)))
+        S[:, 0] = np.exp(spread)
+        S[:, 1] = np.exp(-spread)
+        for gauge in (1e-3, 1.0 + 1e-9, 1.01, 2.0, 10.0, 1e3):
+            dirs = rng.standard_normal((2000, n))
+            P = dirs / np.sqrt(np.sum(dirs**2 / S**2, axis=1))[:, None] * gauge
+            got = bd.centered_ellipsoid_distance(P, S)
+            ref = bisection_ellipsoid_distance(P, S)
+            scale = np.maximum(np.linalg.norm(P, axis=1), S.max(axis=1))
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+            assert np.all((got == 0.0) == (gauge < 1.0))
+
+
+def test_centered_ellipsoid_distance_refuses_nan_rows():
+    P = np.array([[2.0, 0.0], [np.nan, 0.5]])
+    with pytest.raises(FloatingPointError):
+        bd.centered_ellipsoid_distance(P, np.array([1.0, 0.5]))
+
+
 def test_distance_to_polytope():
     sq = bd.VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     pts = np.array([[2.0, 0.5], [2.0, 2.0], [0.5, 0.5], [-1.0, 0.5]])

@@ -130,14 +130,54 @@ def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # pathological axis ratio: the adaptive quadrature refuses to answer
+    # pathological axis ratio: the n >= 4 grid refuses to answer (n <= 3
+    # ellipsoids have closed forms valid at any ratio)
     path = tmp_path / "thin.json"
-    body = {"type": "ellipsoid", "center": [0.0, 0.0],
-            "axes": [[1.0, 0.0], [0.0, 1.0]], "semiaxes": [1.0, 1e-30]}
+    body = {"type": "ellipsoid", "center": [0.0] * 4,
+            "axes": np.eye(4).tolist(), "semiaxes": [1.0, 1.0, 1.0, 1e-30]}
     path.write_text(json.dumps(body))
     rc, _, err = run_cli("intrinsic", "--body", str(path), "--seed", "1")
     assert rc == 3
     assert "numerical failure" in err
+
+
+def test_unconverged_ellipsoid_distance_exits_3(ball2, tmp_path, monkeypatch, capsys):
+    # one Newton step cannot settle the distances of the chi integrand
+    path = tmp_path / "ell.json"
+    path.write_text(json.dumps(bd.body_to_dict(
+        bd.Ellipsoid([0.0, 0.0], np.eye(2), [1.5, 0.5]))))
+    monkeypatch.setattr(bd, "_NEWTON_STEPS", 1)
+    rc = cli.main(["kinematic", "--M", ball2, "--L", str(path), "--seed", "1",
+                   "--samples", "200", "--crofton-samples", "200",
+                   "--cj-samples", "200", "--threads", "1",
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii, message", [
+    ("abc", "--radii"),
+    ("0.5,nan,1,2", "finite"),
+    ("0.5,inf,1,2", "finite"),
+    ("0.5,-1,1,2", "positive"),
+    ("0.5,1", "n + 1"),
+], ids=["not-a-number", "nan", "inf", "negative", "too-few"])
+def test_bad_radii_are_configuration_errors(box2, radii, message):
+    rc, _, err = run_cli("intrinsic", "--body", box2, "--method", "steiner",
+                         "--samples", "100", "--radii", radii, "--seed", "1")
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+
+
+def test_chi_ball_vs_polytope_above_3d_is_refused(tmp_path):
+    cube = tmp_path / "cube4.json"
+    cube.write_text(json.dumps(bd.body_to_dict(bd.cube(4, side=2.0, centered=True))))
+    ball = tmp_path / "ball4.json"
+    ball.write_text(json.dumps(bd.body_to_dict(bd.unit_ball(4))))
+    rc, _, err = run_cli("kinematic", "--group", "so", "--M", str(cube),
+                         "--L", str(ball), "--seed", "1", "--samples", "100")
+    assert rc == 2
+    assert "n <= 3" in err and "Traceback" not in err
 
 
 def test_cj_rejects_n_beyond_weyl_range():

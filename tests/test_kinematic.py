@@ -52,6 +52,58 @@ def test_gl_volume_fubini(M, L):
     assert z_score(res.mean, res.std_error, want) < 4.0
 
 
+def rot3(i, j, theta):
+    R = np.eye(3)
+    c, s = np.cos(theta), np.sin(theta)
+    R[i, i] = R[j, j] = c
+    R[i, j], R[j, i] = -s, s
+    return R
+
+
+TILTED = bd.Ellipsoid([0.2, -0.1, 0.3], rot3(0, 1, 0.7) @ rot3(1, 2, 0.4),
+                      [1.2, 0.8, 0.5])
+OFFSET_BALL = bd.Ball([0.1, 0.0, -0.2], 0.9)
+
+
+@pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, want", [
+    ("gl", "chi", bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6]),
+     10000, 41, 256, (122.89850320635117, 8.708504791450766)),
+    ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 5000, 42, 256,
+     (27.753027247557906, 1.725218795839909)),
+    # one row per block of inner points
+    ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 24, 43, 70000,
+     (11.537754843579522, 5.958042536569975)),
+    ("gl", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
+     (25.377636071169245, 6.906870833672457)),
+    ("o", "chi", TILTED, OFFSET_BALL, 6000, 45, 256,
+     (21.73716140889618, 0.2725338420609622)),
+], ids=["chi-ball-ellipsoid", "volume-discs", "volume-discs-70000",
+        "volume-ball-tilted", "chi-tilted-ball"])
+def test_quadric_lhs_is_pinned(group, phi, M, L, samples, seed, inner, want):
+    # the closed-form ball/ellipsoid estimates, bit for bit: a faster kernel
+    # may change neither the order of the draws nor a single hit decision
+    res = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
+    assert (res.mean, res.std_error) == want
+
+
+@pytest.mark.parametrize("M, L", [
+    (bd.cube(4, side=2.0, centered=True), bd.unit_ball(4)),
+    (bd.Ellipsoid(np.zeros(4), np.eye(4), [1.0, 0.5, 0.5, 2.0]),
+     bd.VPolytope(np.vstack([np.zeros(4), np.eye(4)]))),
+], ids=["hcube-ball", "ellipsoid-vsimplex"])
+def test_chi_quadric_vs_polytope_refused_above_3d(M, L):
+    # the intersection test needs polytope distances, which stop at n = 3;
+    # the refusal comes before anything is drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n <= 3"):
+        lhs_kinematic("so", "chi", M, L, 100, rng)
+    assert rng.bit_generator.state == state
+    # volume needs only membership, which works in any dimension
+    res = lhs_kinematic("so", "volume", M, L, 20, 1, inner_samples=8)
+    assert np.isfinite(res.mean)
+
+
 def test_gl_chi_interval_anchor():
     # n = 1: box length is 2 + 2 e^x, so the integral is 2 + 2 sqrt(e)
     seg = bd.cube(1, side=2.0, centered=True)

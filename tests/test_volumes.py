@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ def test_closed_intrinsic_volumes_bodies():
                                [1.0, 1.0 + math.sqrt(2.0) / 2.0, 0.5], atol=1e-12)
     with pytest.raises(ValueError):
         closed_intrinsic_volumes(bd.VPolytope(np.zeros((4, 3))))
+
+
+def test_closed_intrinsic_volumes_of_a_flat_ellipse():
+    # semiaxes e^8 and e^-8: area pi and half perimeter 2 e^8 E(1 - e^-32),
+    # from the closed forms, without quadrature warnings
+    ell = bd.Ellipsoid(np.zeros(2), np.eye(2), [np.exp(8.0), np.exp(-8.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = closed_intrinsic_volumes(ell)
+    want = [1.0, 2.0 * np.exp(8.0) * ellipe(1.0 - np.exp(-32.0)), math.pi]
+    np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 def test_intrinsic_volumes_are_additive_on_box_union():
