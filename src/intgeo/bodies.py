@@ -4,8 +4,14 @@ Four representations are supported: balls, ellipsoids (center + orthonormal
 principal axes + semiaxes), H-polytopes (bounded intersections of halfspaces)
 and V-polytopes (convex hulls of finite vertex sets). Emptiness, membership,
 separation and distance queries are exact up to the stated tolerance TOL;
-nothing here is sampled. Polytope distance queries require n <= 3, which is
-all the Monte Carlo layers above ever ask for.
+nothing here is sampled. Polytope distance queries and H-polytope vertex
+enumeration require n <= 3.
+
+Polytopes whose vertex set is cheap (vertex_set: V-polytopes, H-polytopes at
+n <= 3) get LP-free kernels: boxes are min/max over vertices, and polygon
+pairs (n = 2) are decided by the separating-axis test separating_axis_gaps.
+The other polytope predicates (intersection and separation above n = 2,
+supports of H-polytopes) solve small linear programs (linprog).
 
 Bodies serialize to plain JSON dicts with a "type" tag so the CLI and the
 cache files can round-trip them; see body_to_dict / body_from_dict.
@@ -310,13 +316,32 @@ def separating_hyperplane(a: VPolytope, b: VPolytope):
     """A hyperplane (u, alpha) with a in {<x,u> <= alpha} and b in {<x,u> >= alpha}.
 
     Returns None when the polytopes overlap with nonempty interior. Touching
-    bodies are separable and yield a supporting hyperplane. Solved as a
-    max-margin LP over 2n sign-normalized subproblems (u_k fixed to +-1) so
-    the trivial u = 0 never wins; the margin objective is homogeneous in u,
-    hence some maximizer attains the box bound and the enumeration is exact.
+    bodies are separable and yield a supporting hyperplane. Polygons take
+    the separating axis with the largest gap (u is a unit edge normal and
+    alpha sits midway between the two projections). In higher dimensions it
+    is a max-margin LP over 2n sign-normalized subproblems (u_k fixed to
+    +-1) so the trivial u = 0 never wins; the margin objective is
+    homogeneous in u, hence some maximizer attains the box bound and the
+    enumeration is exact.
     """
     if not isinstance(a, VPolytope) or not isinstance(b, VPolytope):
         raise TypeError("separating_hyperplane expects two V-polytopes")
+    pair = _polygon_gaps(a, b)
+    if pair is not None:
+        axes, gaps = pair
+        i = int(np.argmax(gaps))
+        if gaps[i] < -TOL:
+            return None
+        u = axes[i]
+        pa, pb = a.vertices @ u, b.vertices @ u
+        if pb.min() - pa.max() < pa.min() - pb.max():  # b lies below a
+            u, pa, pb = -u, -pa, -pb
+        return u, float(0.5 * (pa.max() + pb.min()))
+    return _separating_hyperplane_lp(a, b)
+
+
+def _separating_hyperplane_lp(a: VPolytope, b: VPolytope):
+    """The max-margin LP route of separating_hyperplane, in any dimension."""
     n = a.dim
     VA, VB = a.vertices, b.vertices
     best = None
@@ -357,6 +382,77 @@ def separating_hyperplane(a: VPolytope, b: VPolytope):
     return u / nrm, float(alpha / nrm)
 
 
+def vertex_set(body: ConvexBody) -> np.ndarray | None:
+    """The vertices of a polytope whose vertex set is cheap, else None.
+
+    This is where the LP-free polytope kernels are selected: a V-polytope
+    gives its own vertices and an H-polytope at n <= 3 its enumerated ones
+    (as_vpolytope). Balls and ellipsoids (closed forms) and H-polytopes at
+    n >= 4 (the simplex) return None. Callers compute it once per call,
+    never per sample.
+    """
+    if isinstance(body, VPolytope):
+        return body.vertices
+    if isinstance(body, HPolytope) and body.dim <= 3:
+        return as_vpolytope(body).vertices
+    return None
+
+
+def affine_rank(V: np.ndarray) -> int:
+    """Dimension of the affine hull of the rows of V (tolerance 1e-10)."""
+    return int(np.linalg.matrix_rank(V - V.mean(axis=0), tol=1e-10))
+
+
+def polygon_axes(V: np.ndarray) -> np.ndarray:
+    """The unit axes (k, 2) a planar vertex set brings to the separating-axis test.
+
+    A full-dimensional hull brings its outward edge normals. A segment
+    brings its normal and its direction, a single point the two coordinate
+    axes: flat pairs (two points, two collinear segments) are told apart
+    only along those directions.
+    """
+    if len(V) > 2:
+        try:
+            return ConvexHull(V).equations[:, :2]
+        except QhullError:
+            pass  # a flat vertex set
+    if affine_rank(V) == 0:
+        return np.eye(2)
+    centered = V - V.mean(axis=0)
+    d = centered[np.argmax(np.linalg.norm(centered, axis=1))]
+    d = d / np.linalg.norm(d)
+    return np.array([[-d[1], d[0]], d])
+
+
+def separating_axis_gaps(VA: np.ndarray, VB: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Signed gap between the projections of two planar vertex sets on each axis.
+
+    VA (..., ma, 2) and VB (..., mb, 2) broadcast over leading batch axes
+    against unit axes (..., k, 2); the result is (..., k). A gap is the
+    distance between the two projected intervals when they are disjoint
+    and minus their overlap otherwise. By the separating axis theorem two
+    convex polygons are disjoint exactly when some axis of polygon_axes of
+    either one has a positive gap, and the largest gap over those axes is
+    their signed separation.
+    """
+    axT = np.swapaxes(axes, -1, -2)
+    pa = VA @ axT
+    pb = VB @ axT
+    return np.maximum(pb.min(axis=-2) - pa.max(axis=-2), pa.min(axis=-2) - pb.max(axis=-2))
+
+
+def _polygon_gaps(a: ConvexBody, b: ConvexBody) -> tuple[np.ndarray, np.ndarray] | None:
+    """(axes, gaps) of the separating-axis test when a and b are polygons, else None."""
+    if a.dim != 2 or b.dim != 2:
+        return None
+    VA = vertex_set(a)
+    VB = None if VA is None else vertex_set(b)
+    if VB is None:
+        return None
+    axes = np.vstack([polygon_axes(VA), polygon_axes(VB)])
+    return axes, separating_axis_gaps(VA, VB, axes)
+
+
 def _to_unit_ball_map(e: Ellipsoid) -> AffineMap:
     # T(x) = diag(1/a) U^T (x - c) sends the ellipsoid onto the unit ball
     A = (e.axes / e.semiaxes).T
@@ -367,9 +463,13 @@ def intersects(a: ConvexBody, b: ConvexBody, tol: float = TOL) -> bool:
     """Exact emptiness test for the intersection of two bodies.
 
     Ellipsoid pairs reduce to ball-vs-ellipsoid through the affine map that
-    sends one of them onto the unit ball; polytope pairs are LP feasibility.
-    Mixed ellipsoid/polytope queries need n <= 3 (polytope distance).
+    sends one of them onto the unit ball; polygon pairs take the
+    separating-axis test, other polytope pairs LP feasibility. Mixed
+    ellipsoid/polytope queries need n <= 3 (polytope distance).
     """
+    pair = _polygon_gaps(a, b)
+    if pair is not None:
+        return bool(np.all(pair[1] <= tol))
     order = {Ball: 0, Ellipsoid: 1, HPolytope: 2, VPolytope: 3}
     if order[type(a)] > order[type(b)]:
         a, b = b, a
@@ -385,6 +485,15 @@ def intersects(a: ConvexBody, b: ConvexBody, tol: float = TOL) -> bool:
     if isinstance(a, Ellipsoid):
         amap = _to_unit_ball_map(a)
         return intersects(Ball(np.zeros(a.dim), 1.0), affine_image(b, amap), tol)
+    if isinstance(a, (HPolytope, VPolytope)):
+        return _polytopes_intersect_lp(a, b)
+    raise TypeError("unsupported body pair")
+
+
+def _polytopes_intersect_lp(a: HPolytope | VPolytope, b: HPolytope | VPolytope) -> bool:
+    """The LP route of intersects for two polytopes, in any dimension."""
+    if isinstance(a, VPolytope) and isinstance(b, HPolytope):
+        a, b = b, a
     if isinstance(a, HPolytope) and isinstance(b, HPolytope):
         return not isinstance(intersect_hrep(a, b), EmptyBody)
     if isinstance(a, HPolytope) and isinstance(b, VPolytope):
@@ -394,18 +503,16 @@ def intersects(a: ConvexBody, b: ConvexBody, tol: float = TOL) -> bool:
         A_eq = np.ones((1, m))
         return linprog.feasible(A_ub, a.offsets, nonneg=True,
                                 A_eq=A_eq, b_eq=np.array([1.0])) is not None
-    if isinstance(a, VPolytope) and isinstance(b, VPolytope):
-        V, W = a.vertices, b.vertices
-        ma, mb = V.shape[0], W.shape[0]
-        n = a.dim
-        A_eq = np.zeros((n + 2, ma + mb))
-        A_eq[:n, :ma] = V.T
-        A_eq[:n, ma:] = -W.T
-        A_eq[n, :ma] = 1.0
-        A_eq[n + 1, ma:] = 1.0
-        b_eq = np.concatenate([np.zeros(n), [1.0, 1.0]])
-        return linprog.feasible(None, None, nonneg=True, A_eq=A_eq, b_eq=b_eq) is not None
-    raise TypeError("unsupported body pair")
+    V, W = a.vertices, b.vertices
+    ma, mb = V.shape[0], W.shape[0]
+    n = a.dim
+    A_eq = np.zeros((n + 2, ma + mb))
+    A_eq[:n, :ma] = V.T
+    A_eq[:n, ma:] = -W.T
+    A_eq[n, :ma] = 1.0
+    A_eq[n + 1, ma:] = 1.0
+    b_eq = np.concatenate([np.zeros(n), [1.0, 1.0]])
+    return linprog.feasible(None, None, nonneg=True, A_eq=A_eq, b_eq=b_eq) is not None
 
 
 # ---------------------------------------------------------------------------

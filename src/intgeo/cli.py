@@ -337,10 +337,10 @@ def cmd_lemma_check(args) -> dict:
     if args.M:
         M = _load_body_arg(args.M, "--M")
         L = _load_body_arg(args.L, "--L")
-        if not isinstance(M, bd.VPolytope) or not isinstance(L, bd.VPolytope):
-            raise ConfigError("lemma-check needs V-polytope bodies")
-        if M.dim != 2 or L.dim != 2:
-            raise ConfigError("lemma-check runs in the plane")
+        try:
+            kinematic.check_lemma_inputs(M, L)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     else:
         M = bd.random_polytope(2, 8, rng)
         L = bd.random_polytope(2, 8, rng)

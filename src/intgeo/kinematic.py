@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bodies as bd
 from .estimation import EstimatorResult, RunningMean, resolve_rng, z_score
-from .sampling import AffineFlat, flat_hits, flat_weight, sample_affine_flat
+from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
 from .symmetric import sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 
@@ -85,9 +85,20 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
 
     phi may be "chi", "volume", or a Valuation; custom valuations need both
     bodies as H-polytopes (the intersection must be constructible). Every
-    pair draws k, X and t in batches; the image box of gL and the integrand
-    come from closed forms when both bodies are balls or ellipsoids, and
-    from support functions and the exact predicates of each row otherwise.
+    pair draws k, X and t in batches; the body types and the dimension pick
+    the kernels, once per call:
+    - box of gL: closed form when both bodies are balls or ellipsoids,
+      min/max of G V over the batch when L has a vertex set V
+      (bodies.vertex_set: V-polytopes, H-polytopes at n <= 3), the support
+      functions of each moved L otherwise (2n LPs per row for H-polytopes
+      at n >= 4); M's box comes from its vertex set the same way;
+    - chi: the closed-form ellipsoid distance for two quadrics, the
+      separating-axis test of bodies for two polygons (n = 2, axes the edge
+      normals of M and those of L mapped by G^-T), and otherwise
+      bd.intersects per row (LPs for polytopes at n = 3), where a hit is
+      first sought at the midpoint of the two boxes' overlap;
+    - volume: membership of inner points; custom valuations: the explicit
+      intersection of each row.
     The volume integrand draws its inner_samples points per row in blocks
     of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
     near 1 MB whatever the batch; the draws are the ones a single
@@ -103,7 +114,12 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     if quadric:
         _, cM, invM = _frame(M)
         linL0, cL, invL0 = _frame(L)
-    loM, hiM = bd.bounding_box(M)
+    # vertex sets, once per call: None keeps the closed forms or the simplex
+    VM, VL = bd.vertex_set(M), bd.vertex_set(L)
+    loM, hiM = bd.bounding_box(M) if VM is None else (VM.min(axis=0), VM.max(axis=0))
+    planar = kind == "chi" and n == 2 and VM is not None and VL is not None
+    if planar:
+        axesM, axesL = bd.polygon_axes(VM), bd.polygon_axes(VL)
     rows = max(1, _BLOCK_POINTS // inner_samples)
     acc = RunningMean()
     done = 0
@@ -122,6 +138,11 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             linL = G @ linL0
             cg = np.einsum("bij,j->bi", G, cL) if np.any(cL) else np.zeros((B, n))
             hw = np.linalg.norm(linL, axis=2)  # support of the centered image at +-e_i
+        elif VL is not None:
+            GV = VL @ np.swapaxes(G, 1, 2)  # (B, m, n): the vertices of gL
+            loL, hiL = GV.min(axis=1), GV.max(axis=1)
+            cg = 0.5 * (loL + hiL)
+            hw = 0.5 * (hiL - loL)
         else:
             box = np.array([bd.bounding_box(bd.affine_image(L, bd.AffineMap(g, np.zeros(n))))
                             for g in G])
@@ -164,6 +185,13 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                     inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
                 frac[r0:r1] = np.mean(inM & inL, axis=1)
             acc.update(volbox * volI * frac)
+        elif planar:
+            # separating axes of M, and the edge normals of L mapped by G^-T
+            axesG = axesL @ invG
+            axesG /= np.linalg.norm(axesG, axis=2, keepdims=True)
+            axes = np.concatenate([np.broadcast_to(axesM, (B,) + axesM.shape), axesG], axis=1)
+            gaps = bd.separating_axis_gaps(VM, GV + t[:, None, :], axes)
+            acc.update(np.where(np.all(gaps <= bd.TOL, axis=1), volbox, 0.0))
         elif quadric:
             c2 = np.einsum("ij,bj->bi", invM, center - cM)
             lin2 = np.einsum("ij,bjk->bik", invM, linL)
@@ -194,7 +222,13 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
 
     The flat measure is normalized so flats meeting the unit ball have mass
     kappa_{n-j}. window_radius defaults to 1.5x the outer radius of M and
-    must dominate it, otherwise contributing flats would be missed.
+    must dominate it, otherwise contributing flats would be missed. Each
+    batch of flats is tested at once by sampling.batch_flat_hits: closed
+    forms for balls and ellipsoids; for polytopes contains_points at j = 0
+    and, when the vertex set is cheap (V-polytopes, H-polytopes at n <= 3),
+    an interval test on the normal of hyperplanes (j = n - 1). Polytope
+    flats of 0 < j < n - 1 (lines in 3-D) and H-polytope flats of j > 0 at
+    n >= 4 still solve one LP per flat.
     """
     kind = _phi_kind(phi)
     n = M.dim
@@ -221,19 +255,7 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
     done = 0
     while done < samples:
         B = min(batch, samples - done)
-        flats = sample_affine_flat(n, j, rng, window_radius, size=B)
-        if isinstance(M, bd.Ball):
-            c = M.center
-            if j:
-                U = flats.basis
-                proj = np.einsum("bik,bk->bi", U, np.einsum("bik,i->bk", U, c))
-                cperp = c[None, :] - proj
-            else:
-                cperp = np.broadcast_to(c, (B, n))
-            hit = np.linalg.norm(cperp - flats.offset, axis=1) <= M.radius
-        else:
-            hit = np.array([flat_hits(M, AffineFlat(U, off))
-                            for U, off in zip(flats.basis, flats.offset)])
+        hit = batch_flat_hits(M, sample_affine_flat(n, j, rng, window_radius, size=B))
         acc.update(np.where(hit, weight, 0.0))
         done += B
     return EstimatorResult.from_accumulator(acc, seed, importance_volume=weight)
@@ -381,6 +403,23 @@ def _hull_edges(poly: bd.VPolytope) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(V[order[i]], V[order[(i + 1) % len(order)]]) for i in range(len(order))]
 
 
+def check_lemma_inputs(M, L) -> None:
+    """Refuse a pair separation_lemma_check cannot run, with ValueError.
+
+    Both bodies must be V-polytopes in the plane, and their difference body
+    M + (-gL) must be 2-D (it is for almost every g unless the affine hulls
+    of M and L have dimensions summing below 2: a point and a point or a
+    segment), since the boundary stratum walks its edges.
+    """
+    if not isinstance(M, bd.VPolytope) or not isinstance(L, bd.VPolytope):
+        raise ValueError("lemma-check needs V-polytope bodies")
+    if M.dim != 2 or L.dim != 2:
+        raise ValueError("lemma-check runs in the plane")
+    if bd.affine_rank(M.vertices) + bd.affine_rank(L.vertices) < 2:
+        raise ValueError("lemma-check needs a 2-D difference body; M and L "
+                         "are a point and a point or a segment")
+
+
 def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *,
                            skip_margin: float = 1e-6) -> LemmaCheck:
     """Stress the boundary biconditional on random deformations of L.
@@ -391,10 +430,11 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *
     exterior. The claim under test: M and gL + t intersect AND admit a
     separating hyperplane exactly when t lies on the boundary of D.
     Interior/exterior samples landing within skip_margin of the boundary are
-    counted as boundary_skips instead of being classified.
+    counted as boundary_skips instead of being classified. Both predicates
+    are decided by the separating-axis test of bodies; inputs are checked
+    by check_lemma_inputs.
     """
-    if M.dim != 2 or L.dim != 2:
-        raise ValueError("the lemma check runs polygons in the plane")
+    check_lemma_inputs(M, L)
     rng, _ = resolve_rng(rng)
     from .symmetric import expm_sym
 

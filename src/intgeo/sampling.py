@@ -132,51 +132,72 @@ def flat_weight(n: int, j: int, window_radius: float) -> float:
     return kappa(n - j) * window_radius ** (n - j)
 
 
-def flat_hits(body: bd.ConvexBody, flat: AffineFlat, tol: float = 1e-9) -> bool:
-    """Whether the flat meets the body (exact per representation).
+def batch_flat_hits(body: bd.ConvexBody, flats: AffineFlat,
+                    tol: float = 1e-9) -> np.ndarray:
+    """Which flats of a batch (basis (m, n, j), offset (m, n)) meet the body.
 
-    Balls compare the orthogonal distance to the radius, ellipsoids minimize
-    the gauge quadratic over the flat, polytopes solve an LP in the flat
-    coordinates.
+    The one hit test of each body type, (m,) bool. Balls compare the
+    distance from the center to each flat with the radius; ellipsoids
+    minimize the gauge quadratic over each flat (one batched QR). Polytopes
+    test point flats with contains_points and hyperplanes of a polytope
+    with a vertex set (bodies.vertex_set) by the interval test
+    min V.nu <= offset.nu <= max V.nu on the flat's normal nu. The other
+    polytope flats (0 < j < n - 1, such as lines in 3-D, and flats of
+    H-polytopes at n >= 4) solve one LP per flat.
     """
-    U = flat.basis
-    off = flat.offset
-    n = U.shape[0]
-    j = U.shape[1]
+    U = flats.basis
+    off = flats.offset
+    m, n, j = U.shape
     if j == n:
-        return True
+        return np.ones(m, dtype=bool)
     if isinstance(body, bd.Ball):
-        w = body.center - off
-        perp = w - U @ (U.T @ w) if j else w
-        return float(np.linalg.norm(perp)) <= body.radius + tol
-    if isinstance(body, bd.Ellipsoid):
-        D = body.axes / body.semiaxes  # rows of D^T are scaled axis coords
-        w = off - body.center
-        if j == 0:
-            val = np.linalg.norm(D.T @ w) ** 2
+        c = body.center
+        if j:
+            proj = np.einsum("bik,bk->bi", U, np.einsum("bik,i->bk", U, c))
+            cperp = c[None, :] - proj
         else:
-            A = D.T @ U
-            b = D.T @ w
-            s, *_ = np.linalg.lstsq(A, -b, rcond=None)
-            val = float(np.linalg.norm(A @ s + b) ** 2)
-        return val <= 1.0 + tol
+            cperp = np.broadcast_to(c, (m, n))
+        return np.linalg.norm(cperp - off, axis=1) <= body.radius + tol
+    if isinstance(body, bd.Ellipsoid):
+        D = body.axes / body.semiaxes  # columns of D are scaled axis coords
+        b = (off - body.center) @ D
+        if j:
+            Q, _ = np.linalg.qr(np.einsum("ki,bkj->bij", D, U))
+            b = b - np.einsum("bij,bj->bi", Q, np.einsum("bij,bi->bj", Q, b))
+        return np.einsum("bi,bi->b", b, b) <= 1.0 + tol
+    if not isinstance(body, (bd.HPolytope, bd.VPolytope)):
+        raise TypeError(f"unsupported body {type(body).__name__}")
+    if j == 0:
+        return bd.contains_points(body, off, tol)
+    V = bd.vertex_set(body) if j == n - 1 else None
+    if V is not None:
+        nu = np.linalg.svd(np.swapaxes(U, 1, 2))[2][:, -1]  # (m, n) unit normals
+        proj = nu @ V.T
+        s = np.einsum("bi,bi->b", off, nu)
+        return (proj.min(axis=1) - tol <= s) & (s <= proj.max(axis=1) + tol)
+    return np.array([_flat_hits_lp(body, U[i], off[i]) for i in range(m)], dtype=bool)
+
+
+def _flat_hits_lp(body: bd.ConvexBody, U: np.ndarray, off: np.ndarray) -> bool:
+    """Whether the flat offset + span(U) meets a polytope, as an LP feasibility."""
+    n, j = U.shape
     if isinstance(body, bd.HPolytope):
-        if j == 0:
-            return bool(bd.membership(body, off, tol))
         A_ub = body.normals @ U
         b_ub = body.offsets - body.normals @ off
         return linprog.feasible(A_ub, b_ub) is not None
-    if isinstance(body, bd.VPolytope):
-        V = body.vertices
-        m = V.shape[0]
-        if j == 0:
-            return bool(bd.membership(body, off, tol))
-        # convex weights w and flat coordinates s with V^T w = off + U s
-        A_eq = np.zeros((n + 1, m + 2 * j))
-        A_eq[:n, :m] = V.T
-        A_eq[:n, m:m + j] = -U
-        A_eq[:n, m + j:] = U
-        A_eq[n, :m] = 1.0
-        b_eq = np.concatenate([off, [1.0]])
-        return linprog.feasible(None, None, nonneg=True, A_eq=A_eq, b_eq=b_eq) is not None
-    raise TypeError(f"unsupported body {type(body).__name__}")
+    V = body.vertices
+    m = V.shape[0]
+    # convex weights w and flat coordinates s with V^T w = off + U s
+    A_eq = np.zeros((n + 1, m + 2 * j))
+    A_eq[:n, :m] = V.T
+    A_eq[:n, m:m + j] = -U
+    A_eq[:n, m + j:] = U
+    A_eq[n, :m] = 1.0
+    b_eq = np.concatenate([off, [1.0]])
+    return linprog.feasible(None, None, nonneg=True, A_eq=A_eq, b_eq=b_eq) is not None
+
+
+def flat_hits(body: bd.ConvexBody, flat: AffineFlat, tol: float = 1e-9) -> bool:
+    """Whether one flat meets the body: batch_flat_hits on a batch of one."""
+    one = AffineFlat(flat.basis[None], flat.offset[None])
+    return bool(batch_flat_hits(body, one, tol)[0])

@@ -26,11 +26,12 @@ evaluator to the reference.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ellipe, elliprg
 from scipy.spatial import ConvexHull
 
@@ -80,7 +81,9 @@ def intrinsic_volume_ellipsoid(semiaxes, j: int, epsabs: float = 1e-10) -> float
     """V_j of an ellipsoid with the given semiaxes, by adaptive quadrature.
 
     Axes are scale-normalized first (V_j is j-homogeneous), so epsabs refers
-    to the normalized integral. Axis ratios beyond about e^60 raise
+    to the normalized integral. Axis ratios beyond about e^60, and any
+    integral quad flags with an IntegrationWarning (flat or needle-like
+    ellipsoids whose V_j the absolute tolerance cannot resolve), raise
     QuadratureError rather than returning an untrusted value.
     """
     a = np.atleast_1d(np.asarray(semiaxes, dtype=float))
@@ -108,8 +111,13 @@ def intrinsic_volume_ellipsoid(semiaxes, j: int, epsabs: float = 1e-10) -> float
             den = (b2[i] * u * u + w * w) * np.sqrt(np.prod(b2 * u * u + w * w))
             return u ** (j - 1) * w ** (n + 1 - j) / den
 
-        val, err = quad(integrand, 0.0, 1.0, points=pts, limit=400,
-                        epsabs=epsabs, epsrel=1e-11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                val, err = quad(integrand, 0.0, 1.0, points=pts, limit=400,
+                                epsabs=epsabs, epsrel=1e-11)
+            except IntegrationWarning as exc:
+                raise QuadratureError(f"ellipsoid quadrature: {exc}") from exc
         if not np.isfinite(val) or err > max(epsabs, 1e-8 * abs(val)) * 50:
             raise QuadratureError("ellipsoid quadrature did not converge")
         total += b2[i] * ek * val

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from intgeo import bodies as bd
 
@@ -206,6 +207,96 @@ def test_separating_hyperplane_touching():
     u, alpha = out
     assert np.max(a.vertices @ u) <= alpha + 1e-8
     assert np.min(b.vertices @ u) >= alpha - 1e-8
+
+
+def _as_hpolygon(poly):
+    eq = ConvexHull(poly.vertices).equations
+    return bd.HPolytope(eq[:, :2], -eq[:, 2])
+
+
+def _polygon_pairs(rng):
+    """(A, B) polygon pairs for the separating-axis oracle: random pairs at
+    random offsets, pairs placed to touch at planted points of the boundary
+    of A + (-B) (vertex-vertex, vertex-edge and edge-edge contact), and
+    flat or redundant vertex sets."""
+    collinear = bd.VPolytope([[0.0, 0.0], [0.5, 0.25], [1.0, 0.5]])
+    redundant = bd.VPolytope([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0],
+                              [0.2, -0.1]])
+    point = bd.VPolytope([[0.3, -0.2]])
+    specials = [collinear, redundant, point]
+    pairs = []
+    for i in range(520):
+        A = bd.random_polytope(2, int(rng.integers(3, 9)), rng)
+        if i % 4 == 0:
+            B = specials[(i // 4) % 3]
+        elif i % 4 == 1:
+            # the point reflection of A has every edge of A turned around,
+            # so boundary points of A + (-B) give edge-edge contact
+            B = bd.VPolytope(-A.vertices)
+        else:
+            B = bd.random_polytope(2, int(rng.integers(3, 9)), rng)
+        if i % 2:
+            D = bd.minkowski_sum_vpolytopes(A, bd.VPolytope(-B.vertices))
+            V = D.vertices[ConvexHull(D.vertices).vertices]
+            k = int(rng.integers(len(V)))
+            u = 0.0 if i % 3 == 0 else rng.random()  # a vertex of D, or an edge
+            t = V[k] + u * (V[(k + 1) % len(V)] - V[k])
+        else:
+            t = rng.uniform(-1.5, 1.5, 2)
+        pairs.append((A, bd.VPolytope(B.vertices + t)))
+    # flat pairs, told apart only along a segment's direction or the
+    # coordinate axes: collinear segments apart, end to end and overlapping,
+    # a point beyond, on and off a segment, and two points
+    seg = collinear.vertices
+    for B in (seg + [2.0, 1.0], seg + [1.0, 0.5], seg + [0.5, 0.25], [[1.5, 0.75]],
+              [[0.5, 0.25]], [[0.5, 0.3]]):
+        pairs.append((collinear, bd.VPolytope(B)))
+    pairs += [(point, bd.VPolytope(point.vertices + d)) for d in ([0.0, 0.0], [0.0, 1e-3])]
+    return pairs
+
+
+def test_separating_axis_test_matches_the_lp_on_polygon_pairs():
+    # the LP routes (kept for n >= 3) are the oracle of the polygon kernel
+    rng = np.random.default_rng(23)
+    pairs = _polygon_pairs(rng)
+    touching = 0
+    for A, B in pairs:
+        meet = bd.intersects(A, B)
+        assert meet == bd._polytopes_intersect_lp(A, B)
+        sep = bd.separating_hyperplane(A, B)
+        assert (sep is None) == (bd._separating_hyperplane_lp(A, B) is None)
+        touching += meet and sep is not None
+        if sep is not None:
+            u, alpha = sep
+            assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+            assert np.max(A.vertices @ u) <= alpha + 1e-9
+            assert np.min(B.vertices @ u) >= alpha - 1e-9
+    assert len(pairs) >= 500 and touching >= 200
+    # halfspace polygons take the same kernel through their vertex sets
+    for A, B in pairs[:120:3]:
+        if bd.affine_rank(A.vertices) == 2 and bd.affine_rank(B.vertices) == 2:
+            HA, HB = _as_hpolygon(A), _as_hpolygon(B)
+            assert bd.intersects(HA, HB) == bd._polytopes_intersect_lp(HA, HB)
+            assert bd.intersects(HA, B) == bd._polytopes_intersect_lp(HA, B)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_vertex_set_box_matches_the_support_lps(n):
+    # the box of gL from the vertex set, min/max of G v, equals the 2n
+    # support LPs of the moved body
+    rng = np.random.default_rng(29 + n)
+    V = bd.random_polytope(n, 9, rng)
+    eq = ConvexHull(V.vertices).equations
+    H = bd.HPolytope(eq[:, :-1], -eq[:, -1])
+    for body in (V, H):
+        verts = bd.vertex_set(body)
+        for _ in range(20):
+            G = rng.standard_normal((n, n))
+            lo, hi = bd.bounding_box(bd.affine_image(body, bd.AffineMap(G, np.zeros(n))))
+            GV = verts @ G.T
+            np.testing.assert_allclose(GV.min(axis=0), lo, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(GV.max(axis=0), hi, rtol=0, atol=1e-12)
+    assert bd.vertex_set(bd.cube(4)) is None and bd.vertex_set(bd.unit_ball(2)) is None
 
 
 # ---------------------------------------------------------------------------

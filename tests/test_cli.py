@@ -313,3 +313,16 @@ def test_lemma_check_rejects_non_polytope(ball2):
                          "--M", ball2, "--L", ball2)
     assert rc == 2
     assert "polytope" in err
+
+
+def test_lemma_check_refuses_a_flat_difference_body(tmp_path):
+    # a one-vertex polygon and a segment have a 1-D difference body, which
+    # has no edges to plant boundary translations on
+    M = tmp_path / "point.json"
+    L = tmp_path / "segment.json"
+    M.write_text(json.dumps({"type": "vpolytope", "vertices": [[0.0, 0.0]]}))
+    L.write_text(json.dumps({"type": "vpolytope", "vertices": [[0.0, 0.0], [1.0, 0.5]]}))
+    rc, _, err = run_cli("lemma-check", "--trials", "10", "--seed", "1",
+                         "--M", str(M), "--L", str(L))
+    assert rc == 2
+    assert "2-D difference body" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from intgeo import bodies as bd
+from intgeo import linprog
 from intgeo.estimation import EstimatorResult, z_score
 from intgeo.kinematic import (GROUPS, build_report, crofton_coefficient,
                               lhs_kinematic, rhs_hadwiger_gl,
@@ -102,6 +103,53 @@ def test_chi_quadric_vs_polytope_refused_above_3d(M, L):
     # volume needs only membership, which works in any dimension
     res = lhs_kinematic("so", "volume", M, L, 20, 1, inner_samples=8)
     assert np.isfinite(res.mean)
+
+
+HEX = bd.HPolytope([[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3 + 0.2],
+                   [1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
+PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
+                     for a in np.arange(5) * 2.0 * np.pi / 5.0])
+
+
+@pytest.mark.parametrize("group, phi, M, L, samples, seed, want", [
+    ("gl", "chi", HEX, PENT, 500, 51, (15.634476950906032, 0.8752199001449398)),
+    ("o", "chi", PENT, bd.cube(2, side=1.5, centered=True), 500, 52,
+     (7.853047167788888, 0.215661864403388)),
+    ("gl", "chi", bd.cube(3, side=1.2, centered=True),
+     bd.VPolytope(np.vstack([np.zeros(3), np.eye(3)]) - 0.25), 200, 53,
+     (22.369360539827557, 4.420763818338408)),
+    ("gl", "volume", HEX, PENT, 300, 54, (13.164424813403258, 3.6284545158522006)),
+], ids=["chi-hhex-vpent", "chi-vpent-hsquare", "chi-hcube-vsimplex", "volume-hhex-vpent"])
+def test_polytope_lhs_matches_the_lp_route(group, phi, M, L, samples, seed, want):
+    # values of the per-sample LP route (support LPs for the box of gL, the
+    # intersection LP for chi); the vertex-set boxes move them by rounding
+    # only, and the separating-axis test must take every hit decision alike
+    res = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=64)
+    assert res.mean == pytest.approx(want[0], rel=1e-12)
+    assert res.std_error == pytest.approx(want[1], rel=1e-12)
+
+
+def test_polygon_lp_count_does_not_grow_with_samples(monkeypatch):
+    # H-polygon LHS boxes and chi, and Crofton point and line flats, solve
+    # no LP per sample: the count is the same at any budget
+    M = bd.HPolytope(HEX.normals, HEX.offsets)
+    L = bd.cube(2, side=1.5, centered=True)
+    calls = []
+    solve = linprog.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "solve_lp", counting)
+    counts = []
+    for samples in (50, 2000):
+        calls.clear()
+        lhs_kinematic("gl", "chi", M, L, samples, 1)
+        crofton_coefficient("chi", M, 0, samples, 2)
+        crofton_coefficient("chi", M, 1, samples, 3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_gl_chi_interval_anchor():
@@ -222,6 +270,15 @@ def test_separation_lemma_random_polygons():
     assert set(res.stratum_counts) == {"interior", "boundary", "exterior"}
     d = res.to_dict()
     assert d["disagreements"] == 0
+
+
+@pytest.mark.parametrize("M, L", [
+    (bd.VPolytope([[0.0, 0.0]]), bd.VPolytope([[0.0, 0.0], [1.0, 0.0]])),
+    (bd.VPolytope([[0.0, 1.0]]), bd.VPolytope([[2.0, 0.0]])),
+], ids=["point-segment", "point-point"])
+def test_lemma_check_refuses_flat_difference_bodies(M, L):
+    with pytest.raises(ValueError, match="2-D difference body"):
+        separation_lemma_check(M, L, 10, 0)
 
 
 def test_chi_and_volume_string_or_valuation_agree():
