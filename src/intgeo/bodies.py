@@ -13,6 +13,11 @@ pairs (n = 2) are decided by the separating-axis test separating_axis_gaps.
 The other polytope predicates (intersection and separation above n = 2,
 supports of H-polytopes) solve small linear programs (linprog).
 
+Every hull in the plane is planar_hull, Andrew's monotone chain in numpy:
+edge normals, facet equations, areas and perimeters of polygons all come
+from its counter-clockwise vertex order. Only hulls in other dimensions
+call scipy's Qhull (scipy.spatial, imported when first needed).
+
 Bodies serialize to plain JSON dicts with a "type" tag so the CLI and the
 cache files can round-trip them; see body_to_dict / body_from_dict.
 """
@@ -23,11 +28,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import linprog
 
 TOL = 1e-9
+# a turn of the monotone chain counts as straight when its cross product is
+# within this many ulps of the coordinates' scale times their extent
+_HULL_ULPS = 32.0
 
 
 class EmptyBody:
@@ -157,6 +164,99 @@ class VPolytope:
 
 
 ConvexBody = Ball | Ellipsoid | HPolytope | VPolytope
+
+
+# ---------------------------------------------------------------------------
+# hulls
+
+
+@dataclass
+class PlanarHull:
+    """The convex hull of a planar point set with at least three vertices.
+
+    vertices indexes the input points of the hull's corners in
+    counter-clockwise order; points holds them in that order.
+    """
+
+    vertices: np.ndarray
+    points: np.ndarray
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Edge vectors, (k, 2): edge i runs from points[i] to points[i + 1]."""
+        return np.roll(self.points, -1, axis=0) - self.points
+
+    @property
+    def equations(self) -> np.ndarray:
+        """[normal | offset] per edge, <normal, x> + offset <= 0 inside,
+        with unit outward normals (the layout of Qhull's equations)."""
+        e = self.edges
+        normals = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+        offsets = -np.einsum("ij,ij->i", normals, self.points)
+        return np.column_stack([normals, offsets])
+
+    @property
+    def area(self) -> float:
+        """Shoelace formula, on coordinates relative to the first vertex."""
+        d = self.points[1:] - self.points[0]
+        return 0.5 * float(np.sum(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]))
+
+    @property
+    def perimeter(self) -> float:
+        e = self.edges
+        return float(np.sum(np.hypot(e[:, 0], e[:, 1])))
+
+
+def planar_hull(points: np.ndarray) -> PlanarHull | None:
+    """Andrew's monotone chain hull of (m, 2) points, or None when it is flat.
+
+    Points are sorted by x, then y; the lower and upper chains pop every
+    point that does not make a strict left turn, so collinear and duplicate
+    points never become vertices. A turn whose cross product is within
+    _HULL_ULPS ulps of (largest |coordinate|) x (largest extent) counts as
+    straight, which drops points lying on an edge up to rounding. Fewer
+    than three vertices (a point, two points, collinear points) is flat:
+    None, where Qhull raises QhullError.
+    """
+    P = np.asarray(points, dtype=float)
+    if P.shape[0] < 3:
+        return None
+    order = np.lexsort((P[:, 1], P[:, 0])).tolist()
+    tol = (_HULL_ULPS * np.finfo(float).eps * float(np.max(np.abs(P)))
+           * float(np.max(np.ptp(P, axis=0))))
+    xy = P.tolist()
+
+    def chain(idx):
+        out = []
+        for i in idx:
+            bx, by = xy[i]
+            while len(out) >= 2:
+                ox, oy = xy[out[-2]]
+                ax, ay = xy[out[-1]]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > tol:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    lower = chain(order)
+    upper = chain(order[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        return None
+    idx = np.array(hull)
+    return PlanarHull(vertices=idx, points=P[idx])
+
+
+def qhull(points: np.ndarray):
+    """scipy's Qhull hull of points (any dimension but 2), or None where Qhull
+    finds them flat."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        return ConvexHull(points)
+    except QhullError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +511,9 @@ def polygon_axes(V: np.ndarray) -> np.ndarray:
     axes: flat pairs (two points, two collinear segments) are told apart
     only along those directions.
     """
-    if len(V) > 2:
-        try:
-            return ConvexHull(V).equations[:, :2]
-        except QhullError:
-            pass  # a flat vertex set
+    hull = planar_hull(V)
+    if hull is not None:
+        return hull.equations[:, :2]
     if affine_rank(V) == 0:
         return np.eye(2)
     centered = V - V.mean(axis=0)
@@ -634,13 +732,20 @@ def _triangle_distance(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _hull_equations(body: VPolytope) -> np.ndarray | None:
-    """Facet equations [normal | offset] with <n,x> + offset <= 0 inside, or None."""
+    """Facet equations [normal | offset] with <n,x> + offset <= 0 inside, or
+    None for a flat vertex set."""
     if body.vertices.shape[0] <= body.dim:
         return None
-    try:
-        return ConvexHull(body.vertices).equations
-    except QhullError:
-        return None
+    hull = planar_hull(body.vertices) if body.dim == 2 else qhull(body.vertices)
+    return None if hull is None else hull.equations
+
+
+def _edge_distance(ring: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the closed polygonal ring through ring's rows."""
+    dist = np.full(points.shape[0], np.inf)
+    for i in range(len(ring)):
+        dist = np.minimum(dist, _segment_distance(ring[i], ring[(i + 1) % len(ring)], points))
+    return dist
 
 
 def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
@@ -655,55 +760,52 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
     rank = np.linalg.matrix_rank(centered, tol=1e-10)
     if rank == 0:
         return np.linalg.norm(points - V[0], axis=1)
-    if rank == 1:
-        d = centered[np.argmax(np.linalg.norm(centered, axis=1))]
-        proj = centered @ d
-        return _segment_distance(V[np.argmin(proj)], V[np.argmax(proj)], points)
     if n == 1:
         lo, hi = V.min(), V.max()
         return np.maximum.reduce([lo - points[:, 0], points[:, 0] - hi, np.zeros(len(points))])
-    if n == 2:
-        hull = ConvexHull(V)
-        order = hull.vertices
+    if rank == 3:
+        hull = qhull(V)
+        if hull is None:
+            raise ValueError("Qhull finds this rank-3 vertex set flat")
         inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= TOL, axis=1)
         dist = np.full(points.shape[0], np.inf)
-        for i in range(len(order)):
-            p0, p1 = V[order[i]], V[order[(i + 1) % len(order)]]
-            dist = np.minimum(dist, _segment_distance(p0, p1, points))
+        for simplex in hull.simplices:
+            dist = np.minimum(dist, _triangle_distance(V[simplex], points))
         return np.where(inside, 0.0, dist)
-    if rank == 2:
-        # flat polytope in R^3: fan over its planar hull
-        u, s, vt = np.linalg.svd(centered, full_matrices=False)
-        plane = vt[:2]
-        coords = centered @ plane.T
-        hull2 = ConvexHull(coords)
-        order = hull2.vertices
-        dist = np.full(points.shape[0], np.inf)
-        for i in range(1, len(order) - 1):
-            tri = np.array([V[order[0]], V[order[i]], V[order[i + 1]]])
-            dist = np.minimum(dist, _triangle_distance(tri, points))
-        return dist
-    hull = ConvexHull(V)
-    inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= TOL, axis=1)
-    dist = np.full(points.shape[0], np.inf)
-    for simplex in hull.simplices:
-        dist = np.minimum(dist, _triangle_distance(V[simplex], points))
-    return np.where(inside, 0.0, dist)
+    if rank == 2 and n == 2:
+        hull = planar_hull(V)
+        if hull is not None:
+            inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= TOL,
+                            axis=1)
+            return np.where(inside, 0.0, _edge_distance(hull.points, points))
+    elif rank == 2:  # a flat polytope in R^3: fan over its planar hull
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        hull = planar_hull(centered @ vt[:2].T)
+        if hull is not None:
+            order = hull.vertices
+            dist = np.full(points.shape[0], np.inf)
+            for i in range(1, len(order) - 1):
+                tri = np.array([V[order[0]], V[order[i]], V[order[i + 1]]])
+                dist = np.minimum(dist, _triangle_distance(tri, points))
+            return dist
+    # a segment, or a planar set the hull finds flat up to rounding
+    d = centered[np.argmax(np.linalg.norm(centered, axis=1))]
+    proj = centered @ d
+    return _segment_distance(V[np.argmin(proj)], V[np.argmax(proj)], points)
 
 
 def polygon_boundary_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
-    """Distance to the boundary of a full-dimensional polygon (n = 2), any side."""
+    """Distance to the boundary of a polygon (n = 2), from either side.
+
+    A flat vertex set is its own boundary: the distance to the set.
+    """
     if body.dim != 2:
         raise ValueError("boundary distance implemented for polygons only")
-    V = body.vertices
-    hull = ConvexHull(V)
-    order = hull.vertices
     points = np.atleast_2d(points)
-    dist = np.full(points.shape[0], np.inf)
-    for i in range(len(order)):
-        p0, p1 = V[order[i]], V[order[(i + 1) % len(order)]]
-        dist = np.minimum(dist, _segment_distance(p0, p1, points))
-    return dist
+    hull = planar_hull(body.vertices)
+    if hull is None:
+        return _vpolytope_distance(body, points)
+    return _edge_distance(hull.points, points)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +835,10 @@ def diameter_upper_bound(body: ConvexBody) -> float:
 def minkowski_sum_vpolytopes(a: VPolytope, b: VPolytope) -> VPolytope:
     """Hull of all pairwise vertex sums."""
     sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
-    try:
-        hull = ConvexHull(sums)
-        return VPolytope(sums[hull.vertices])
-    except QhullError:
+    hull = planar_hull(sums) if a.dim == 2 else qhull(sums)
+    if hull is None:
         return VPolytope(np.unique(np.round(sums, 12), axis=0))
+    return VPolytope(sums[hull.vertices])
 
 
 def as_vpolytope(body: HPolytope) -> VPolytope:
@@ -772,11 +873,8 @@ def random_polytope(n: int, k: int, rng: np.random.Generator,
     pts = z * r[:, None]
     if center is not None:
         pts = pts + np.asarray(center, dtype=float)
-    try:
-        hull = ConvexHull(pts)
-        return VPolytope(pts[hull.vertices])
-    except QhullError:
-        return VPolytope(pts)
+    hull = planar_hull(pts) if n == 2 else qhull(pts)
+    return VPolytope(pts if hull is None else pts[hull.vertices])
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +896,8 @@ def body_to_dict(body: ConvexBody) -> dict:
 
 
 def body_from_dict(data: dict) -> ConvexBody:
-    """Inverse of body_to_dict; raises ValueError on malformed input.
+    """Inverse of body_to_dict; raises ValueError on malformed input, and on
+    any entry that is not finite (JSON's Infinity and NaN, or 1e400).
 
     Ellipsoid "axes" is the list of principal axis vectors (rows of the JSON
     array), matching body_to_dict.
@@ -806,21 +905,26 @@ def body_from_dict(data: dict) -> ConvexBody:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("body description must be a dict with a 'type' key")
     kind = data["type"]
+    fields = {"ball": ("center", "radius"), "ellipsoid": ("center", "axes", "semiaxes"),
+              "hpolytope": ("normals", "offsets"), "vpolytope": ("vertices",)}
+    if not isinstance(kind, str) or kind not in fields:
+        raise ValueError(f"unknown body type {kind!r}")
     try:
-        if kind == "ball":
-            return Ball(np.array(data["center"], dtype=float), float(data["radius"]))
-        if kind == "ellipsoid":
-            axes = np.array(data["axes"], dtype=float).T
-            return Ellipsoid(np.array(data["center"], dtype=float), axes,
-                             np.array(data["semiaxes"], dtype=float))
-        if kind == "hpolytope":
-            return HPolytope(np.array(data["normals"], dtype=float),
-                             np.array(data["offsets"], dtype=float))
-        if kind == "vpolytope":
-            return VPolytope(np.array(data["vertices"], dtype=float))
+        v = {key: np.array(data[key], dtype=float) for key in fields[kind]}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind} description: {exc}") from exc
-    raise ValueError(f"unknown body type {kind!r}")
+    for key, arr in v.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{kind} {key} must be finite")
+    if kind == "ball":
+        if v["radius"].ndim != 0:
+            raise ValueError("malformed ball description: radius must be a number")
+        return Ball(v["center"], float(v["radius"]))
+    if kind == "ellipsoid":
+        return Ellipsoid(v["center"], v["axes"].T, v["semiaxes"])
+    if kind == "hpolytope":
+        return HPolytope(v["normals"], v["offsets"])
+    return VPolytope(v["vertices"])
 
 
 def load_body(path: str) -> ConvexBody:

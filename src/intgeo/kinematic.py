@@ -396,11 +396,8 @@ class LemmaCheck:
 
 
 def _hull_edges(poly: bd.VPolytope) -> list[tuple[np.ndarray, np.ndarray]]:
-    from scipy.spatial import ConvexHull
-
-    V = poly.vertices
-    order = ConvexHull(V).vertices
-    return [(V[order[i]], V[order[(i + 1) % len(order)]]) for i in range(len(order))]
+    P = bd.planar_hull(poly.vertices).points
+    return [(P[i], P[(i + 1) % len(P)]) for i in range(len(P))]
 
 
 def check_lemma_inputs(M, L) -> None:

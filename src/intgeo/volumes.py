@@ -12,15 +12,18 @@ Ellipsoid intrinsic volumes follow the principal-axis representation
 
 intrinsic_volume_ellipsoid evaluates it by adaptive quadrature on the
 substitution t = u/(1-u): the reference, absolute tolerance 1e-10 after scale
-normalization, axis ratios up to e^60. The batch evaluator behind the
-million-sample Monte Carlo layers and closed_intrinsic_volumes picks an
-exact kernel per dimension:
-V_0 = 1 and V_n = kappa_n prod a_i always; for 0 < j < n, complete elliptic
-integrals at n = 2 and Carlson's R_G at n = 3 (Carlson 1995, Numer.
-Algorithms 10), both valid for any positive axes, and a fixed trapezoid grid
-in s = log t at n >= 4, valid to ~1e-10 relative for axis ratios up to e^20
-and refused (QuadratureError) beyond. Regression tests pin the batch
-evaluator to the reference.
+normalization, axis ratios up to e^60. It is the only function here that
+needs scipy (scipy.integrate.quad, imported when called). The batch
+evaluator behind the million-sample Monte Carlo layers and
+closed_intrinsic_volumes picks an exact numpy kernel per dimension:
+V_0 = 1 and V_n = kappa_n prod a_i always; for 0 < j < n, the complete
+elliptic integral E by the arithmetic-geometric mean at n = 2
+(elliptic_e_agm) and Carlson's R_G by the duplication algorithm at n = 3
+(carlson_rg; Carlson 1995, Numer. Algorithms 10), both valid for any
+positive axes, and a fixed trapezoid grid in s = log t at n >= 4, valid to
+~1e-10 relative for axis ratios up to e^20 and refused (QuadratureError)
+beyond. Regression tests pin the batch evaluator to the reference and the
+two elliptic kernels to scipy.special.
 """
 
 from __future__ import annotations
@@ -31,17 +34,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import ellipe, elliprg
-from scipy.spatial import ConvexHull
 
 from . import bodies as bd
 from .estimation import EstimatorResult, RunningMean, resolve_rng
 
 
 class QuadratureError(RuntimeError):
-    """An ellipsoid V_j the evaluator cannot vouch for: the adaptive quadrature
-    did not converge, or an axis ratio lies beyond the batch grid's range."""
+    """An ellipsoid V_j the evaluator cannot vouch for: a semiaxis that is not
+    finite and positive, an adaptive quadrature or elliptic kernel that did
+    not converge, or an axis ratio beyond the batch grid's range."""
 
 
 def kappa(j: int) -> float:
@@ -86,6 +87,8 @@ def intrinsic_volume_ellipsoid(semiaxes, j: int, epsabs: float = 1e-10) -> float
     ellipsoids whose V_j the absolute tolerance cannot resolve), raise
     QuadratureError rather than returning an untrusted value.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     a = np.atleast_1d(np.asarray(semiaxes, dtype=float))
     n = a.size
     if np.any(a <= 0):
@@ -122,6 +125,124 @@ def intrinsic_volume_ellipsoid(semiaxes, j: int, epsabs: float = 1e-10) -> float
             raise QuadratureError("ellipsoid quadrature did not converge")
         total += b2[i] * ek * val
     return kappa(j) * total * scale**j
+
+
+# iteration cap of the AGM and of Carlson's duplication. Both halve the log of
+# their arguments' ratio per step until it is O(1) and then converge fast:
+# arguments 1e-300 and 1e300 apart take 13 (AGM) and 14 (Carlson) steps
+_ELLIPTIC_STEPS = 40
+
+
+def _agm(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M(1, b), sum_{n>=0} 2^{n-1} c_n^2) by the arithmetic-geometric mean.
+
+    c is c_0 = sqrt(1 - b^2), passed in so the caller can form it without
+    cancellation; c_{n+1} = (a_n - b_n) / 2. A row is done once
+    c_{n+1} <= 1e-9 a_n: the next c is then ~1e-18 relative, below rounding.
+    """
+    a = np.ones_like(b)
+    s = 0.5 * c * c
+    w = 0.5
+    for _ in range(_ELLIPTIC_STEPS):
+        c = 0.5 * (a - b)
+        w *= 2.0
+        s = s + w * c * c
+        done = np.all(c <= 1e-9 * a)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        if done:
+            return a, s
+    raise QuadratureError(f"AGM did not converge in {_ELLIPTIC_STEPS} steps")
+
+
+def elliptic_e_agm(kprime) -> np.ndarray:
+    """The complete elliptic integral E(m), m = 1 - k'^2, from k' in (0, 1].
+
+    Starting from k' = b/a rather than m keeps flat ellipses accurate: below
+    k' ~ 1e-8, 1 - k'^2 rounds to 1. With k = sqrt(1 - k'^2) and K, K' the
+    integrals of the first kind (K = pi / (2 M(1, k')), K' = pi / (2 M(1, k))),
+    rows with k' >= k take the AGM form E = K (1 - S(k', k)) and the others
+    Legendre's relation E = pi / (2 K') + K S(k, k'), with S the c-sum of _agm.
+    Both sums add positive terms only, where 1 - S(k', k) alone would lose
+    ~log(4/k') ulps as k' -> 0. A k' of 0 never converges and raises
+    QuadratureError.
+    """
+    kp = np.asarray(kprime, dtype=float)
+    k = np.sqrt((1.0 - kp) * (1.0 + kp))
+    direct = kp >= k
+    M, S = _agm(np.where(direct, kp, k), np.where(direct, k, kp))
+    out = np.pi / (2.0 * M) * (1.0 - S)
+    legendre = ~direct
+    if np.any(legendre):
+        Mk, _ = _agm(kp[legendre], k[legendre])
+        out[legendre] = M[legendre] + np.pi / (2.0 * Mk) * S[legendre]
+    return out
+
+
+def _carlson_rf_rd(x, y, z) -> tuple[np.ndarray, np.ndarray]:
+    """Carlson's R_F(x, y, z) and R_D(x, y, z) from one duplication sequence.
+
+    Positive arguments (Carlson 1995, Numer. Algorithms 10, algorithms 1 and
+    4). Each step maps v -> (v + lambda) / 4 with lambda = sqrt(xy) + sqrt(yz)
+    + sqrt(zx), which both integrals share; the duplication stops once the
+    fifth-order series of each is exact to r = 1e-16, or raises
+    QuadratureError after _ELLIPTIC_STEPS steps.
+    """
+    x0, y0, z0 = (np.asarray(v, dtype=float) for v in (x, y, z))
+    x, y, z = x0, y0, z0
+    r = 1e-16
+    Af0 = (x + y + z) / 3.0
+    Ad0 = (x + y + 3.0 * z) / 5.0
+    Qf = (3.0 * r) ** (-1.0 / 6.0) * np.maximum.reduce(
+        [np.abs(Af0 - x), np.abs(Af0 - y), np.abs(Af0 - z)])
+    Qd = (0.25 * r) ** (-1.0 / 6.0) * np.maximum.reduce(
+        [np.abs(Ad0 - x), np.abs(Ad0 - y), np.abs(Ad0 - z)])
+    Af, Ad = Af0, Ad0
+    tail = np.zeros_like(Af0)
+    p = 1.0  # 4^-m
+    for _ in range(_ELLIPTIC_STEPS):
+        if np.all(p * Qf < np.abs(Af)) and np.all(p * Qd < np.abs(Ad)):
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        tail = tail + p / (sz * (z + lam))
+        p *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        Af, Ad = 0.25 * (Af + lam), 0.25 * (Ad + lam)
+    else:
+        raise QuadratureError(f"Carlson duplication did not converge in "
+                              f"{_ELLIPTIC_STEPS} steps")
+    X = p * (Af0 - x0) / Af
+    Y = p * (Af0 - y0) / Af
+    Z = -(X + Y)
+    E2 = X * Y - Z * Z
+    E3 = X * Y * Z
+    rf = (1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0) / np.sqrt(Af)
+    X = p * (Ad0 - x0) / Ad
+    Y = p * (Ad0 - y0) / Ad
+    Z = -(X + Y) / 3.0
+    XY, Z2 = X * Y, Z * Z
+    E2 = XY - 6.0 * Z2
+    E3 = (3.0 * XY - 8.0 * Z2) * Z
+    E4 = 3.0 * (XY - Z2) * Z2
+    E5 = XY * Z2 * Z
+    rd = (p * (1.0 - 3.0 * E2 / 14.0 + E3 / 6.0 + 9.0 * E2 * E2 / 88.0 - 3.0 * E4 / 22.0
+               - 9.0 * E2 * E3 / 52.0 + 3.0 * E5 / 26.0) / (Ad * np.sqrt(Ad))
+          + 3.0 * tail)
+    return rf, rd
+
+
+def carlson_rg(x, y, z) -> np.ndarray:
+    """Carlson's symmetric integral R_G(x, y, z) of positive arguments.
+
+    2 R_G = z R_F - (x - z)(y - z) R_D / 3 + sqrt(xy / z) (Carlson 1995,
+    eq. 1.5) with z, the special argument of R_D, taken as the middle of the
+    three: then (x - z)(y - z) <= 0 and all three terms are nonnegative.
+    """
+    S = np.sort(np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                               for v in (x, y, z))), axis=-1), axis=-1)
+    lo, mid, hi = S[..., 0], S[..., 1], S[..., 2]
+    rf, rd = _carlson_rf_rd(lo, hi, mid)
+    return 0.5 * (mid * rf - (lo - mid) * (hi - mid) * rd / 3.0 + np.sqrt(lo / mid * hi))
 
 
 # fixed log-grid for the n >= 4 batch evaluator. The integrand of I_i (in ds)
@@ -175,20 +296,29 @@ def batch_ellipsoid_intrinsic_volumes(semiaxes: np.ndarray, js) -> dict[int, np.
     semiaxes has shape (m, n). V_0 = 1 and V_n = kappa_n prod a_i for every n.
     The other j take the cheapest exact kernel for their n:
 
-    - n = 2: V_1 = 2a E(1 - b^2/a^2) with a >= b (scipy.special.ellipe);
+    - n = 2: V_1 = 2a E(1 - b^2/a^2) with a >= b (elliptic_e_agm, the
+      arithmetic-geometric mean on k' = b/a);
     - n = 3: V_1 = 4 R_G(a^2, b^2, c^2) and V_2 = 2 pi R_G(b^2 c^2, a^2 c^2,
       a^2 b^2) = 2 pi abc R_G(a^-2, b^-2, c^-2), with R_G Carlson's symmetric
-      integral (scipy.special.elliprg); exact for any positive axes;
+      integral (carlson_rg, by duplication); exact for any positive axes;
     - n >= 4: a fixed trapezoid rule in s = log t over the principal-axis
       integrals, accurate to ~1e-10 relative while every axis is at least
       e^-20 times the largest, a margin Gaussian spectra never approach.
       A batch with any row beyond that raises QuadratureError.
+
+    A row with a semiaxis that is not finite and positive raises
+    QuadratureError at every n, whatever js asks for, and so does a V_j
+    that overflows (axes beyond ~1e75 at n = 3, whose squared products
+    leave the double range).
     """
     A = np.atleast_2d(np.asarray(semiaxes, dtype=float))
     m, n = A.shape
     js = sorted(set(int(j) for j in js))
     if any(j < 0 or j > n for j in js):
         raise ValueError("need 0 <= j <= n")
+    # NaN fails A > 0, so it cannot slip through
+    if not (np.all(A > 0.0) and np.all(np.isfinite(A))):
+        raise QuadratureError("ellipsoid semiaxes must be finite and positive")
     out: dict[int, np.ndarray] = {}
     if 0 in js:
         out[0] = np.ones(m)
@@ -197,14 +327,14 @@ def batch_ellipsoid_intrinsic_volumes(semiaxes: np.ndarray, js) -> dict[int, np.
     mid = [j for j in js if 0 < j < n]
     if n == 2 and mid:
         a = A.max(axis=1)
-        out[1] = 2.0 * a * ellipe(1.0 - (A.min(axis=1) / a) ** 2)
+        out[1] = 2.0 * a * elliptic_e_agm(A.min(axis=1) / a)
     elif n == 3 and mid:
         A2 = A * A
         if 1 in mid:
-            out[1] = 4.0 * elliprg(A2[:, 0], A2[:, 1], A2[:, 2])
+            out[1] = 4.0 * carlson_rg(A2[:, 0], A2[:, 1], A2[:, 2])
         if 2 in mid:
-            out[2] = 2.0 * math.pi * elliprg(A2[:, 1] * A2[:, 2], A2[:, 0] * A2[:, 2],
-                                             A2[:, 0] * A2[:, 1])
+            out[2] = 2.0 * math.pi * carlson_rg(A2[:, 1] * A2[:, 2], A2[:, 0] * A2[:, 2],
+                                                A2[:, 0] * A2[:, 1])
     elif mid:
         scale = A.max(axis=1, keepdims=True)
         B = A / scale
@@ -213,6 +343,8 @@ def batch_ellipsoid_intrinsic_volumes(semiaxes: np.ndarray, js) -> dict[int, np.
         core = _grid_intrinsic_volumes(B)
         for j in mid:
             out[j] = kappa(j) * core[:, j - 1] * scale[:, 0] ** j
+    if not all(np.all(np.isfinite(v)) for v in out.values()):
+        raise QuadratureError("ellipsoid V_j overflows the double range")
     return {j: out[j] for j in js}
 
 
@@ -236,10 +368,14 @@ def volume_exact(body) -> float:
     if isinstance(body, bd.VPolytope):
         if body.vertices.shape[0] <= body.dim:
             return 0.0
+        if body.dim == 2:
+            hull = bd.planar_hull(body.vertices)
+            return 0.0 if hull is None else hull.area
         try:
-            return float(ConvexHull(body.vertices).volume)
+            hull = bd.qhull(body.vertices)
         except Exception:
             return 0.0
+        return 0.0 if hull is None else float(hull.volume)
     if isinstance(body, bd.HPolytope):
         return volume_exact(bd.as_vpolytope(body))
     raise TypeError(f"unsupported body {type(body).__name__}")
@@ -271,7 +407,8 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
     """The vector (V_0, ..., V_n) for bodies with a closed form.
 
     Supported: balls, ellipsoids (through batch_ellipsoid_intrinsic_volumes),
-    axis-aligned boxes, and polygons (n = 2). Raises ValueError otherwise;
+    axis-aligned boxes, and polygons (n = 2, through bodies.planar_hull;
+    flat ones too). Raises ValueError otherwise;
     use steiner_fit for general bodies.
     """
     if isinstance(body, bd.Ball):
@@ -289,10 +426,10 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
             return closed_intrinsic_volumes(bd.as_vpolytope(body))
         raise ValueError("no closed form for this halfspace system")
     if isinstance(body, bd.VPolytope) and body.dim == 2:
-        hull = ConvexHull(body.vertices)
-        V = body.vertices[hull.vertices]
-        per = float(np.sum(np.linalg.norm(np.roll(V, -1, axis=0) - V, axis=1)))
-        return np.array([1.0, per / 2.0, float(hull.volume)])
+        hull = bd.planar_hull(body.vertices)
+        if hull is None:  # a point or a segment: V_1 is its length
+            return np.array([1.0, bd.diameter(body), 0.0])
+        return np.array([1.0, hull.perimeter / 2.0, hull.area])
     raise ValueError(f"no closed form for {type(body).__name__}")
 
 

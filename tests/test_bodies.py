@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from intgeo import bodies as bd
+from intgeo.volumes import closed_intrinsic_volumes, volume_exact
 
 
 def rot2(theta):
@@ -449,3 +450,77 @@ def test_load_body(tmp_path):
     path.write_text(json.dumps(bd.body_to_dict(bd.unit_ball(3))))
     body = bd.load_body(str(path))
     assert isinstance(body, bd.Ball) and body.dim == 3
+
+
+# ---------------------------------------------------------------------------
+# planar hull against Qhull
+
+
+def _sorted_equations(eq):
+    return eq[np.argsort(np.arctan2(eq[:, 1], eq[:, 0]))]
+
+
+def _planar_point_sets(rng):
+    """Random planar sets, some with points planted on hull edges, in their
+    middles and at random positions, and some with repeated points."""
+    sets = []
+    for i in range(300):
+        m = int(rng.integers(3, 40))
+        P = rng.standard_normal((m, 2)) * rng.uniform(0.1, 10.0, 2) + rng.uniform(-5, 5, 2)
+        if i % 3 == 1:
+            V = P[ConvexHull(P).vertices]
+            k = rng.integers(len(V), size=4)
+            u = np.where(np.arange(4) % 2 == 0, 0.5, rng.random(4))[:, None]
+            P = np.vstack([P, V[k] + u * (V[(k + 1) % len(V)] - V[k])])
+        elif i % 3 == 2:
+            P = np.vstack([P, P[rng.integers(m, size=3)]])
+        sets.append(rng.permutation(P))
+    return sets
+
+
+def test_planar_hull_matches_qhull():
+    rng = np.random.default_rng(41)
+    for P in _planar_point_sets(rng):
+        ref = ConvexHull(P)
+        hull = bd.planar_hull(P)
+        assert hull is not None
+        # a repeated vertex may come back under another of its indices
+        assert sorted(map(tuple, hull.points)) == sorted(map(tuple, P[ref.vertices]))
+        np.testing.assert_array_equal(hull.points, P[hull.vertices])
+        # counter-clockwise: every turn is a strict left turn
+        e = hull.edges
+        assert np.all(e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1) > 0)
+        np.testing.assert_allclose(_sorted_equations(hull.equations),
+                                   _sorted_equations(ref.equations), rtol=0, atol=1e-12)
+        assert abs(hull.area - ref.volume) <= 1e-12 * ref.volume
+        assert abs(hull.perimeter - ref.area) <= 1e-12 * ref.area
+
+
+@pytest.mark.parametrize("P", [
+    [[0.3, -0.2]],
+    [[0.3, -0.2], [0.3, -0.2], [0.3, -0.2]],
+    [[0.0, 0.0], [1.0, 0.5]],
+    [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [1.0, 0.5]],
+    [[0.0, 0.0], [0.5, 0.25], [1.0, 0.5], [0.25, 0.125]],
+    [[0.0, 0.0], [0.1, 0.3], [0.2, 0.6], [0.7, 2.1]],
+], ids=["point", "repeated-point", "two-points", "two-repeated-points",
+        "collinear", "collinear-rounded"])
+def test_planar_hull_is_flat_where_qhull_raises(P):
+    from scipy.spatial import QhullError
+
+    P = np.array(P)
+    if len(P) >= 3:
+        with pytest.raises(QhullError):
+            ConvexHull(P)
+    assert bd.planar_hull(P) is None
+    # and the callers keep their flat fallbacks
+    body = bd.VPolytope(P)
+    assert volume_exact(body) == 0.0
+    assert bd.contains_points(body, P[:1]).tolist() == [True]
+    length = bd.diameter(body)
+    np.testing.assert_allclose(closed_intrinsic_volumes(body), [1.0, length, 0.0], atol=1e-15)
+    far = np.array([[5.0, -4.0]])
+    np.testing.assert_allclose(bd.polygon_boundary_distance(body, far),
+                               bd.distance_to_body(body, far), rtol=1e-15)
+    if len(P) > 1:
+        assert bd.minkowski_sum_vpolytopes(body, body).dim == 2

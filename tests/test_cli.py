@@ -326,3 +326,85 @@ def test_lemma_check_refuses_a_flat_difference_body(tmp_path):
                          "--M", str(M), "--L", str(L))
     assert rc == 2
     assert "2-D difference body" in err
+
+
+@pytest.mark.parametrize("body", [
+    {"type": "ellipsoid", "center": [0.0, 0.0], "axes": [[1.0, 0.0], [0.0, 1.0]],
+     "semiaxes": [1e400, 1.0]},
+    {"type": "ball", "center": [0.0, float("nan")], "radius": 1.0},
+    {"type": "ball", "center": [0.0, 0.0], "radius": float("inf")},
+    {"type": "hpolytope", "normals": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+     "offsets": [1.0, 1.0, float("inf"), 1.0]},
+    {"type": "vpolytope", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, float("-inf")]]},
+], ids=["ellipsoid-1e400", "ball-nan-center", "ball-inf-radius", "hpolytope-inf-offset",
+        "vpolytope-inf-vertex"])
+def test_non_finite_body_entries_are_configuration_errors(tmp_path, body):
+    # JSON's Infinity and NaN tokens, and 1e400, which parses as inf
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body).replace("1e+400", "1e400"))
+    rc, out, err = run_cli("intrinsic", "--body", str(path), "--seed", "1")
+    assert rc == 2, out
+    assert "finite" in err and "Traceback" not in err
+
+
+_SCIPY_PROBE = """
+import json, sys
+from intgeo import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    rc = cli.main(argv)
+    report.append([argv[0], rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
+"""
+
+
+def test_workload_commands_never_load_scipy(tmp_path):
+    # one interpreter runs every benchmark command shape, and closed-form
+    # intrinsic volumes of an ellipsoid and of polygons; after each one
+    # scipy must be absent from sys.modules, not merely imported late
+    def body(name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    ang = 2.0 * np.pi * np.arange(7) / 7.0 + 0.1
+    hang = 2.0 * np.pi * np.arange(6) / 6.0 + 0.2
+    ball3 = body("ball3", bd.body_to_dict(bd.unit_ball(3)))
+    disc = body("disc", bd.body_to_dict(bd.unit_ball(2)))
+    ell3 = body("ell3", bd.body_to_dict(bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6])))
+    ell2 = body("ell2", bd.body_to_dict(bd.Ellipsoid(np.zeros(2), np.eye(2), [1.3, 1e-9])))
+    hM = body("hM", {"type": "hpolytope", "offsets": [1.0] * 6,
+                     "normals": np.column_stack([np.cos(hang), np.sin(hang)]).tolist()})
+    hL = body("hL", bd.body_to_dict(bd.cube(2, side=1.5, centered=True)))
+    vM = body("vM", {"type": "vpolytope",
+                     "vertices": (np.column_stack([np.cos(ang), np.sin(ang)]) * [1.0, 0.8]).tolist()})
+    vL = body("vL", {"type": "vpolytope",
+                     "vertices": (np.column_stack([np.cos(hang), np.sin(hang)]) * 0.9).tolist()})
+    cj2, cj3 = str(tmp_path / "cj2.json"), str(tmp_path / "cj3.json")
+    common = ["--threads", "1", "--out", str(tmp_path / "out.json")]
+    commands = [
+        ["cj", "--n", "2", "--method", "both", "--samples", "4000", "--seed", "11",
+         "--cache", cj2],
+        ["cj", "--n", "3", "--method", "both", "--samples", "4000", "--seed", "12",
+         "--cache", cj3],
+        ["cj", "--n", "5", "--method", "direct", "--samples", "2000", "--seed", "13"],
+        ["kinematic", "--phi", "chi", "--M", ball3, "--L", ell3, "--samples", "2000",
+         "--cj-cache", cj3, "--seed", "21"],
+        ["kinematic", "--phi", "volume", "--M", disc, "--L", disc, "--samples", "500",
+         "--inner-samples", "16", "--cj-cache", cj2, "--seed", "22"],
+        ["kinematic", "--phi", "chi", "--M", hM, "--L", hL, "--samples", "300",
+         "--crofton-samples", "1000", "--cj-cache", cj2, "--seed", "31"],
+        ["lemma-check", "--trials", "30", "--M", vM, "--L", vL, "--seed", "7"],
+        ["intrinsic", "--method", "closed", "--body", ell3, "--seed", "1"],
+        ["intrinsic", "--method", "closed", "--body", ell2, "--seed", "1"],
+        ["intrinsic", "--method", "closed", "--body", vM, "--seed", "1"],
+        ["intrinsic", "--method", "closed", "--body", hM, "--seed", "1"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           json.dumps([c + common for c in commands])],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(report) == len(commands)
+    for name, rc, scipy_modules in report:
+        assert rc == 0 and scipy_modules == [], (name, rc, scipy_modules)

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ellipe
+from scipy.special import ellipe, elliprg
 
 from intgeo import bodies as bd
 from intgeo.volumes import (QuadratureError, batch_ellipsoid_intrinsic_volumes,
-                            closed_intrinsic_volumes, euler_characteristic,
+                            carlson_rg, closed_intrinsic_volumes,
+                            elliptic_e_agm, euler_characteristic,
                             euler_valuation, intrinsic_volume_ball,
                             intrinsic_volume_cube, intrinsic_volume_ellipsoid,
                             kappa, steiner_fit, valuation_norm_estimate,
@@ -180,6 +181,96 @@ def test_batch_grid_refuses_rows_beyond_its_floor():
     # V_0 and V_n are closed forms and need no grid
     got = batch_ellipsoid_intrinsic_volumes(outside, [0, 4])
     np.testing.assert_allclose(got[4], kappa(4) * np.prod(outside, axis=1), rtol=1e-15)
+
+
+def _log_spread_axes(rng, rows, n, spread):
+    """Positive axes whose logs spread over [-spread/2, spread/2], with the
+    equal-axes and two-equal-axes corners appended."""
+    logs = rng.uniform(-0.5 * spread, 0.5 * spread, (rows, n))
+    logs[0] = 0.0
+    logs[1, 1:] = logs[1, 0]
+    logs[2, 1] = logs[2, 0]
+    logs[3] = np.linspace(-0.5 * spread, 0.5 * spread, n)
+    return np.exp(logs)
+
+
+@pytest.mark.parametrize("spread", [1.0, 10.0, 20.0, 40.0])
+def test_agm_ellipe_matches_scipy(spread):
+    # k' = b/a over e^-spread .. 1 (axes over e^+-spread/2, both orders);
+    # scipy gets m = 1 - k'^2 as -expm1(2 log k'), exact for small k'
+    rng = np.random.default_rng(int(spread))
+    A = _log_spread_axes(rng, 4000, 2, spread)
+    kp = A.min(axis=1) / A.max(axis=1)
+    want = ellipe(-np.expm1(2.0 * np.log(kp)))
+    got = elliptic_e_agm(kp)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    # the batch V_1 of an ellipse is 2 a E
+    got_v1 = batch_ellipsoid_intrinsic_volumes(A, [1])[1]
+    want_v1 = 2.0 * A.max(axis=1) * want
+    assert np.max(np.abs(got_v1 - want_v1) / want_v1) <= 1e-14
+
+
+def test_agm_ellipe_on_flat_ellipses():
+    # below k' = 1e-8, 1 - k'^2 rounds to 1: an AGM started from m would
+    # stall, one started from k' converges to E just above 1
+    kp = np.array([1e-8, 3e-9, 1e-12, 1e-20, 1e-100, 1e-300])
+    got = elliptic_e_agm(kp)
+    want = ellipe(-np.expm1(2.0 * np.log(kp)))
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    assert np.all(got >= 1.0)
+    np.testing.assert_allclose(elliptic_e_agm(np.array([1.0])), [math.pi / 2.0], rtol=1e-15)
+    with pytest.raises(QuadratureError):  # no AGM from k' = 0
+        elliptic_e_agm(np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("spread", [1.0, 10.0, 20.0, 40.0])
+def test_carlson_rg_matches_scipy(spread):
+    # arguments are squared axes and their pairwise products, as the n = 3
+    # V_1 and V_2 use them: log-spreads up to e^+-40 in the arguments
+    rng = np.random.default_rng(100 + int(spread))
+    A2 = _log_spread_axes(rng, 4000, 3, spread) ** 2
+    for args in ((A2[:, 0], A2[:, 1], A2[:, 2]),
+                 (A2[:, 1] * A2[:, 2], A2[:, 0] * A2[:, 2], A2[:, 0] * A2[:, 1])):
+        want = elliprg(*args)
+        for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+            got = carlson_rg(*(args[i] for i in perm))
+            assert np.max(np.abs(got - want) / want) <= 1e-14
+    # the symmetric corners: R_G(x, x, x) = sqrt(x)
+    np.testing.assert_allclose(carlson_rg(4.0, 4.0, 4.0), 2.0, rtol=1e-15)
+
+
+def test_elliptic_kernels_refuse_to_return_unconverged_values(monkeypatch):
+    # both iterations stop at a fixed cap; rows still moving then raise
+    import intgeo.volumes as vol
+
+    monkeypatch.setattr(vol, "_ELLIPTIC_STEPS", 2)
+    A = np.array([[1.0, 1e-6, 3.0]])
+    with pytest.raises(QuadratureError):
+        batch_ellipsoid_intrinsic_volumes(A[:, :2], [1])
+    with pytest.raises(QuadratureError):
+        batch_ellipsoid_intrinsic_volumes(A, [1])
+
+
+@pytest.mark.parametrize("bad", [[np.inf, 1.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0],
+                                 [1.0, np.nan, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, -np.inf]],
+                         ids=["inf-n2", "negative-n3", "zero-n3", "nan-n4", "neg-inf-n5"])
+def test_batch_refuses_rows_outside_the_domain(bad):
+    # one bad row fails the batch at every n and for every js, instead of
+    # V_1 = inf, a negative volume, or a NaN that slips past the grid floor
+    n = len(bad)
+    A = np.array([[1.0] * n, bad])
+    for js in (range(n + 1), [0], [n], [1]):
+        with pytest.raises(QuadratureError):
+            batch_ellipsoid_intrinsic_volumes(A, js)
+
+
+@pytest.mark.parametrize("axes, j", [([1e200, 1e200], 2), ([1e100, 1e100, 1.0], 2),
+                                     ([1e120, 1e120, 1e120], 3)])
+def test_batch_refuses_values_that_overflow(axes, j):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(QuadratureError):
+            batch_ellipsoid_intrinsic_volumes(np.array([axes]), [j])
 
 
 def test_closed_intrinsic_volumes_bodies():
