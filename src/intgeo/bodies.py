@@ -7,11 +7,11 @@ separation and distance queries are exact up to the stated tolerance TOL;
 nothing here is sampled. Polytope distance queries and H-polytope vertex
 enumeration require n <= 3.
 
-Polytopes whose vertex set is cheap (vertex_set: V-polytopes, H-polytopes at
-n <= 3) get LP-free kernels: boxes are min/max over vertices, and polygon
-pairs (n = 2) are decided by the separating-axis test separating_axis_gaps.
-The other polytope predicates (intersection and separation above n = 2,
-supports of H-polytopes) solve small linear programs (linprog).
+Whether M meets g L + t is batch_intersects, over a batch of linear maps g
+and translations t (intersects is its one-row case), and the axis box of
+g L is moved_boxes: the body types pick the kernels there and nowhere else.
+Polytopes whose vertex set is cheap (vertex_set) avoid the linear programs
+(linprog) that the others solve.
 
 Every hull in the plane is planar_hull, Andrew's monotone chain in numpy:
 edge normals, facet equations, areas and perimeters of polygons all come
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +148,11 @@ class HPolytope:
     @property
     def dim(self) -> int:
         return self.normals.shape[1]
+
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        # vertex_set of a polytope at n <= 3, enumerated once per body
+        return as_vpolytope(self).vertices
 
 
 @dataclass
@@ -340,6 +346,13 @@ def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def body_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned (lower, upper) corners: min/max over vertex_set when the
+    body has one, the 2n support evaluations of bounding_box otherwise."""
+    V = vertex_set(body)
+    return bounding_box(body) if V is None else (V.min(axis=0), V.max(axis=0))
+
+
 def outer_radius(body: ConvexBody) -> float:
     """An upper bound on max ||x|| over the body (exact for V-polytopes)."""
     if isinstance(body, Ball):
@@ -348,7 +361,7 @@ def outer_radius(body: ConvexBody) -> float:
         return float(np.linalg.norm(body.center) + np.max(body.semiaxes))
     if isinstance(body, VPolytope):
         return float(np.max(np.linalg.norm(body.vertices, axis=1)))
-    lo, hi = bounding_box(body)
+    lo, hi = body_box(body)
     corner = np.maximum(np.abs(lo), np.abs(hi))
     return float(np.linalg.norm(corner))
 
@@ -426,13 +439,13 @@ def separating_hyperplane(a: VPolytope, b: VPolytope):
     """
     if not isinstance(a, VPolytope) or not isinstance(b, VPolytope):
         raise TypeError("separating_hyperplane expects two V-polytopes")
-    pair = _polygon_gaps(a, b)
-    if pair is not None:
-        axes, gaps = pair
-        i = int(np.argmax(gaps))
-        if gaps[i] < -TOL:
+    if a.dim == 2:
+        eye = np.eye(2)[None]
+        axes, gaps = _polygon_gaps(a.vertices, b.vertices, eye, eye, np.zeros((1, 2)))
+        i = int(np.argmax(gaps[0]))
+        if gaps[0, i] < -TOL:
             return None
-        u = axes[i]
+        u = axes[0, i]
         pa, pb = a.vertices @ u, b.vertices @ u
         if pb.min() - pa.max() < pa.min() - pb.max():  # b lies below a
             u, pa, pb = -u, -pa, -pb
@@ -487,14 +500,13 @@ def vertex_set(body: ConvexBody) -> np.ndarray | None:
 
     This is where the LP-free polytope kernels are selected: a V-polytope
     gives its own vertices and an H-polytope at n <= 3 its enumerated ones
-    (as_vpolytope). Balls and ellipsoids (closed forms) and H-polytopes at
-    n >= 4 (the simplex) return None. Callers compute it once per call,
-    never per sample.
+    (as_vpolytope, run once per body and kept). Balls and ellipsoids
+    (closed forms) and H-polytopes at n >= 4 (the simplex) return None.
     """
     if isinstance(body, VPolytope):
         return body.vertices
     if isinstance(body, HPolytope) and body.dim <= 3:
-        return as_vpolytope(body).vertices
+        return body._vertices
     return None
 
 
@@ -539,53 +551,125 @@ def separating_axis_gaps(VA: np.ndarray, VB: np.ndarray, axes: np.ndarray) -> np
     return np.maximum(pb.min(axis=-2) - pa.max(axis=-2), pa.min(axis=-2) - pb.max(axis=-2))
 
 
-def _polygon_gaps(a: ConvexBody, b: ConvexBody) -> tuple[np.ndarray, np.ndarray] | None:
-    """(axes, gaps) of the separating-axis test when a and b are polygons, else None."""
-    if a.dim != 2 or b.dim != 2:
-        return None
-    VA = vertex_set(a)
-    VB = None if VA is None else vertex_set(b)
-    if VB is None:
-        return None
-    axes = np.vstack([polygon_axes(VA), polygon_axes(VB)])
-    return axes, separating_axis_gaps(VA, VB, axes)
+def _polygon_gaps(VM: np.ndarray, VL: np.ndarray, G: np.ndarray, invG: np.ndarray,
+                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(axes (B, k, 2), gaps (B, k)) of the separating-axis test of the polygon
+    with vertices VM against each g_b L + t_b, L the polygon with vertices VL.
 
-
-def _to_unit_ball_map(e: Ellipsoid) -> AffineMap:
-    # T(x) = diag(1/a) U^T (x - c) sends the ellipsoid onto the unit ball
-    A = (e.axes / e.semiaxes).T
-    return AffineMap(A, -A @ e.center)
-
-
-def intersects(a: ConvexBody, b: ConvexBody, tol: float = TOL) -> bool:
-    """Exact emptiness test for the intersection of two bodies.
-
-    Ellipsoid pairs reduce to ball-vs-ellipsoid through the affine map that
-    sends one of them onto the unit ball; polygon pairs take the
-    separating-axis test, other polytope pairs LP feasibility. Mixed
-    ellipsoid/polytope queries need n <= 3 (polytope distance).
+    The axes are polygon_axes of M and those of L mapped by G^-T (the edge
+    normals of gL), renormalized; see separating_axis_gaps.
     """
-    pair = _polygon_gaps(a, b)
-    if pair is not None:
-        return bool(np.all(pair[1] <= tol))
-    order = {Ball: 0, Ellipsoid: 1, HPolytope: 2, VPolytope: 3}
-    if order[type(a)] > order[type(b)]:
-        a, b = b, a
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return np.linalg.norm(a.center - b.center) <= a.radius + b.radius + tol
-    if isinstance(a, Ball) and isinstance(b, Ellipsoid):
-        return distance_to_body(b, a.center[None, :])[0] <= a.radius + tol
-    if isinstance(a, Ellipsoid) and isinstance(b, Ellipsoid):
-        amap = _to_unit_ball_map(a)
-        return intersects(Ball(np.zeros(a.dim), 1.0), affine_image(b, amap), tol)
-    if isinstance(a, Ball) and isinstance(b, (HPolytope, VPolytope)):
-        return distance_to_body(b, a.center[None, :])[0] <= a.radius + tol
-    if isinstance(a, Ellipsoid):
-        amap = _to_unit_ball_map(a)
-        return intersects(Ball(np.zeros(a.dim), 1.0), affine_image(b, amap), tol)
-    if isinstance(a, (HPolytope, VPolytope)):
-        return _polytopes_intersect_lp(a, b)
-    raise TypeError("unsupported body pair")
+    axesM, axesL = polygon_axes(VM), polygon_axes(VL)
+    axesG = axesL @ invG
+    axesG /= np.linalg.norm(axesG, axis=2, keepdims=True)
+    axes = np.concatenate([np.broadcast_to(axesM, (len(t),) + axesM.shape), axesG], axis=1)
+    return axes, separating_axis_gaps(VM, VL @ np.swapaxes(G, 1, 2) + t[:, None, :], axes)
+
+
+def quadric_frame(body: Ball | Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lin, center, inv) with body = {center + lin z : ||z|| <= 1}, inv = lin^-1."""
+    if isinstance(body, Ball):
+        n = body.dim
+        return (body.radius * np.eye(n), body.center, np.eye(n) / body.radius)
+    if isinstance(body, Ellipsoid):
+        lin = body.axes * body.semiaxes
+        inv = (body.axes / body.semiaxes).T
+        return lin, body.center, inv
+    raise TypeError("frame requires a ball or ellipsoid")
+
+
+def moved_boxes(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The axis box of each g_b L, as centers cg (B, n) and half-widths hw (B, n).
+
+    G (B, n, n) holds the linear maps g_b. L's type alone picks the kernel:
+    a ball or ellipsoid {c + lin z} has the closed form cg = G c and hw_i =
+    ||(G lin)_i|| (its support at e_i); a polytope with a vertex set V takes
+    min/max of G V; any other body (H-polytopes at n >= 4) the 2n support
+    LPs of each moved body.
+    """
+    B, n, _ = G.shape
+    if isinstance(L, (Ball, Ellipsoid)):
+        lin, c, _ = quadric_frame(L)
+        cg = np.einsum("bij,j->bi", G, c) if np.any(c) else np.zeros((B, n))
+        return cg, np.linalg.norm(G @ lin, axis=2)
+    V = vertex_set(L)
+    if V is not None:
+        GV = V @ np.swapaxes(G, 1, 2)  # (B, m, n): the vertices of gL
+        lo, hi = GV.min(axis=1), GV.max(axis=1)
+    else:
+        box = np.array([bounding_box(affine_image(L, AffineMap(g, np.zeros(n)))) for g in G])
+        lo, hi = box[:, 0], box[:, 1]
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarray,
+                     t: np.ndarray) -> np.ndarray:
+    """Whether M meets g_b L + t_b, for each row b: (B,) bool.
+
+    G (B, n, n) holds the linear maps, invG their inverses and t (B, n) the
+    translations. The pair's types pick the kernel, with slack TOL:
+    - two balls or ellipsoids: the distance from the origin to g_b L + t_b
+      in M's frame (quadric_frame) is at most 1 + TOL;
+    - two polygons (vertex sets at n = 2): the separating-axis test, every
+      gap at most TOL;
+    - other pairs, row by row, after a hit sought at the midpoint of the
+      two boxes' overlap (when L's box is cheap): the distance from the
+      origin to the polytope in the quadric's frame is at most 1 + TOL
+      (n <= 3), or two polytopes solve the intersection LP.
+    """
+    B, n = t.shape
+    quadric = [isinstance(body, (Ball, Ellipsoid)) for body in (M, L)]
+    if all(quadric):
+        _, cM, invM = quadric_frame(M)
+        linL, _, _ = quadric_frame(L)
+        cg, _ = moved_boxes(L, G)
+        c2 = np.einsum("ij,bj->bi", invM, cg + t - cM)
+        lin2 = np.einsum("ij,bjk->bik", invM, G @ linL)
+        U2, S2, _ = np.linalg.svd(lin2)
+        P = -np.einsum("bji,bj->bi", U2, c2)
+        return centered_ellipsoid_distance(P, S2) <= 1.0 + TOL
+    VM = vertex_set(M) if n == 2 else None
+    VL = None if VM is None else vertex_set(L)
+    if VL is not None:
+        return np.all(_polygon_gaps(VM, VL, G, invG, t)[1] <= TOL, axis=1)
+
+    hit = np.zeros(B, dtype=bool)
+    if quadric[1] or vertex_set(L) is not None:
+        # the midpoint of the boxes' overlap, when it lies in both bodies,
+        # settles a hit without a distance or an LP
+        loM, hiM = body_box(M)
+        cg, hw = moved_boxes(L, G)
+        center = cg + t
+        mid = 0.5 * (np.maximum(loM, center - hw) + np.minimum(hiM, center + hw))
+        hit = (contains_points(M, mid)
+               & contains_points(L, np.einsum("bij,bj->bi", invG, mid - t)))
+    rest = np.flatnonzero(~hit)
+    if not any(quadric):
+        hit[rest] = [_polytopes_intersect_lp(M, affine_image(L, AffineMap(G[b], t[b])))
+                     for b in rest]
+        return hit
+    # the polytope's vertices in the quadric's frame, x |-> A_b x + off_b
+    V = vertex_set(L if quadric[0] else M)
+    if V is None:
+        raise NotImplementedError("polytope distance supported for n <= 3")
+    if quadric[0]:
+        _, c, inv = quadric_frame(M)
+        A = inv @ G[rest]
+        off = (t[rest] - c) @ inv.T
+    else:
+        _, c, inv = quadric_frame(L)
+        A = inv @ invG[rest]
+        off = -np.einsum("bij,bj->bi", A, t[rest]) - inv @ c
+    pts = V @ np.swapaxes(A, 1, 2) + off[:, None, :]
+    origin = np.zeros((1, n))
+    hit[rest] = [_vpolytope_distance(VPolytope(p), origin)[0] <= 1.0 + TOL for p in pts]
+    return hit
+
+
+def intersects(a: ConvexBody, b: ConvexBody) -> bool:
+    """Whether two bodies meet: batch_intersects on one row with g = I, t = 0."""
+    eye = np.eye(a.dim)[None]
+    return bool(batch_intersects(a, b, eye, eye, np.zeros((1, a.dim)))[0])
 
 
 def _polytopes_intersect_lp(a: HPolytope | VPolytope, b: HPolytope | VPolytope) -> bool:
@@ -733,8 +817,12 @@ def _triangle_distance(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _hull_equations(body: VPolytope) -> np.ndarray | None:
     """Facet equations [normal | offset] with <n,x> + offset <= 0 inside, or
-    None for a flat vertex set."""
-    if body.vertices.shape[0] <= body.dim:
+    None for a flat vertex set. A segment in R^1 has the two end points as
+    facets, so its membership is an interval test."""
+    V = body.vertices
+    if body.dim == 1 and V.min() < V.max():
+        return np.array([[1.0, -V.max()], [-1.0, V.min()]])
+    if V.shape[0] <= body.dim:
         return None
     hull = planar_hull(body.vertices) if body.dim == 2 else qhull(body.vertices)
     return None if hull is None else hull.equations

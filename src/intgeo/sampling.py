@@ -81,8 +81,7 @@ def translation_region(M: bd.ConvexBody, moved: bd.ConvexBody) -> tuple[np.ndarr
 
 def sample_group_element(M: bd.ConvexBody, L: bd.ConvexBody,
                          rng: np.random.Generator, component: str = "full",
-                         compact: bool = False,
-                         strata: int = 0) -> tuple[GroupElement, float]:
+                         compact: bool = False) -> tuple[GroupElement, float]:
     """Draw one group element with t uniform in the translation box of (M, gL).
 
     Returns (g, region_volume); region_volume is the importance factor the
@@ -93,7 +92,7 @@ def sample_group_element(M: bd.ConvexBody, L: bd.ConvexBody,
     if L.dim != n:
         raise ValueError("bodies must share a dimension")
     k = sample_haar_orthogonal(n, rng, component=component)
-    X = np.zeros((n, n)) if compact else sample_gaussian_sym(n, rng, strata=strata)
+    X = np.zeros((n, n)) if compact else sample_gaussian_sym(n, rng)
     moved = bd.affine_image(L, bd.AffineMap(k @ expm_sym(X), np.zeros(n)))
     lo, hi = translation_region(M, moved)
     t = lo + rng.random(n) * (hi - lo)

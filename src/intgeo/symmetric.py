@@ -81,28 +81,11 @@ def as_orthogonal(Q: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     return Q
 
 
-def sample_gaussian_sym(n: int, rng: np.random.Generator, size: int | None = None,
-                        strata: int = 0) -> np.ndarray:
-    """Gaussian symmetric matrices in the chart above; (n, n) or (size, n, n).
-
-    With strata > 0 the Frobenius norm is stratified over equal-probability
-    chi quantile bins (variance reduction for norm-sensitive integrands);
-    directions stay uniform, so the marginal law is unchanged.
-    """
-    d = sym_dim(n)
+def sample_gaussian_sym(n: int, rng: np.random.Generator,
+                        size: int | None = None) -> np.ndarray:
+    """Gaussian symmetric matrices in the chart above; (n, n) or (size, n, n)."""
     m = 1 if size is None else int(size)
-    if strata and strata > 1:
-        from scipy.stats import chi
-
-        z = rng.standard_normal((m, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        bins = np.arange(m) % strata
-        u = (bins + rng.random(m)) / strata
-        r = chi.ppf(u, df=d)
-        coords = z * r[:, None]
-    else:
-        coords = rng.standard_normal((m, d))
-    X = coords_to_sym(coords, n)
+    X = coords_to_sym(rng.standard_normal((m, sym_dim(n))), n)
     return X[0] if size is None else X
 
 

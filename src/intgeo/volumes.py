@@ -366,15 +366,14 @@ def volume_exact(body) -> float:
     if isinstance(body, bd.Ellipsoid):
         return kappa(body.dim) * float(np.prod(body.semiaxes))
     if isinstance(body, bd.VPolytope):
+        if body.dim == 1:
+            return float(np.ptp(body.vertices))
         if body.vertices.shape[0] <= body.dim:
             return 0.0
         if body.dim == 2:
             hull = bd.planar_hull(body.vertices)
             return 0.0 if hull is None else hull.area
-        try:
-            hull = bd.qhull(body.vertices)
-        except Exception:
-            return 0.0
+        hull = bd.qhull(body.vertices)
         return 0.0 if hull is None else float(hull.volume)
     if isinstance(body, bd.HPolytope):
         return volume_exact(bd.as_vpolytope(body))

@@ -65,8 +65,8 @@ def _vandermonde_abs(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def c_direct(n: int, samples: int, rng, js=None, batch: int = 8192,
-             strata: int = 0) -> dict[int, EstimatorResult]:
+def c_direct(n: int, samples: int, rng, js=None,
+             batch: int = 8192) -> dict[int, EstimatorResult]:
     """Direct-route estimates of c_j for all requested j in one pass."""
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
@@ -75,7 +75,7 @@ def c_direct(n: int, samples: int, rng, js=None, batch: int = 8192,
     done = 0
     while done < samples:
         k = min(batch, samples - done)
-        X = sample_gaussian_sym(n, rng, size=k, strata=strata)
+        X = sample_gaussian_sym(n, rng, size=k)
         lam = eigvals_sym_batch(X)
         vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam), js)
         for j in js:
@@ -84,12 +84,12 @@ def c_direct(n: int, samples: int, rng, js=None, batch: int = 8192,
     return {j: EstimatorResult.from_accumulator(accs[j], seed) for j in js}
 
 
-def c_weyl(n: int, samples: int, rng, js=None, batch: int = 8192,
-           ess_floor: float = ESS_FLOOR) -> dict[int, WeylEstimate]:
+def c_weyl(n: int, samples: int, rng, js=None,
+           batch: int = 8192) -> dict[int, WeylEstimate]:
     """Weyl-route estimates: standard normal proposal, Vandermonde weight.
 
     Raises ValueError for n > 4 (the proposal is specified only there) and
-    EssFloorError when the effective sample fraction drops below ess_floor.
+    EssFloorError when the effective sample fraction drops below ESS_FLOOR.
     """
     if n > WEYL_MAX_N:
         raise ValueError(f"weyl route supports n <= {WEYL_MAX_N}")
@@ -112,24 +112,23 @@ def c_weyl(n: int, samples: int, rng, js=None, batch: int = 8192,
             accs[j].update(vj[j] / vball[j] * w)
         done += k
     ess = w_sum**2 / (samples * w_sq) if w_sq > 0 else 0.0
-    if ess < ess_floor:
-        raise EssFloorError(f"effective sample fraction {ess:.4f} below {ess_floor}")
+    if ess < ESS_FLOOR:
+        raise EssFloorError(f"effective sample fraction {ess:.4f} below {ESS_FLOOR}")
     return {j: WeylEstimate(mean=accs[j].mean, std_error=accs[j].std_error,
                             samples=accs[j].count, seed=seed, ess=ess,
                             weight_sum=w_sum, weight_sq_sum=w_sq) for j in js}
 
 
 def compute_constants(n: int, samples: int, rng, method: str = "direct",
-                      js=None, **kw) -> dict[int, EstimatorResult]:
+                      js=None) -> dict[int, EstimatorResult]:
     if method == "direct":
-        return c_direct(n, samples, rng, js=js, **kw)
+        return c_direct(n, samples, rng, js=js)
     if method == "weyl":
-        return c_weyl(n, samples, rng, js=js, **kw)
+        return c_weyl(n, samples, rng, js=js)
     raise ValueError(f"unknown method {method!r}")
 
 
-def merge_weyl(parts: list[dict[int, WeylEstimate]], seed: int,
-               ess_floor: float = ESS_FLOOR) -> dict[int, WeylEstimate]:
+def merge_weyl(parts: list[dict[int, WeylEstimate]], seed: int) -> dict[int, WeylEstimate]:
     """Merge per-shard weyl estimates, recomputing the pooled ESS exactly."""
     from .estimation import merge_results
 
@@ -139,8 +138,8 @@ def merge_weyl(parts: list[dict[int, WeylEstimate]], seed: int,
     w_sq = sum(p[js[0]].weight_sq_sum for p in parts)
     total = sum(p[js[0]].samples for p in parts)
     ess = w_sum**2 / (total * w_sq) if w_sq > 0 else 0.0
-    if ess < ess_floor:
-        raise EssFloorError(f"effective sample fraction {ess:.4f} below {ess_floor}")
+    if ess < ESS_FLOOR:
+        raise EssFloorError(f"effective sample fraction {ess:.4f} below {ESS_FLOOR}")
     for j in js:
         base = merge_results([p[j] for p in parts], seed)
         out[j] = WeylEstimate(mean=base.mean, std_error=base.std_error,

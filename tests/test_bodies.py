@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from intgeo import bodies as bd
+from intgeo.symmetric import expm_sym, sample_gaussian_sym, sample_haar_orthogonal
 from intgeo.volumes import closed_intrinsic_volumes, volume_exact
 
 
@@ -298,6 +299,163 @@ def test_vertex_set_box_matches_the_support_lps(n):
             np.testing.assert_allclose(GV.min(axis=0), lo, rtol=0, atol=1e-12)
             np.testing.assert_allclose(GV.max(axis=0), hi, rtol=0, atol=1e-12)
     assert bd.vertex_set(bd.cube(4)) is None and bd.vertex_set(bd.unit_ball(2)) is None
+
+
+def _draw_maps(n, B, rng):
+    """(G, invG) for B random g = k exp(X / 2), as the LHS draws them."""
+    k = sample_haar_orthogonal(n, rng, size=B)
+    G = k @ expm_sym(0.5 * sample_gaussian_sym(n, rng, size=B))
+    return G, np.linalg.inv(G)
+
+
+def _box_translations(M, L, G, rng):
+    """Translations t uniform in the box of M + (-gL) widened by half."""
+    lo, hi = bd.body_box(M)
+    cg, hw = bd.moved_boxes(L, G)
+    lo, hi = lo - hw - cg, hi + hw - cg
+    return lo - 0.25 * (hi - lo) + 1.5 * (hi - lo) * rng.random(cg.shape)
+
+
+def _touching_polytope_translations(VM, GV, rng):
+    """t on the boundary of M + (-g_b L) per row: points of random facets of
+    the difference body (its vertices for every third row), and the same
+    points pushed 1e-6 outward."""
+    ts, outs = [], []
+    for b, W in enumerate(GV):
+        D = (VM[:, None, :] - W[None, :, :]).reshape(-1, VM.shape[1])
+        hull = ConvexHull(D)
+        f = int(rng.integers(len(hull.simplices)))
+        w = np.zeros(len(hull.simplices[f]))
+        w[0] = 1.0
+        if b % 3:
+            w = rng.random(w.size)
+            w /= w.sum()
+        t = w @ D[hull.simplices[f]]
+        ts.append(t)
+        outs.append(t + 1e-6 * hull.equations[f, :-1])
+    return np.array(ts), np.array(outs)
+
+
+def _check_rows(M, L, G, invG, t, oracle):
+    got = bd.batch_intersects(M, L, G, invG, t)
+    want = np.array([oracle(G[b], invG[b], t[b]) for b in range(len(t))])
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batch_intersects_matches_independent_oracles(n):
+    # every kernel of batch_intersects, row by row, against an oracle that
+    # shares none of its code: random rows, rows planted to touch, and the
+    # touching rows pushed 1e-6 apart
+    rng = np.random.default_rng(61 + n)
+    B = 40
+    VA = bd.random_polytope(n, 9, rng)
+    HB = bd.HPolytope(*(lambda e: (e[:, :-1], -e[:, -1]))(
+        ConvexHull(bd.random_polytope(n, 8, rng, radius=0.8).vertices).equations))
+
+    # polytope pairs: the intersection LP of M and the moved L
+    def lp(M, L):
+        return lambda g, ginv, s: bd._polytopes_intersect_lp(
+            M, bd.affine_image(L, bd.AffineMap(g, s)))
+
+    for M, L in ((VA, HB), (HB, VA), (VA, VA)):
+        G, invG = _draw_maps(n, B, rng)
+        hits = _check_rows(M, L, G, invG, _box_translations(M, L, G, rng), lp(M, L))
+        assert 0 < hits.sum() < B
+        touch, apart = _touching_polytope_translations(
+            bd.vertex_set(M), bd.vertex_set(L) @ np.swapaxes(G, 1, 2), rng)
+        assert _check_rows(M, L, G, invG, touch, lp(M, L)).all()
+        assert not _check_rows(M, L, G, invG, apart, lp(M, L)).any()
+
+    # a ball or an ellipsoid Q against a polytope P, either way round:
+    # distance_to_body of P in Q's frame, where Q is the unit ball (the
+    # moved L, or M pulled back by g^-1)
+    ball = bd.Ball(0.1 * rng.standard_normal(n), 0.7)
+    ell = bd.Ellipsoid(0.1 * rng.standard_normal(n),
+                       np.linalg.qr(rng.standard_normal((n, n)))[0],
+                       rng.uniform(0.5, 1.2, n))
+
+    def lin(Q):
+        return Q.radius * np.eye(n) if isinstance(Q, bd.Ball) else Q.axes * Q.semiaxes
+
+    def in_frame(Q, P):
+        A = np.linalg.inv(lin(Q))
+        return bd.affine_image(P, bd.AffineMap(A, -A @ Q.center))
+
+    for M, L in ((ball, HB), (ell, VA), (HB, ball), (VA, ell)):
+        if isinstance(L, bd.HPolytope | bd.VPolytope):
+            def oracle(g, ginv, s, M=M, L=L):
+                P = in_frame(M, bd.affine_image(L, bd.AffineMap(g, s)))
+                return bd.distance_to_body(P, np.zeros((1, n)))[0] <= 1.0 + 1e-9
+        else:
+            def oracle(g, ginv, s, M=M, L=L):
+                P = in_frame(L, bd.affine_image(M, bd.AffineMap(ginv, -ginv @ s)))
+                return bd.distance_to_body(P, np.zeros((1, n)))[0] <= 1.0 + 1e-9
+        G, invG = _draw_maps(n, B, rng)
+        hits = _check_rows(M, L, G, invG, _box_translations(M, L, G, rng), oracle)
+        assert 0 < hits.sum() < B
+        # touching: the quadric's support point in direction u meets the
+        # polytope's vertex that is extreme in direction -u
+        u = rng.standard_normal((B, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        if isinstance(M, bd.Ball | bd.Ellipsoid):
+            A = lin(M)
+            p = M.center + (u @ A) @ A.T / np.linalg.norm(u @ A, axis=1)[:, None]
+            GV = bd.vertex_set(L) @ np.swapaxes(G, 1, 2)
+            touch = p - GV[np.arange(B), np.argmin(np.einsum("bmi,bi->bm", GV, u), axis=1)]
+        else:
+            V = bd.vertex_set(M)
+            A = G @ lin(L)  # gL + t = {t + g c + A z}
+            Au = np.einsum("bij,bkj,bk->bi", A, A, u)
+            touch = (V[np.argmax(u @ V.T, axis=1)] - np.einsum("bij,j->bi", G, L.center)
+                     + Au / np.linalg.norm(np.einsum("bji,bj->bi", A, u), axis=1)[:, None])
+        assert _check_rows(M, L, G, invG, touch, oracle).all()
+        assert not _check_rows(M, L, G, invG, touch + 1e-6 * u, oracle).any()
+
+    # two quadrics. Balls under similarities g = s k have a closed form,
+    # |c_M - (g c_L + t)| <= r_M + s r_L, checked on touching placements and
+    # 1e-6 either side; ellipsoid pairs against the overlap criterion
+    # K(s) = 1 - d^T (S_M / (1 - s) + S_L / s)^-1 d >= 0 on (0, 1), S the
+    # shape matrices and d the difference of the centers (Gilitschenski and
+    # Hanebeck 2012)
+    L = bd.Ball(0.2 * rng.standard_normal(n), 0.6)
+    scale = np.exp(0.5 * rng.standard_normal(B))
+    G = sample_haar_orthogonal(n, rng, size=B) * scale[:, None, None]
+    invG = np.linalg.inv(G)
+    u = rng.standard_normal((B, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    reach = ball.radius + scale * L.radius
+    base = ball.center - np.einsum("bij,j->bi", G, L.center)
+    for shift, want in ((0.0, True), (-1e-6, True), (1e-6, False)):
+        t = base + (reach + shift)[:, None] * u
+        np.testing.assert_array_equal(bd.batch_intersects(ball, L, G, invG, t),
+                                      np.full(B, want))
+
+    E1, E2 = (bd.Ellipsoid(0.1 * rng.standard_normal(n),
+                           np.linalg.qr(rng.standard_normal((n, n)))[0],
+                           rng.uniform(0.4, 1.3, n)) for _ in range(2))
+    grid = np.linspace(1e-4, 1.0 - 1e-4, 2001)[:, None, None]
+
+    def shape(Q, g):
+        lin = g @ (Q.axes * Q.semiaxes if isinstance(Q, bd.Ellipsoid)
+                   else Q.radius * np.eye(n))
+        return lin @ lin.T
+
+    def overlap(M, L, g, s):
+        # min over the grid of K(s); >= 0 exactly when the bodies meet
+        d = g @ L.center + s - M.center
+        S = shape(M, np.eye(n)) / (1.0 - grid) + shape(L, g) / grid
+        return float(np.min(1.0 - np.linalg.solve(S, d) @ d))
+
+    for M, L in ((E1, E2), (ball, E2), (E1, ball)):
+        G, invG = _draw_maps(n, 3 * B, rng)
+        t = _box_translations(M, L, G, rng)
+        got = bd.batch_intersects(M, L, G, invG, t)
+        K = np.array([overlap(M, L, g, s) for g, s in zip(G, t)])
+        clear = np.abs(K) > 1e-6
+        assert clear.sum() >= 3 * B - 3 and 0 < got.sum() < 3 * B
+        np.testing.assert_array_equal(got[clear], K[clear] >= 0.0)
 
 
 # ---------------------------------------------------------------------------

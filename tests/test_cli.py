@@ -122,11 +122,19 @@ def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    parts, counts = cli.run_sharded(lambda rng, k: (k, rng.random()), 1000, 3, 100000)
+    chunk = cli.CHUNK_SAMPLES
+    samples = 4 * chunk + 5
+    parts = cli.run_sharded(lambda rng, k: (k, rng.random()), samples, 3, 100000)
     assert pools == [2]
-    assert counts == [1] * 1000  # the shard plan still follows --threads
-    streams = np.random.SeedSequence(3).spawn(1000)
-    assert parts == [(1, np.random.default_rng(s).random()) for s in streams]
+    # the chunk plan follows the sample count alone, never --threads
+    streams = np.random.SeedSequence(3).spawn(5)
+    assert parts == [(k, np.random.default_rng(s).random())
+                     for k, s in zip([chunk] * 4 + [5], streams)]
+    assert cli.run_sharded(lambda rng, k: (k, rng.random()), samples, 3, 1) == parts
+    # one chunk runs in the calling thread, whatever --threads says
+    pools.clear()
+    assert cli.run_sharded(lambda rng, k: k, chunk, 3, 100000) == [chunk]
+    assert pools == []
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -200,7 +208,8 @@ def test_cj_both_routes_and_cache(tmp_path):
         c0 = data["results"][route]["0"]
         assert abs(c0["mean"] - 1.0) < 5.0 * max(c0["std_error"], 1e-12)
     assert data["results"]["weyl"]["0"]["ess"] > 0.5
-    assert sum(data["params"]["shard_samples"]) == 20000
+    assert data["params"]["samples"] == 20000
+    assert "shard_samples" not in data["params"]
     cached = json.loads(cache.read_text())
     assert {r["method"] for r in cached["constants"]} == {"direct", "weyl"}
 
@@ -220,7 +229,7 @@ def test_kinematic_uses_cache_and_is_deterministic(ball2, tmp_path):
     assert canonical(out1) == canonical(out2)
     data = json.loads(out1)
     assert data["results"]["convention"] in ("half", "total")
-    assert data["params"]["shard_samples"] == [2000, 2000]
+    assert data["params"]["threads"] == 2 and "shard_samples" not in data["params"]
 
 
 def test_kinematic_csv(ball2):
@@ -281,6 +290,41 @@ def test_config_values_get_the_flag_checks(tmp_path, cfg):
     rc, _, err = run_cli(*args)
     assert rc == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("cj", {"method": "luck"}),
+    ("kinematic", {"group": "GL"}),
+    ("kinematic", {"phi": "girth"}),
+    ("intrinsic", {"method": "exact"}),
+], ids=["cj-method", "kinematic-group", "kinematic-phi", "intrinsic-method"])
+def test_config_values_outside_the_choices_are_refused(ball2, tmp_path, command, cfg):
+    # the flags' choices are the only check of these values
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    body = (["--body", ball2] if command == "intrinsic" else
+            ["--M", ball2, "--L", ball2] if command == "kinematic" else ["--n", "2"])
+    rc = cli.main([command, "--config", str(path), "--seed", "1", "--samples", "100",
+                   "--out", str(tmp_path / "out.json")] + body)
+    assert rc == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["cj", "--n", "2", "--samples", str(cli.CHUNK_SAMPLES + 5000)],
+    ["kinematic", "--group", "so", "--samples", str(cli.CHUNK_SAMPLES + 300),
+     "--crofton-samples", "2000", "--cj-samples", "2000"],
+], ids=["cj-two-chunks", "kinematic-two-chunks"])
+def test_results_do_not_depend_on_the_thread_count(ball2, tmp_path, monkeypatch, args):
+    if args[0] == "kinematic":
+        args = args + ["--M", ball2, "--L", ball2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one core
+    out = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"out{threads}.json"
+        assert cli.main(args + ["--seed", "8", "--threads", threads, "--out", str(path)]) == 0
+        out.append(json.dumps(json.loads(path.read_text())["results"], sort_keys=True))
+    assert out[0] == out[1]
 
 
 def test_parse_samples_rejects_non_scalars():

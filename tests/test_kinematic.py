@@ -6,9 +6,9 @@ import pytest
 from intgeo import bodies as bd
 from intgeo import linprog
 from intgeo.estimation import EstimatorResult, z_score
-from intgeo.kinematic import (GROUPS, build_report, crofton_coefficient,
-                              lhs_kinematic, rhs_hadwiger_gl,
-                              separation_lemma_check)
+from intgeo.kinematic import (GROUPS, _congruence, build_report,
+                              crofton_coefficient, lhs_kinematic,
+                              rhs_hadwiger_gl, separation_lemma_check)
 from intgeo.volumes import (Valuation, closed_intrinsic_volumes,
                             euler_valuation, kappa, volume_exact)
 
@@ -87,6 +87,17 @@ def test_quadric_lhs_is_pinned(group, phi, M, L, samples, seed, inner, want):
     assert (res.mean, res.std_error) == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_congruence_has_the_bits_of_the_three_operand_einsum(n):
+    # the LHS forms exp(X) and exp(-X) by the ordered loop; the einsum it
+    # replaced is the reference, equal to the last bit
+    rng = np.random.default_rng(70 + n)
+    X = rng.standard_normal((500, n, n))
+    lam, V = np.linalg.eigh(X + np.swapaxes(X, 1, 2))
+    for w in (np.exp(lam), np.exp(-lam)):
+        assert np.array_equal(_congruence(V, w), np.einsum("bij,bj,bkj->bik", V, w, V))
+
+
 @pytest.mark.parametrize("M, L", [
     (bd.cube(4, side=2.0, centered=True), bd.unit_ball(4)),
     (bd.Ellipsoid(np.zeros(4), np.eye(4), [1.0, 0.5, 0.5, 2.0]),
@@ -146,10 +157,24 @@ def test_polygon_lp_count_does_not_grow_with_samples(monkeypatch):
     for samples in (50, 2000):
         calls.clear()
         lhs_kinematic("gl", "chi", M, L, samples, 1)
-        crofton_coefficient("chi", M, 0, samples, 2)
-        crofton_coefficient("chi", M, 1, samples, 3)
         counts.append(len(calls))
+        # Crofton's window takes the outer radius from the vertex set too
+        for j in (0, 1, 2):
+            crofton_coefficient("chi", M, j, samples, 2 + j)
+        assert len(calls) == counts[-1]
     assert counts[0] == counts[1]
+
+
+def test_segments_take_interval_kernels():
+    # a 1-D V-polytope: its volume is its length, membership an interval
+    # test, and the volume LHS obeys the Fubini anchor vol(M) vol(L) e^(1/2)
+    seg = bd.VPolytope([[0.0], [1.0]])
+    assert volume_exact(seg) == 1.0
+    inside = bd.contains_points(seg, np.array([[0.5], [1.0 + 1e-10], [-0.01], [1.5]]))
+    assert inside.tolist() == [True, True, False, False]
+    assert crofton_coefficient("volume", seg, 1, 10, 0).mean == 1.0
+    res = lhs_kinematic("gl", "volume", seg, seg, 20000, 12, inner_samples=16)
+    assert z_score(res.mean, res.std_error, math.sqrt(math.e)) < 4.0
 
 
 def test_gl_chi_interval_anchor():

@@ -104,17 +104,6 @@ def test_gaussian_sym_entry_variances():
     assert abs(float(np.mean(X))) < 0.01
 
 
-def test_gaussian_sym_stratified_mean_unbiased():
-    # stratifying the radius must not move the mean of a norm functional
-    rng = np.random.default_rng(7)
-    plain = sample_gaussian_sym(2, rng, size=80000)
-    strat = sample_gaussian_sym(2, rng, size=80000, strata=16)
-    f = lambda X: np.linalg.norm(X, axis=(1, 2))
-    m1, m2 = np.mean(f(plain)), np.mean(f(strat))
-    s = np.std(f(plain)) / np.sqrt(80000.0)
-    assert abs(m1 - m2) < 6 * s
-
-
 def rand_sym(rng, n):
     M = rng.standard_normal((n, n))
     return 0.5 * (M + M.T)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from intgeo import weyl
 from intgeo.estimation import z_score
 from intgeo.weyl import (ESS_FLOOR, WEYL_MAX_N, EssFloorError, WeylEstimate,
                          c_direct, c_weyl, compute_constants,
@@ -70,7 +71,7 @@ def test_requested_j_subset():
     assert set(out) == {0, 3}
 
 
-def test_merge_weyl_pools_shards():
+def test_merge_weyl_pools_shards(monkeypatch):
     parts = [c_weyl(2, 20000, seed) for seed in (100, 101, 102)]
     merged = merge_weyl(parts, seed=100)
     assert merged[1].samples == 60000
@@ -78,8 +79,9 @@ def test_merge_weyl_pools_shards():
     means = [p[1].mean for p in parts]
     assert min(means) - 1e-12 <= merged[1].mean <= max(means) + 1e-12
     assert 0.0 < merged[1].ess <= 1.0
+    monkeypatch.setattr(weyl, "ESS_FLOOR", 0.99)
     with pytest.raises(EssFloorError):
-        merge_weyl(parts, seed=100, ess_floor=0.99)
+        merge_weyl(parts, seed=100)
 
 
 def test_ess_floor_constant():
