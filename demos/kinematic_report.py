@@ -7,7 +7,10 @@ so flats meeting the unit ball have mass kappa_(n-j). Then the compact
 baseline: averaging chi(M cap (gL + t)) over rotations matches the
 coefficient sum. Finally the full non-compact report, where the group
 carries a Gaussian symmetric factor and the open half-vs-total measure
-convention is settled by the data.
+convention is settled by the data. Its headline LHS integrates the
+translation exactly (vol(M + (-gL)) by Steiner's formula); the hit-or-miss
+estimate from the same draws is printed beside it, and so is the check
+E_g V_j(gL) = c_j V_j(L), one j at a time.
 """
 
 import math
@@ -35,10 +38,16 @@ print(f"rigid-motion average of chi: {lhs.mean:.4f} +- {lhs.std_error:.4f}"
 print()
 rep = build_report("gl", "chi", disc, disc, samples=samples, seed=11)
 print("full report, GL group, phi = chi, M = L = B^2:")
-print(f"   lhs       = {rep.lhs.mean:.4f} +- {rep.lhs.std_error:.4f}")
+hm = rep.hit_or_miss["lhs"]
+print(f"   lhs       = {rep.lhs.mean:.4f} +- {rep.lhs.std_error:.4f}  ({rep.lhs_estimator})")
+print(f"   hit-miss  = {hm['mean']:.4f} +- {hm['std_error']:.4f}"
+      f"  (z vs rhs_half = {rep.hit_or_miss['z_half']:.2f})")
 print(f"   rhs_total = {rep.rhs['rhs_total']:.4f}  (z = {rep.z_total:.2f})")
 print(f"   rhs_half  = {rep.rhs['rhs_half']:.4f}  (z = {rep.z_half:.2f})")
 print(f"   selected convention: {rep.convention}")
+for t in rep.lhs_terms:
+    print(f"   E V_{t['j']}(gL) = {t['mean']:.4f} +- {t['std_error']:.4f}"
+          f"   c_{t['j']} V_{t['j']}(L) = {t['c_j_v_j']:.4f}  (z = {t['z']:.2f})")
 print()
 print("per-term table (csv hand-off uses the same columns):")
 for row in rep.csv_rows():

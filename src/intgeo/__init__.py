@@ -8,14 +8,15 @@ and the kinematic formula machinery built on top of them.
 from .bodies import (AffineMap, Ball, ConvexBody, Ellipsoid, EMPTY, EmptyBody,
                      HPolytope, VPolytope, affine_image, body_from_dict,
                      body_to_dict, bounding_box, cube, diameter,
-                     diameter_upper_bound, intersect_hrep, intersects,
+                     diameter_upper_bound, difference_volumes,
+                     intersect_hrep, intersects,
                      load_body, membership, minkowski_sum_vpolytopes,
                      random_polytope, separating_hyperplane, support,
                      unit_ball)
 from .estimation import EstimatorResult, merge_results, z_score
-from .kinematic import (KinematicReport, LemmaCheck, build_report,
-                        crofton_coefficient, lhs_kinematic, rhs_hadwiger_gl,
-                        separation_lemma_check)
+from .kinematic import (KinematicReport, LemmaCheck, LhsEstimate, build_report,
+                        crofton_coefficient, lhs_kinematic, merge_lhs,
+                        rhs_hadwiger_gl, separation_lemma_check)
 from .sampling import (AffineFlat, GroupElement, flat_hits, flat_weight,
                        sample_affine_flat, sample_group_element,
                        translation_region)

@@ -8,8 +8,10 @@ nothing here is sampled. Polytope distance queries and H-polytope vertex
 enumeration require n <= 3.
 
 Whether M meets g L + t is batch_intersects, over a batch of linear maps g
-and translations t (intersects is its one-row case), and the axis box of
-g L is moved_boxes: the body types pick the kernels there and nowhere else.
+and translations t (intersects is its one-row case), the axis box of g L
+is moved_boxes, and the volume of the t at which they meet, vol(M + (-g L)),
+is difference_volumes: the body types pick the kernels there and nowhere
+else.
 Polytopes whose vertex set is cheap (vertex_set) avoid the linear programs
 (linprog) that the others solve.
 
@@ -19,7 +21,9 @@ from its counter-clockwise vertex order. Only hulls in other dimensions
 call scipy's Qhull (scipy.spatial, imported when first needed).
 
 Bodies serialize to plain JSON dicts with a "type" tag so the CLI and the
-cache files can round-trip them; see body_to_dict / body_from_dict.
+cache files can round-trip them; see body_to_dict / body_from_dict. They
+compare by identity (eq=False): a generated __eq__ would compare their
+array fields with == and raise.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class EmptyBody:
 EMPTY = EmptyBody()
 
 
-@dataclass
+@dataclass(eq=False)
 class AffineMap:
     """x |-> matrix @ x + offset with an invertible linear part."""
 
@@ -67,7 +71,7 @@ class AffineMap:
         return points @ self.matrix.T + self.offset
 
 
-@dataclass
+@dataclass(eq=False)
 class Ball:
     center: np.ndarray
     radius: float
@@ -83,7 +87,7 @@ class Ball:
         return self.center.size
 
 
-@dataclass
+@dataclass(eq=False)
 class Ellipsoid:
     """{center + axes @ diag(semiaxes) @ z : ||z|| <= 1}; axes columns orthonormal."""
 
@@ -108,7 +112,7 @@ class Ellipsoid:
         return self.center.size
 
 
-@dataclass
+@dataclass(eq=False)
 class HPolytope:
     """{x : normals @ x <= offsets}, verified nonempty and bounded on construction.
 
@@ -155,7 +159,7 @@ class HPolytope:
         return as_vpolytope(self).vertices
 
 
-@dataclass
+@dataclass(eq=False)
 class VPolytope:
     vertices: np.ndarray
 
@@ -176,7 +180,7 @@ ConvexBody = Ball | Ellipsoid | HPolytope | VPolytope
 # hulls
 
 
-@dataclass
+@dataclass(eq=False)
 class PlanarHull:
     """The convex hull of a planar point set with at least three vertices.
 
@@ -440,12 +444,11 @@ def separating_hyperplane(a: VPolytope, b: VPolytope):
     if not isinstance(a, VPolytope) or not isinstance(b, VPolytope):
         raise TypeError("separating_hyperplane expects two V-polytopes")
     if a.dim == 2:
-        eye = np.eye(2)[None]
-        axes, gaps = _polygon_gaps(a.vertices, b.vertices, eye, eye, np.zeros((1, 2)))
-        i = int(np.argmax(gaps[0]))
-        if gaps[0, i] < -TOL:
+        axes, gaps = polygon_gaps(a.vertices, b.vertices)
+        i = int(np.argmax(gaps))
+        if gaps[i] < -TOL:
             return None
-        u = axes[0, i]
+        u = axes[i]
         pa, pb = a.vertices @ u, b.vertices @ u
         if pb.min() - pa.max() < pa.min() - pb.max():  # b lies below a
             u, pa, pb = -u, -pa, -pb
@@ -566,6 +569,17 @@ def _polygon_gaps(VM: np.ndarray, VL: np.ndarray, G: np.ndarray, invG: np.ndarra
     return axes, separating_axis_gaps(VM, VL @ np.swapaxes(G, 1, 2) + t[:, None, :], axes)
 
 
+def polygon_gaps(VA: np.ndarray, VB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(axes (k, 2), gaps (k,)) of the separating-axis test of two planar
+    vertex sets as they stand. One gap vector answers both questions the
+    separation lemma asks: the polygons meet when every gap is at most TOL
+    (intersects), and a hyperplane separates them when the largest gap is
+    at least -TOL (separating_hyperplane)."""
+    eye = np.eye(2)[None]
+    axes, gaps = _polygon_gaps(VA, VB, eye, eye, np.zeros((1, 2)))
+    return axes[0], gaps[0]
+
+
 def quadric_frame(body: Ball | Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lin, center, inv) with body = {center + lin z : ||z|| <= 1}, inv = lin^-1."""
     if isinstance(body, Ball):
@@ -602,14 +616,123 @@ def moved_boxes(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
+def moved_frames(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(U, s): the principal axes U_b (columns) and semiaxes s_b of each
+    g_b L for a ball or ellipsoid L {c + lin z}, the SVD of G_b lin; None for
+    other bodies.
+
+    The SVD, not an eigendecomposition of the Gram matrix (G_b lin)(G_b
+    lin)^T, which squares the condition number: on an ellipsoid with axis
+    ratio 1e4 under Gaussian g that puts errors of up to 0.2% in the
+    smallest semiaxis. The hit test of a ball M (batch_intersects) and the
+    V_j of g_b L (moved_intrinsic_volumes) read the same frames; a caller
+    that needs both computes them once and passes them to each.
+    """
+    if not isinstance(L, (Ball, Ellipsoid)):
+        return None
+    U, s, _ = np.linalg.svd(G @ quadric_frame(L)[0])
+    return U, s
+
+
+def _polygon_hull(body: ConvexBody) -> PlanarHull | None:
+    """planar_hull of a polytope in the plane with a vertex set, else None
+    (other bodies, flat polygons)."""
+    V = vertex_set(body) if body.dim == 2 else None
+    return None if V is None else planar_hull(V)
+
+
+def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray,
+                            frames: tuple[np.ndarray, np.ndarray] | None = None
+                            ) -> np.ndarray | None:
+    """V_0, ..., V_n of each g_b L, (B, n + 1), or None where L has no closed form.
+
+    G (B, n, n) holds the linear maps g_b. L's type picks the kernel:
+    - a ball or ellipsoid at n <= 3: volumes.batch_ellipsoid_intrinsic_volumes
+      of the semiaxes of g_b L (moved_frames, or frames when the caller
+      holds them);
+    - a polygon (a full-dimensional vertex set at n = 2): V_1 is half the
+      perimeter of g_b L, the lengths of its edges G_b e, and V_2 is
+      |det G_b| area(L).
+    Quadrics at n >= 4, polytopes at n >= 3 and flat polygons have none.
+    """
+    from .volumes import batch_ellipsoid_intrinsic_volumes
+
+    B, n, _ = G.shape
+    if isinstance(L, (Ball, Ellipsoid)):
+        if n > 3:
+            return None
+        _, s = moved_frames(L, G) if frames is None else frames
+        vj = batch_ellipsoid_intrinsic_volumes(s, range(n + 1))
+        return np.column_stack([vj[j] for j in range(n + 1)])
+    hull = _polygon_hull(L)
+    if hull is None:
+        return None
+    edges = hull.edges @ np.swapaxes(G, 1, 2)  # (B, k, 2): the edges of each g_b L
+    half_perimeter = 0.5 * np.linalg.norm(edges, axis=2).sum(axis=1)
+    return np.column_stack([np.ones(B), half_perimeter,
+                            np.abs(np.linalg.det(G)) * hull.area])
+
+
+def _moved_support(L: ConvexBody, G: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The support of each g_b L at each direction U_i (k, n), (B, k): the
+    closed form <G_b c, u> + ||(G_b lin)^T u|| for a ball or ellipsoid
+    {c + lin z}, max over the moved vertex set G_b V for a polytope."""
+    if isinstance(L, (Ball, Ellipsoid)):
+        lin, c, _ = quadric_frame(L)
+        return (np.einsum("bij,j->bi", G, c) @ U.T
+                + np.linalg.norm(U @ (G @ lin), axis=2))
+    return (vertex_set(L) @ np.swapaxes(G, 1, 2) @ U.T).max(axis=1)
+
+
+def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
+                       vj: np.ndarray | None = None) -> np.ndarray | None:
+    """vol(M + (-g_b L)) for each linear map g_b in G (B, n, n), or None
+    where the pair has no closed form.
+
+    M meets g_b L + t exactly when t lies in M + (-g_b L), so this is the
+    integral over t of chi(M cap (g_b L + t)): the translative formula
+    (Schneider & Weil, Stochastic and Integral Geometry, sec. 6.4). The
+    pair's types pick the kernel:
+    - M a ball of radius r: Steiner's formula, the sum over j of
+      kappa_{n-j} r^{n-j} V_j(g_b L), the V_j from moved_intrinsic_volumes
+      (or vj, (B, n + 1), when the caller holds them already);
+    - M a polygon (n = 2), L a polygon, ball or ellipse: area(M) +
+      |det g_b| area(L) + sum_e len_e h_{g_b L}(-u_e) over the edges e of M
+      with outward unit normals u_e (the mixed area; Schneider, Convex
+      Bodies, sec. 5.1).
+    Every other pair (M an ellipsoid, quadrics at n >= 4, polytopes at
+    n = 3, flat polygons) has None.
+    """
+    from .volumes import kappa, volume_exact
+
+    B, n, _ = G.shape
+    if isinstance(M, Ball):
+        if vj is None:
+            vj = moved_intrinsic_volumes(L, G)
+        if vj is None:
+            return None
+        return vj @ np.array([kappa(n - j) * M.radius ** (n - j) for j in range(n + 1)])
+    hull = _polygon_hull(M)
+    if hull is None:
+        return None
+    eq = hull.equations
+    lengths = np.hypot(hull.edges[:, 0], hull.edges[:, 1])
+    mixed = _moved_support(L, G, -eq[:, :2]) @ lengths
+    return hull.area + np.abs(np.linalg.det(G)) * volume_exact(L) + mixed
+
+
 def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarray,
-                     t: np.ndarray) -> np.ndarray:
+                     t: np.ndarray,
+                     frames: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Whether M meets g_b L + t_b, for each row b: (B,) bool.
 
-    G (B, n, n) holds the linear maps, invG their inverses and t (B, n) the
-    translations. The pair's types pick the kernel, with slack TOL:
+    G (B, n, n) holds the linear maps, invG their inverses (two balls or
+    ellipsoids never read them; pass None) and t (B, n) the translations.
+    The pair's types pick the kernel, with slack TOL:
     - two balls or ellipsoids: the distance from the origin to g_b L + t_b
-      in M's frame (quadric_frame) is at most 1 + TOL;
+      in M's frame (quadric_frame) is at most 1 + TOL. For a ball M that
+      frame is the world's scaled by 1/r, so the principal axes of g_b L
+      are moved_frames(L, G), or frames when the caller holds them;
     - two polygons (vertex sets at n = 2): the separating-axis test, every
       gap at most TOL;
     - other pairs, row by row, after a hit sought at the midpoint of the
@@ -624,8 +747,11 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
         linL, _, _ = quadric_frame(L)
         cg, _ = moved_boxes(L, G)
         c2 = np.einsum("ij,bj->bi", invM, cg + t - cM)
-        lin2 = np.einsum("ij,bjk->bik", invM, G @ linL)
-        U2, S2, _ = np.linalg.svd(lin2)
+        if isinstance(M, Ball):
+            U2, S2 = moved_frames(L, G) if frames is None else frames
+            S2 = S2 / M.radius
+        else:
+            U2, S2, _ = np.linalg.svd(np.einsum("ij,bjk->bik", invM, G @ linL))
         P = -np.einsum("bji,bj->bi", U2, c2)
         return centered_ellipsoid_distance(P, S2) <= 1.0 + TOL
     VM = vertex_set(M) if n == 2 else None

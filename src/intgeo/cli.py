@@ -295,7 +295,7 @@ def cmd_kinematic(args) -> dict:
         lambda rng, k: kinematic.lhs_kinematic(group, phi, M, L, k, rng,
                                                inner_samples=inner),
         samples, seed, threads)
-    lhs = merge_results(parts, seed)
+    lhs = kinematic.merge_lhs(parts, seed)
     report = kinematic.build_report(group, phi, M, L, samples, seed,
                                     inner_samples=inner, cj_samples=cj_samples,
                                     crofton_samples=crofton_samples,

@@ -19,12 +19,13 @@ gL + t intersect but admit a separating hyperplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import bodies as bd
-from .estimation import EstimatorResult, RunningMean, resolve_rng, z_score
+from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
+                         z_score)
 from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
 from .symmetric import sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
@@ -75,15 +76,47 @@ def check_lhs_inputs(group: str, phi, M, L) -> str:
     return kind
 
 
+@dataclass
+class LhsEstimate(EstimatorResult):
+    """One run of lhs_kinematic: the hit-or-miss estimate (the inherited
+    fields) and, from the same draws of g, the translation-exact estimate
+    (exact; None where the pair has no closed form) and, when M is a ball,
+    the estimates of E_g V_j(gL), one per j (terms; None otherwise)."""
+
+    exact: EstimatorResult | None = None
+    terms: list[EstimatorResult] | None = None
+
+    def to_dict(self) -> dict:
+        """The hit-or-miss estimate, in the layout of EstimatorResult."""
+        return {f.name: getattr(self, f.name) for f in fields(EstimatorResult)}
+
+    def reseeded(self, seed: int) -> "LhsEstimate":
+        """A copy in which every estimate records seed."""
+        return replace(self, seed=seed,
+                       exact=self.exact and replace(self.exact, seed=seed),
+                       terms=self.terms and [replace(r, seed=seed) for r in self.terms])
+
+
+def merge_lhs(parts: list[LhsEstimate], seed: int) -> LhsEstimate:
+    """Chunk estimates of lhs_kinematic merged in chunk order, each of the
+    hit-or-miss, exact and per-j estimates on its own (merge_results)."""
+    first = parts[0]
+    return LhsEstimate(
+        **vars(merge_results(parts, seed)),
+        exact=first.exact and merge_results([p.exact for p in parts], seed),
+        terms=first.terms and [merge_results([p.terms[j] for p in parts], seed)
+                               for j in range(len(first.terms))])
+
+
 def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
-                  inner_samples: int = 256, batch: int = 4096) -> EstimatorResult:
+                  inner_samples: int = 256, batch: int = 4096) -> LhsEstimate:
     """The group-side integral, estimated with the translation box folded in.
 
     phi may be "chi", "volume", or a Valuation; custom valuations need both
     bodies as H-polytopes (the intersection must be constructible). Every
     pair draws k, X and t in batches. The box of gL is bodies.moved_boxes
     and M's box bodies.body_box, so the translation box t ranges over is
-    their Minkowski difference. The integrand, per kind of phi:
+    their Minkowski difference. The hit-or-miss integrand, per kind of phi:
     - chi: bodies.batch_intersects, where the pair's types pick the kernel;
     - volume: membership of inner points, by the closed form when both
       bodies are balls or ellipsoids and bodies.contains_points otherwise;
@@ -93,6 +126,15 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     near 1 MB whatever the batch; the draws are the ones a single
     (batch, inner_samples, n) draw would give. Inputs are checked by
     check_lhs_inputs before anything is drawn.
+
+    For chi the t-integral of the integrand is vol(M + (-gL)), so the same
+    draws of g also give the translation-exact estimate, the mean of
+    bodies.difference_volumes, wherever the pair has that closed form (the
+    result's exact). It draws nothing, so the hit-or-miss estimate keeps
+    every bit it had without it. When M is a ball the Steiner sum behind it
+    splits over j, and terms[j] estimates E_g V_j(gL)
+    (bodies.moved_intrinsic_volumes). The volume phi has no exact estimate:
+    its t-integral vol(M) vol(gL) would make the Fubini anchor a tautology.
     """
     kind = check_lhs_inputs(group, phi, M, L)
     rng, seed = resolve_rng(rng)
@@ -105,11 +147,15 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         _, _, invL0 = bd.quadric_frame(L)
     loM, hiM = bd.body_box(M)
     rows = max(1, _BLOCK_POINTS // inner_samples)
+    steiner = isinstance(M, bd.Ball)
     acc = RunningMean()
+    exact = RunningMean()
+    terms = [RunningMean() for _ in range(n + 1)]
     done = 0
     while done < samples:
         B = min(batch, samples - done)
         k = sample_haar_orthogonal(n, rng, component=component, size=B)
+        invG = None  # the chi kernel of two quadrics never reads it
         if compact:
             G = k
             invG = np.swapaxes(k, 1, 2)
@@ -117,7 +163,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             X = sample_gaussian_sym(n, rng, size=B)
             lam, V = np.linalg.eigh(X)
             G = k @ _congruence(V, np.exp(lam))
-            invG = np.einsum("bij,bkj->bik", _congruence(V, np.exp(-lam)), k)
+            if not (kind == "chi" and quadric):
+                invG = np.einsum("bij,bkj->bik", _congruence(V, np.exp(-lam)), k)
         # the box of gL is cg +- hw per row
         cg, hw = bd.moved_boxes(L, G)
         hi = hiM[None, :] + hw - cg
@@ -126,7 +173,16 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         volbox = np.prod(wid, axis=1)
         t = lo + rng.random((B, n)) * wid
         if kind == "chi":
-            acc.update(np.where(bd.batch_intersects(M, L, G, invG, t), volbox, 0.0))
+            # a ball M reads its hit test and Steiner's V_j off one SVD
+            frames = bd.moved_frames(L, G) if steiner else None
+            acc.update(np.where(bd.batch_intersects(M, L, G, invG, t, frames), volbox, 0.0))
+            vj = bd.moved_intrinsic_volumes(L, G, frames) if steiner else None
+            dv = bd.difference_volumes(M, L, G, vj)
+            if dv is not None:
+                exact.update(dv)
+            if vj is not None:
+                for j in range(n + 1):
+                    terms[j].update(vj[:, j])
         elif kind == "volume":
             center = cg + t
             loI = np.maximum(loM[None, :], center - hw)
@@ -157,7 +213,11 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                    for g, s in zip(G, t)]
             acc.update(volbox * np.array(val))
         done += B
-    return EstimatorResult.from_accumulator(acc, seed)
+    return LhsEstimate(
+        **vars(EstimatorResult.from_accumulator(acc, seed)),
+        exact=EstimatorResult.from_accumulator(exact, seed) if exact.count else None,
+        terms=([EstimatorResult.from_accumulator(a, seed) for a in terms]
+               if terms[0].count else None))
 
 
 def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
@@ -236,7 +296,15 @@ def rhs_hadwiger_gl(phi, M, L, constants: dict[int, EstimatorResult],
 
 @dataclass
 class KinematicReport:
-    """Everything needed to compare the two sides of the formula."""
+    """Everything needed to compare the two sides of the formula.
+
+    lhs is the headline estimate that z_total, z_half and convention read:
+    the translation-exact one when the pair has it, else hit-or-miss. With
+    an exact headline, hit_or_miss holds the hit-or-miss estimate with its
+    own z-scores, the check that does not rest on Steiner's formula or the
+    mixed area, and lhs_terms (gl with a ball M) compares E_g V_j(gL) with
+    c_j V_j(L) one j at a time.
+    """
 
     group: str
     phi: str
@@ -250,9 +318,18 @@ class KinematicReport:
     z_total: float
     z_half: float
     convention: str
+    hit_or_miss: dict | None = None
+    lhs_terms: list[dict] | None = None
+
+    @property
+    def lhs_estimator(self) -> str:
+        return "hit-or-miss" if self.hit_or_miss is None else "translation-exact"
 
     def to_dict(self) -> dict:
-        return {
+        """The report as JSON. lhs_estimator, hit_or_miss and lhs_terms
+        appear only with an exact headline, so a hit-or-miss report keeps
+        its layout (and its bytes)."""
+        out = {
             "group": self.group,
             "phi": self.phi,
             "n": self.n,
@@ -266,6 +343,12 @@ class KinematicReport:
             "z_half": self.z_half,
             "convention": self.convention,
         }
+        if self.hit_or_miss is not None:
+            out["lhs_estimator"] = self.lhs_estimator
+            out["hit_or_miss"] = self.hit_or_miss
+        if self.lhs_terms is not None:
+            out["lhs_terms"] = self.lhs_terms
+        return out
 
     def csv_rows(self) -> list[list]:
         rows = [["j", "c_j", "phi_coeff", "v_j", "term", "std_error"]]
@@ -286,7 +369,17 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
 
     Substreams are spawned from the seed so the three estimation stages stay
     independent; precomputed constants (e.g. from a cache file) or a
-    presharded lhs estimate can be injected.
+    presharded lhs estimate (an LhsEstimate from merge_lhs, or any
+    EstimatorResult) can be injected.
+
+    The headline lhs is the translation-exact estimate when lhs_result has
+    one, else the hit-or-miss estimate; z_total, z_half and convention read
+    the headline. With an exact headline the report also carries the
+    hit-or-miss estimate with its own z-scores, and under gl with a ball M
+    the per-j check lhs_terms: for each j the estimate of E_g V_j(gL), the
+    prediction c_j V_j(L) and z, the term's standard error combined with
+    V_j(L) se(c_j). Under O(n) and SO(n) every V_j(gL) is V_j(L) and
+    c_j = 1, so the split tests nothing and is left out.
     """
     n = M.dim
     kind = _phi_kind(phi)
@@ -294,9 +387,9 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     crofton_samples = crofton_samples or max(samples // 4, 10000)
     streams = np.random.SeedSequence(seed).spawn(n + 3)
     if lhs_result is None:
-        lhs_result = replace(lhs_kinematic(group, phi, M, L, samples,
-                                           np.random.default_rng(streams[0]),
-                                           inner_samples=inner_samples), seed=seed)
+        lhs_result = lhs_kinematic(group, phi, M, L, samples,
+                                   np.random.default_rng(streams[0]),
+                                   inner_samples=inner_samples).reseeded(seed)
     if constants is None:
         if group in ("o", "so"):
             constants = {j: EstimatorResult(1.0, 0.0, 1, seed) for j in range(n + 1)}
@@ -310,12 +403,37 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
         for j in range(n + 1)
     }
     rhs = rhs_hadwiger_gl(phi, M, L, constants, crofton)
-    zt = z_score(lhs_result.mean, lhs_result.std_error, rhs["rhs_total"], rhs["se_total"])
-    zh = z_score(lhs_result.mean, lhs_result.std_error, rhs["rhs_half"], rhs["se_half"])
+
+    def z_pair(est: EstimatorResult) -> tuple[float, float]:
+        return (z_score(est.mean, est.std_error, rhs["rhs_total"], rhs["se_total"]),
+                z_score(est.mean, est.std_error, rhs["rhs_half"], rhs["se_half"]))
+
+    exact = lhs_result.exact if isinstance(lhs_result, LhsEstimate) else None
+    extra = {}
+    if exact is not None:
+        hzt, hzh = z_pair(lhs_result)
+        extra["hit_or_miss"] = {"lhs": lhs_result.to_dict(), "z_total": hzt, "z_half": hzh}
+        if group == "gl" and lhs_result.terms is not None:
+            extra["lhs_terms"] = _term_checks(lhs_result.terms, constants, rhs)
+    head = lhs_result if exact is None else exact
+    zt, zh = z_pair(head)
     return KinematicReport(group=group, phi=kind, n=n, seed=seed, samples=samples,
-                           lhs=lhs_result, rhs=rhs, constants=constants,
+                           lhs=head, rhs=rhs, constants=constants,
                            crofton=crofton, z_total=zt, z_half=zh,
-                           convention="half" if zh <= zt else "total")
+                           convention="half" if zh <= zt else "total", **extra)
+
+
+def _term_checks(terms: list[EstimatorResult], constants: dict[int, EstimatorResult],
+                 rhs: dict) -> list[dict]:
+    """Per j: the estimate of E_g V_j(gL) against c_j V_j(L)."""
+    out = []
+    for j, est in enumerate(terms):
+        v = rhs["terms"][j]["v_j"]
+        want, want_se = constants[j].mean * v, constants[j].std_error * v
+        out.append({"j": j, "mean": est.mean, "std_error": est.std_error,
+                    "c_j_v_j": want, "c_j_v_j_se": want_se,
+                    "z": z_score(est.mean, est.std_error, want, want_se)})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +490,8 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *
     separating hyperplane exactly when t lies on the boundary of D.
     Interior/exterior samples landing within skip_margin of the boundary are
     counted as boundary_skips instead of being classified. Both predicates
-    are decided by the separating-axis test of bodies; inputs are checked
-    by check_lemma_inputs.
+    are read off one separating-axis pass (bodies.polygon_gaps); inputs are
+    checked by check_lemma_inputs.
     """
     check_lemma_inputs(M, L)
     rng, _ = resolve_rng(rng)
@@ -421,9 +539,9 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *
             result.boundary_skips += 1
             continue
         result.stratum_counts[stratum] += 1
-        moved = bd.VPolytope(gL.vertices + t)
-        nonempty = bd.intersects(M, moved)
-        separable = bd.separating_hyperplane(M, moved) is not None
+        _, gaps = bd.polygon_gaps(M.vertices, gL.vertices + t)
+        nonempty = bool(np.all(gaps <= bd.TOL))
+        separable = bool(gaps.max() >= -bd.TOL)
         on_boundary = stratum == "boundary"
         if (nonempty and separable) == on_boundary:
             result.agreements += 1

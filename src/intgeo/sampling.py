@@ -25,7 +25,7 @@ from .symmetric import expm_sym, sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import kappa
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupElement:
     """g = k exp(X) plus translation t; k orthogonal, X symmetric."""
 
@@ -41,7 +41,7 @@ class GroupElement:
         return bd.AffineMap(self.linear, self.t)
 
 
-@dataclass
+@dataclass(eq=False)
 class AffineFlat:
     """Affine j-flat {offset + basis @ s}; basis columns orthonormal, offset
     orthogonal to the span (the canonical representative). A batch of flats

@@ -459,6 +459,147 @@ def test_batch_intersects_matches_independent_oracles(n):
 
 
 # ---------------------------------------------------------------------------
+# difference volumes
+
+
+HEX = bd.HPolytope([[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3 + 0.2],
+                   [1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
+PENT = bd.HPolytope([[np.cos(a), np.sin(a)] for a in np.arange(5) * 2 * np.pi / 5 - 0.4],
+                    [0.7, 0.9, 0.6, 0.8, 0.75])
+VPENT = bd.VPolytope([[0.9 * np.cos(a) + 0.2, 0.6 * np.sin(a) - 0.1]
+                      for a in np.arange(5) * 2.0 * np.pi / 5.0])
+ELL2 = bd.Ellipsoid([0.3, -0.2], rot2(0.5), [1.1, 0.4])
+ELL3 = bd.Ellipsoid([0.2, -0.1, 0.3], np.linalg.qr(np.arange(9.0).reshape(3, 3) ** 1.5)[0],
+                    [1.2, 0.8, 0.5])
+
+
+def _in_difference_body(M, L, g):
+    """Membership of translations in M + (-gL), decided by distances and
+    hulls that share no code with difference_volumes."""
+    n = M.dim
+    gL = bd.affine_image(L, bd.AffineMap(g, np.zeros(n)))
+    if isinstance(M, bd.Ball):  # M meets gL + t exactly when dist(c - t, gL) <= r
+        return lambda t: bd.distance_to_body(gL, M.center - t) <= M.radius
+    VM = bd.vertex_set(M)
+    if isinstance(L, bd.Ellipsoid):
+        # in the frame where gL is the unit disc: dist(A (t + g c), A M) <= 1
+        A = np.linalg.inv(g @ L.axes * L.semiaxes)
+        AM = bd.VPolytope(VM @ A.T)
+        return lambda t: bd.distance_to_body(AM, (t + g @ L.center) @ A.T) <= 1.0
+    D = bd.minkowski_sum_vpolytopes(bd.VPolytope(VM), bd.VPolytope(-bd.vertex_set(gL)))
+    return lambda t: bd.contains_points(D, t, tol=0.0)
+
+
+@pytest.mark.parametrize("M, L", [
+    (bd.Ball([0.1, 0.0, -0.2], 0.9), ELL3),
+    (bd.Ball([0.2, -0.3], 0.6), VPENT),
+    (HEX, PENT),
+    (HEX, ELL2),
+], ids=["ball-ellipsoid", "ball-polygon", "hpolygons", "polygon-ellipse"])
+def test_difference_volumes_match_monte_carlo(M, L):
+    # for a fixed g, vol(M + (-gL)) against 10^6 uniform points in the box
+    # of M minus the box of gL, within 4 standard errors
+    n = M.dim
+    rng = np.random.default_rng(90 + n)
+    g = sample_haar_orthogonal(n, rng) @ expm_sym(0.6 * sample_gaussian_sym(n, rng))
+    want = bd.difference_volumes(M, L, g[None])[0]
+    loM, hiM = bd.body_box(M)
+    cg, hw = bd.moved_boxes(L, g[None])
+    lo, hi = loM - cg[0] - hw[0], hiM - cg[0] + hw[0]
+    inside = _in_difference_body(M, L, g)
+    hits = 0
+    points = 10**6
+    for _ in range(10):
+        hits += int(np.sum(inside(lo + rng.random((points // 10, n)) * (hi - lo))))
+    p = hits / points
+    box = float(np.prod(hi - lo))
+    assert 0.05 < p < 0.95
+    assert abs(box * p - want) < 4.0 * box * np.sqrt(p * (1.0 - p) / points)
+    if isinstance(M, bd.HPolytope) and isinstance(L, bd.HPolytope):
+        # two polygons: the hull of the difference body gives it exactly
+        D = bd.minkowski_sum_vpolytopes(bd.as_vpolytope(M),
+                                        bd.VPolytope(-bd.vertex_set(L) @ g.T))
+        assert want == pytest.approx(volume_exact(D), rel=1e-12)
+
+
+def test_difference_volumes_of_rigid_motions_are_steiner_sums():
+    # vol(rB + (-kL)) = sum_j kappa_(n-j) r^(n-j) V_j(L) for orthogonal k,
+    # and a polygon pair under k is the hull of the difference body
+    from intgeo.volumes import kappa
+
+    rng = np.random.default_rng(7)
+    for M, L in ((bd.Ball(np.zeros(3), 0.7), ELL3), (bd.Ball([1.0, 2.0], 1.3), PENT)):
+        n = M.dim
+        k = sample_haar_orthogonal(n, rng, size=5)
+        vL = closed_intrinsic_volumes(L)
+        want = sum(kappa(n - j) * M.radius ** (n - j) * vL[j] for j in range(n + 1))
+        np.testing.assert_allclose(bd.difference_volumes(M, L, k), want, rtol=1e-12)
+        np.testing.assert_allclose(bd.moved_intrinsic_volumes(L, k), np.tile(vL, (5, 1)),
+                                   rtol=1e-12)
+
+
+def test_moved_intrinsic_volumes_keep_thin_ellipsoids_accurate():
+    # V_3(gL) = kappa_3 |det g| abc on an ellipsoid with axis ratio 1e4:
+    # semiaxes from the Gram matrix's eigenvalues miss this by up to 2.5e-4
+    # on these draws, the SVD by 8e-14
+    from intgeo.volumes import kappa
+
+    rng = np.random.default_rng(5)
+    L = bd.Ellipsoid(np.zeros(3), np.linalg.qr(rng.standard_normal((3, 3)))[0],
+                     [100.0, 1.0, 0.01])
+    X = sample_gaussian_sym(3, rng, size=2000)
+    lam, V = np.linalg.eigh(X)
+    G = sample_haar_orthogonal(3, rng, size=2000) @ np.einsum("bij,bj,bkj->bik",
+                                                              V, np.exp(lam), V)
+    want = kappa(3) * np.exp(lam.sum(axis=1)) * np.prod(L.semiaxes)
+    np.testing.assert_allclose(bd.moved_intrinsic_volumes(L, G)[:, 3], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("M, L", [
+    (ELL3, bd.unit_ball(3)),
+    (bd.unit_ball(4), bd.Ellipsoid(np.zeros(4), np.eye(4), [1.0, 0.8, 0.6, 0.4])),
+    (bd.unit_ball(3), bd.cube(3, side=1.0, centered=True)),
+    (bd.cube(3, side=1.0, centered=True), bd.unit_ball(3)),
+    (bd.VPolytope([[0.0, 0.0], [1.0, 1.0]]), bd.unit_ball(2)),
+    (bd.unit_ball(2), bd.VPolytope([[0.0, 0.0], [1.0, 1.0]])),
+], ids=["ellipsoid-ball", "quadrics-4d", "ball-cube", "cube-ball", "segment-disc",
+        "disc-segment"])
+def test_difference_volumes_without_closed_form(M, L):
+    G = np.eye(M.dim)[None]
+    assert bd.difference_volumes(M, L, G) is None
+
+
+def test_polygon_gaps_answer_both_lemma_predicates():
+    # all gaps <= TOL is intersects and the largest gap >= -TOL is
+    # separating_hyperplane, on random pairs and on touching pairs: A and its
+    # point reflection 2v - A through a vertex v meet at v alone
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        A = bd.random_polytope(2, 7, rng)
+        v = A.vertices[rng.integers(len(A.vertices))]
+        other = bd.random_polytope(2, 6, rng, center=rng.uniform(-2, 2, 2))
+        for B, touching in ((other, False), (bd.VPolytope(2.0 * v - A.vertices), True)):
+            _, gaps = bd.polygon_gaps(A.vertices, B.vertices)
+            nonempty, separable = bool(np.all(gaps <= bd.TOL)), bool(gaps.max() >= -bd.TOL)
+            assert nonempty == bd.intersects(A, B)
+            assert separable == (bd.separating_hyperplane(A, B) is not None)
+            if touching:
+                assert nonempty and separable
+
+
+def test_bodies_compare_by_identity():
+    # the generated __eq__ compared array fields with == and raised
+    a = bd.HPolytope(HEX.normals, HEX.offsets)
+    b = bd.HPolytope(HEX.normals, HEX.offsets)
+    assert a == a and not (a == b) and a != b
+    for make in (lambda: bd.Ball([0.0, 1.0], 2.0), lambda: bd.VPolytope(VPENT.vertices),
+                 lambda: bd.Ellipsoid(ELL2.center, ELL2.axes, ELL2.semiaxes),
+                 lambda: bd.AffineMap(np.eye(2), np.ones(2)),
+                 lambda: bd.planar_hull(VPENT.vertices)):
+        assert make() != make()
+
+
+# ---------------------------------------------------------------------------
 # distances and diameters
 
 

@@ -310,14 +310,26 @@ def test_config_values_outside_the_choices_are_refused(ball2, tmp_path, command,
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["cj", "--n", "2", "--samples", str(cli.CHUNK_SAMPLES + 5000)],
-    ["kinematic", "--group", "so", "--samples", str(cli.CHUNK_SAMPLES + 300),
-     "--crofton-samples", "2000", "--cj-samples", "2000"],
-], ids=["cj-two-chunks", "kinematic-two-chunks"])
-def test_results_do_not_depend_on_the_thread_count(ball2, tmp_path, monkeypatch, args):
-    if args[0] == "kinematic":
-        args = args + ["--M", ball2, "--L", ball2]
+@pytest.fixture(scope="module")
+def ellipse2(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bodies") / "ellipse2.json"
+    path.write_text(json.dumps(bd.body_to_dict(
+        bd.Ellipsoid([0.2, -0.1], [[0.8, -0.6], [0.6, 0.8]], [1.3, 0.5]))))
+    return str(path)
+
+
+@pytest.mark.parametrize("args, L", [
+    (["cj", "--n", "2", "--samples", str(cli.CHUNK_SAMPLES + 5000)], None),
+    (["kinematic", "--group", "so", "--samples", str(cli.CHUNK_SAMPLES + 300),
+      "--crofton-samples", "2000", "--cj-samples", "2000"], "ball2"),
+    # the exact LHS and its per-j terms merge across the two chunks too
+    (["kinematic", "--group", "gl", "--samples", str(cli.CHUNK_SAMPLES + 300),
+      "--crofton-samples", "2000", "--cj-samples", "2000"], "ellipse2"),
+], ids=["cj-two-chunks", "kinematic-two-chunks", "kinematic-gl-ellipse-two-chunks"])
+def test_results_do_not_depend_on_the_thread_count(request, ball2, tmp_path, monkeypatch,
+                                                   args, L):
+    if L is not None:
+        args = args + ["--M", ball2, "--L", request.getfixturevalue(L)]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one core
     out = []
     for threads in ("1", "2"):
@@ -325,6 +337,11 @@ def test_results_do_not_depend_on_the_thread_count(ball2, tmp_path, monkeypatch,
         assert cli.main(args + ["--seed", "8", "--threads", threads, "--out", str(path)]) == 0
         out.append(json.dumps(json.loads(path.read_text())["results"], sort_keys=True))
     assert out[0] == out[1]
+    if L == "ellipse2":
+        results = json.loads(out[0])
+        assert results["lhs_estimator"] == "translation-exact"
+        assert results["lhs"]["samples"] == results["hit_or_miss"]["lhs"]["samples"]
+        assert len(results["lhs_terms"]) == 3
 
 
 def test_parse_samples_rejects_non_scalars():

@@ -64,6 +64,8 @@ def rot3(i, j, theta):
 TILTED = bd.Ellipsoid([0.2, -0.1, 0.3], rot3(0, 1, 0.7) @ rot3(1, 2, 0.4),
                       [1.2, 0.8, 0.5])
 OFFSET_BALL = bd.Ball([0.1, 0.0, -0.2], 0.9)
+HEX = bd.HPolytope([[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3 + 0.2],
+                   [1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
 
 
 @pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, want", [
@@ -85,6 +87,70 @@ def test_quadric_lhs_is_pinned(group, phi, M, L, samples, seed, inner, want):
     # may change neither the order of the draws nor a single hit decision
     res = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
     assert (res.mean, res.std_error) == want
+
+
+@pytest.mark.parametrize("M, L, samples, seed", [
+    (bd.unit_ball(2), bd.Ellipsoid([0.1, 0.2], np.eye(2), [1.4, 0.5]), 20000, 46),
+    (bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6]), 20000, 47),
+    (HEX, bd.cube(2, side=1.5, centered=True), 3000, 48),
+], ids=["ball-ellipse", "ball-ellipsoid", "hpolygons"])
+def test_exact_and_hit_or_miss_lhs_agree(M, L, samples, seed):
+    # two estimates of one integral from the same draws of g: hit-or-miss
+    # over t, and t integrated exactly by bodies.difference_volumes
+    res = lhs_kinematic("gl", "chi", M, L, samples, seed)
+    assert res.exact is not None and res.exact.samples == samples
+    assert z_score(res.mean, res.std_error, res.exact.mean, res.exact.std_error) < 4.0
+    assert res.exact.std_error < res.std_error
+
+
+@pytest.mark.parametrize("group", ["o", "so"])
+@pytest.mark.parametrize("M, L", [
+    (bd.Ball([0.3, -0.2, 0.1], 0.7), TILTED),
+    (bd.Ball([1.0, 0.5], 1.3), bd.VPolytope([[0.0, 0.0], [1.0, 0.2], [0.4, 0.9]])),
+], ids=["ball-tilted", "ball-triangle"])
+def test_compact_exact_lhs_is_the_steiner_sum(group, M, L):
+    # under rotations vol(rB + (-kL)) does not depend on k: the exact LHS is
+    # sum_j kappa_(n-j) r^(n-j) V_j(L), and each term is V_j(L)
+    n = M.dim
+    res = lhs_kinematic(group, "chi", M, L, 5000, 49)
+    vL = closed_intrinsic_volumes(L)
+    want = sum(kappa(n - j) * M.radius ** (n - j) * vL[j] for j in range(n + 1))
+    assert res.exact.mean == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose([t.mean for t in res.terms], vL, rtol=1e-12)
+
+
+def test_lhs_terms_match_c_j_one_j_at_a_time():
+    # E_g V_j(gL) = c_j V_j(L) for every j on the anisotropic, off-center
+    # TILTED: the paper's claim that c_j does not depend on L, j by j
+    rep = build_report("gl", "chi", bd.unit_ball(3), TILTED, samples=30000, seed=57,
+                       cj_samples=30000, crofton_samples=3000)
+    assert rep.lhs_estimator == "translation-exact"
+    assert [t["j"] for t in rep.lhs_terms] == [0, 1, 2, 3]
+    assert all(t["z"] < 3.0 for t in rep.lhs_terms)
+    assert rep.lhs_terms[0]["mean"] == 1.0 and rep.lhs_terms[0]["std_error"] == 0.0
+
+
+def test_report_headline_and_hit_or_miss_blocks():
+    # an exact headline carries the hit-or-miss estimate with its own z;
+    # a pair without a closed form (the volume phi) keeps the old layout
+    lhs = lhs_kinematic("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 4000, 58)
+    rep = build_report("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 4000, 58,
+                       cj_samples=2000, crofton_samples=2000, lhs_result=lhs)
+    d = rep.to_dict()
+    assert d["lhs_estimator"] == "translation-exact"
+    assert d["lhs"] == lhs.exact.to_dict()
+    assert d["hit_or_miss"]["lhs"] == lhs.to_dict()
+    assert d["hit_or_miss"]["z_half"] == z_score(lhs.mean, lhs.std_error,
+                                                  d["rhs"]["rhs_half"], d["rhs"]["se_half"])
+    assert d["z_half"] == z_score(lhs.exact.mean, lhs.exact.std_error,
+                                  d["rhs"]["rhs_half"], d["rhs"]["se_half"])
+    assert len(d["lhs_terms"]) == 3
+    rep = build_report("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 200, 59,
+                       inner_samples=16, cj_samples=2000, crofton_samples=200)
+    assert set(rep.to_dict()) == {"group", "phi", "n", "seed", "samples", "lhs", "rhs",
+                                  "constants", "crofton", "z_total", "z_half",
+                                  "convention"}
+    assert rep.lhs_estimator == "hit-or-miss"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -116,8 +182,6 @@ def test_chi_quadric_vs_polytope_refused_above_3d(M, L):
     assert np.isfinite(res.mean)
 
 
-HEX = bd.HPolytope([[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3 + 0.2],
-                   [1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
 PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
                      for a in np.arange(5) * 2.0 * np.pi / 5.0])
 
