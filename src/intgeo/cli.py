@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,12 +24,11 @@ import numpy as np
 from . import __version__
 from . import bodies as bd
 from . import kinematic, weyl
-from .estimation import merge_results
+from .estimation import merge_results, run_chunks
 from .linprog import SimplexError
 from .volumes import (QuadratureError, closed_intrinsic_volumes, steiner_fit)
 
 SCHEMA_VERSION = 1
-CHUNK_SAMPLES = 1 << 17
 
 
 class ConfigError(Exception):
@@ -47,26 +45,6 @@ def parse_samples(text: str | int | float) -> int:
     if not np.isfinite(val) or val < 1 or val != int(val):
         raise ConfigError(f"sample count must be a positive integer, got {text!r}")
     return int(val)
-
-
-def run_sharded(worker, samples: int, seed: int, threads: int) -> list:
-    """Run worker(rng, chunk_samples) over fixed chunks of CHUNK_SAMPLES.
-
-    Chunk i draws from SeedSequence(seed).spawn(k)[i] and the results come
-    back in chunk order, so the merged estimate depends only on (samples,
-    seed): threads changes the speed, never the output. The pool holds
-    min(threads, cores, chunks) threads.
-    """
-    counts = [CHUNK_SAMPLES] * (samples // CHUNK_SAMPLES)
-    if samples % CHUNK_SAMPLES:
-        counts.append(samples % CHUNK_SAMPLES)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(counts))]
-    workers = min(threads, os.cpu_count() or 1, len(counts))
-    if workers == 1:
-        return [worker(rng, c) for rng, c in zip(rngs, counts)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(worker, rng, c) for rng, c in zip(rngs, counts)]
-        return [f.result() for f in futs]
 
 
 def _load_config(path: str | None) -> dict:
@@ -232,9 +210,10 @@ def cmd_cj(args) -> dict:
     records = []
     methods = ("direct", "weyl") if method == "both" else (method,)
     for m in methods:
-        parts = run_sharded(
-            lambda rng, k, m=m: weyl.compute_constants(n, k, rng, method=m, js=js),
-            samples, seed + (0 if m == "direct" else 1), threads)
+        [parts] = run_chunks(
+            [(lambda rng, k, m=m: weyl.compute_constants(n, k, rng, method=m, js=js),
+              samples)],
+            seed + (0 if m == "direct" else 1), threads)
         if m == "weyl":
             merged = weyl.merge_weyl(parts, seed)
             out[m] = {str(j): {**r.to_dict()} for j, r in sorted(merged.items())}
@@ -263,10 +242,11 @@ def cmd_kinematic(args) -> dict:
         raise ConfigError(str(exc)) from exc
     n = M.dim
     samples = parse_samples(args.samples or "1000000")
-    inner = parse_samples(str(256 if args.inner_samples is None else args.inner_samples))
-    cj_samples = parse_samples(args.cj_samples) if args.cj_samples else max(samples // 4, 10000)
-    crofton_samples = (parse_samples(args.crofton_samples)
-                       if args.crofton_samples else max(samples // 4, 10000))
+    inner = parse_samples(str(kinematic.INNER_SAMPLES if args.inner_samples is None
+                              else args.inner_samples))
+    stage = kinematic.stage_samples(samples)
+    cj_samples = parse_samples(args.cj_samples) if args.cj_samples else stage
+    crofton_samples = parse_samples(args.crofton_samples) if args.crofton_samples else stage
     window = None
     if args.window_radius:
         try:
@@ -291,16 +271,11 @@ def cmd_kinematic(args) -> dict:
         if set(constants) < set(range(n + 1)):
             raise ConfigError("constants cache is missing some j for this n")
 
-    parts = run_sharded(
-        lambda rng, k: kinematic.lhs_kinematic(group, phi, M, L, k, rng,
-                                               inner_samples=inner),
-        samples, seed, threads)
-    lhs = kinematic.merge_lhs(parts, seed)
     report = kinematic.build_report(group, phi, M, L, samples, seed,
                                     inner_samples=inner, cj_samples=cj_samples,
                                     crofton_samples=crofton_samples,
                                     window_radius=window, constants=constants,
-                                    lhs_result=lhs)
+                                    threads=threads)
     payload = {"schema_version": SCHEMA_VERSION, "command": "kinematic",
                "params": {"group": group, "phi": phi,
                           "M": bd.body_to_dict(M), "L": bd.body_to_dict(L),

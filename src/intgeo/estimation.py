@@ -1,10 +1,14 @@
-"""Estimator bookkeeping: running moments, result records, shard merging."""
+"""Estimator bookkeeping: running moments, result records, the chunk plan."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
+
+CHUNK_SAMPLES = 1 << 17
 
 
 def resolve_rng(seed_or_rng) -> tuple[np.random.Generator, int]:
@@ -97,6 +101,38 @@ def merge_results(parts: list[EstimatorResult], seed: int) -> EstimatorResult:
         acc.merge(sub)
     return EstimatorResult.from_accumulator(acc, seed,
                                             parts[0].importance_volume)
+
+
+def run_chunks(stages, seed: int, threads: int) -> list[list]:
+    """Run each stage's worker(rng, chunk_samples) over chunks of CHUNK_SAMPLES.
+
+    A stage is a (worker, samples) pair. Its samples are cut into chunks of
+    CHUNK_SAMPLES, and all chunks of all stages, in stage order, draw from
+    consecutive children of SeedSequence(seed), so no two chunks share a
+    stream. A stage whose worker is None takes its children without
+    running, which keeps the streams of the stages after it. One pool of
+    min(threads, cores, chunks) threads runs the chunks, and the results
+    come back per stage in chunk order: they depend only on (stages, seed),
+    and threads changes the speed, never the output.
+    """
+    plan = []  # (stage, chunk samples), one per chunk
+    for s, (_, samples) in enumerate(stages):
+        full, rest = divmod(samples, CHUNK_SAMPLES)
+        plan += [(s, CHUNK_SAMPLES)] * full + ([(s, rest)] if rest else [])
+    children = np.random.SeedSequence(seed).spawn(len(plan))
+    tasks = [(s, stages[s][0], np.random.default_rng(child), k)
+             for (s, k), child in zip(plan, children) if stages[s][0] is not None]
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        results = [worker(rng, k) for _, worker, rng, k in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futs = [pool.submit(worker, rng, k) for _, worker, rng, k in tasks]
+            results = [f.result() for f in futs]
+    out = [[] for _ in stages]
+    for (s, *_), r in zip(tasks, results):
+        out[s].append(r)
+    return out
 
 
 def z_score(a: float, sa: float, b: float, sb: float = 0.0) -> float:

@@ -19,20 +19,30 @@ gL + t intersect but admit a separating hyperplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
-                         z_score)
+                         run_chunks, z_score)
 from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
 from .symmetric import sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 
 GROUPS = {"gl": ("full", False), "o": ("full", True), "so": ("special", True)}
+INNER_SAMPLES = 256  # inner points per LHS sample of the volume integrand
 # inner points per row block of the volume integrand (~1 MB per array at n = 2)
 _BLOCK_POINTS = 1 << 16
+_LHS_BATCH = 4096  # group elements drawn at a time
+_CROFTON_BATCH = 16384  # flats drawn at a time
+# interior/exterior lemma-check points this close to the boundary are skipped
+_SKIP_MARGIN = 1e-6
+
+
+def stage_samples(samples: int) -> int:
+    """The default budget of a report's c_j and Crofton stages."""
+    return max(samples // 4, 10000)
 
 
 def _phi_kind(phi) -> str:
@@ -90,12 +100,6 @@ class LhsEstimate(EstimatorResult):
         """The hit-or-miss estimate, in the layout of EstimatorResult."""
         return {f.name: getattr(self, f.name) for f in fields(EstimatorResult)}
 
-    def reseeded(self, seed: int) -> "LhsEstimate":
-        """A copy in which every estimate records seed."""
-        return replace(self, seed=seed,
-                       exact=self.exact and replace(self.exact, seed=seed),
-                       terms=self.terms and [replace(r, seed=seed) for r in self.terms])
-
 
 def merge_lhs(parts: list[LhsEstimate], seed: int) -> LhsEstimate:
     """Chunk estimates of lhs_kinematic merged in chunk order, each of the
@@ -109,7 +113,7 @@ def merge_lhs(parts: list[LhsEstimate], seed: int) -> LhsEstimate:
 
 
 def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
-                  inner_samples: int = 256, batch: int = 4096) -> LhsEstimate:
+                  inner_samples: int = INNER_SAMPLES) -> LhsEstimate:
     """The group-side integral, estimated with the translation box folded in.
 
     phi may be "chi", "volume", or a Valuation; custom valuations need both
@@ -153,7 +157,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     terms = [RunningMean() for _ in range(n + 1)]
     done = 0
     while done < samples:
-        B = min(batch, samples - done)
+        B = min(_LHS_BATCH, samples - done)
         k = sample_haar_orthogonal(n, rng, component=component, size=B)
         invG = None  # the chi kernel of two quadrics never reads it
         if compact:
@@ -221,8 +225,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
 
 
 def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
-                        window_radius: float | None = None,
-                        batch: int = 16384) -> EstimatorResult:
+                        window_radius: float | None = None) -> EstimatorResult:
     """phi_{n-j}(M): the integral of phi(M cap E) over the j-flat measure.
 
     The flat measure is normalized so flats meeting the unit ball have mass
@@ -259,7 +262,7 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
     acc = RunningMean()
     done = 0
     while done < samples:
-        B = min(batch, samples - done)
+        B = min(_CROFTON_BATCH, samples - done)
         hit = batch_flat_hits(M, sample_affine_flat(n, j, rng, window_radius, size=B))
         acc.update(np.where(hit, weight, 0.0))
         done += B
@@ -359,20 +362,24 @@ class KinematicReport:
 
 
 def build_report(group: str, phi, M, L, samples: int, seed: int, *,
-                 inner_samples: int = 256,
+                 inner_samples: int = INNER_SAMPLES,
                  cj_samples: int | None = None,
                  crofton_samples: int | None = None,
                  window_radius: float | None = None,
                  constants: dict[int, EstimatorResult] | None = None,
-                 lhs_result: EstimatorResult | None = None) -> KinematicReport:
+                 threads: int = 1) -> KinematicReport:
     """Run both sides and package the comparison.
 
-    Substreams are spawned from the seed so the three estimation stages stay
-    independent; precomputed constants (e.g. from a cache file) or a
-    presharded lhs estimate (an LhsEstimate from merge_lhs, or any
-    EstimatorResult) can be injected.
+    The stages run on one chunk plan (estimation.run_chunks) in the order
+    LHS, c_j, then Crofton j = 0..n, so every chunk of every stage draws
+    from its own child of SeedSequence(seed) and the report depends only
+    on its arguments, never on threads. cj_samples and crofton_samples
+    default to stage_samples(samples). The c_j stage reserves its streams
+    even when it draws nothing: when constants are given (e.g. from a
+    cache file) or the group is compact, where every c_j is 1. Each stage
+    merges its chunks in order.
 
-    The headline lhs is the translation-exact estimate when lhs_result has
+    The headline lhs is the translation-exact estimate when the pair has
     one, else the hit-or-miss estimate; z_total, z_half and convention read
     the headline. With an exact headline the report also carries the
     hit-or-miss estimate with its own z-scores, and under gl with a ball M
@@ -383,39 +390,40 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     """
     n = M.dim
     kind = _phi_kind(phi)
-    cj_samples = cj_samples or max(samples // 4, 10000)
-    crofton_samples = crofton_samples or max(samples // 4, 10000)
-    streams = np.random.SeedSequence(seed).spawn(n + 3)
-    if lhs_result is None:
-        lhs_result = lhs_kinematic(group, phi, M, L, samples,
-                                   np.random.default_rng(streams[0]),
-                                   inner_samples=inner_samples).reseeded(seed)
-    if constants is None:
-        if group in ("o", "so"):
-            constants = {j: EstimatorResult(1.0, 0.0, 1, seed) for j in range(n + 1)}
-        else:
-            from .weyl import c_direct
-            constants = c_direct(n, cj_samples, np.random.default_rng(streams[1]))
-    crofton = {
-        j: crofton_coefficient(phi, M, j, crofton_samples,
-                               np.random.default_rng(streams[2 + j]),
-                               window_radius=window_radius)
-        for j in range(n + 1)
-    }
+    cj_worker = None
+    if constants is None and group == "gl":
+        from .weyl import c_direct
+
+        def cj_worker(rng, k):
+            return c_direct(n, k, rng)
+
+    # the workers look lhs_kinematic and crofton_coefficient up when called
+    stages = [(lambda rng, k: lhs_kinematic(group, phi, M, L, k, rng,
+                                            inner_samples=inner_samples), samples),
+              (cj_worker, cj_samples or stage_samples(samples))]
+    stages += [(lambda rng, k, j=j: crofton_coefficient(phi, M, j, k, rng,
+                                                        window_radius=window_radius),
+                crofton_samples or stage_samples(samples)) for j in range(n + 1)]
+    lhs_parts, cj_parts, *crofton_parts = run_chunks(stages, seed, threads)
+    lhs = merge_lhs(lhs_parts, seed)
+    if cj_worker is not None:
+        constants = {j: merge_results([p[j] for p in cj_parts], seed) for j in cj_parts[0]}
+    elif constants is None:
+        constants = {j: EstimatorResult(1.0, 0.0, 1, seed) for j in range(n + 1)}
+    crofton = {j: merge_results(parts, seed) for j, parts in enumerate(crofton_parts)}
     rhs = rhs_hadwiger_gl(phi, M, L, constants, crofton)
 
     def z_pair(est: EstimatorResult) -> tuple[float, float]:
         return (z_score(est.mean, est.std_error, rhs["rhs_total"], rhs["se_total"]),
                 z_score(est.mean, est.std_error, rhs["rhs_half"], rhs["se_half"]))
 
-    exact = lhs_result.exact if isinstance(lhs_result, LhsEstimate) else None
     extra = {}
-    if exact is not None:
-        hzt, hzh = z_pair(lhs_result)
-        extra["hit_or_miss"] = {"lhs": lhs_result.to_dict(), "z_total": hzt, "z_half": hzh}
-        if group == "gl" and lhs_result.terms is not None:
-            extra["lhs_terms"] = _term_checks(lhs_result.terms, constants, rhs)
-    head = lhs_result if exact is None else exact
+    if lhs.exact is not None:
+        hzt, hzh = z_pair(lhs)
+        extra["hit_or_miss"] = {"lhs": lhs.to_dict(), "z_total": hzt, "z_half": hzh}
+        if group == "gl" and lhs.terms is not None:
+            extra["lhs_terms"] = _term_checks(lhs.terms, constants, rhs)
+    head = lhs if lhs.exact is None else lhs.exact
     zt, zh = z_pair(head)
     return KinematicReport(group=group, phi=kind, n=n, seed=seed, samples=samples,
                            lhs=head, rhs=rhs, constants=constants,
@@ -479,8 +487,8 @@ def check_lemma_inputs(M, L) -> None:
                          "are a point and a point or a segment")
 
 
-def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *,
-                           skip_margin: float = 1e-6) -> LemmaCheck:
+def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
+                           rng) -> LemmaCheck:
     """Stress the boundary biconditional on random deformations of L.
 
     For each trial, draw g = k exp(X), build the difference body
@@ -488,7 +496,7 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *
     interior of D, boundary of D (edge point with tangential jitter), or
     exterior. The claim under test: M and gL + t intersect AND admit a
     separating hyperplane exactly when t lies on the boundary of D.
-    Interior/exterior samples landing within skip_margin of the boundary are
+    Interior/exterior samples landing within _SKIP_MARGIN of the boundary are
     counted as boundary_skips instead of being classified. Both predicates
     are read off one separating-axis pass (bodies.polygon_gaps); inputs are
     checked by check_lemma_inputs.
@@ -514,7 +522,7 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *
             for _ in range(400):
                 cand = lo + rng.random(2) * span
                 if (bd.contains_points(D, cand[None, :])[0]
-                        and bd.polygon_boundary_distance(D, cand[None, :])[0] > skip_margin):
+                        and bd.polygon_boundary_distance(D, cand[None, :])[0] > _SKIP_MARGIN):
                     t = cand
                     break
         elif stratum == "exterior":
@@ -523,7 +531,7 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int, rng, *
             for _ in range(400):
                 cand = blo + rng.random(2) * bspan
                 if (not bd.contains_points(D, cand[None, :], tol=0.0)[0]
-                        and bd.polygon_boundary_distance(D, cand[None, :])[0] > skip_margin):
+                        and bd.polygon_boundary_distance(D, cand[None, :])[0] > _SKIP_MARGIN):
                     t = cand
                     break
         else:

@@ -432,7 +432,10 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
     raise ValueError(f"no closed form for {type(body).__name__}")
 
 
-def volume_mc(body, samples: int, rng, batch: int = 65536) -> EstimatorResult:
+_MC_BATCH = 65536  # points drawn at a time by volume_mc and steiner_fit
+
+
+def volume_mc(body, samples: int, rng) -> EstimatorResult:
     """Hit-or-miss volume estimate inside the body's bounding box."""
     rng, seed = resolve_rng(rng)
     lo, hi = bd.bounding_box(body)
@@ -441,7 +444,7 @@ def volume_mc(body, samples: int, rng, batch: int = 65536) -> EstimatorResult:
     acc = RunningMean()
     done = 0
     while done < samples:
-        k = min(batch, samples - done)
+        k = min(_MC_BATCH, samples - done)
         pts = lo + rng.random((k, lo.size)) * widths
         hits = bd.contains_points(body, pts)
         acc.update(np.where(hits, box_vol, 0.0))
@@ -478,7 +481,7 @@ class SteinerFit:
         }
 
 
-def steiner_fit(body, radii, samples: int, rng, batch: int = 65536) -> SteinerFit:
+def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
     """Estimate all intrinsic volumes of a body from dilated volume samples.
 
     samples is the total budget, split evenly across the dilation radii. The
@@ -503,7 +506,7 @@ def steiner_fit(body, radii, samples: int, rng, batch: int = 65536) -> SteinerFi
         hits = 0
         done = 0
         while done < per:
-            k = min(batch, per - done)
+            k = min(_MC_BATCH, per - done)
             pts = blo + rng.random((k, n)) * bwid
             hits += int(np.sum(bd.distance_to_body(body, pts) <= eps))
             done += k

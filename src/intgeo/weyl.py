@@ -31,6 +31,7 @@ from .volumes import batch_ellipsoid_intrinsic_volumes, intrinsic_volume_ball
 
 WEYL_MAX_N = 4  # the plain-normal proposal keeps a workable ESS only this far
 ESS_FLOOR = 0.05
+_BATCH = 8192  # samples drawn at a time by either route
 
 
 class EssFloorError(RuntimeError):
@@ -65,8 +66,7 @@ def _vandermonde_abs(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def c_direct(n: int, samples: int, rng, js=None,
-             batch: int = 8192) -> dict[int, EstimatorResult]:
+def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
     """Direct-route estimates of c_j for all requested j in one pass."""
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
@@ -74,7 +74,7 @@ def c_direct(n: int, samples: int, rng, js=None,
     accs = {j: RunningMean() for j in js}
     done = 0
     while done < samples:
-        k = min(batch, samples - done)
+        k = min(_BATCH, samples - done)
         X = sample_gaussian_sym(n, rng, size=k)
         lam = eigvals_sym_batch(X)
         vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam), js)
@@ -84,8 +84,7 @@ def c_direct(n: int, samples: int, rng, js=None,
     return {j: EstimatorResult.from_accumulator(accs[j], seed) for j in js}
 
 
-def c_weyl(n: int, samples: int, rng, js=None,
-           batch: int = 8192) -> dict[int, WeylEstimate]:
+def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
     """Weyl-route estimates: standard normal proposal, Vandermonde weight.
 
     Raises ValueError for n > 4 (the proposal is specified only there) and
@@ -102,7 +101,7 @@ def c_weyl(n: int, samples: int, rng, js=None,
     w_sq = 0.0
     done = 0
     while done < samples:
-        k = min(batch, samples - done)
+        k = min(_BATCH, samples - done)
         lam = rng.standard_normal((k, n))
         w = coef * _vandermonde_abs(lam)
         w_sum += float(w.sum())

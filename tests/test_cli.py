@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from intgeo import bodies as bd
-from intgeo import cli
+from intgeo import cli, estimation
+from intgeo.estimation import CHUNK_SAMPLES, run_chunks
 
 
 def run_cli(*args):
@@ -120,21 +121,30 @@ def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    chunk = cli.CHUNK_SAMPLES
+    monkeypatch.setattr(estimation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)
+    chunk = CHUNK_SAMPLES
     samples = 4 * chunk + 5
-    parts = cli.run_sharded(lambda rng, k: (k, rng.random()), samples, 3, 100000)
+
+    def draw(rng, k):
+        return k, rng.random()
+
+    [parts] = run_chunks([(draw, samples)], 3, 100000)
     assert pools == [2]
     # the chunk plan follows the sample count alone, never --threads
     streams = np.random.SeedSequence(3).spawn(5)
     assert parts == [(k, np.random.default_rng(s).random())
                      for k, s in zip([chunk] * 4 + [5], streams)]
-    assert cli.run_sharded(lambda rng, k: (k, rng.random()), samples, 3, 1) == parts
+    assert run_chunks([(draw, samples)], 3, 1) == [parts]
     # one chunk runs in the calling thread, whatever --threads says
     pools.clear()
-    assert cli.run_sharded(lambda rng, k: k, chunk, 3, 100000) == [chunk]
+    assert run_chunks([(lambda rng, k: k, chunk)], 3, 100000) == [[chunk]]
     assert pools == []
+    # later stages take the next children; a stage without a worker takes
+    # its children and runs nothing
+    staged = run_chunks([(draw, chunk + 1), (None, 7), (draw, 5)], 3, 1)
+    assert staged == [parts[:1] + [(1, np.random.default_rng(streams[1]).random())],
+                      [], [(5, np.random.default_rng(streams[3]).random())]]
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -319,13 +329,18 @@ def ellipse2(tmp_path_factory):
 
 
 @pytest.mark.parametrize("args, L", [
-    (["cj", "--n", "2", "--samples", str(cli.CHUNK_SAMPLES + 5000)], None),
-    (["kinematic", "--group", "so", "--samples", str(cli.CHUNK_SAMPLES + 300),
+    (["cj", "--n", "2", "--samples", str(CHUNK_SAMPLES + 5000)], None),
+    (["kinematic", "--group", "so", "--samples", str(CHUNK_SAMPLES + 300),
       "--crofton-samples", "2000", "--cj-samples", "2000"], "ball2"),
     # the exact LHS and its per-j terms merge across the two chunks too
-    (["kinematic", "--group", "gl", "--samples", str(cli.CHUNK_SAMPLES + 300),
+    (["kinematic", "--group", "gl", "--samples", str(CHUNK_SAMPLES + 300),
       "--crofton-samples", "2000", "--cj-samples", "2000"], "ellipse2"),
-], ids=["cj-two-chunks", "kinematic-two-chunks", "kinematic-gl-ellipse-two-chunks"])
+    # the c_j and Crofton stages run on the same chunk plan
+    (["kinematic", "--group", "gl", "--samples", "2000",
+      "--crofton-samples", str(CHUNK_SAMPLES + 300),
+      "--cj-samples", str(CHUNK_SAMPLES + 300)], "ball2"),
+], ids=["cj-two-chunks", "kinematic-two-chunks", "kinematic-gl-ellipse-two-chunks",
+        "kinematic-gl-stages-two-chunks"])
 def test_results_do_not_depend_on_the_thread_count(request, ball2, tmp_path, monkeypatch,
                                                    args, L):
     if L is not None:
@@ -469,3 +484,74 @@ def test_workload_commands_never_load_scipy(tmp_path):
     assert len(report) == len(commands)
     for name, rc, scipy_modules in report:
         assert rc == 0 and scipy_modules == [], (name, rc, scipy_modules)
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cj-cache"])
+@pytest.mark.parametrize("samples", [2000, CHUNK_SAMPLES + 300],
+                         ids=["one-chunk", "two-chunks"])
+def test_library_and_cli_reports_agree(ball2, ellipse2, tmp_path, samples, cache):
+    # build_report drives the command, so the same config and seed give the
+    # same results bytes on both paths
+    from intgeo import kinematic, weyl
+
+    stages = ["--cj-samples", "2000", "--crofton-samples", "2000"]
+    constants = None
+    if cache:
+        path = str(tmp_path / "cj2.json")
+        assert cli.main(["cj", "--n", "2", "--method", "direct", "--samples", "2000",
+                         "--seed", "3", "--threads", "1", "--cache", path,
+                         "--out", str(tmp_path / "cj.json")]) == 0
+        stages += ["--cj-cache", path]
+        constants = weyl.lookup_constants(weyl.load_constants(path), 2, method="direct")
+    out = tmp_path / "out.json"
+    assert cli.main(["kinematic", "--group", "gl", "--M", ball2, "--L", ellipse2,
+                     "--samples", str(samples), "--seed", "9", "--threads", "1",
+                     "--out", str(out)] + stages) == 0
+    rep = kinematic.build_report("gl", "chi", bd.load_body(ball2), bd.load_body(ellipse2),
+                                 samples, 9, cj_samples=2000, crofton_samples=2000,
+                                 constants=constants)
+    assert (json.dumps(json.loads(out.read_text())["results"], sort_keys=True)
+            == json.dumps(rep.to_dict(), sort_keys=True))
+
+
+def test_every_workload_shape_samples_first_where_the_setup_probe_stops(tmp_path,
+                                                                        monkeypatch):
+    # the benchmark's setup probe times a fresh start up to the first sample
+    # by making these three raise; each command must reach one of them
+    # before it draws anything for the c_j or Crofton stages
+    from intgeo import kinematic, weyl
+
+    def body(name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    disc = body("disc", bd.body_to_dict(bd.unit_ball(2)))
+    ang = 2.0 * np.pi * np.arange(6) / 6.0 + 0.1
+    vM = body("vM", {"type": "vpolytope",
+                     "vertices": np.column_stack([np.cos(ang), np.sin(ang)]).tolist()})
+    vL = body("vL", {"type": "vpolytope", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]})
+    common = ["--seed", "4", "--threads", "1", "--out", str(tmp_path / "out.json")]
+    cache = str(tmp_path / "cj2.json")
+    assert cli.main(["cj", "--n", "2", "--method", "direct", "--samples", "2000",
+                     "--cache", cache] + common) == 0
+
+    class FirstSample(Exception):
+        pass
+
+    def first_sample(*_, **__):
+        raise FirstSample
+
+    drawn = []
+    for mod, name in ((weyl, "c_direct"), (kinematic, "crofton_coefficient")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name, **k: drawn.append(name))
+    monkeypatch.setattr(weyl, "compute_constants", first_sample)
+    monkeypatch.setattr(kinematic, "lhs_kinematic", first_sample)
+    monkeypatch.setattr(kinematic, "separation_lemma_check", first_sample)
+    kin = ["kinematic", "--group", "gl", "--M", disc, "--L", disc, "--samples", "1000"]
+    for argv in (["cj", "--n", "2", "--method", "both", "--samples", "1000"],
+                 kin, kin + ["--cj-cache", cache],
+                 ["lemma-check", "--trials", "10", "--M", vM, "--L", vL]):
+        with pytest.raises(FirstSample):
+            cli.main(argv + common)
+        assert drawn == [], argv

@@ -5,9 +5,9 @@ import pytest
 
 from intgeo import bodies as bd
 from intgeo import linprog
-from intgeo.estimation import EstimatorResult, z_score
+from intgeo.estimation import CHUNK_SAMPLES, EstimatorResult, z_score
 from intgeo.kinematic import (GROUPS, _congruence, build_report,
-                              crofton_coefficient, lhs_kinematic,
+                              crofton_coefficient, lhs_kinematic, merge_lhs,
                               rhs_hadwiger_gl, separation_lemma_check)
 from intgeo.volumes import (Valuation, closed_intrinsic_volumes,
                             euler_valuation, kappa, volume_exact)
@@ -133,9 +133,12 @@ def test_lhs_terms_match_c_j_one_j_at_a_time():
 def test_report_headline_and_hit_or_miss_blocks():
     # an exact headline carries the hit-or-miss estimate with its own z;
     # a pair without a closed form (the volume phi) keeps the old layout
-    lhs = lhs_kinematic("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 4000, 58)
+    # the LHS stage is the first chunk of the seed's plan
+    stream = np.random.default_rng(np.random.SeedSequence(58).spawn(1)[0])
+    lhs = merge_lhs([lhs_kinematic("gl", "chi", bd.unit_ball(2), bd.unit_ball(2),
+                                   4000, stream)], 58)
     rep = build_report("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 4000, 58,
-                       cj_samples=2000, crofton_samples=2000, lhs_result=lhs)
+                       cj_samples=2000, crofton_samples=2000)
     d = rep.to_dict()
     assert d["lhs_estimator"] == "translation-exact"
     assert d["lhs"] == lhs.exact.to_dict()
@@ -338,14 +341,46 @@ def test_build_report_compact_group_uses_exact_constants():
 
 
 def test_build_report_injection_paths():
-    lhs = EstimatorResult(4.0 * math.pi, 0.01, 1000, 7)
     constants = {j: EstimatorResult(1.0, 0.0, 1, 7) for j in range(3)}
     rep = build_report("so", "chi", bd.unit_ball(2), bd.unit_ball(2),
-                       1000, 7, crofton_samples=20000,
-                       constants=constants, lhs_result=lhs)
-    assert rep.lhs is lhs
+                       1000, 7, crofton_samples=20000, constants=constants)
+    # two discs under rigid motions: vol(M + (-gL)) is 4 pi for every g
+    assert rep.lhs.mean == pytest.approx(4.0 * math.pi) and rep.lhs.std_error < 1e-12
     assert rep.constants is constants
     assert min(rep.z_half, rep.z_total) < 4.0
+    # injected constants leave the c_j stage's streams unused, so the
+    # other stages draw what they draw when c_j is estimated
+    drawn = build_report("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 1000, 7,
+                         cj_samples=2000, crofton_samples=2000)
+    injected = build_report("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 1000, 7,
+                            cj_samples=2000, crofton_samples=2000,
+                            constants=drawn.constants)
+    assert injected.to_dict() == drawn.to_dict()
+
+
+def test_stage_streams_never_collide(monkeypatch):
+    # the LHS, c_j and every Crofton stage span two chunks; each chunk must
+    # start from its own generator state
+    from intgeo import kinematic, weyl
+
+    states = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            rng = next(a for a in args if isinstance(a, np.random.Generator))
+            state = rng.bit_generator.state["state"]
+            states.append((state["state"], state["inc"]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod, name in ((kinematic, "lhs_kinematic"), (weyl, "c_direct"),
+                      (kinematic, "crofton_coefficient")):
+        monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+    two = CHUNK_SAMPLES + 300
+    build_report("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), two, 5,
+                 cj_samples=two, crofton_samples=two)
+    assert len(states) == 2 * (2 + 3)
+    assert len(set(states)) == len(states)
 
 
 def test_separation_lemma_random_polygons():
