@@ -3,10 +3,11 @@ Scaling constants by two independent routes
 ===========================================
 
 c_j is the expected ratio V_j(e^X B^n) / V_j(B^n) over Gaussian symmetric X.
-The direct route samples matrices and eigendecomposes; the eigenvalue route
-samples spectra from a standard normal proposal and reweights by the
-Vandermonde factor. They must agree, and c_0 = 1, c_n = e^(n/2) are exact
-anchors.
+The direct route samples matrices shifted by I/2 and eigendecomposes; the
+eigenvalue route samples spectra from the normal proposal N(1/2, (n+1)/2)
+and reweights by the Vandermonde factor. Both fold in the Gaussian
+likelihood ratio of their tilted proposal. They must agree, and c_0 = 1,
+c_n = e^(n/2) are exact anchors.
 """
 
 import math

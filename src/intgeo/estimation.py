@@ -43,6 +43,9 @@ class RunningMean:
     def merge(self, other: "RunningMean") -> None:
         if other.count == 0:
             return
+        if self.count == 0:  # copy, so a lone part passes through exactly
+            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
+            return
         delta = other.mean - self.mean
         total = self.count + other.count
         self.mean = (self.mean * self.count + other.mean * other.count) / total
@@ -89,9 +92,16 @@ class EstimatorResult:
 
 
 def merge_results(parts: list[EstimatorResult], seed: int) -> EstimatorResult:
-    """Combine shard results into one estimate (exact moment merge)."""
+    """Combine shard results into one estimate (exact moment merge).
+
+    A single part passes through unchanged apart from its seed.
+    """
     if not parts:
         raise ValueError("nothing to merge")
+    if len(parts) == 1:
+        p = parts[0]
+        return EstimatorResult(mean=p.mean, std_error=p.std_error, samples=p.samples,
+                               seed=seed, importance_volume=p.importance_volume)
     acc = RunningMean()
     for p in parts:
         sub = RunningMean()

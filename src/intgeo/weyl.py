@@ -5,10 +5,19 @@ a Gaussian symmetric deformation, normalized by V_j(B^n):
 
     c_j = E[ V_j(exp(X) B^n) ] / V_j(B^n),  X Gaussian on Sym(n).
 
-Route one ("direct") samples X, takes eigenvalues, and evaluates the
-ellipsoid formula. Route two ("weyl") integrates the eigenvalue density
-directly: lambda is drawn standard normal and reweighted by the radial
-Jacobian |Vandermonde| over the normalization
+Both routes draw from a proposal tilted toward where e^{tr X} puts its mass
+(exponential tilting; Owen, *Monte Carlo theory, methods and examples*,
+ch. 9) and fold the exact Gaussian likelihood ratio in as an importance
+weight. Untilted, c_n = E[e^{tr X}] is log-normal with relative variance
+e^n - 1 and sets the worst error of every run.
+
+Route one ("direct") samples X = Z + TILT * I with Z Gaussian, takes
+eigenvalues, and evaluates the ellipsoid formula under the weight
+exp(-TILT tr X + n TILT^2 / 2). Route two ("weyl") integrates the eigenvalue
+density directly: lambda is drawn from N(TILT, sigma_n^2)^n with
+sigma_n^2 = (n + 1) / 2, the mean square of one eigenvalue of X, and
+reweighted by the likelihood ratio and the radial Jacobian |Vandermonde| over
+the normalization
 
     Z_n = 2^{n/2} n! prod_{l=1}^n Gamma(l/2),
 
@@ -29,7 +38,8 @@ from .estimation import EstimatorResult, RunningMean, resolve_rng
 from .symmetric import eigvals_sym_batch, sample_gaussian_sym
 from .volumes import batch_ellipsoid_intrinsic_volumes, intrinsic_volume_ball
 
-WEYL_MAX_N = 4  # the plain-normal proposal keeps a workable ESS only this far
+WEYL_MAX_N = 4  # the scaled, tilted normal proposal is checked only this far
+TILT = 0.5  # mean shift of both routes' proposals along the identity
 ESS_FLOOR = 0.05
 _BATCH = 8192  # samples drawn at a time by either route
 
@@ -66,8 +76,27 @@ def _vandermonde_abs(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tilted(z: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Move standard draws z (rows) to lam = TILT + sigma * z; return (lam, w).
+
+    w = sigma^n exp(-|lam|^2 / 2 + |z|^2 / 2) is the likelihood ratio of the
+    target N(0, 1)^n to the proposal N(TILT, sigma^2)^n at lam. For
+    eigenvalues of a Gaussian symmetric matrix and sigma = 1 it is the same
+    ratio of the matrix densities exp(-tr X^2 / 2).
+    """
+    lam = TILT + sigma * z
+    log_w = z.shape[1] * math.log(sigma) - 0.5 * (np.einsum("ij,ij->i", lam, lam)
+                                                   - np.einsum("ij,ij->i", z, z))
+    return lam, np.exp(log_w)
+
+
 def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
-    """Direct-route estimates of c_j for all requested j in one pass."""
+    """Direct-route estimates of c_j for all requested j in one pass.
+
+    X = Z + TILT * I with Z Gaussian on Sym(n), weighted by the likelihood
+    ratio exp(-TILT tr X + n TILT^2 / 2). c_0 takes no weight: V_0 = 1, so it
+    stays exactly 1 with standard error 0.
+    """
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
     vball = {j: intrinsic_volume_ball(n, j) for j in js}
@@ -75,20 +104,25 @@ def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
     done = 0
     while done < samples:
         k = min(_BATCH, samples - done)
-        X = sample_gaussian_sym(n, rng, size=k)
-        lam = eigvals_sym_batch(X)
+        lam, w = _tilted(eigvals_sym_batch(sample_gaussian_sym(n, rng, size=k)), 1.0)
         vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam), js)
         for j in js:
-            accs[j].update(vj[j] / vball[j])
+            accs[j].update(vj[j] / vball[j] * (w if j > 0 else 1.0))
         done += k
     return {j: EstimatorResult.from_accumulator(accs[j], seed) for j in js}
 
 
 def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
-    """Weyl-route estimates: standard normal proposal, Vandermonde weight.
+    """Weyl-route estimates: tilted, scaled normal proposal, Vandermonde weight.
 
-    Raises ValueError for n > 4 (the proposal is specified only there) and
-    EssFloorError when the effective sample fraction drops below ESS_FLOOR.
+    lam is drawn from N(TILT, (n + 1) / 2)^n and weighted by coef * |Vandermonde|
+    times the likelihood ratio to N(0, 1)^n. Every j, c_0 included, takes the
+    full weight, so c_0 checks Z_n; ess is the effective sample fraction of
+    that weight.
+
+    Raises ValueError for n > WEYL_MAX_N (the proposal is checked only there)
+    and EssFloorError when the effective sample fraction drops below
+    ESS_FLOOR.
     """
     if n > WEYL_MAX_N:
         raise ValueError(f"weyl route supports n <= {WEYL_MAX_N}")
@@ -96,14 +130,15 @@ def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
     vball = {j: intrinsic_volume_ball(n, j) for j in js}
     coef = (2.0 * math.pi) ** (n / 2.0) / z_n(n)
+    sigma = math.sqrt((n + 1) / 2.0)
     accs = {j: RunningMean() for j in js}
     w_sum = 0.0
     w_sq = 0.0
     done = 0
     while done < samples:
         k = min(_BATCH, samples - done)
-        lam = rng.standard_normal((k, n))
-        w = coef * _vandermonde_abs(lam)
+        lam, ratio = _tilted(rng.standard_normal((k, n)), sigma)
+        w = coef * _vandermonde_abs(lam) * ratio
         w_sum += float(w.sum())
         w_sq += float((w * w).sum())
         vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam), js)

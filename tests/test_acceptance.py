@@ -110,7 +110,7 @@ def test_criterion_4_scaling_constants_two_routes():
         zmax = max(zs)
         sig_d = direct[0].std_error
         sig_w = route2[0].std_error
-        # the plain-normal proposal cannot push sigma(c0) below 1e-3 at
+        # the weyl proposal cannot push sigma(c0) below 1e-3 at
         # n = 3 for this sample count; hold it to its own scale instead
         sig_cap = 1e-3 if n == 2 else 2e-3
         ess = route2[0].ess

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intgeo import bodies as bd
-from intgeo import cli, estimation
+from intgeo import cli, estimation, weyl
 from intgeo.estimation import CHUNK_SAMPLES, run_chunks
 
 
@@ -222,6 +222,20 @@ def test_cj_both_routes_and_cache(tmp_path):
     assert "shard_samples" not in data["params"]
     cached = json.loads(cache.read_text())
     assert {r["method"] for r in cached["constants"]} == {"direct", "weyl"}
+
+
+def test_one_chunk_cj_equals_the_library_routes(tmp_path):
+    # a run of one chunk passes each route's estimate through the merge bit for bit
+    out = tmp_path / "cj.json"
+    assert cli.main(["cj", "--n", "3", "--seed", "5", "--samples", "3000",
+                     "--threads", "1", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    for route, fn, seed in (("direct", weyl.c_direct, 5), ("weyl", weyl.c_weyl, 6)):
+        [child] = np.random.SeedSequence(seed).spawn(1)
+        want = fn(3, 3000, np.random.default_rng(child))
+        for j, est in want.items():
+            got = results[route][str(j)]
+            assert (got["mean"], got["std_error"]) == (est.mean, est.std_error)
 
 
 def test_kinematic_uses_cache_and_is_deterministic(ball2, tmp_path):

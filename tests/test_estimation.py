@@ -85,6 +85,22 @@ def test_merge_results_reconstructs_pooled_estimate():
     assert abs(merged.std_error - whole.std_error) < 1e-12
 
 
+def test_merge_results_passes_a_single_part_through():
+    # (mean * count) / count rounds 3.1339271675150338 to ...333 at 1e5 samples
+    r = EstimatorResult(mean=3.1339271675150338, std_error=0.012345678901234567,
+                        samples=100000, seed=4, importance_volume=2.5)
+    merged = merge_results([r], seed=9)
+    assert merged == EstimatorResult(r.mean, r.std_error, r.samples, 9, 2.5)
+
+
+def test_running_mean_merge_into_empty_copies_exactly():
+    src = RunningMean()
+    src.count, src.mean, src.m2 = 100000, 3.1339271675150338, 0.7
+    acc = RunningMean()
+    acc.merge(src)
+    assert (acc.count, acc.mean, acc.m2) == (src.count, src.mean, src.m2)
+
+
 def test_merge_results_empty_raises():
     with pytest.raises(ValueError):
         merge_results([], seed=0)

@@ -52,6 +52,38 @@ def test_weyl_route_c0_matches_one():
     assert z_score(out[0].mean, out[0].std_error, 1.0) < 4.0
 
 
+def test_tilted_weight_is_the_gaussian_likelihood_ratio():
+    z = np.random.default_rng(3).standard_normal((50, 3))
+    for sigma in (1.0, 2.0):
+        lam, w = weyl._tilted(z, sigma)
+        np.testing.assert_array_equal(lam, weyl.TILT + sigma * z)
+        # N(0, 1)^n density over N(TILT, sigma^2)^n density, coordinate by coordinate
+        ratio = np.prod(np.exp(-0.5 * lam**2) / (np.exp(-0.5 * z**2) / sigma), axis=1)
+        np.testing.assert_allclose(w, ratio, rtol=1e-12)
+
+
+def test_interval_coverage_of_c_n():
+    # a heavy-tailed integrand makes the estimated standard error too small;
+    # the tilted proposals keep the nominal 95% interval honest at 2000
+    # samples (a standard-normal proposal covers 86% on both routes)
+    for route, n in ((c_direct, 5), (c_weyl, 3)):
+        want = math.exp(n / 2.0)
+        covered = sum(abs(est.mean - want) <= 1.96 * est.std_error
+                      for est in (route(n, 2000, seed, js=[n])[n]
+                                  for seed in range(1000, 1200)))
+        assert 0.90 <= covered / 200 <= 1.0, f"{route.__name__} c_{n}: {covered}/200"
+
+
+def test_tilted_proposals_cut_the_error():
+    def worst(out):
+        return max(est.std_error / abs(est.mean) for j, est in out.items() if j >= 1)
+
+    # a standard-normal proposal reads 8.9%, 4.4% and ESS 0.052 here
+    assert worst(c_direct(5, 20000, 1)) < 0.02
+    assert worst(c_weyl(3, 30000, 1)) < 0.015
+    assert c_weyl(4, 30000, 1)[0].ess >= 0.15
+
+
 def test_weyl_rejects_large_n():
     with pytest.raises(ValueError):
         c_weyl(WEYL_MAX_N + 1, 100, 0)
