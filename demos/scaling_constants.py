@@ -3,11 +3,14 @@ Scaling constants by two independent routes
 ===========================================
 
 c_j is the expected ratio V_j(e^X B^n) / V_j(B^n) over Gaussian symmetric X.
-The direct route samples matrices shifted by I/2 and eigendecomposes; the
-eigenvalue route samples spectra from the normal proposal N(1/2, (n+1)/2)
-and reweights by the Vandermonde factor. Both fold in the Gaussian
-likelihood ratio of their tilted proposal. They must agree, and c_0 = 1,
-c_n = e^(n/2) are exact anchors.
+The trace of X is independent of its traceless part and integrates exactly,
+to the factor e^(j^2 / (2n)), so both routes sample traceless spectra only.
+The direct route samples matrices, eigendecomposes and subtracts the mean
+eigenvalue; the eigenvalue route samples spectra from the normal proposal
+N(0, (n+2)/2) projected onto the traceless hyperplane and reweights by the
+Vandermonde factor. They must agree. c_0 = 1 and c_n = e^(n/2) are exact
+anchors: the direct route returns them exactly, and the eigenvalue route
+estimates them, which checks its normalization.
 """
 
 import math

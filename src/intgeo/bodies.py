@@ -10,8 +10,8 @@ enumeration require n <= 3.
 Whether M meets g L + t is batch_intersects, over a batch of linear maps g
 and translations t (intersects is its one-row case), the axis box of g L
 is moved_boxes, and the volume of the t at which they meet, vol(M + (-g L)),
-is difference_volumes: the body types pick the kernels there and nowhere
-else.
+is the row sum of difference_volumes, its parts by degree in g: the body
+types pick the kernels there and nowhere else.
 Polytopes whose vertex set is cheap (vertex_set) avoid the linear programs
 (linprog) that the others solve.
 
@@ -686,20 +686,23 @@ def _moved_support(L: ConvexBody, G: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
                        vj: np.ndarray | None = None) -> np.ndarray | None:
-    """vol(M + (-g_b L)) for each linear map g_b in G (B, n, n), or None
-    where the pair has no closed form.
+    """The parts of vol(M + (-g_b L)) by degree in g_b, (B, n + 1), for each
+    linear map g_b in G (B, n, n), or None where the pair has no closed form.
 
-    M meets g_b L + t exactly when t lies in M + (-g_b L), so this is the
-    integral over t of chi(M cap (g_b L + t)): the translative formula
-    (Schneider & Weil, Stochastic and Integral Geometry, sec. 6.4). The
-    pair's types pick the kernel:
-    - M a ball of radius r: Steiner's formula, the sum over j of
-      kappa_{n-j} r^{n-j} V_j(g_b L), the V_j from moved_intrinsic_volumes
-      (or vj, (B, n + 1), when the caller holds them already);
-    - M a polygon (n = 2), L a polygon, ball or ellipse: area(M) +
-      |det g_b| area(L) + sum_e len_e h_{g_b L}(-u_e) over the edges e of M
-      with outward unit normals u_e (the mixed area; Schneider, Convex
-      Bodies, sec. 5.1).
+    Column j is homogeneous of degree j in g_b, and the volume is the row
+    sum. M meets g_b L + t exactly when t lies in M + (-g_b L), so that sum
+    is the integral over t of chi(M cap (g_b L + t)): the translative
+    formula (Schneider & Weil, Stochastic and Integral Geometry, sec. 6.4).
+    The degrees let a caller integrate a scalar factor of g_b exactly
+    (kinematic.lhs_kinematic does, for the trace of X). The pair's types
+    pick the kernel:
+    - M a ball of radius r: Steiner's formula, column j kappa_{n-j} r^{n-j}
+      V_j(g_b L), the V_j from moved_intrinsic_volumes (or vj, (B, n + 1),
+      when the caller holds them already);
+    - M a polygon (n = 2), L a polygon, ball or ellipse: the columns
+      area(M), sum_e len_e h_{g_b L}(-u_e) over the edges e of M with outward
+      unit normals u_e (the mixed area; Schneider, Convex Bodies, sec. 5.1),
+      and |det g_b| area(L).
     Every other pair (M an ellipsoid, quadrics at n >= 4, polytopes at
     n = 3, flat polygons) has None.
     """
@@ -711,14 +714,15 @@ def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
             vj = moved_intrinsic_volumes(L, G)
         if vj is None:
             return None
-        return vj @ np.array([kappa(n - j) * M.radius ** (n - j) for j in range(n + 1)])
+        return vj * np.array([kappa(n - j) * M.radius ** (n - j) for j in range(n + 1)])
     hull = _polygon_hull(M)
     if hull is None:
         return None
     eq = hull.equations
     lengths = np.hypot(hull.edges[:, 0], hull.edges[:, 1])
     mixed = _moved_support(L, G, -eq[:, :2]) @ lengths
-    return hull.area + np.abs(np.linalg.det(G)) * volume_exact(L) + mixed
+    return np.column_stack([np.full(B, hull.area), mixed,
+                            np.abs(np.linalg.det(G)) * volume_exact(L)])
 
 
 def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarray,
@@ -1056,24 +1060,25 @@ def minkowski_sum_vpolytopes(a: VPolytope, b: VPolytope) -> VPolytope:
 
 
 def as_vpolytope(body: HPolytope) -> VPolytope:
-    """Vertex enumeration for n <= 3 by solving all n-row subsystems."""
+    """Vertex enumeration for n <= 3 by solving all n-row subsystems.
+
+    The C(m, n) subsystems are stacked in combination order and go through
+    one det and one solve; the feasible, nonsingular solutions, deduplicated
+    in that order, are the vertices.
+    """
     from itertools import combinations
 
     N, o = body.normals, body.offsets
     m, n = N.shape
     if n > 3:
         raise NotImplementedError("vertex enumeration supported for n <= 3")
-    verts = []
-    for idx in combinations(range(m), n):
-        sub = N[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, o[list(idx)])
-        if np.all(N @ x <= o + 1e-7):
-            verts.append(x)
-    if not verts:
+    idx = np.array(list(combinations(range(m), n)), dtype=int).reshape(-1, n)
+    subs = N[idx]
+    ok = np.abs(np.linalg.det(subs)) >= 1e-12
+    x = np.linalg.solve(subs[ok], o[idx[ok]][..., None])[..., 0]
+    arr = x[np.all(x @ N.T <= o + 1e-7, axis=1)]
+    if not len(arr):
         raise ValueError("halfspace system yielded no vertices")
-    arr = np.array(verts)
     _, keep = np.unique(np.round(arr, 9), axis=0, return_index=True)
     return VPolytope(arr[sorted(keep)])
 

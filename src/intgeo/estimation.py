@@ -48,7 +48,8 @@ class RunningMean:
             return
         delta = other.mean - self.mean
         total = self.count + other.count
-        self.mean = (self.mean * self.count + other.mean * other.count) / total
+        # the delta form of update: equal means (an exact constant) stay equal
+        self.mean += delta * other.count / total
         self.m2 += other.m2 + delta * delta * self.count * other.count / total
         self.count = total
 

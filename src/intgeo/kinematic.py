@@ -29,9 +29,12 @@ from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rn
 from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
 from .symmetric import sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
+from .weyl import trace_moment
 
 GROUPS = {"gl": ("full", False), "o": ("full", True), "so": ("special", True)}
-INNER_SAMPLES = 256  # inner points per LHS sample of the volume integrand
+# inner points per LHS sample of the volume integrand: the outer draw of g
+# sets most of the variance, so more points cost time and buy little
+INNER_SAMPLES = 4
 # inner points per row block of the volume integrand (~1 MB per array at n = 2)
 _BLOCK_POINTS = 1 << 16
 _LHS_BATCH = 4096  # group elements drawn at a time
@@ -132,13 +135,20 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     check_lhs_inputs before anything is drawn.
 
     For chi the t-integral of the integrand is vol(M + (-gL)), so the same
-    draws of g also give the translation-exact estimate, the mean of
-    bodies.difference_volumes, wherever the pair has that closed form (the
-    result's exact). It draws nothing, so the hit-or-miss estimate keeps
-    every bit it had without it. When M is a ball the Steiner sum behind it
-    splits over j, and terms[j] estimates E_g V_j(gL)
-    (bodies.moved_intrinsic_volumes). The volume phi has no exact estimate:
-    its t-integral vol(M) vol(gL) would make the Fubini anchor a tautology.
+    draws of g also give the translation-exact estimate wherever the pair
+    has that closed form (the result's exact). bodies.difference_volumes
+    splits the volume into parts of degree j in g. Under gl, g = e^{tau/n} k
+    exp(X_0) with tau = tr X ~ N(0, n) independent of the rest, so part j
+    of g is e^{j tau / n} times part j of k exp(X_0), and the trace
+    integrates exactly: part j is weighted by
+    weyl.trace_moment(n, j) e^{-j tau / n}. The estimate then depends on k
+    and X_0 alone. Compact groups sum the parts. It draws nothing, so the
+    hit-or-miss estimate keeps every bit it had without it. When M is a
+    ball the Steiner sum behind it splits over j, and terms[j] estimates
+    E_g V_j(gL) (bodies.moved_intrinsic_volumes), with the trace sampled,
+    so the terms check the factorization apart from c_j's own route. The
+    volume phi has no exact estimate: its t-integral vol(M) vol(gL) would
+    make the Fubini anchor a tautology.
     """
     kind = check_lhs_inputs(group, phi, M, L)
     rng, seed = resolve_rng(rng)
@@ -152,6 +162,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     loM, hiM = bd.body_box(M)
     rows = max(1, _BLOCK_POINTS // inner_samples)
     steiner = isinstance(M, bd.Ball)
+    degrees = np.arange(n + 1)
+    moments = np.array([trace_moment(n, j) for j in degrees])
     acc = RunningMean()
     exact = RunningMean()
     terms = [RunningMean() for _ in range(n + 1)]
@@ -183,7 +195,9 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             vj = bd.moved_intrinsic_volumes(L, G, frames) if steiner else None
             dv = bd.difference_volumes(M, L, G, vj)
             if dv is not None:
-                exact.update(dv)
+                if not compact:  # integrate the trace of X out, part by part
+                    dv = dv * moments * np.exp(-np.outer(lam.sum(axis=1), degrees) / n)
+                exact.update(dv.sum(axis=1))
             if vj is not None:
                 for j in range(n + 1):
                     terms[j].update(vj[:, j])

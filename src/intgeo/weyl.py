@@ -5,25 +5,34 @@ a Gaussian symmetric deformation, normalized by V_j(B^n):
 
     c_j = E[ V_j(exp(X) B^n) ] / V_j(B^n),  X Gaussian on Sym(n).
 
-Both routes draw from a proposal tilted toward where e^{tr X} puts its mass
-(exponential tilting; Owen, *Monte Carlo theory, methods and examples*,
-ch. 9) and fold the exact Gaussian likelihood ratio in as an importance
-weight. Untilted, c_n = E[e^{tr X}] is log-normal with relative variance
-e^n - 1 and sets the worst error of every run.
+The Gaussian on Sym(n) splits into two independent parts: the trace
+tau = tr X ~ N(0, n) and the traceless part X_0 = X - (tau / n) I, since
+tr X^2 = tr X_0^2 + tau^2 / n. V_j is homogeneous of degree j, so
+V_j(e^X K) = e^{j tau / n} V_j(e^{X_0} K), and the trace integrates in
+closed form (Rao-Blackwellization; Owen, *Monte Carlo theory, methods and
+examples*, ch. 8):
 
-Route one ("direct") samples X = Z + TILT * I with Z Gaussian, takes
-eigenvalues, and evaluates the ellipsoid formula under the weight
-exp(-TILT tr X + n TILT^2 / 2). Route two ("weyl") integrates the eigenvalue
-density directly: lambda is drawn from N(TILT, sigma_n^2)^n with
-sigma_n^2 = (n + 1) / 2, the mean square of one eigenvalue of X, and
-reweighted by the likelihood ratio and the radial Jacobian |Vandermonde| over
-the normalization
+    c_j = e^{j^2 / (2n)} E[ V_j(exp(X_0) B^n) ] / V_j(B^n).
 
-    Z_n = 2^{n/2} n! prod_{l=1}^n Gamma(l/2),
+Both routes sample X_0 alone. Sampling tau instead would leave c_n =
+E[e^{tr X}] log-normal, with relative variance e^n - 1.
 
-so agreement between the routes checks Z_n and the spectral reduction at
-once. Anchors: c_0 = 1 on both routes, c_n = e^{n/2} because
-E[det exp(X)] = E[e^{tr X}] with tr X ~ N(0, n).
+Route one ("direct") samples X, takes its eigenvalues and subtracts their
+mean, then evaluates the ellipsoid formula; it needs no weight. Route two
+("weyl") integrates the eigenvalue density on the traceless hyperplane
+directly: lambda_0 is the projection of N(0, sigma_n^2)^n onto it, with
+sigma_n^2 = (n + 2) / 2 = E|lambda_0|^2 / (n - 1) the mean square of one
+traceless coordinate, reweighted by the ratio of the target density
+|Vandermonde(lambda_0)| exp(-|lambda_0|^2 / 2) over Z_n / sqrt(2 pi) to the
+proposal density, with
+
+    Z_n = 2^{n/2} n! prod_{l=1}^n Gamma(l/2)
+
+the normalization of the full eigenvalue density. Agreement between the
+routes checks Z_n and the spectral reduction at once. Anchors: c_0 = 1 and
+c_n = e^{n/2}, because det exp(X_0) = 1. The direct route returns both
+exactly; on the weyl route both carry the full weight, so they stay
+estimates of 1 and e^{n/2} that test Z_n.
 """
 
 from __future__ import annotations
@@ -38,8 +47,7 @@ from .estimation import EstimatorResult, RunningMean, resolve_rng
 from .symmetric import eigvals_sym_batch, sample_gaussian_sym
 from .volumes import batch_ellipsoid_intrinsic_volumes, intrinsic_volume_ball
 
-WEYL_MAX_N = 4  # the scaled, tilted normal proposal is checked only this far
-TILT = 0.5  # mean shift of both routes' proposals along the identity
+WEYL_MAX_N = 4  # the scaled normal proposal is checked only this far
 ESS_FLOOR = 0.05
 _BATCH = 8192  # samples drawn at a time by either route
 
@@ -56,6 +64,13 @@ def z_n(n: int) -> float:
     for l in range(1, n + 1):
         val *= math.gamma(l / 2.0)
     return val
+
+
+def trace_moment(n: int, j: int) -> float:
+    """E[e^{j tau / n}] = e^{j^2 / (2n)} for tau = tr X ~ N(0, n): the factor
+    a degree-j integrand takes when the trace is integrated out. At j = n it
+    is math.exp(n / 2) to the last bit."""
+    return math.exp(j * j / (2.0 * n))
 
 
 @dataclass
@@ -76,48 +91,60 @@ def _vandermonde_abs(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tilted(z: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Move standard draws z (rows) to lam = TILT + sigma * z; return (lam, w).
+def _traceless(lam: np.ndarray) -> np.ndarray:
+    """Rows of lam minus their means: the spectra of the traceless parts."""
+    return lam - lam.mean(axis=1, keepdims=True)
 
-    w = sigma^n exp(-|lam|^2 / 2 + |z|^2 / 2) is the likelihood ratio of the
-    target N(0, 1)^n to the proposal N(TILT, sigma^2)^n at lam. For
-    eigenvalues of a Gaussian symmetric matrix and sigma = 1 it is the same
-    ratio of the matrix densities exp(-tr X^2 / 2).
+
+def _weyl_weight(lam0: np.ndarray, sigma: float) -> np.ndarray:
+    """p_0 / q_0 at traceless spectra lam0 (rows).
+
+    p_0 = |Vandermonde| exp(-|lam0|^2 / 2) sqrt(2 pi) / Z_n is the law of the
+    spectrum of X_0 on the traceless hyperplane (the trace direction of
+    exp(-|lam|^2 / 2) integrates to sqrt(2 pi)); q_0 is the projection of
+    N(0, sigma^2)^n onto it, an isotropic normal in its n - 1 dimensions.
     """
-    lam = TILT + sigma * z
-    log_w = z.shape[1] * math.log(sigma) - 0.5 * (np.einsum("ij,ij->i", lam, lam)
-                                                   - np.einsum("ij,ij->i", z, z))
-    return lam, np.exp(log_w)
+    n = lam0.shape[1]
+    coef = (2.0 * math.pi) ** (n / 2.0) / z_n(n)
+    sq = np.einsum("ij,ij->i", lam0, lam0)
+    return (coef * sigma ** (n - 1) * _vandermonde_abs(lam0)
+            * np.exp(-0.5 * (1.0 - sigma**-2) * sq))
 
 
 def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
     """Direct-route estimates of c_j for all requested j in one pass.
 
-    X = Z + TILT * I with Z Gaussian on Sym(n), weighted by the likelihood
-    ratio exp(-TILT tr X + n TILT^2 / 2). c_0 takes no weight: V_0 = 1, so it
-    stays exactly 1 with standard error 0.
+    Each sample is the spectrum of a Gaussian X on Sym(n) minus its mean, the
+    spectrum of the traceless part X_0, and c_j is trace_moment(n, j) times
+    the mean of V_j(exp(X_0) B^n) / V_j(B^n); no weight is needed. c_0 = 1
+    and c_n = e^{n/2} come out exactly, with standard error 0 (V_0 = 1 and
+    det exp(X_0) = 1), so only 0 < j < n draw: none does at n = 1.
     """
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
-    vball = {j: intrinsic_volume_ball(n, j) for j in js}
-    accs = {j: RunningMean() for j in js}
+    scale = {j: trace_moment(n, j) / intrinsic_volume_ball(n, j) for j in js if 0 < j < n}
+    accs = {j: RunningMean() for j in scale}
     done = 0
-    while done < samples:
+    while accs and done < samples:
         k = min(_BATCH, samples - done)
-        lam, w = _tilted(eigvals_sym_batch(sample_gaussian_sym(n, rng, size=k)), 1.0)
-        vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam), js)
-        for j in js:
-            accs[j].update(vj[j] / vball[j] * (w if j > 0 else 1.0))
+        lam0 = _traceless(eigvals_sym_batch(sample_gaussian_sym(n, rng, size=k)))
+        vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam0), list(accs))
+        for j, acc in accs.items():
+            acc.update(vj[j] * scale[j])
         done += k
-    return {j: EstimatorResult.from_accumulator(accs[j], seed) for j in js}
+    return {j: (EstimatorResult.from_accumulator(accs[j], seed) if j in accs
+                else EstimatorResult(trace_moment(n, j), 0.0, samples, seed))
+            for j in js}
 
 
 def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
-    """Weyl-route estimates: tilted, scaled normal proposal, Vandermonde weight.
+    """Weyl-route estimates: a scaled normal proposal on the traceless
+    hyperplane and the Vandermonde weight.
 
-    lam is drawn from N(TILT, (n + 1) / 2)^n and weighted by coef * |Vandermonde|
-    times the likelihood ratio to N(0, 1)^n. Every j, c_0 included, takes the
-    full weight, so c_0 checks Z_n; ess is the effective sample fraction of
+    lam0 is z - mean(z) with z ~ N(0, (n + 2) / 2)^n, weighted by
+    _weyl_weight, and c_j is trace_moment(n, j) times the weighted mean of
+    V_j(exp(lam0) B^n) / V_j(B^n). Every j, c_0 and c_n included, takes the
+    full weight, so both check Z_n; ess is the effective sample fraction of
     that weight.
 
     Raises ValueError for n > WEYL_MAX_N (the proposal is checked only there)
@@ -128,22 +155,21 @@ def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
         raise ValueError(f"weyl route supports n <= {WEYL_MAX_N}")
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
-    vball = {j: intrinsic_volume_ball(n, j) for j in js}
-    coef = (2.0 * math.pi) ** (n / 2.0) / z_n(n)
-    sigma = math.sqrt((n + 1) / 2.0)
+    scale = {j: trace_moment(n, j) / intrinsic_volume_ball(n, j) for j in js}
+    sigma = math.sqrt((n + 2) / 2.0)
     accs = {j: RunningMean() for j in js}
     w_sum = 0.0
     w_sq = 0.0
     done = 0
     while done < samples:
         k = min(_BATCH, samples - done)
-        lam, ratio = _tilted(rng.standard_normal((k, n)), sigma)
-        w = coef * _vandermonde_abs(lam) * ratio
+        lam0 = _traceless(sigma * rng.standard_normal((k, n)))
+        w = _weyl_weight(lam0, sigma)
         w_sum += float(w.sum())
         w_sq += float((w * w).sum())
-        vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam), js)
+        vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam0), js)
         for j in js:
-            accs[j].update(vj[j] / vball[j] * w)
+            accs[j].update(vj[j] * scale[j] * w)
         done += k
     ess = w_sum**2 / (samples * w_sq) if w_sq > 0 else 0.0
     if ess < ESS_FLOOR:

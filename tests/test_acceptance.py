@@ -128,7 +128,7 @@ def test_criterion_5_fubini_anchor():
     t0 = time.perf_counter()
     M = bd.unit_ball(2)
     lhs = lhs_kinematic("gl", "volume", M, M, 1_000_000,
-                        np.random.default_rng(51))
+                        np.random.default_rng(51), inner_samples=256)
     want = math.e * math.pi**2
     z = z_score(lhs.mean, lhs.std_error, want, 0.0)
     ratio = lhs.mean / want

@@ -502,7 +502,7 @@ def test_difference_volumes_match_monte_carlo(M, L):
     n = M.dim
     rng = np.random.default_rng(90 + n)
     g = sample_haar_orthogonal(n, rng) @ expm_sym(0.6 * sample_gaussian_sym(n, rng))
-    want = bd.difference_volumes(M, L, g[None])[0]
+    want = bd.difference_volumes(M, L, g[None])[0].sum()
     loM, hiM = bd.body_box(M)
     cg, hw = bd.moved_boxes(L, g[None])
     lo, hi = loM - cg[0] - hw[0], hiM - cg[0] + hw[0]
@@ -533,9 +533,29 @@ def test_difference_volumes_of_rigid_motions_are_steiner_sums():
         k = sample_haar_orthogonal(n, rng, size=5)
         vL = closed_intrinsic_volumes(L)
         want = sum(kappa(n - j) * M.radius ** (n - j) * vL[j] for j in range(n + 1))
-        np.testing.assert_allclose(bd.difference_volumes(M, L, k), want, rtol=1e-12)
+        np.testing.assert_allclose(bd.difference_volumes(M, L, k).sum(axis=1), want,
+                                   rtol=1e-12)
         np.testing.assert_allclose(bd.moved_intrinsic_volumes(L, k), np.tile(vL, (5, 1)),
                                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("M, L", [
+    (bd.Ball([0.1, 0.0, -0.2], 0.9), ELL3),
+    (bd.Ball([0.2, -0.3], 0.6), VPENT),
+    (HEX, PENT),
+    (HEX, ELL2),
+], ids=["ball-ellipsoid", "ball-polygon", "hpolygons", "polygon-ellipse"])
+def test_difference_volume_parts_have_their_degrees(M, L):
+    # part j of vol(M + (-gL)) is homogeneous of degree j in g, the
+    # property the LHS integrates the trace of X with
+    n = M.dim
+    rng = np.random.default_rng(30 + n)
+    G = sample_haar_orthogonal(n, rng, size=50) @ expm_sym(0.6 * sample_gaussian_sym(n, rng))
+    parts = bd.difference_volumes(M, L, G)
+    assert parts.shape == (50, n + 1)
+    for s in (0.5, 1.7):
+        np.testing.assert_allclose(bd.difference_volumes(M, L, s * G),
+                                   parts * s ** np.arange(n + 1), rtol=1e-12)
 
 
 def test_moved_intrinsic_volumes_keep_thin_ellipsoids_accurate():
@@ -709,6 +729,37 @@ def test_as_vpolytope_roundtrip():
     assert abs(bd.support(v, np.array([1.0, 1.0])) - 2.0) < 1e-9
     with pytest.raises(NotImplementedError):
         bd.as_vpolytope(bd.cube(4, side=1.0))
+
+
+def _vertices_by_loop(body):
+    # one det and one solve per n-row subsystem, in combination order
+    from itertools import combinations
+
+    N, o = body.normals, body.offsets
+    verts = []
+    for idx in combinations(range(len(N)), body.dim):
+        sub = N[list(idx)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        x = np.linalg.solve(sub, o[list(idx)])
+        if np.all(N @ x <= o + 1e-7):
+            verts.append(x)
+    arr = np.array(verts)
+    _, keep = np.unique(np.round(arr, 9), axis=0, return_index=True)
+    return arr[sorted(keep)]
+
+
+@pytest.mark.parametrize("n, m", [(2, 7), (2, 30), (3, 8), (3, 25)])
+def test_as_vpolytope_matches_the_subsystem_loop(n, m):
+    # random facets around a box (so the system is bounded), plus a
+    # degenerate vertex: three planes through the corner of the box
+    rng = np.random.default_rng(m)
+    N = rng.standard_normal((m, n))
+    N = np.vstack([N / np.linalg.norm(N, axis=1, keepdims=True), np.eye(n), -np.eye(n),
+                   np.ones(n) / np.sqrt(n)])
+    body = bd.HPolytope(N, np.concatenate([rng.uniform(0.8, 1.2, m), np.ones(2 * n),
+                                           [np.sqrt(n)]]))
+    assert np.array_equal(bd.as_vpolytope(body).vertices, _vertices_by_loop(body))
 
 
 def test_random_polytope_inside_ball():

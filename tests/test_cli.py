@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -236,6 +237,19 @@ def test_one_chunk_cj_equals_the_library_routes(tmp_path):
         for j, est in want.items():
             got = results[route][str(j)]
             assert (got["mean"], got["std_error"]) == (est.mean, est.std_error)
+
+
+def test_two_chunk_direct_cj_keeps_the_exact_constants(tmp_path):
+    # c_0 and c_n of the direct route are exact in every chunk, and the
+    # merge of the chunks keeps them exact
+    out = tmp_path / "cj.json"
+    assert cli.main(["cj", "--n", "2", "--method", "direct", "--seed", "5",
+                     "--samples", str(CHUNK_SAMPLES + 2976), "--threads", "1",
+                     "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]["direct"]
+    assert (results["0"]["mean"], results["0"]["std_error"]) == (1.0, 0.0)
+    assert (results["2"]["mean"], results["2"]["std_error"]) == (math.exp(1.0), 0.0)
+    assert results["1"]["samples"] == CHUNK_SAMPLES + 2976
 
 
 def test_kinematic_uses_cache_and_is_deterministic(ball2, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,15 @@ def test_running_mean_merge_into_empty_copies_exactly():
     acc = RunningMean()
     acc.merge(src)
     assert (acc.count, acc.mean, acc.m2) == (src.count, src.mean, src.m2)
+
+
+def test_merge_results_keeps_an_exact_constant_exact():
+    # two chunks of 2^17 + 2976 samples of the constant e^2 with no error:
+    # (mean * count + mean * count) / total comes back one ulp off
+    e2 = math.exp(2)
+    parts = [EstimatorResult(e2, 0.0, 131072, 0), EstimatorResult(e2, 0.0, 2976, 0)]
+    merged = merge_results(parts, seed=0)
+    assert (merged.mean, merged.std_error, merged.samples) == (e2, 0.0, 134048)
 
 
 def test_merge_results_empty_raises():

@@ -103,6 +103,19 @@ def test_exact_and_hit_or_miss_lhs_agree(M, L, samples, seed):
     assert res.exact.std_error < res.std_error
 
 
+def test_interval_coverage_of_the_exact_lhs():
+    # the nominal 95% interval of the trace-integrated exact LHS, over 200
+    # replicates, against sum_j kappa_(3-j) c_j V_j(L) with c_j by quadrature
+    M = bd.unit_ball(3)
+    L = bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6])
+    want = 112.26898
+    covered = 0
+    for seed in range(5000, 5200):
+        est = lhs_kinematic("gl", "chi", M, L, 2000, seed).exact
+        covered += abs(est.mean - want) <= 1.96 * est.std_error
+    assert 0.90 <= covered / 200 <= 1.0, f"{covered}/200"
+
+
 @pytest.mark.parametrize("group", ["o", "so"])
 @pytest.mark.parametrize("M, L", [
     (bd.Ball([0.3, -0.2, 0.1], 0.7), TILTED),

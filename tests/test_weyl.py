@@ -52,20 +52,54 @@ def test_weyl_route_c0_matches_one():
     assert z_score(out[0].mean, out[0].std_error, 1.0) < 4.0
 
 
-def test_tilted_weight_is_the_gaussian_likelihood_ratio():
-    z = np.random.default_rng(3).standard_normal((50, 3))
-    for sigma in (1.0, 2.0):
-        lam, w = weyl._tilted(z, sigma)
-        np.testing.assert_array_equal(lam, weyl.TILT + sigma * z)
-        # N(0, 1)^n density over N(TILT, sigma^2)^n density, coordinate by coordinate
-        ratio = np.prod(np.exp(-0.5 * lam**2) / (np.exp(-0.5 * z**2) / sigma), axis=1)
-        np.testing.assert_allclose(w, ratio, rtol=1e-12)
+def test_direct_route_integrates_the_trace_exactly():
+    # c_0 and c_n come back as the exact constants, with standard error 0,
+    # and only 0 < j < n are sampled
+    for n in (1, 2, 3, 5):
+        out = c_direct(n, 3000, 4)
+        assert (out[0].mean, out[0].std_error) == (1.0, 0.0)
+        assert (out[n].mean, out[n].std_error) == (math.exp(n / 2), 0.0)
+        assert all(out[j].std_error > 0.0 for j in range(1, n))
+
+
+def test_traceless_weight_is_the_density_ratio():
+    # p_0 / q_0 at fixed traceless spectra: p_0 the eigenvalue density with
+    # the trace integrated out, normalized by Z_n / sqrt(2 pi) (closed forms
+    # of Z_n), q_0 the isotropic normal of variance sigma^2 on the n - 1
+    # dimensions of the traceless hyperplane
+    from itertools import combinations
+
+    z_closed = {2: 4.0 * math.sqrt(math.pi), 3: 6.0 * math.sqrt(2.0) * math.pi}
+    rng = np.random.default_rng(3)
+    for n in (2, 3):
+        lam0 = rng.standard_normal((50, n))
+        lam0 -= lam0.mean(axis=1, keepdims=True)
+        sq = (lam0**2).sum(axis=1)
+        vdm = np.array([math.prod(abs(row[a] - row[b]) for a, b in combinations(range(n), 2))
+                        for row in lam0])
+        p0 = vdm * np.exp(-0.5 * sq) / (z_closed[n] / math.sqrt(2.0 * math.pi))
+        for sigma in (1.0, math.sqrt((n + 2) / 2.0)):
+            q0 = np.exp(-0.5 * sq / sigma**2) / (2.0 * math.pi * sigma**2) ** ((n - 1) / 2.0)
+            np.testing.assert_allclose(weyl._weyl_weight(lam0, sigma), p0 / q0, rtol=1e-12)
+
+
+# c_j by quadrature over the tridiagonal Hermite model, to ~1e-7 or better
+QUADRATURE_C = {(2, 1): 2.3453315089325, (3, 1): 3.1900001, (3, 2): 5.2594210}
+
+
+@pytest.mark.parametrize("route", [c_direct, c_weyl], ids=["direct", "weyl"])
+def test_both_routes_match_the_quadrature_values(route):
+    for (n, j), want in QUADRATURE_C.items():
+        for seed in (201, 202, 203):
+            est = route(n, 20000, seed, js=[j])[j]
+            assert z_score(est.mean, est.std_error, want) < 3.0, (n, j, seed, est)
 
 
 def test_interval_coverage_of_c_n():
     # a heavy-tailed integrand makes the estimated standard error too small;
-    # the tilted proposals keep the nominal 95% interval honest at 2000
-    # samples (a standard-normal proposal covers 86% on both routes)
+    # integrating the trace keeps the nominal 95% interval honest at 2000
+    # samples (sampling it covers 86% on both routes). The direct c_n is
+    # exact, so it covers trivially; the weyl c_n still carries the weight
     for route, n in ((c_direct, 5), (c_weyl, 3)):
         want = math.exp(n / 2.0)
         covered = sum(abs(est.mean - want) <= 1.96 * est.std_error
