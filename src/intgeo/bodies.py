@@ -10,10 +10,11 @@ enumeration require n <= 3.
 Whether M meets g L + t is batch_intersects, over a batch of linear maps g
 and translations t (intersects is its one-row case), the axis box of g L
 is moved_boxes, and the volume of the t at which they meet, vol(M + (-g L)),
-is the row sum of difference_volumes, its parts by degree in g: the body
-types pick the kernels there and nowhere else.
-Polytopes whose vertex set is cheap (vertex_set) avoid the linear programs
-(linprog) that the others solve.
+is the row sum of difference_volumes, its parts by degree in g; membership
+is the one-row case of contains_points: the body types pick the kernels
+there and nowhere else. Polytopes whose vertex set is cheap (vertex_set)
+answer boxes, support, distances and volumes from it without the linear
+programs (linprog) that the others solve.
 
 Every hull in the plane is planar_hull, Andrew's monotone chain in numpy:
 edge normals, facet equations, areas and perimeters of polygons all come
@@ -55,6 +56,14 @@ class EmptyBody:
 EMPTY = EmptyBody()
 
 
+def _array(value, ndim: int, name: str) -> np.ndarray:
+    """value as a float array of rank ndim (1 or 2), a lower rank promoted."""
+    arr = (np.atleast_1d if ndim == 1 else np.atleast_2d)(np.asarray(value, dtype=float))
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    return arr
+
+
 @dataclass(eq=False)
 class AffineMap:
     """x |-> matrix @ x + offset with an invertible linear part."""
@@ -77,7 +86,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        self.center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        self.center = _array(self.center, 1, "center")
         self.radius = float(self.radius)
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
@@ -96,9 +105,9 @@ class Ellipsoid:
     semiaxes: np.ndarray
 
     def __post_init__(self):
-        self.center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        self.axes = np.asarray(self.axes, dtype=float)
-        self.semiaxes = np.atleast_1d(np.asarray(self.semiaxes, dtype=float))
+        self.center = _array(self.center, 1, "center")
+        self.axes = _array(self.axes, 2, "axes")
+        self.semiaxes = _array(self.semiaxes, 1, "semiaxes")
         n = self.center.size
         if self.axes.shape != (n, n) or self.semiaxes.shape != (n,):
             raise ValueError("inconsistent ellipsoid dimensions")
@@ -126,8 +135,8 @@ class HPolytope:
     validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        self.offsets = np.atleast_1d(np.asarray(self.offsets, dtype=float))
+        self.normals = _array(self.normals, 2, "normals")
+        self.offsets = _array(self.offsets, 1, "offsets")
         if self.normals.shape[0] != self.offsets.size:
             raise ValueError("normals/offsets length mismatch")
         norms = np.linalg.norm(self.normals, axis=1)
@@ -155,7 +164,7 @@ class HPolytope:
 
     @cached_property
     def _vertices(self) -> np.ndarray:
-        # vertex_set of a polytope at n <= 3, enumerated once per body
+        # as_vpolytope, once per body: vertex_set and every vertex reader
         return as_vpolytope(self).vertices
 
 
@@ -164,7 +173,7 @@ class VPolytope:
     vertices: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        self.vertices = _array(self.vertices, 2, "vertices")
         if self.vertices.size == 0:
             raise ValueError("a V-polytope needs at least one vertex")
 
@@ -274,10 +283,12 @@ def qhull(points: np.ndarray):
 
 
 def contains_points(body: ConvexBody, points: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Vectorized membership test; points has shape (m, n), result (m,) bool."""
+    """Vectorized membership test; points has shape (m, n), result (m,) bool.
+    A flat vertex set, with no facets, takes the LP per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(body, Ball):
-        return np.linalg.norm(points - body.center, axis=1) <= body.radius + tol
+        d = points - body.center
+        return np.einsum("ij,ij->i", d, d) <= (body.radius + tol) ** 2
     if isinstance(body, Ellipsoid):
         local = (points - body.center) @ body.axes / body.semiaxes
         return np.einsum("ij,ij->i", local, local) <= (1.0 + tol) ** 2
@@ -292,15 +303,8 @@ def contains_points(body: ConvexBody, points: np.ndarray, tol: float = TOL) -> n
 
 
 def membership(body: ConvexBody, x: np.ndarray, tol: float = TOL) -> bool:
-    """Whether x lies in the body, with slack tol on the defining inequalities.
-
-    V-polytope membership is decided by linear feasibility over convex
-    combination weights, so it stays exact for degenerate (flat) vertex sets.
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(body, VPolytope):
-        return _vpolytope_member_lp(body, x, tol)
-    return bool(contains_points(body, x[None, :], tol)[0])
+    """Whether x lies in the body, with slack tol: contains_points on one row."""
+    return bool(contains_points(body, np.asarray(x, dtype=float)[None, :], tol)[0])
 
 
 def _vpolytope_member_lp(body: VPolytope, x: np.ndarray, tol: float) -> bool:
@@ -321,14 +325,16 @@ def _vpolytope_member_lp(body: VPolytope, x: np.ndarray, tol: float) -> bool:
 
 
 def support(body: ConvexBody, u: np.ndarray) -> float:
-    """Support function h(u) = max_{x in body} <u, x>."""
+    """Support function h(u) = max_{x in body} <u, x>; only bodies without a
+    vertex_set (H-polytopes at n >= 4) solve the support LP."""
     u = np.asarray(u, dtype=float)
     if isinstance(body, Ball):
         return float(u @ body.center + body.radius * np.linalg.norm(u))
     if isinstance(body, Ellipsoid):
         return float(u @ body.center + np.linalg.norm(body.semiaxes * (u @ body.axes)))
-    if isinstance(body, VPolytope):
-        return float(np.max(body.vertices @ u))
+    V = vertex_set(body)
+    if V is not None:
+        return float(np.max(V @ u))
     if isinstance(body, HPolytope):
         val, _ = linprog.support_hrep(body.normals, body.offsets, u)
         return val
@@ -336,7 +342,11 @@ def support(body: ConvexBody, u: np.ndarray) -> float:
 
 
 def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned (lower, upper) corners via 2n support evaluations."""
+    """Axis-aligned (lower, upper) corners: min/max over vertex_set when the
+    body has one, 2n support values otherwise."""
+    V = vertex_set(body)
+    if V is not None:
+        return V.min(axis=0), V.max(axis=0)
     n = body.dim
     lo = np.empty(n)
     hi = np.empty(n)
@@ -350,13 +360,6 @@ def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def body_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned (lower, upper) corners: min/max over vertex_set when the
-    body has one, the 2n support evaluations of bounding_box otherwise."""
-    V = vertex_set(body)
-    return bounding_box(body) if V is None else (V.min(axis=0), V.max(axis=0))
-
-
 def outer_radius(body: ConvexBody) -> float:
     """An upper bound on max ||x|| over the body (exact for V-polytopes)."""
     if isinstance(body, Ball):
@@ -365,7 +368,7 @@ def outer_radius(body: ConvexBody) -> float:
         return float(np.linalg.norm(body.center) + np.max(body.semiaxes))
     if isinstance(body, VPolytope):
         return float(np.max(np.linalg.norm(body.vertices, axis=1)))
-    lo, hi = body_box(body)
+    lo, hi = bounding_box(body)
     corner = np.maximum(np.abs(lo), np.abs(hi))
     return float(np.linalg.norm(corner))
 
@@ -767,7 +770,7 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
     if quadric[1] or vertex_set(L) is not None:
         # the midpoint of the boxes' overlap, when it lies in both bodies,
         # settles a hit without a distance or an LP
-        loM, hiM = body_box(M)
+        loM, hiM = bounding_box(M)
         cg, hw = moved_boxes(L, G)
         center = cg + t
         mid = 0.5 * (np.maximum(loM, center - hw) + np.minimum(hiM, center + hw))
@@ -852,7 +855,7 @@ def distance_to_body(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     if isinstance(body, VPolytope):
         return _vpolytope_distance(body, points)
     if isinstance(body, HPolytope):
-        return _vpolytope_distance(as_vpolytope(body), points)
+        return _vpolytope_distance(VPolytope(body._vertices), points)
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
@@ -950,8 +953,8 @@ def _hull_equations(body: VPolytope) -> np.ndarray | None:
     None for a flat vertex set. A segment in R^1 has the two end points as
     facets, so its membership is an interval test."""
     V = body.vertices
-    if body.dim == 1 and V.min() < V.max():
-        return np.array([[1.0, -V.max()], [-1.0, V.min()]])
+    if body.dim == 1:  # a repeated point is flat too
+        return np.array([[1.0, -V.max()], [-1.0, V.min()]]) if V.min() < V.max() else None
     if V.shape[0] <= body.dim:
         return None
     hull = planar_hull(body.vertices) if body.dim == 2 else qhull(body.vertices)
@@ -1031,15 +1034,13 @@ def polygon_boundary_distance(body: VPolytope, points: np.ndarray) -> np.ndarray
 
 
 def diameter(body: ConvexBody) -> float:
-    """Exact diameter. H-polytopes are vertex-enumerated first (needs n <= 3);
+    """Exact diameter. H-polytopes read their vertex enumeration (n <= 3);
     for higher-dimensional halfspace systems use diameter_upper_bound."""
     if isinstance(body, Ball):
         return 2.0 * body.radius
     if isinstance(body, Ellipsoid):
         return 2.0 * float(np.max(body.semiaxes))
-    if isinstance(body, HPolytope):
-        body = as_vpolytope(body)
-    V = body.vertices
+    V = body._vertices if isinstance(body, HPolytope) else body.vertices
     diff = V[:, None, :] - V[None, :, :]
     return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
 

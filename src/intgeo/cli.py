@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import bodies as bd
 from . import kinematic, weyl
-from .estimation import merge_results, run_chunks
+from .estimation import run_chunks
 from .linprog import SimplexError
 from .volumes import (QuadratureError, closed_intrinsic_volumes, steiner_fit)
 
@@ -214,13 +214,8 @@ def cmd_cj(args) -> dict:
             [(lambda rng, k, m=m: weyl.compute_constants(n, k, rng, method=m, js=js),
               samples)],
             seed + (0 if m == "direct" else 1), threads)
-        if m == "weyl":
-            merged = weyl.merge_weyl(parts, seed)
-            out[m] = {str(j): {**r.to_dict()} for j, r in sorted(merged.items())}
-        else:
-            merged = {j: merge_results([p[j] for p in parts], seed)
-                      for j in parts[0]}
-            out[m] = {str(j): r.to_dict() for j, r in sorted(merged.items())}
+        merged = weyl.merge_constants(parts, seed)
+        out[m] = {str(j): r.to_dict() for j, r in sorted(merged.items())}
         records += weyl.constants_to_records(n, m, merged)
     if args.cache:
         weyl.save_constants(args.cache, records)

@@ -27,9 +27,9 @@ from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
                          run_chunks, z_score)
 from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
-from .symmetric import sample_gaussian_sym, sample_haar_orthogonal
+from .symmetric import congruence, sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
-from .weyl import trace_moment
+from .weyl import merge_constants, trace_moment
 
 GROUPS = {"gl": ("full", False), "o": ("full", True), "so": ("special", True)}
 # inner points per LHS sample of the volume integrand: the outer draw of g
@@ -54,15 +54,6 @@ def _phi_kind(phi) -> str:
     if phi in ("chi", "volume"):
         return phi
     raise ValueError(f"unknown valuation {phi!r}")
-
-
-def _congruence(V: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V diag(w) V^T per row, adding (V_ij w_j) V_kj in ascending j: the
-    rounding of einsum("bij,bj,bkj->bik", V, w, V) in a third of its time."""
-    out = np.zeros(V.shape)
-    for j in range(V.shape[-1]):
-        out += (V[:, :, j] * w[:, j, None])[:, :, None] * V[:, None, :, j]
-    return out
 
 
 def check_lhs_inputs(group: str, phi, M, L) -> str:
@@ -122,11 +113,11 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     phi may be "chi", "volume", or a Valuation; custom valuations need both
     bodies as H-polytopes (the intersection must be constructible). Every
     pair draws k, X and t in batches. The box of gL is bodies.moved_boxes
-    and M's box bodies.body_box, so the translation box t ranges over is
+    and M's box bodies.bounding_box, so the translation box t ranges over is
     their Minkowski difference. The hit-or-miss integrand, per kind of phi:
     - chi: bodies.batch_intersects, where the pair's types pick the kernel;
-    - volume: membership of inner points, by the closed form when both
-      bodies are balls or ellipsoids and bodies.contains_points otherwise;
+    - volume: bodies.contains_points of M at the inner points and of L at
+      their pull-backs g^-1 (x - t), for every pair of bodies;
     - custom valuations: the explicit intersection of each row.
     The volume integrand draws its inner_samples points per row in blocks
     of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
@@ -156,10 +147,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     n = M.dim
     quadric = (isinstance(M, (bd.Ball, bd.Ellipsoid))
                and isinstance(L, (bd.Ball, bd.Ellipsoid)))
-    if quadric:
-        _, cM, invM = bd.quadric_frame(M)
-        _, _, invL0 = bd.quadric_frame(L)
-    loM, hiM = bd.body_box(M)
+    loM, hiM = bd.bounding_box(M)
     rows = max(1, _BLOCK_POINTS // inner_samples)
     steiner = isinstance(M, bd.Ball)
     degrees = np.arange(n + 1)
@@ -178,9 +166,9 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         else:
             X = sample_gaussian_sym(n, rng, size=B)
             lam, V = np.linalg.eigh(X)
-            G = k @ _congruence(V, np.exp(lam))
+            G = k @ congruence(V, np.exp(lam))
             if not (kind == "chi" and quadric):
-                invG = np.einsum("bij,bkj->bik", _congruence(V, np.exp(-lam)), k)
+                invG = np.einsum("bij,bkj->bik", congruence(V, np.exp(-lam)), k)
         # the box of gL is cg +- hw per row
         cg, hw = bd.moved_boxes(L, G)
         hi = hiM[None, :] + hw - cg
@@ -206,8 +194,6 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             loI = np.maximum(loM[None, :], center - hw)
             widI = np.clip(np.minimum(hiM[None, :], center + hw) - loI, 0.0, None)
             volI = np.prod(widI, axis=1)
-            if quadric:
-                invlin = invL0 @ invG
             frac = np.empty(B)
             # the inner points go in blocks of rows; drawing the blocks in
             # turn consumes the stream a single (B, inner, n) draw would
@@ -215,15 +201,9 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                 r1 = min(r0 + rows, B)
                 u = rng.random((r1 - r0, inner_samples, n))
                 pts = loI[r0:r1, None, :] + u * widI[r0:r1, None, :]
-                if quadric:
-                    y = (pts - cM) @ invM.T
-                    inM = np.einsum("bki,bki->bk", y, y) <= 1.0
-                    z = (pts - center[r0:r1, None, :]) @ np.swapaxes(invlin[r0:r1], 1, 2)
-                    inL = np.einsum("bki,bki->bk", z, z) <= 1.0
-                else:
-                    inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(r1 - r0, -1)
-                    y = np.einsum("bij,bkj->bki", invG[r0:r1], pts - t[r0:r1, None, :])
-                    inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
+                y = (pts - t[r0:r1, None, :]) @ np.swapaxes(invG[r0:r1], 1, 2)
+                inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(r1 - r0, -1)
+                inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
                 frac[r0:r1] = np.mean(inM & inL, axis=1)
             acc.update(volbox * volI * frac)
         else:
@@ -421,7 +401,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     lhs_parts, cj_parts, *crofton_parts = run_chunks(stages, seed, threads)
     lhs = merge_lhs(lhs_parts, seed)
     if cj_worker is not None:
-        constants = {j: merge_results([p[j] for p in cj_parts], seed) for j in cj_parts[0]}
+        constants = merge_constants(cj_parts, seed)
     elif constants is None:
         constants = {j: EstimatorResult(1.0, 0.0, 1, seed) for j in range(n + 1)}
     crofton = {j: merge_results(parts, seed) for j, parts in enumerate(crofton_parts)}

@@ -358,7 +358,8 @@ def euler_characteristic(body) -> int:
 
 
 def volume_exact(body) -> float:
-    """Lebesgue volume by closed form or hull computation."""
+    """Lebesgue volume by closed form or hull computation; an H-polytope
+    reads its vertex enumeration (n <= 3)."""
     if isinstance(body, bd.EmptyBody):
         return 0.0
     if isinstance(body, bd.Ball):
@@ -376,7 +377,7 @@ def volume_exact(body) -> float:
         hull = bd.qhull(body.vertices)
         return 0.0 if hull is None else float(hull.volume)
     if isinstance(body, bd.HPolytope):
-        return volume_exact(bd.as_vpolytope(body))
+        return volume_exact(bd.VPolytope(body._vertices))
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
@@ -422,7 +423,7 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
         if sides is not None:
             return _elementary_symmetric(sides, body.dim)
         if body.dim == 2:
-            return closed_intrinsic_volumes(bd.as_vpolytope(body))
+            return closed_intrinsic_volumes(bd.VPolytope(bd.vertex_set(body)))
         raise ValueError("no closed form for this halfspace system")
     if isinstance(body, bd.VPolytope) and body.dim == 2:
         hull = bd.planar_hull(body.vertices)

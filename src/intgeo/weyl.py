@@ -32,7 +32,8 @@ the normalization of the full eigenvalue density. Agreement between the
 routes checks Z_n and the spectral reduction at once. Anchors: c_0 = 1 and
 c_n = e^{n/2}, because det exp(X_0) = 1. The direct route returns both
 exactly; on the weyl route both carry the full weight, so they stay
-estimates of 1 and e^{n/2} that test Z_n.
+estimates of 1 and e^{n/2} that test one number, Z_n: V_n(exp(lambda_0)
+B^n) = kappa_n, so the weyl c_n is e^{n/2} c_0 sample by sample.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EstimatorResult, RunningMean, resolve_rng
+from .estimation import EstimatorResult, RunningMean, merge_results, resolve_rng
 from .symmetric import eigvals_sym_batch, sample_gaussian_sym
 from .volumes import batch_ellipsoid_intrinsic_volumes, intrinsic_volume_ball
 
@@ -188,24 +189,24 @@ def compute_constants(n: int, samples: int, rng, method: str = "direct",
     raise ValueError(f"unknown method {method!r}")
 
 
-def merge_weyl(parts: list[dict[int, WeylEstimate]], seed: int) -> dict[int, WeylEstimate]:
-    """Merge per-shard weyl estimates, recomputing the pooled ESS exactly."""
-    from .estimation import merge_results
-
-    js = sorted(parts[0].keys())
-    out: dict[int, WeylEstimate] = {}
+def merge_constants(parts: list[dict[int, EstimatorResult]],
+                    seed: int) -> dict[int, EstimatorResult]:
+    """Chunk estimates of c_j merged in chunk order, one j at a time
+    (merge_results). Weyl-route parts (WeylEstimate) also pool their
+    weights: the merged ESS is recomputed from the pooled sums, and
+    EssFloorError is raised when it falls below ESS_FLOOR."""
+    js = sorted(parts[0])
+    merged = {j: merge_results([p[j] for p in parts], seed) for j in js}
+    if not isinstance(parts[0][js[0]], WeylEstimate):
+        return merged
     w_sum = sum(p[js[0]].weight_sum for p in parts)
     w_sq = sum(p[js[0]].weight_sq_sum for p in parts)
     total = sum(p[js[0]].samples for p in parts)
     ess = w_sum**2 / (total * w_sq) if w_sq > 0 else 0.0
     if ess < ESS_FLOOR:
         raise EssFloorError(f"effective sample fraction {ess:.4f} below {ESS_FLOOR}")
-    for j in js:
-        base = merge_results([p[j] for p in parts], seed)
-        out[j] = WeylEstimate(mean=base.mean, std_error=base.std_error,
-                              samples=base.samples, seed=seed, ess=ess,
-                              weight_sum=w_sum, weight_sq_sum=w_sq)
-    return out
+    return {j: WeylEstimate(**vars(r), ess=ess, weight_sum=w_sum, weight_sq_sum=w_sq)
+            for j, r in merged.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from intgeo import bodies as bd
+from intgeo import linprog
 from intgeo.symmetric import expm_sym, sample_gaussian_sym, sample_haar_orthogonal
 from intgeo.volumes import closed_intrinsic_volumes, volume_exact
 
@@ -71,6 +72,9 @@ def test_membership_all_types():
     assert not bd.membership(box, np.array([1.1, 0.0]))
     assert bd.membership(tri, np.array([0.25, 0.25]))
     assert not bd.membership(tri, np.array([0.6, 0.6]))
+    # a flat vertex set has no facets: a repeated point in R^1 takes the LP
+    point = bd.VPolytope([[0.5], [0.5]])
+    assert bd.membership(point, np.array([0.5])) and not bd.membership(point, np.array([0.8]))
 
 
 def test_contains_points_vectorized_matches_membership():
@@ -78,8 +82,12 @@ def test_contains_points_vectorized_matches_membership():
     ell = bd.Ellipsoid([0.2, -0.1], rot2(1.1), [1.5, 0.4])
     pts = rng.standard_normal((200, 2))
     vec = bd.contains_points(ell, pts)
-    ref = np.array([bd.membership(ell, p) for p in pts])
-    assert np.array_equal(vec, ref)
+    assert np.array_equal(vec, [bd.membership(ell, p) for p in pts])
+    # membership is contains_points on one row; the quadratic form is the
+    # independent reference
+    Q = ell.axes @ np.diag(ell.semiaxes ** -2.0) @ ell.axes.T
+    d = pts - ell.center
+    assert np.array_equal(vec, np.einsum("ij,jk,ik->i", d, Q, d) <= 1.0)
 
 
 def test_support_values():
@@ -285,17 +293,18 @@ def test_separating_axis_test_matches_the_lp_on_polygon_pairs():
 @pytest.mark.parametrize("n", [2, 3])
 def test_vertex_set_box_matches_the_support_lps(n):
     # the box of gL from the vertex set, min/max of G v, equals the 2n
-    # support LPs of the moved body
+    # support LPs of the moved H-polytope
     rng = np.random.default_rng(29 + n)
     V = bd.random_polytope(n, 9, rng)
     eq = ConvexHull(V.vertices).equations
     H = bd.HPolytope(eq[:, :-1], -eq[:, -1])
-    for body in (V, H):
-        verts = bd.vertex_set(body)
-        for _ in range(20):
-            G = rng.standard_normal((n, n))
-            lo, hi = bd.bounding_box(bd.affine_image(body, bd.AffineMap(G, np.zeros(n))))
-            GV = verts @ G.T
+    for _ in range(20):
+        G = rng.standard_normal((n, n))
+        moved = bd.affine_image(H, bd.AffineMap(G, np.zeros(n)))
+        hi = [linprog.support_hrep(moved.normals, moved.offsets, e)[0] for e in np.eye(n)]
+        lo = [-linprog.support_hrep(moved.normals, moved.offsets, -e)[0] for e in np.eye(n)]
+        for body in (V, H):
+            GV = bd.vertex_set(body) @ G.T
             np.testing.assert_allclose(GV.min(axis=0), lo, rtol=0, atol=1e-12)
             np.testing.assert_allclose(GV.max(axis=0), hi, rtol=0, atol=1e-12)
     assert bd.vertex_set(bd.cube(4)) is None and bd.vertex_set(bd.unit_ball(2)) is None
@@ -310,7 +319,7 @@ def _draw_maps(n, B, rng):
 
 def _box_translations(M, L, G, rng):
     """Translations t uniform in the box of M + (-gL) widened by half."""
-    lo, hi = bd.body_box(M)
+    lo, hi = bd.bounding_box(M)
     cg, hw = bd.moved_boxes(L, G)
     lo, hi = lo - hw - cg, hi + hw - cg
     return lo - 0.25 * (hi - lo) + 1.5 * (hi - lo) * rng.random(cg.shape)
@@ -503,7 +512,7 @@ def test_difference_volumes_match_monte_carlo(M, L):
     rng = np.random.default_rng(90 + n)
     g = sample_haar_orthogonal(n, rng) @ expm_sym(0.6 * sample_gaussian_sym(n, rng))
     want = bd.difference_volumes(M, L, g[None])[0].sum()
-    loM, hiM = bd.body_box(M)
+    loM, hiM = bd.bounding_box(M)
     cg, hw = bd.moved_boxes(L, g[None])
     lo, hi = loM - cg[0] - hw[0], hiM - cg[0] + hw[0]
     inside = _in_difference_body(M, L, g)
@@ -784,6 +793,33 @@ def test_body_dict_roundtrip():
         assert abs(bd.support(back, u) - bd.support(body, u)) < 1e-9
 
 
+def test_polytopes_with_a_vertex_set_answer_without_lps(monkeypatch):
+    # an H-polygon validates by LP; afterwards it, and a 3-D cube, answer
+    # every single-body query from the vertex enumeration alone
+    poly = bd.HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                        np.array([1.0, 1.0, 1.0]))
+    cube = bd.cube(3)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_lp called")
+
+    monkeypatch.setattr(linprog, "solve_lp", no_lp)
+    assert bd.support(poly, np.array([1.0, 1.0])) == pytest.approx(2.0)
+    lo, hi = bd.bounding_box(poly)
+    np.testing.assert_allclose(lo, [-2.0, -2.0], atol=1e-12)
+    np.testing.assert_allclose(hi, [1.0, 1.0], atol=1e-12)
+    assert bd.outer_radius(poly) == pytest.approx(np.sqrt(8.0))
+    assert volume_exact(poly) == pytest.approx(4.5)
+    assert bd.distance_to_body(poly, np.array([[2.0, 0.0]]))[0] == pytest.approx(1.0)
+    assert bd.support(cube, np.ones(3)) == pytest.approx(3.0)
+    lo, hi = bd.bounding_box(cube)
+    np.testing.assert_allclose(lo, np.zeros(3), atol=1e-12)
+    np.testing.assert_allclose(hi, np.ones(3), atol=1e-12)
+    assert bd.outer_radius(cube) == pytest.approx(np.sqrt(3.0))
+    assert volume_exact(cube) == pytest.approx(1.0)
+    assert bd.distance_to_body(cube, np.array([[2.0, 0.5, 0.5]]))[0] == pytest.approx(1.0)
+
+
 def test_body_from_dict_rejects_malformed():
     with pytest.raises(ValueError):
         bd.body_from_dict({"type": "blob"})
@@ -791,6 +827,18 @@ def test_body_from_dict_rejects_malformed():
         bd.body_from_dict({"type": "ball", "center": [0.0, 0.0]})
     with pytest.raises(ValueError):
         bd.body_from_dict([1, 2, 3])
+    # arrays of the wrong rank: vectors must be 1-D, matrices 2-D
+    square = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    for data in ({"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0},
+                 {"type": "hpolytope", "normals": square, "offsets": [[1], [1], [1], [1]]},
+                 {"type": "hpolytope", "normals": [square], "offsets": [1, 1, 1, 1]},
+                 {"type": "ellipsoid", "center": [[0.0, 0.0]], "axes": np.eye(2).tolist(),
+                  "semiaxes": [1.0, 2.0]},
+                 {"type": "ellipsoid", "center": [0.0, 0.0], "axes": np.eye(2).tolist(),
+                  "semiaxes": [[1.0, 2.0]]},
+                 {"type": "vpolytope", "vertices": [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]}):
+        with pytest.raises(ValueError, match="-D array"):
+            bd.body_from_dict(data)
 
 
 def test_load_body(tmp_path):

@@ -451,6 +451,21 @@ def test_non_finite_body_entries_are_configuration_errors(tmp_path, body):
     assert "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("body", [
+    {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0},
+    {"type": "hpolytope", "normals": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+     "offsets": [[1], [1], [1], [1]]},
+], ids=["ball-nested-center", "hpolytope-nested-offsets"])
+def test_wrong_rank_body_arrays_are_configuration_errors(tmp_path, body):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body))
+    for args in (["intrinsic", "--body", str(path)],
+                 ["kinematic", "--M", str(path), "--L", str(path), "--samples", "100"]):
+        rc, out, err = run_cli(*args, "--seed", "1")
+        assert rc == 2, out
+        assert "-D array" in err and "Traceback" not in err
+
+
 _SCIPY_PROBE = """
 import json, sys
 from intgeo import cli

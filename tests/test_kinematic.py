@@ -6,9 +6,10 @@ import pytest
 from intgeo import bodies as bd
 from intgeo import linprog
 from intgeo.estimation import CHUNK_SAMPLES, EstimatorResult, z_score
-from intgeo.kinematic import (GROUPS, _congruence, build_report,
+from intgeo.kinematic import (GROUPS, build_report,
                               crofton_coefficient, lhs_kinematic, merge_lhs,
                               rhs_hadwiger_gl, separation_lemma_check)
+from intgeo.symmetric import congruence
 from intgeo.volumes import (Valuation, closed_intrinsic_volumes,
                             euler_valuation, kappa, volume_exact)
 
@@ -171,13 +172,15 @@ def test_report_headline_and_hit_or_miss_blocks():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_congruence_has_the_bits_of_the_three_operand_einsum(n):
-    # the LHS forms exp(X) and exp(-X) by the ordered loop; the einsum it
-    # replaced is the reference, equal to the last bit
+    # the LHS and expm_sym form exp(X) and exp(-X) by the ordered loop; the
+    # einsum it replaced is the reference, equal to the last bit
     rng = np.random.default_rng(70 + n)
     X = rng.standard_normal((500, n, n))
     lam, V = np.linalg.eigh(X + np.swapaxes(X, 1, 2))
     for w in (np.exp(lam), np.exp(-lam)):
-        assert np.array_equal(_congruence(V, w), np.einsum("bij,bj,bkj->bik", V, w, V))
+        assert np.array_equal(congruence(V, w), np.einsum("bij,bj,bkj->bik", V, w, V))
+        # one matrix (expm_sym's case) has the bits of its row of the stack
+        assert np.array_equal(congruence(V[7], w[7]), congruence(V, w)[7])
 
 
 @pytest.mark.parametrize("M, L", [

@@ -8,7 +8,7 @@ from intgeo.estimation import z_score
 from intgeo.weyl import (ESS_FLOOR, WEYL_MAX_N, EssFloorError, WeylEstimate,
                          c_direct, c_weyl, compute_constants,
                          constants_to_records, load_constants, lookup_constants,
-                         merge_weyl, save_constants, z_n)
+                         merge_constants, save_constants, z_n)
 
 
 def test_z_n_closed_forms():
@@ -98,14 +98,26 @@ def test_both_routes_match_the_quadrature_values(route):
 def test_interval_coverage_of_c_n():
     # a heavy-tailed integrand makes the estimated standard error too small;
     # integrating the trace keeps the nominal 95% interval honest at 2000
-    # samples (sampling it covers 86% on both routes). The direct c_n is
-    # exact, so it covers trivially; the weyl c_n still carries the weight
-    for route, n in ((c_direct, 5), (c_weyl, 3)):
-        want = math.exp(n / 2.0)
+    # samples (sampling it covers 86% on both routes). The direct c_0 and
+    # c_n are exact, so the direct case is a sampled j, against quadrature;
+    # the weyl c_n still carries the weight
+    for route, n, j, want in ((c_direct, 3, 2, QUADRATURE_C[(3, 2)]),
+                              (c_weyl, 3, 3, math.exp(1.5))):
         covered = sum(abs(est.mean - want) <= 1.96 * est.std_error
-                      for est in (route(n, 2000, seed, js=[n])[n]
+                      for est in (route(n, 2000, seed, js=[j])[j]
                                   for seed in range(1000, 1200)))
-        assert 0.90 <= covered / 200 <= 1.0, f"{route.__name__} c_{n}: {covered}/200"
+        assert 0.90 <= covered / 200 <= 1.0, f"{route.__name__} c_{j}: {covered}/200"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_weyl_cn_is_a_rescaled_c0(n):
+    # V_n(exp(lam0) B^n) = kappa_n on the traceless hyperplane, so the weyl
+    # c_n is e^{n/2} c_0 sample by sample: the two anchors test one number,
+    # Z_n, and share their relative standard error
+    out = c_weyl(n, 5000, 40 + n)
+    c0, cn = out[0], out[n]
+    assert abs(cn.mean / (math.exp(n / 2.0) * c0.mean) - 1.0) < 1e-12
+    assert abs(cn.std_error / cn.mean - c0.std_error / c0.mean) < 1e-12
 
 
 def test_tilted_proposals_cut_the_error():
@@ -137,9 +149,9 @@ def test_requested_j_subset():
     assert set(out) == {0, 3}
 
 
-def test_merge_weyl_pools_shards(monkeypatch):
+def test_merge_constants_pools_weyl_shards(monkeypatch):
     parts = [c_weyl(2, 20000, seed) for seed in (100, 101, 102)]
-    merged = merge_weyl(parts, seed=100)
+    merged = merge_constants(parts, seed=100)
     assert merged[1].samples == 60000
     # pooled mean lies within the spread of the shard means
     means = [p[1].mean for p in parts]
@@ -147,7 +159,7 @@ def test_merge_weyl_pools_shards(monkeypatch):
     assert 0.0 < merged[1].ess <= 1.0
     monkeypatch.setattr(weyl, "ESS_FLOOR", 0.99)
     with pytest.raises(EssFloorError):
-        merge_weyl(parts, seed=100)
+        merge_constants(parts, seed=100)
 
 
 def test_ess_floor_constant():
