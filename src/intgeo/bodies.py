@@ -11,10 +11,11 @@ Whether M meets g L + t is batch_intersects, over a batch of linear maps g
 and translations t (intersects is its one-row case), the axis box of g L
 is moved_boxes, and the volume of the t at which they meet, vol(M + (-g L)),
 is the row sum of difference_volumes, its parts by degree in g; membership
-is the one-row case of contains_points: the body types pick the kernels
-there and nowhere else. Polytopes whose vertex set is cheap (vertex_set)
-answer boxes, support, distances and volumes from it without the linear
-programs (linprog) that the others solve.
+is the one-row case of contains_points, and support and bounding_box are the
+one-row cases of moved_support: the body types pick the kernels there and
+nowhere else. Polytopes whose vertex set is cheap (vertex_set) answer
+support, distances and volumes from it without the linear programs
+(linprog) that the others solve.
 
 Every hull in the plane is planar_hull, Andrew's monotone chain in numpy:
 edge normals, facet equations, areas and perimeters of polygons all come
@@ -325,49 +326,30 @@ def _vpolytope_member_lp(body: VPolytope, x: np.ndarray, tol: float) -> bool:
 
 
 def support(body: ConvexBody, u: np.ndarray) -> float:
-    """Support function h(u) = max_{x in body} <u, x>; only bodies without a
-    vertex_set (H-polytopes at n >= 4) solve the support LP."""
+    """Support function h(u) = max_{x in body} <u, x>: moved_support on one
+    row with g = I."""
     u = np.asarray(u, dtype=float)
-    if isinstance(body, Ball):
-        return float(u @ body.center + body.radius * np.linalg.norm(u))
-    if isinstance(body, Ellipsoid):
-        return float(u @ body.center + np.linalg.norm(body.semiaxes * (u @ body.axes)))
-    V = vertex_set(body)
-    if V is not None:
-        return float(np.max(V @ u))
-    if isinstance(body, HPolytope):
-        val, _ = linprog.support_hrep(body.normals, body.offsets, u)
-        return val
-    raise TypeError(f"unsupported body {type(body).__name__}")
+    return float(moved_support(body, np.eye(body.dim)[None], u[None])[0, 0])
 
 
 def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned (lower, upper) corners: min/max over vertex_set when the
-    body has one, 2n support values otherwise."""
-    V = vertex_set(body)
-    if V is not None:
-        return V.min(axis=0), V.max(axis=0)
+    """Axis-aligned (lower, upper) corners: moved_support on one row with
+    g = I, at the 2n directions +-e_k."""
     n = body.dim
-    lo = np.empty(n)
-    hi = np.empty(n)
-    e = np.zeros(n)
-    for k in range(n):
-        e[k] = 1.0
-        hi[k] = support(body, e)
-        e[k] = -1.0
-        lo[k] = -support(body, e)
-        e[k] = 0.0
-    return lo, hi
+    h = moved_support(body, np.eye(n)[None], np.vstack([np.eye(n), -np.eye(n)]))[0]
+    return -h[n:], h[:n]
 
 
 def outer_radius(body: ConvexBody) -> float:
-    """An upper bound on max ||x|| over the body (exact for V-polytopes)."""
+    """An upper bound on max ||x|| over the body, exact for bodies with a
+    vertex_set (the largest vertex norm) and for centered quadrics."""
     if isinstance(body, Ball):
         return float(np.linalg.norm(body.center) + body.radius)
     if isinstance(body, Ellipsoid):
         return float(np.linalg.norm(body.center) + np.max(body.semiaxes))
-    if isinstance(body, VPolytope):
-        return float(np.max(np.linalg.norm(body.vertices, axis=1)))
+    V = vertex_set(body)
+    if V is not None:
+        return float(np.max(np.linalg.norm(V, axis=1)))
     lo, hi = bounding_box(body)
     corner = np.maximum(np.abs(lo), np.abs(hi))
     return float(np.linalg.norm(corner))
@@ -595,27 +577,39 @@ def quadric_frame(body: Ball | Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.nd
     raise TypeError("frame requires a ball or ellipsoid")
 
 
+def moved_support(L: ConvexBody, G: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The support h_{g_b L}(u_i) of each g_b L at each direction u_i, (B, k).
+
+    G (B, n, n) holds the linear maps g_b and U (k, n) the directions. L's
+    type picks the kernel: <G_b c, u> + ||(G_b lin)^T u|| for a ball or
+    ellipsoid {c + lin z}, the max over G_b V for a polytope with a vertex
+    set V, else (H-polytopes at n >= 4) the LP h_L(G_b^T u) per row and u.
+    """
+    if isinstance(L, (Ball, Ellipsoid)):
+        lin, c, _ = quadric_frame(L)
+        return (np.einsum("bij,j->bi", G, c) @ U.T
+                + np.linalg.norm(U @ (G @ lin), axis=2))
+    V = vertex_set(L)
+    if V is not None:
+        return (V @ np.swapaxes(G, 1, 2) @ U.T).max(axis=1)
+    return np.array([[linprog.support_hrep(L.normals, L.offsets, g.T @ u)[0] for u in U]
+                     for g in G])
+
+
 def moved_boxes(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The axis box of each g_b L, as centers cg (B, n) and half-widths hw (B, n).
 
-    G (B, n, n) holds the linear maps g_b. L's type alone picks the kernel:
-    a ball or ellipsoid {c + lin z} has the closed form cg = G c and hw_i =
-    ||(G lin)_i|| (its support at e_i); a polytope with a vertex set V takes
-    min/max of G V; any other body (H-polytopes at n >= 4) the 2n support
-    LPs of each moved body.
+    G (B, n, n) holds the linear maps g_b. A ball or ellipsoid {c + lin z}
+    has the closed form cg = G c and hw_i = ||(G lin)_i|| (its support at
+    e_i); every other body reads moved_support at the 2n directions +-e_i.
     """
     B, n, _ = G.shape
     if isinstance(L, (Ball, Ellipsoid)):
         lin, c, _ = quadric_frame(L)
         cg = np.einsum("bij,j->bi", G, c) if np.any(c) else np.zeros((B, n))
         return cg, np.linalg.norm(G @ lin, axis=2)
-    V = vertex_set(L)
-    if V is not None:
-        GV = V @ np.swapaxes(G, 1, 2)  # (B, m, n): the vertices of gL
-        lo, hi = GV.min(axis=1), GV.max(axis=1)
-    else:
-        box = np.array([bounding_box(affine_image(L, AffineMap(g, np.zeros(n)))) for g in G])
-        lo, hi = box[:, 0], box[:, 1]
+    h = moved_support(L, G, np.vstack([np.eye(n), -np.eye(n)]))
+    lo, hi = -h[:, n:], h[:, :n]
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
@@ -676,17 +670,6 @@ def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray,
                             np.abs(np.linalg.det(G)) * hull.area])
 
 
-def _moved_support(L: ConvexBody, G: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The support of each g_b L at each direction U_i (k, n), (B, k): the
-    closed form <G_b c, u> + ||(G_b lin)^T u|| for a ball or ellipsoid
-    {c + lin z}, max over the moved vertex set G_b V for a polytope."""
-    if isinstance(L, (Ball, Ellipsoid)):
-        lin, c, _ = quadric_frame(L)
-        return (np.einsum("bij,j->bi", G, c) @ U.T
-                + np.linalg.norm(U @ (G @ lin), axis=2))
-    return (vertex_set(L) @ np.swapaxes(G, 1, 2) @ U.T).max(axis=1)
-
-
 def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
                        vj: np.ndarray | None = None) -> np.ndarray | None:
     """The parts of vol(M + (-g_b L)) by degree in g_b, (B, n + 1), for each
@@ -723,7 +706,7 @@ def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
         return None
     eq = hull.equations
     lengths = np.hypot(hull.edges[:, 0], hull.edges[:, 1])
-    mixed = _moved_support(L, G, -eq[:, :2]) @ lengths
+    mixed = moved_support(L, G, -eq[:, :2]) @ lengths
     return np.column_stack([np.full(B, hull.area), mixed,
                             np.abs(np.linalg.det(G)) * volume_exact(L)])
 

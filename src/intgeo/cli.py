@@ -233,6 +233,7 @@ def cmd_kinematic(args) -> dict:
     L = _load_body_arg(args.L, "--L")
     try:
         kinematic.check_lhs_inputs(group, phi, M, L)
+        kinematic.check_rhs_inputs(phi, M, L)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     n = M.dim
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
         _merge_config(args, _load_config(args.config), args.parser)
         payload = args.func(args)
         _emit(payload, args)
-    except ConfigError as exc:
+    except (ConfigError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, weyl.EssFloorError, SimplexError,

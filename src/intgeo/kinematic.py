@@ -80,6 +80,18 @@ def check_lhs_inputs(group: str, phi, M, L) -> str:
     return kind
 
 
+def check_rhs_inputs(phi, M, L) -> None:
+    """Refuse a right-hand side build_report cannot evaluate, with ValueError:
+    L without closed_intrinsic_volumes, or for the volume phi an M without
+    volume_exact (its Crofton j = n term)."""
+    closed_intrinsic_volumes(L)
+    if _phi_kind(phi) == "volume":
+        try:
+            volume_exact(M)
+        except NotImplementedError as exc:
+            raise ValueError(f"no exact volume of M: {exc}") from exc
+
+
 @dataclass
 class LhsEstimate(EstimatorResult):
     """One run of lhs_kinematic: the hit-or-miss estimate (the inherited
@@ -367,11 +379,12 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     The stages run on one chunk plan (estimation.run_chunks) in the order
     LHS, c_j, then Crofton j = 0..n, so every chunk of every stage draws
     from its own child of SeedSequence(seed) and the report depends only
-    on its arguments, never on threads. cj_samples and crofton_samples
-    default to stage_samples(samples). The c_j stage reserves its streams
-    even when it draws nothing: when constants are given (e.g. from a
-    cache file) or the group is compact, where every c_j is 1. Each stage
-    merges its chunks in order.
+    on its arguments, never on threads; check_rhs_inputs runs first, so an
+    RHS that cannot be evaluated draws nothing. cj_samples and
+    crofton_samples default to stage_samples(samples). The c_j stage
+    reserves its streams even when it draws nothing: when constants are
+    given (e.g. from a cache file) or the group is compact, where every c_j
+    is 1. Each stage merges its chunks in order.
 
     The headline lhs is the translation-exact estimate when the pair has
     one, else the hit-or-miss estimate; z_total, z_half and convention read
@@ -384,6 +397,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     """
     n = M.dim
     kind = _phi_kind(phi)
+    check_rhs_inputs(phi, M, L)
     cj_worker = None
     if constants is None and group == "gl":
         from .weyl import c_direct

@@ -6,6 +6,7 @@ from intgeo import bodies as bd
 from intgeo import linprog
 from intgeo.symmetric import expm_sym, sample_gaussian_sym, sample_haar_orthogonal
 from intgeo.volumes import closed_intrinsic_volumes, volume_exact
+from test_kinematic import TILTED
 
 
 def rot2(theta):
@@ -482,6 +483,69 @@ ELL3 = bd.Ellipsoid([0.2, -0.1, 0.3], np.linalg.qr(np.arange(9.0).reshape(3, 3) 
                     [1.2, 0.8, 0.5])
 
 
+def _h_polytope_with_a_corner_cut(n):
+    """The cube [-1, 1]^n cut by <1, x> <= 1: an H-polytope that is not a box."""
+    return bd.HPolytope(np.vstack([np.eye(n), -np.eye(n), np.ones((1, n))]), np.ones(2 * n + 1))
+
+
+MOVED_SUPPORT_BODIES = [bd.Ball([0.3, -0.2], 0.7), TILTED, VPENT, HEX,
+                        _h_polytope_with_a_corner_cut(3), _h_polytope_with_a_corner_cut(4)]
+MOVED_SUPPORT_IDS = ["ball", "tilted-ellipsoid", "v-polygon", "h-polygon",
+                     "h-polytope-3d", "h-polytope-4d"]
+
+
+@pytest.mark.parametrize("L", MOVED_SUPPORT_BODIES, ids=MOVED_SUPPORT_IDS)
+def test_moved_support_matches_each_moved_body(L):
+    # h_{g_b L}(u_i) against each g_b L built by affine_image: the support
+    # LP of its halfspace system (a V-polygon's from its hull), or the closed
+    # form <c, u> + ||lin^T u|| of the moved quadric's own frame; the 4-D
+    # body takes moved_support's LP branch, which no vertex set replaces
+    n = L.dim
+    rng = np.random.default_rng(40 + n)
+    G, _ = _draw_maps(n, 3, rng)
+    U = rng.standard_normal((4, n))
+    h = bd.moved_support(L, G, U)
+    assert h.shape == (3, 4)
+    for b, g in enumerate(G):
+        moved = bd.affine_image(L, bd.AffineMap(g, np.zeros(n)))
+        if isinstance(moved, bd.VPolytope):
+            eq = ConvexHull(moved.vertices).equations
+            moved = bd.HPolytope(eq[:, :-1], -eq[:, -1])
+        for i, u in enumerate(U):
+            if isinstance(moved, bd.HPolytope):
+                ref = linprog.support_hrep(moved.normals, moved.offsets, u)[0]
+            else:
+                lin, c, _ = bd.quadric_frame(moved)
+                ref = c @ u + np.linalg.norm(lin.T @ u)
+            assert h[b, i] == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("L", MOVED_SUPPORT_BODIES, ids=MOVED_SUPPORT_IDS)
+def test_support_and_bounding_box_are_the_one_row_case(L):
+    n = L.dim
+    eye = np.eye(n)[None]
+    u = np.random.default_rng(44).standard_normal(n)
+    assert bd.support(L, u) == bd.moved_support(L, eye, u[None])[0, 0]
+    h = bd.moved_support(L, eye, np.vstack([np.eye(n), -np.eye(n)]))[0]
+    lo, hi = bd.bounding_box(L)
+    assert np.array_equal(lo, -h[n:]) and np.array_equal(hi, h[:n])
+    V = bd.vertex_set(L)
+    if V is not None:  # max(-x) = -min(x) and V @ I = V hold exactly
+        assert np.array_equal(lo, V.min(axis=0)) and np.array_equal(hi, V.max(axis=0))
+
+
+def test_moved_boxes_without_a_vertex_set_match_the_moved_bodies():
+    # at n >= 4 an H-polytope's box of g L reads the LPs h_L(g^T e) on L's own
+    # system, where the box of the moved body solves them on g L's system
+    L = _h_polytope_with_a_corner_cut(4)
+    G, _ = _draw_maps(4, 3, np.random.default_rng(45))
+    cg, hw = bd.moved_boxes(L, G)
+    for b, g in enumerate(G):
+        lo, hi = bd.bounding_box(bd.affine_image(L, bd.AffineMap(g, np.zeros(4))))
+        np.testing.assert_allclose(cg[b] - hw[b], lo, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(cg[b] + hw[b], hi, rtol=0, atol=1e-9)
+
+
 def _in_difference_body(M, L, g):
     """Membership of translations in M + (-gL), decided by distances and
     hulls that share no code with difference_volumes."""
@@ -808,7 +872,8 @@ def test_polytopes_with_a_vertex_set_answer_without_lps(monkeypatch):
     lo, hi = bd.bounding_box(poly)
     np.testing.assert_allclose(lo, [-2.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(hi, [1.0, 1.0], atol=1e-12)
-    assert bd.outer_radius(poly) == pytest.approx(np.sqrt(8.0))
+    # the largest vertex norm, |(1, -2)| = |(-2, 1)| (the box corner reads sqrt(8))
+    assert bd.outer_radius(poly) == pytest.approx(np.sqrt(5.0))
     assert volume_exact(poly) == pytest.approx(4.5)
     assert bd.distance_to_body(poly, np.array([[2.0, 0.0]]))[0] == pytest.approx(1.0)
     assert bd.support(cube, np.ones(3)) == pytest.approx(3.0)

@@ -199,6 +199,36 @@ def test_chi_ball_vs_polytope_above_3d_is_refused(tmp_path):
     assert "n <= 3" in err and "Traceback" not in err
 
 
+# the cube [-1, 1]^4 cut by <1, x> <= 1: a 4-D H-polytope that is not a box
+_CUT_CUBE4 = {"type": "hpolytope",
+              "normals": np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]).tolist(),
+              "offsets": [1.0] * 9}
+
+
+@pytest.mark.parametrize("args, bodies, message", [
+    (["kinematic", "--M", "M", "--L", "L"],
+     {"M": bd.body_to_dict(bd.unit_ball(3)),
+      "L": {"type": "vpolytope", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+     "no closed form for VPolytope"),
+    (["kinematic", "--M", "M", "--L", "M"], {"M": _CUT_CUBE4},
+     "no closed form for this halfspace system"),
+    (["kinematic", "--phi", "volume", "--M", "M", "--L", "M"],
+     {"M": bd.body_to_dict(bd.cube(4, side=2.0, centered=True))}, "no exact volume of M"),
+    (["intrinsic", "--body", "M", "--method", "steiner"], {"M": _CUT_CUBE4}, "n <= 3"),
+], ids=["kinematic-tetrahedron-L", "kinematic-cut-cube-4d", "kinematic-volume-cube-4d-M",
+        "intrinsic-steiner-cut-cube-4d"])
+def test_bodies_a_stage_cannot_evaluate_are_configuration_errors(tmp_path, args, bodies,
+                                                                  message):
+    # refused before anything is drawn, where each ran its stages and then
+    # died with a traceback
+    for name, body in bodies.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(body))
+    args = [str(tmp_path / f"{a}.json") if a in bodies else a for a in args]
+    rc, _, err = run_cli(*args, "--seed", "1", "--samples", "1000", "--threads", "1")
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_cj_rejects_n_beyond_weyl_range():
     rc, _, err = run_cli("cj", "--n", "7", "--seed", "1", "--samples", "100")
     assert rc == 2

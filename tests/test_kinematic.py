@@ -374,6 +374,25 @@ def test_build_report_injection_paths():
     assert injected.to_dict() == drawn.to_dict()
 
 
+@pytest.mark.parametrize("phi, M, L, message", [
+    ("chi", bd.unit_ball(3), bd.VPolytope(np.vstack([np.zeros(3), np.eye(3)])),
+     "no closed form for VPolytope"),
+    ("chi", bd.cube(4), bd.HPolytope(np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]),
+                                     np.ones(9)), "no closed form for this halfspace system"),
+    ("volume", bd.cube(4), bd.cube(4), "no exact volume of M"),
+], ids=["tetrahedron-L", "cut-cube-4d-L", "volume-of-cube-4d-M"])
+def test_build_report_refuses_an_rhs_it_cannot_evaluate_before_drawing(monkeypatch, phi,
+                                                                        M, L, message):
+    from intgeo import kinematic
+
+    def no_lhs(*args, **kwargs):
+        raise AssertionError("lhs_kinematic called")
+
+    monkeypatch.setattr(kinematic, "lhs_kinematic", no_lhs)
+    with pytest.raises(ValueError, match=message):
+        build_report("gl", phi, M, L, 1000, 1)
+
+
 def test_stage_streams_never_collide(monkeypatch):
     # the LHS, c_j and every Crofton stage span two chunks; each chunk must
     # start from its own generator state
