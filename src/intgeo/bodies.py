@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -332,11 +332,22 @@ def support(body: ConvexBody, u: np.ndarray) -> float:
     return float(moved_support(body, np.eye(body.dim)[None], u[None])[0, 0])
 
 
+@cache
+def _axes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I, U): the identity as a one-row stack (1, n, n) and the 2n
+    directions +e_1..+e_n, -e_1..-e_n as rows (2n, n), built once per n and
+    read-only."""
+    eye = np.eye(n)[None]
+    U = np.vstack([np.eye(n), -np.eye(n)])
+    eye.flags.writeable = U.flags.writeable = False
+    return eye, U
+
+
 def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned (lower, upper) corners: moved_support on one row with
     g = I, at the 2n directions +-e_k."""
     n = body.dim
-    h = moved_support(body, np.eye(n)[None], np.vstack([np.eye(n), -np.eye(n)]))[0]
+    h = moved_support(body, *_axes(n))[0]
     return -h[n:], h[:n]
 
 
@@ -608,7 +619,7 @@ def moved_boxes(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lin, c, _ = quadric_frame(L)
         cg = np.einsum("bij,j->bi", G, c) if np.any(c) else np.zeros((B, n))
         return cg, np.linalg.norm(G @ lin, axis=2)
-    h = moved_support(L, G, np.vstack([np.eye(n), -np.eye(n)]))
+    h = moved_support(L, G, _axes(n)[1])
     lo, hi = -h[:, n:], h[:, :n]
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 

@@ -233,7 +233,7 @@ def cmd_kinematic(args) -> dict:
     L = _load_body_arg(args.L, "--L")
     try:
         kinematic.check_lhs_inputs(group, phi, M, L)
-        kinematic.check_rhs_inputs(phi, M, L)
+        v_l = kinematic.check_rhs_inputs(phi, M, L)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     n = M.dim
@@ -271,7 +271,7 @@ def cmd_kinematic(args) -> dict:
                                     inner_samples=inner, cj_samples=cj_samples,
                                     crofton_samples=crofton_samples,
                                     window_radius=window, constants=constants,
-                                    threads=threads)
+                                    threads=threads, v_l=v_l)
     payload = {"schema_version": SCHEMA_VERSION, "command": "kinematic",
                "params": {"group": group, "phi": phi,
                           "M": bd.body_to_dict(M), "L": bd.body_to_dict(L),

@@ -32,8 +32,10 @@ from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 from .weyl import merge_constants, trace_moment
 
 GROUPS = {"gl": ("full", False), "o": ("full", True), "so": ("special", True)}
-# inner points per LHS sample of the volume integrand: the outer draw of g
-# sets most of the variance, so more points cost time and buy little
+# inner points per LHS sample of the volume integrand: with the trace tilted
+# its mean given g is constant and the draw of t sets most of the variance,
+# so more points cost time and buy little (sigma^2 x seconds on two discs is
+# about the same at 4, 8 and 16)
 INNER_SAMPLES = 4
 # inner points per row block of the volume integrand (~1 MB per array at n = 2)
 _BLOCK_POINTS = 1 << 16
@@ -80,16 +82,18 @@ def check_lhs_inputs(group: str, phi, M, L) -> str:
     return kind
 
 
-def check_rhs_inputs(phi, M, L) -> None:
+def check_rhs_inputs(phi, M, L) -> np.ndarray:
     """Refuse a right-hand side build_report cannot evaluate, with ValueError:
     L without closed_intrinsic_volumes, or for the volume phi an M without
-    volume_exact (its Crofton j = n term)."""
-    closed_intrinsic_volumes(L)
+    volume_exact (its Crofton j = n term). Returns L's intrinsic volumes
+    (V_0, ..., V_n), the ones rhs_hadwiger_gl reads."""
+    v_l = closed_intrinsic_volumes(L)
     if _phi_kind(phi) == "volume":
         try:
             volume_exact(M)
         except NotImplementedError as exc:
             raise ValueError(f"no exact volume of M: {exc}") from exc
+    return v_l
 
 
 @dataclass
@@ -152,6 +156,15 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     so the terms check the factorization apart from c_j's own route. The
     volume phi has no exact estimate: its t-integral vol(M) vol(gL) would
     make the Fubini anchor a tautology.
+
+    The volume phi stays hit-or-miss in t, but under gl its trace is
+    tilted: the draws of X are shifted to X + I (the same eigenvectors, the
+    same stream), so tr X ~ N(n, n) and g becomes e g, and each sample is
+    weighted by trace_moment(n, n) e^{-tr X}, the likelihood ratio of
+    N(0, n) to N(n, n). This is the degree-n case of the exact chi weights:
+    the weighted t-integral, vol(M) vol(L) e^{tr X} times that weight, is
+    the constant e^{n/2} vol(M) vol(L), so the log-normal tail of det g is
+    gone and only t and the inner points vary.
     """
     kind = check_lhs_inputs(group, phi, M, L)
     rng, seed = resolve_rng(rng)
@@ -178,6 +191,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         else:
             X = sample_gaussian_sym(n, rng, size=B)
             lam, V = np.linalg.eigh(X)
+            if kind == "volume":  # draw tr X from N(n, n): X + I, g becomes e g
+                lam = lam + 1.0
             G = k @ congruence(V, np.exp(lam))
             if not (kind == "chi" and quadric):
                 invG = np.einsum("bij,bkj->bik", congruence(V, np.exp(-lam)), k)
@@ -217,7 +232,10 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                 inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(r1 - r0, -1)
                 inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
                 frac[r0:r1] = np.mean(inM & inL, axis=1)
-            acc.update(volbox * volI * frac)
+            val = volbox * volI * frac
+            if not compact:  # the likelihood ratio of N(0, n) to N(n, n) at tr X
+                val = val * moments[n] * np.exp(-lam.sum(axis=1))
+            acc.update(val)
         else:
             val = [phi(bd.intersect_hrep(M, bd.affine_image(L, bd.AffineMap(g, s))))
                    for g, s in zip(G, t)]
@@ -275,27 +293,27 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
     return EstimatorResult.from_accumulator(acc, seed, importance_volume=weight)
 
 
-def rhs_hadwiger_gl(phi, M, L, constants: dict[int, EstimatorResult],
+def rhs_hadwiger_gl(v_l: np.ndarray, constants: dict[int, EstimatorResult],
                     crofton: dict[int, EstimatorResult]) -> dict:
     """Assemble both right-hand-side candidates from estimated pieces.
 
-    Needs c_j and phi_{n-j}(M) for every 0 <= j <= n and a closed form for
-    the intrinsic volumes of L. Returns the per-j terms (half convention),
-    their sum, the doubled sum, and propagated standard errors.
+    v_l holds the intrinsic volumes (V_0, ..., V_n) of L (check_rhs_inputs
+    returns them); constants and crofton need c_j and phi_{n-j}(M) for every
+    0 <= j <= n. Returns the per-j terms (half convention), their sum, the
+    doubled sum, and propagated standard errors.
     """
-    n = M.dim
-    vL = closed_intrinsic_volumes(L)
+    n = len(v_l) - 1
     terms = []
     var = 0.0
     for j in range(n + 1):
         c = constants[j]
         f = crofton[j]
-        term = c.mean * f.mean * float(vL[j])
-        tvar = (c.mean * f.std_error * vL[j]) ** 2 + (f.mean * c.std_error * vL[j]) ** 2
+        term = c.mean * f.mean * float(v_l[j])
+        tvar = (c.mean * f.std_error * v_l[j]) ** 2 + (f.mean * c.std_error * v_l[j]) ** 2
         var += tvar
         terms.append({"j": j, "c_j": c.mean, "c_j_se": c.std_error,
                       "phi_coeff": f.mean, "phi_coeff_se": f.std_error,
-                      "v_j": float(vL[j]), "term": term,
+                      "v_j": float(v_l[j]), "term": term,
                       "std_error": float(np.sqrt(tvar))})
     half = float(sum(t["term"] for t in terms))
     se = float(np.sqrt(var))
@@ -373,14 +391,16 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
                  crofton_samples: int | None = None,
                  window_radius: float | None = None,
                  constants: dict[int, EstimatorResult] | None = None,
-                 threads: int = 1) -> KinematicReport:
+                 threads: int = 1,
+                 v_l: np.ndarray | None = None) -> KinematicReport:
     """Run both sides and package the comparison.
 
     The stages run on one chunk plan (estimation.run_chunks) in the order
     LHS, c_j, then Crofton j = 0..n, so every chunk of every stage draws
     from its own child of SeedSequence(seed) and the report depends only
     on its arguments, never on threads; check_rhs_inputs runs first, so an
-    RHS that cannot be evaluated draws nothing. cj_samples and
+    RHS that cannot be evaluated draws nothing, unless the caller has run it
+    and passes its result as v_l (L's intrinsic volumes). cj_samples and
     crofton_samples default to stage_samples(samples). The c_j stage
     reserves its streams even when it draws nothing: when constants are
     given (e.g. from a cache file) or the group is compact, where every c_j
@@ -397,7 +417,8 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     """
     n = M.dim
     kind = _phi_kind(phi)
-    check_rhs_inputs(phi, M, L)
+    if v_l is None:
+        v_l = check_rhs_inputs(phi, M, L)
     cj_worker = None
     if constants is None and group == "gl":
         from .weyl import c_direct
@@ -419,7 +440,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     elif constants is None:
         constants = {j: EstimatorResult(1.0, 0.0, 1, seed) for j in range(n + 1)}
     crofton = {j: merge_results(parts, seed) for j, parts in enumerate(crofton_parts)}
-    rhs = rhs_hadwiger_gl(phi, M, L, constants, crofton)
+    rhs = rhs_hadwiger_gl(v_l, constants, crofton)
 
     def z_pair(est: EstimatorResult) -> tuple[float, float]:
         return (z_score(est.mean, est.std_error, rhs["rhs_total"], rhs["se_total"]),

@@ -359,7 +359,8 @@ def euler_characteristic(body) -> int:
 
 def volume_exact(body) -> float:
     """Lebesgue volume by closed form or hull computation; an H-polytope
-    reads its vertex enumeration (n <= 3)."""
+    that is an axis-aligned box is the product of its sides (any n), any
+    other reads its vertex enumeration (n <= 3)."""
     if isinstance(body, bd.EmptyBody):
         return 0.0
     if isinstance(body, bd.Ball):
@@ -377,6 +378,9 @@ def volume_exact(body) -> float:
         hull = bd.qhull(body.vertices)
         return 0.0 if hull is None else float(hull.volume)
     if isinstance(body, bd.HPolytope):
+        sides = _box_sides(body)
+        if sides is not None:
+            return float(np.prod(sides))
         return volume_exact(bd.VPolytope(body._vertices))
     raise TypeError(f"unsupported body {type(body).__name__}")
 

@@ -212,10 +212,11 @@ _CUT_CUBE4 = {"type": "hpolytope",
      "no closed form for VPolytope"),
     (["kinematic", "--M", "M", "--L", "M"], {"M": _CUT_CUBE4},
      "no closed form for this halfspace system"),
-    (["kinematic", "--phi", "volume", "--M", "M", "--L", "M"],
-     {"M": bd.body_to_dict(bd.cube(4, side=2.0, centered=True))}, "no exact volume of M"),
+    (["kinematic", "--phi", "volume", "--M", "M", "--L", "L"],
+     {"M": _CUT_CUBE4, "L": bd.body_to_dict(bd.cube(4, side=2.0, centered=True))},
+     "no exact volume of M"),
     (["intrinsic", "--body", "M", "--method", "steiner"], {"M": _CUT_CUBE4}, "n <= 3"),
-], ids=["kinematic-tetrahedron-L", "kinematic-cut-cube-4d", "kinematic-volume-cube-4d-M",
+], ids=["kinematic-tetrahedron-L", "kinematic-cut-cube-4d", "kinematic-volume-cube-4d-cut-M",
         "intrinsic-steiner-cut-cube-4d"])
 def test_bodies_a_stage_cannot_evaluate_are_configuration_errors(tmp_path, args, bodies,
                                                                   message):
@@ -227,6 +228,20 @@ def test_bodies_a_stage_cannot_evaluate_are_configuration_errors(tmp_path, args,
     rc, _, err = run_cli(*args, "--seed", "1", "--samples", "1000", "--threads", "1")
     assert rc == 2
     assert message in err and "Traceback" not in err
+
+
+def test_volume_phi_of_a_4d_box_runs(tmp_path):
+    # an axis-aligned H-box has its exact volume in any dimension, so its
+    # Crofton j = n term needs no vertex enumeration
+    cube = tmp_path / "cube4.json"
+    cube.write_text(json.dumps(bd.body_to_dict(bd.cube(4, side=2.0, centered=True))))
+    rc, out, err = run_cli("kinematic", "--phi", "volume", "--M", str(cube), "--L", str(cube),
+                           "--seed", "1", "--samples", "200", "--cj-samples", "2000",
+                           "--threads", "1")
+    assert rc == 0, err
+    results = json.loads(out)["results"]
+    assert results["crofton"]["4"]["mean"] == 16.0
+    assert [t["v_j"] for t in results["rhs"]["terms"]] == [1.0, 8.0, 24.0, 32.0, 16.0]
 
 
 def test_cj_rejects_n_beyond_weyl_range():
@@ -585,6 +600,29 @@ def test_library_and_cli_reports_agree(ball2, ellipse2, tmp_path, samples, cache
                                  constants=constants)
     assert (json.dumps(json.loads(out.read_text())["results"], sort_keys=True)
             == json.dumps(rep.to_dict(), sort_keys=True))
+
+
+def test_a_kinematic_run_evaluates_the_intrinsic_volumes_of_L_once(ball2, ellipse2, tmp_path,
+                                                                   monkeypatch):
+    # the RHS check hands L's V_j to build_report and on to rhs_hadwiger_gl
+    from intgeo import kinematic
+
+    calls = []
+    closed = kinematic.closed_intrinsic_volumes
+
+    def counting(body):
+        calls.append(body)
+        return closed(body)
+
+    monkeypatch.setattr(kinematic, "closed_intrinsic_volumes", counting)
+    assert cli.main(["kinematic", "--M", ball2, "--L", ellipse2, "--samples", "500",
+                     "--cj-samples", "500", "--crofton-samples", "500", "--seed", "2",
+                     "--threads", "1", "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    kinematic.build_report("gl", "chi", bd.load_body(ball2), bd.load_body(ellipse2), 500, 2,
+                           cj_samples=500, crofton_samples=500)
+    assert len(calls) == 1
 
 
 def test_every_workload_shape_samples_first_where_the_setup_probe_stops(tmp_path,

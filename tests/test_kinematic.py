@@ -67,27 +67,61 @@ TILTED = bd.Ellipsoid([0.2, -0.1, 0.3], rot3(0, 1, 0.7) @ rot3(1, 2, 0.4),
 OFFSET_BALL = bd.Ball([0.1, 0.0, -0.2], 0.9)
 HEX = bd.HPolytope([[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3 + 0.2],
                    [1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
+PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
+                     for a in np.arange(5) * 2.0 * np.pi / 5.0])
 
 
 @pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, want", [
     ("gl", "chi", bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6]),
      10000, 41, 256, (122.89850320635117, 8.708504791450766)),
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 5000, 42, 256,
-     (27.753027247557906, 1.725218795839909)),
+     (26.153437951265143, 0.5741316114858679)),
     # one row per block of inner points
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 24, 43, 70000,
-     (11.537754843579522, 5.958042536569975)),
+     (17.199571368398523, 6.215649486487824)),
     ("gl", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
-     (25.377636071169245, 6.906870833672457)),
+     (29.412998971942113, 2.6357785128033098)),
+    # the compact groups draw no X, so the trace tilt leaves them alone
+    ("o", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
+     (6.3380914092066005, 0.23837792037988625)),
+    ("so", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
+     (5.866333463773204, 0.22263471855160596)),
     ("o", "chi", TILTED, OFFSET_BALL, 6000, 45, 256,
      (21.73716140889618, 0.2725338420609622)),
 ], ids=["chi-ball-ellipsoid", "volume-discs", "volume-discs-70000",
-        "volume-ball-tilted", "chi-tilted-ball"])
+        "volume-ball-tilted", "volume-ball-tilted-o", "volume-ball-tilted-so",
+        "chi-tilted-ball"])
 def test_quadric_lhs_is_pinned(group, phi, M, L, samples, seed, inner, want):
     # the closed-form ball/ellipsoid estimates, bit for bit: a faster kernel
     # may change neither the order of the draws nor a single hit decision
     res = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
     assert (res.mean, res.std_error) == want
+
+
+@pytest.mark.parametrize("M, L, samples, seed, inner", [
+    (bd.unit_ball(2), bd.unit_ball(2), 5000, 42, 256),
+    (bd.unit_ball(2), bd.unit_ball(2), 24, 43, 70000),
+    (OFFSET_BALL, TILTED, 3000, 44, 64),
+    (HEX, PENT, 300, 54, 64),
+], ids=["discs", "discs-70000", "ball-tilted", "hhex-vpent"])
+def test_gl_volume_lhs_meets_the_fubini_anchor(M, L, samples, seed, inner):
+    # the gl volume pairs pinned in this module, each within 3 sigma of
+    # E_g vol(M) vol(gL) = e^(n/2) vol(M) vol(L)
+    res = lhs_kinematic("gl", "volume", M, L, samples, seed, inner_samples=inner)
+    want = math.exp(M.dim / 2.0) * volume_exact(M) * volume_exact(L)
+    assert z_score(res.mean, res.std_error, want) < 3.0
+
+
+def test_interval_coverage_of_the_volume_lhs():
+    # the nominal 95% interval of the volume-phi hit-or-miss LHS, over 200
+    # replicates, against the Fubini anchor e pi^2 of two unit discs
+    disc = bd.unit_ball(2)
+    want = math.e * math.pi**2
+    covered = 0
+    for seed in range(5000, 5200):
+        est = lhs_kinematic("gl", "volume", disc, disc, 2000, seed, inner_samples=4)
+        covered += abs(est.mean - want) <= 1.96 * est.std_error
+    assert 0.90 <= covered / 200 <= 1.0, f"{covered}/200"
 
 
 @pytest.mark.parametrize("M, L, samples, seed", [
@@ -201,10 +235,6 @@ def test_chi_quadric_vs_polytope_refused_above_3d(M, L):
     assert np.isfinite(res.mean)
 
 
-PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
-                     for a in np.arange(5) * 2.0 * np.pi / 5.0])
-
-
 @pytest.mark.parametrize("group, phi, M, L, samples, seed, want", [
     ("gl", "chi", HEX, PENT, 500, 51, (15.634476950906032, 0.8752199001449398)),
     ("o", "chi", PENT, bd.cube(2, side=1.5, centered=True), 500, 52,
@@ -212,7 +242,8 @@ PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
     ("gl", "chi", bd.cube(3, side=1.2, centered=True),
      bd.VPolytope(np.vstack([np.zeros(3), np.eye(3)]) - 0.25), 200, 53,
      (22.369360539827557, 4.420763818338408)),
-    ("gl", "volume", HEX, PENT, 300, 54, (13.164424813403258, 3.6284545158522006)),
+    # the volume row is the trace-tilted estimator's (lhs_kinematic's docstring)
+    ("gl", "volume", HEX, PENT, 300, 54, (11.473564281599765, 1.0400873682003948)),
 ], ids=["chi-hhex-vpent", "chi-vpent-hsquare", "chi-hcube-vsimplex", "volume-hhex-vpent"])
 def test_polytope_lhs_matches_the_lp_route(group, phi, M, L, samples, seed, want):
     # values of the per-sample LP route (support LPs for the box of gL, the
@@ -330,8 +361,7 @@ def test_rhs_assembly_propagates_errors():
     crofton = {0: EstimatorResult(math.pi, 0.05, 10, 0),
                1: EstimatorResult(2.0, 0.0, 10, 0),
                2: EstimatorResult(1.0, 0.0, 10, 0)}
-    rhs = rhs_hadwiger_gl("chi", bd.unit_ball(2), bd.unit_ball(2),
-                          constants, crofton)
+    rhs = rhs_hadwiger_gl(closed_intrinsic_volumes(bd.unit_ball(2)), constants, crofton)
     want_half = 1.0 * math.pi * 1.0 + 2.0 * 2.0 * math.pi + 3.0 * 1.0 * math.pi
     assert abs(rhs["rhs_half"] - want_half) < 1e-12
     assert abs(rhs["rhs_total"] - 2.0 * want_half) < 1e-12
@@ -379,8 +409,9 @@ def test_build_report_injection_paths():
      "no closed form for VPolytope"),
     ("chi", bd.cube(4), bd.HPolytope(np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]),
                                      np.ones(9)), "no closed form for this halfspace system"),
-    ("volume", bd.cube(4), bd.cube(4), "no exact volume of M"),
-], ids=["tetrahedron-L", "cut-cube-4d-L", "volume-of-cube-4d-M"])
+    ("volume", bd.HPolytope(np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]), np.ones(9)),
+     bd.cube(4), "no exact volume of M"),
+], ids=["tetrahedron-L", "cut-cube-4d-L", "volume-of-cube-4d-cut-M"])
 def test_build_report_refuses_an_rhs_it_cannot_evaluate_before_drawing(monkeypatch, phi,
                                                                         M, L, message):
     from intgeo import kinematic

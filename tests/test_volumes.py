@@ -322,6 +322,25 @@ def test_euler_and_volume_exact():
     assert volume_exact(bd.EMPTY) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_volume_exact_of_an_axis_aligned_box_is_its_side_product(n):
+    # no vertex enumeration, so n >= 4 works too; where the hull exists
+    # (n <= 3) the two agree
+    lo = -0.5 - 0.1 * np.arange(n)
+    hi = 0.3 + 0.7 * np.arange(n)
+    box = bd.HPolytope(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([hi, -lo]))
+    assert volume_exact(box) == float(np.prod(hi - lo))
+    if n <= 3:
+        hull = volume_exact(bd.VPolytope(bd.vertex_set(box)))
+        assert volume_exact(box) == pytest.approx(hull, rel=1e-12)
+    # a cut box is no box: at n >= 4 it still has no exact volume
+    cut = bd.HPolytope(np.vstack([box.normals, np.ones((1, n))]),
+                       np.append(box.offsets, 0.5 * np.sum(hi)))
+    if n >= 4:
+        with pytest.raises(NotImplementedError):
+            volume_exact(cut)
+
+
 def test_volume_mc_exact_on_box():
     # the sampling box equals the body, so every draw hits: zero variance
     res = volume_mc(bd.cube(2, side=1.5, centered=True), 2000, 0)
