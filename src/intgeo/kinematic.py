@@ -27,7 +27,7 @@ from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
                          run_chunks, z_score)
 from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
-from .symmetric import congruence, sample_gaussian_sym, sample_haar_orthogonal
+from .symmetric import congruence, eigh_sym, sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 from .weyl import merge_constants, trace_moment
 
@@ -190,7 +190,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             invG = np.swapaxes(k, 1, 2)
         else:
             X = sample_gaussian_sym(n, rng, size=B)
-            lam, V = np.linalg.eigh(X)
+            lam, V = eigh_sym(X)
             if kind == "volume":  # draw tr X from N(n, n): X + I, g becomes e g
                 lam = lam + 1.0
             G = k @ congruence(V, np.exp(lam))
@@ -204,7 +204,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         volbox = np.prod(wid, axis=1)
         t = lo + rng.random((B, n)) * wid
         if kind == "chi":
-            # a ball M reads its hit test and Steiner's V_j off one SVD
+            # a ball M reads its hit test and Steiner's V_j off one set of
+            # singular frames
             frames = bd.moved_frames(L, G) if steiner else None
             acc.update(np.where(bd.batch_intersects(M, L, G, invG, t, frames), volbox, 0.0))
             vj = bd.moved_intrinsic_volumes(L, G, frames) if steiner else None

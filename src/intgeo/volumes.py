@@ -378,33 +378,11 @@ def volume_exact(body) -> float:
         hull = bd.qhull(body.vertices)
         return 0.0 if hull is None else float(hull.volume)
     if isinstance(body, bd.HPolytope):
-        sides = _box_sides(body)
-        if sides is not None:
-            return float(np.prod(sides))
+        box = bd.axis_box(body)
+        if box is not None:
+            return float(np.prod(box[1] - box[0]))
         return volume_exact(bd.VPolytope(body._vertices))
     raise TypeError(f"unsupported body {type(body).__name__}")
-
-
-def _box_sides(body: bd.HPolytope) -> np.ndarray | None:
-    """Side lengths when the polytope is an axis-aligned box, else None."""
-    n = body.dim
-    if body.normals.shape[0] != 2 * n:
-        return None
-    lo = np.full(n, np.nan)
-    hi = np.full(n, np.nan)
-    for row, off in zip(body.normals, body.offsets):
-        k = int(np.argmax(np.abs(row)))
-        e = np.zeros(n)
-        e[k] = np.sign(row[k])
-        if np.max(np.abs(row - e)) > 1e-12:
-            return None
-        if e[k] > 0:
-            hi[k] = off
-        else:
-            lo[k] = -off
-    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(hi < lo):
-        return None
-    return hi - lo
 
 
 def closed_intrinsic_volumes(body) -> np.ndarray:
@@ -423,9 +401,9 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
         vals = batch_ellipsoid_intrinsic_volumes(body.semiaxes[None], range(n + 1))
         return np.array([vals[j][0] for j in range(n + 1)])
     if isinstance(body, bd.HPolytope):
-        sides = _box_sides(body)
-        if sides is not None:
-            return _elementary_symmetric(sides, body.dim)
+        box = bd.axis_box(body)
+        if box is not None:
+            return _elementary_symmetric(box[1] - box[0], body.dim)
         if body.dim == 2:
             return closed_intrinsic_volumes(bd.VPolytope(bd.vertex_set(body)))
         raise ValueError("no closed form for this halfspace system")

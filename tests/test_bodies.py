@@ -488,10 +488,14 @@ def _h_polytope_with_a_corner_cut(n):
     return bd.HPolytope(np.vstack([np.eye(n), -np.eye(n), np.ones((1, n))]), np.ones(2 * n + 1))
 
 
+# an off-centre box in R^4 with four different sides
+H_BOX_4D = bd.HPolytope(np.vstack([np.eye(4), -np.eye(4)]),
+                        [1.0, 0.5, 2.0, 0.7, 0.3, 1.5, 0.2, 0.9])
 MOVED_SUPPORT_BODIES = [bd.Ball([0.3, -0.2], 0.7), TILTED, VPENT, HEX,
-                        _h_polytope_with_a_corner_cut(3), _h_polytope_with_a_corner_cut(4)]
+                        _h_polytope_with_a_corner_cut(3), _h_polytope_with_a_corner_cut(4),
+                        H_BOX_4D]
 MOVED_SUPPORT_IDS = ["ball", "tilted-ellipsoid", "v-polygon", "h-polygon",
-                     "h-polytope-3d", "h-polytope-4d"]
+                     "h-polytope-3d", "h-polytope-4d", "h-box-4d"]
 
 
 @pytest.mark.parametrize("L", MOVED_SUPPORT_BODIES, ids=MOVED_SUPPORT_IDS)
@@ -532,6 +536,23 @@ def test_support_and_bounding_box_are_the_one_row_case(L):
     V = bd.vertex_set(L)
     if V is not None:  # max(-x) = -min(x) and V @ I = V hold exactly
         assert np.array_equal(lo, V.min(axis=0)) and np.array_equal(hi, V.max(axis=0))
+
+
+def test_moved_support_of_a_4d_box_matches_the_lp():
+    # an axis-aligned H-box at n >= 4 has no vertex set; its closed form
+    # <G c, u> + sum_k (s_k / 2) |<G e_k, u>| against the support LP
+    # h_L(G^T u) on L's own system, which other H-polytopes there solve
+    rng = np.random.default_rng(46)
+    G, _ = _draw_maps(4, 5, rng)
+    U = np.vstack([rng.standard_normal((6, 4)), np.eye(4), -np.eye(4)])
+    h = bd.moved_support(H_BOX_4D, G, U)
+    lp = [[linprog.support_hrep(H_BOX_4D.normals, H_BOX_4D.offsets, g.T @ u)[0] for u in U]
+          for g in G]
+    np.testing.assert_allclose(h, lp, rtol=0, atol=1e-9)
+    lo, hi = bd.bounding_box(H_BOX_4D)
+    np.testing.assert_array_equal(lo, [-0.3, -1.5, -0.2, -0.9])
+    np.testing.assert_array_equal(hi, [1.0, 0.5, 2.0, 0.7])
+    assert bd.axis_box(_h_polytope_with_a_corner_cut(4)) is None
 
 
 def test_moved_boxes_without_a_vertex_set_match_the_moved_bodies():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from intgeo import bodies as bd
+from intgeo import kinematic as kin
 from intgeo import linprog
+from intgeo import symmetric as sym
 from intgeo.estimation import CHUNK_SAMPLES, EstimatorResult, z_score
 from intgeo.kinematic import (GROUPS, build_report,
                               crofton_coefficient, lhs_kinematic, merge_lhs,
@@ -71,14 +73,17 @@ PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
                      for a in np.arange(5) * 2.0 * np.pi / 5.0])
 
 
-@pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, want", [
+# recorded with the batched Jacobi kernels of symmetric; with LAPACK's eigh,
+# SVD and QR the same draws make the same hit decisions and move the
+# estimates by rounding only (test_pinned_rows_match_the_lapack_kernels)
+PINNED_LHS = pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, want", [
     ("gl", "chi", bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6]),
-     10000, 41, 256, (122.89850320635117, 8.708504791450766)),
+     10000, 41, 256, (122.89850320635118, 8.70850479145077)),
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 5000, 42, 256,
      (26.153437951265143, 0.5741316114858679)),
     # one row per block of inner points
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 24, 43, 70000,
-     (17.199571368398523, 6.215649486487824)),
+     (17.19957136839852, 6.215649486487823)),
     ("gl", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
      (29.412998971942113, 2.6357785128033098)),
     # the compact groups draw no X, so the trace tilt leaves them alone
@@ -91,11 +96,44 @@ PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
 ], ids=["chi-ball-ellipsoid", "volume-discs", "volume-discs-70000",
         "volume-ball-tilted", "volume-ball-tilted-o", "volume-ball-tilted-so",
         "chi-tilted-ball"])
+
+
+@PINNED_LHS
 def test_quadric_lhs_is_pinned(group, phi, M, L, samples, seed, inner, want):
     # the closed-form ball/ellipsoid estimates, bit for bit: a faster kernel
     # may change neither the order of the draws nor a single hit decision
     res = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
     assert (res.mean, res.std_error) == want
+
+
+def _lapack_frames(A):
+    U, s, _ = np.linalg.svd(A)
+    return U, s
+
+
+def _lapack_factor(G):
+    Q, R = np.linalg.qr(G)
+    d = np.sign(np.einsum("mii->mi", R))
+    d[d == 0] = 1.0
+    Q = Q * d[:, None, :]
+    return Q, np.linalg.det(Q)
+
+
+@PINNED_LHS
+def test_pinned_rows_match_the_lapack_kernels(monkeypatch, group, phi, M, L, samples,
+                                              seed, inner, want):
+    # the same draws through LAPACK's eigh, SVD and QR: every hit decision
+    # agrees (one flipped hit moves the mean by >= 1/samples of a box), and
+    # the estimates differ by rounding only
+    new = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
+    monkeypatch.setattr(kin, "eigh_sym", np.linalg.eigh)
+    monkeypatch.setattr(bd, "singular_frames", _lapack_frames)
+    monkeypatch.setattr(sym, "orthonormal_factor", _lapack_factor)
+    old = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
+    pairs = [(new, old)] + ([(new.exact, old.exact)] if old.exact else [])
+    for a, b in pairs:
+        assert a.mean == pytest.approx(b.mean, rel=1e-12, abs=0.0)
+        assert a.std_error == pytest.approx(b.std_error, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("M, L, samples, seed, inner", [

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 from scipy.stats import kstest
 
 from intgeo.symmetric import (as_orthogonal, as_symmetric, coords_to_sym,
-                              eigvals_sym_batch, expm_sym,
-                              sample_gaussian_sym, sample_haar_orthogonal,
+                              eigh_sym, eigvals_sym_batch, expm_sym,
+                              orthonormal_factor, sample_gaussian_sym,
+                              sample_haar_orthogonal, singular_frames,
                               sym_basis, sym_dim, sym_to_coords)
 
 
@@ -197,3 +200,175 @@ def test_as_symmetric_and_as_orthogonal_validate():
     np.testing.assert_allclose(as_orthogonal(Q), Q)
     with pytest.raises(ValueError):
         as_orthogonal(M)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernels at n <= 3 against LAPACK and constructed truth
+
+
+def check_eigh(X, lam, V, atol):
+    """lam ascending, V orthonormal, V diag(lam) V^T = X, and each column of V
+    an eigenvector of its own eigenvalue."""
+    n = X.shape[-1]
+    assert lam.shape == X.shape[:-1] and V.shape == X.shape
+    assert np.all(np.diff(lam, axis=-1) >= 0.0)
+    np.testing.assert_allclose(np.swapaxes(V, -1, -2) @ V, np.broadcast_to(np.eye(n), V.shape),
+                               atol=1e-14 * n)
+    np.testing.assert_allclose((V * lam[..., None, :]) @ np.swapaxes(V, -1, -2), X, atol=atol)
+    np.testing.assert_allclose(X @ V, V * lam[..., None, :], atol=atol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigh_sym_matches_lapack_and_the_reference(n):
+    rng = np.random.default_rng(60 + n)
+    stack = sample_gaussian_sym(n, rng, size=500)
+    lam, V = eigh_sym(stack)
+    ref_lam, _ = np.linalg.eigh(stack)
+    np.testing.assert_allclose(lam, ref_lam, atol=1e-14 * np.abs(ref_lam).max())
+    check_eigh(stack, lam, V, atol=1e-13)
+    for b, X in enumerate(stack[:20]):  # one matrix at a time, against the reference
+        lam1, V1 = eigh_sym(X)
+        # a row's bits do not depend on the stack it came in
+        np.testing.assert_array_equal(lam1, lam[b])
+        np.testing.assert_array_equal(V1, V[b])
+        ref, _ = eigendecompose(X)
+        np.testing.assert_allclose(lam1, ref[::-1], atol=1e-13)
+        check_eigh(X, lam1, V1, atol=1e-13)
+    # a stack of stacks keeps its leading shape
+    lam2, V2 = eigh_sym(stack[:12].reshape(3, 4, n, n))
+    np.testing.assert_array_equal(lam2.reshape(12, n), lam[:12])
+    np.testing.assert_array_equal(V2.reshape(12, n, n), V[:12])
+
+
+@pytest.mark.parametrize("X", [
+    np.zeros((3, 3)), np.eye(3), np.diag([1.0, 1.0, 2.0]), np.diag([3.0, -1.0, 2.0]),
+    np.zeros((2, 2)), np.eye(2), np.diag([2.0, -5.0]), np.array([[4.0]]),
+], ids=["zero3", "eye3", "repeated3", "diagonal3", "zero2", "eye2", "diagonal2", "one"])
+def test_eigh_sym_on_diagonal_and_repeated_spectra(X):
+    lam, V = eigh_sym(X)
+    np.testing.assert_array_equal(lam, np.sort(np.diag(X)))
+    check_eigh(X, lam, V, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigh_sym_tiny_off_diagonals_do_not_overflow(n):
+    # the textbook angle (aqq - app) / (2 apq) overflows when squared here
+    for diag in (np.arange(1.0, n + 1.0), np.ones(n)):
+        X = np.diag(diag)
+        X[0, 1] = X[1, 0] = 1e-300
+        X[n - 1, 0] = X[0, n - 1] = -3e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lam, V = eigh_sym(X)
+        np.testing.assert_allclose(lam, np.sort(diag), rtol=1e-15)
+        check_eigh(X, lam, V, atol=1e-15)
+
+
+def test_kernels_at_n4_are_lapack():
+    rng = np.random.default_rng(64)
+    X = sample_gaussian_sym(4, rng, size=8)
+    for got, want in zip(eigh_sym(X), np.linalg.eigh(X)):
+        np.testing.assert_array_equal(got, want)
+    A = rng.standard_normal((8, 4, 4))
+    U, s, _ = np.linalg.svd(A)
+    for got, want in zip(singular_frames(A), (U, s)):
+        np.testing.assert_array_equal(got, want)
+
+
+def frames_truth(rng, n, spread, rows_scaled):
+    """A = Q diag(e^u) or diag(e^u) Q with u spanning [0, spread]: its
+    singular values e^u and left singular vectors (Q's columns or the unit
+    vectors) sorted by descending e^u."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    u = rng.permutation(np.linspace(0.0, spread, n))
+    A = np.exp(u)[:, None] * Q if rows_scaled else Q * np.exp(u)
+    order = np.argsort(-u)
+    left = np.eye(n) if rows_scaled else Q
+    return A, np.exp(u)[order], left[:, order]
+
+
+@pytest.mark.parametrize("rows_scaled", [False, True], ids=["Q-D", "D-Q"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_singular_frames_against_constructed_truth(n, rows_scaled):
+    # relative accuracy of every singular value across spreads up to e^20,
+    # where LAPACK's SVD loses digits on Q diag(e^u)
+    rng = np.random.default_rng(70 + n + 10 * rows_scaled)
+    for spread in (0.5, 5.0, 10.0, 20.0):
+        cases = [frames_truth(rng, n, spread, rows_scaled) for _ in range(40)]
+        A = np.array([c[0] for c in cases])
+        U, s = singular_frames(A)
+        for b, (_, s_true, left) in enumerate(cases):
+            np.testing.assert_allclose(s[b], s_true, rtol=1e-13, atol=0.0)
+            # each left singular vector up to sign (the gaps are >= e^(spread/2))
+            np.testing.assert_allclose(np.abs(np.sum(U[b] * left, axis=0)), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_singular_frames_match_lapack(n):
+    rng = np.random.default_rng(80 + n)
+    A = rng.standard_normal((300, n, n))
+    U, s = singular_frames(A)
+    U0, s0, _ = np.linalg.svd(A)
+    assert U.shape == A.shape and s.shape == A.shape[:-1]
+    np.testing.assert_allclose(s, s0, rtol=1e-9)
+    assert np.all(np.diff(s, axis=1) <= 0.0)
+    np.testing.assert_allclose(np.swapaxes(U, 1, 2) @ U, np.broadcast_to(np.eye(n), A.shape),
+                               atol=1e-14)
+    # U diag(s) is A times an orthogonal matrix: A^T U diag(1/s) is orthonormal
+    W = np.swapaxes(A, 1, 2) @ U / s[:, None, :]
+    np.testing.assert_allclose(np.swapaxes(W, 1, 2) @ W, np.broadcast_to(np.eye(n), A.shape),
+                               atol=1e-9)
+    U1, s1 = singular_frames(A[0])
+    np.testing.assert_array_equal(U1, U[0])
+    np.testing.assert_array_equal(s1, s[0])
+
+
+def qr_positive(G):
+    """The sign-fixed Householder Q of each matrix (R's diagonal positive)."""
+    Q, R = np.linalg.qr(G)
+    return Q * np.sign(np.einsum("mii->mi", R))[:, None, :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orthonormal_factor_is_the_sign_fixed_householder_q(n):
+    rng = np.random.default_rng(90 + n)
+    G = rng.standard_normal((2000, n, n))
+    Q, det = orthonormal_factor(G)
+    Q0 = qr_positive(G)
+    np.testing.assert_allclose(Q, Q0, atol=1e-13, rtol=0.0)
+    np.testing.assert_array_equal(np.sign(det), np.sign(np.linalg.det(Q0)))
+    np.testing.assert_allclose(np.abs(det), 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("component", ["full", "special", "reflection"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_sampler_draws_what_lapack_qr_drew(n, component):
+    # the same Gaussian draw, then the same coin: the samples match the
+    # sign-fixed QR route to rounding
+    Q = sample_haar_orthogonal(n, np.random.default_rng(95), component=component, size=500)
+    rng = np.random.default_rng(95)
+    Q0 = qr_positive(rng.standard_normal((500, n, n)))
+    det = np.linalg.det(Q0)
+    flip = {"special": det < 0, "reflection": det > 0}.get(component)
+    if flip is None:
+        flip = (det < 0) != (rng.random(500) < 0.5)
+    Q0[flip, :, -1] *= -1.0
+    np.testing.assert_allclose(Q, Q0, atol=1e-13, rtol=0.0)
+
+
+def test_non_finite_stacks_raise():
+    rng = np.random.default_rng(99)
+    X = sample_gaussian_sym(3, rng, size=6)
+    X[4, 2, 0] = X[4, 0, 2] = np.nan
+    with pytest.raises(FloatingPointError):
+        eigh_sym(X)
+    X4 = np.full((4, 4), np.nan)
+    with pytest.raises(FloatingPointError):
+        eigh_sym(X4)
+    for n in (1, 2, 3):
+        A = rng.standard_normal((6, n, n))
+        A[2, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            singular_frames(A)
+    with pytest.raises(FloatingPointError):
+        singular_frames(np.zeros((3, 3)))
