@@ -27,8 +27,8 @@ from .volumes import (QuadratureError, SteinerFit, Valuation,
                       closed_intrinsic_volumes, euler_characteristic,
                       euler_valuation, intrinsic_volume_ball,
                       intrinsic_volume_cube, intrinsic_volume_ellipsoid,
-                      kappa, steiner_fit, valuation_norm_estimate,
-                      volume_exact, volume_mc, volume_valuation)
+                      kappa, steiner_fit, volume_exact, volume_mc,
+                      volume_valuation)
 from .weyl import (EssFloorError, WeylEstimate, c_direct, c_weyl,
                    compute_constants, load_constants, lookup_constants,
                    save_constants, z_n)

@@ -19,10 +19,13 @@ support, distances and volumes from it without the linear programs
 support in closed form in any dimension. The principal axes of a moved
 ball or ellipsoid (moved_frames) come from symmetric.singular_frames.
 
-Every hull in the plane is planar_hull, Andrew's monotone chain in numpy:
-edge normals, facet equations, areas and perimeters of polygons all come
-from its counter-clockwise vertex order. Only hulls in other dimensions
-call scipy's Qhull (scipy.spatial, imported when first needed).
+Each polytope builds its convex hull once and keeps it (polytope_hull):
+membership, distances, separating axes, areas, perimeters and volumes all
+read the kept hull, and no other module builds one. Every hull in the
+plane is planar_hull, Andrew's monotone chain in numpy: edge normals, facet
+equations, areas and perimeters of polygons all come from its
+counter-clockwise vertex order. Only hulls in other dimensions call
+scipy's Qhull (scipy.spatial, imported when first needed).
 
 Bodies serialize to plain JSON dicts with a "type" tag so the CLI and the
 cache files can round-trip them; see body_to_dict / body_from_dict. They
@@ -167,9 +170,10 @@ class HPolytope:
         return self.normals.shape[1]
 
     @cached_property
-    def _vertices(self) -> np.ndarray:
-        # as_vpolytope, once per body: vertex_set and every vertex reader
-        return as_vpolytope(self).vertices
+    def _vpolytope(self) -> VPolytope:
+        # as_vpolytope, once per body: vertex_set, polytope_hull and every
+        # vertex reader, so the hull of the enumeration is kept with it
+        return as_vpolytope(self)
 
 
 @dataclass(eq=False)
@@ -185,6 +189,14 @@ class VPolytope:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
+    @cached_property
+    def _hull(self):
+        # polytope_hull, once per body (minkowski_sum_vpolytopes may set it)
+        V = self.vertices
+        if self.dim == 1 or V.shape[0] <= self.dim:
+            return None
+        return planar_hull(V) if self.dim == 2 else qhull(V)
+
 
 ConvexBody = Ball | Ellipsoid | HPolytope | VPolytope
 
@@ -198,18 +210,19 @@ class PlanarHull:
     """The convex hull of a planar point set with at least three vertices.
 
     vertices indexes the input points of the hull's corners in
-    counter-clockwise order; points holds them in that order.
+    counter-clockwise order; points holds them in that order. Edges and
+    equations are computed once per hull.
     """
 
     vertices: np.ndarray
     points: np.ndarray
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
         """Edge vectors, (k, 2): edge i runs from points[i] to points[i + 1]."""
         return np.roll(self.points, -1, axis=0) - self.points
 
-    @property
+    @cached_property
     def equations(self) -> np.ndarray:
         """[normal | offset] per edge, <normal, x> + offset <= 0 inside,
         with unit outward normals (the layout of Qhull's equations)."""
@@ -223,6 +236,9 @@ class PlanarHull:
         """Shoelace formula, on coordinates relative to the first vertex."""
         d = self.points[1:] - self.points[0]
         return 0.5 * float(np.sum(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]))
+
+    # Qhull's name for the content of a hull, so volume_exact reads both
+    volume = area
 
     @property
     def perimeter(self) -> float:
@@ -443,7 +459,7 @@ def separating_hyperplane(a: VPolytope, b: VPolytope):
     if not isinstance(a, VPolytope) or not isinstance(b, VPolytope):
         raise TypeError("separating_hyperplane expects two V-polytopes")
     if a.dim == 2:
-        axes, gaps = polygon_gaps(a.vertices, b.vertices)
+        axes, gaps = polygon_gaps(a, b)
         i = int(np.argmax(gaps))
         if gaps[i] < -TOL:
             return None
@@ -508,8 +524,21 @@ def vertex_set(body: ConvexBody) -> np.ndarray | None:
     if isinstance(body, VPolytope):
         return body.vertices
     if isinstance(body, HPolytope) and body.dim <= 3:
-        return body._vertices
+        return body._vpolytope.vertices
     return None
+
+
+def polytope_hull(body: ConvexBody):
+    """The convex hull of a polytope's vertex_set, built once per body and kept.
+
+    planar_hull at n = 2 and Qhull (qhull) at n = 3 and above; an H-polytope
+    at n <= 3 keeps the hull of its vertex enumeration. None for balls and
+    ellipsoids, H-polytopes at n >= 4, flat vertex sets and n = 1 (an
+    interval; see _hull_equations).
+    """
+    if isinstance(body, HPolytope) and body.dim <= 3:
+        body = body._vpolytope
+    return body._hull if isinstance(body, VPolytope) else None
 
 
 def axis_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray] | None:
@@ -542,17 +571,18 @@ def affine_rank(V: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(V - V.mean(axis=0), tol=1e-10))
 
 
-def polygon_axes(V: np.ndarray) -> np.ndarray:
-    """The unit axes (k, 2) a planar vertex set brings to the separating-axis test.
+def polygon_axes(body: HPolytope | VPolytope) -> np.ndarray:
+    """The unit axes (k, 2) a polygon brings to the separating-axis test.
 
-    A full-dimensional hull brings its outward edge normals. A segment
-    brings its normal and its direction, a single point the two coordinate
-    axes: flat pairs (two points, two collinear segments) are told apart
-    only along those directions.
+    A full-dimensional hull (polytope_hull) brings its outward edge normals.
+    A segment brings its normal and its direction, a single point the two
+    coordinate axes: flat pairs (two points, two collinear segments) are
+    told apart only along those directions.
     """
-    hull = planar_hull(V)
+    hull = polytope_hull(body)
     if hull is not None:
         return hull.equations[:, :2]
+    V = vertex_set(body)
     if affine_rank(V) == 0:
         return np.eye(2)
     centered = V - V.mean(axis=0)
@@ -578,29 +608,32 @@ def separating_axis_gaps(VA: np.ndarray, VB: np.ndarray, axes: np.ndarray) -> np
     return np.maximum(pb.min(axis=-2) - pa.max(axis=-2), pa.min(axis=-2) - pb.max(axis=-2))
 
 
-def _polygon_gaps(VM: np.ndarray, VL: np.ndarray, G: np.ndarray, invG: np.ndarray,
-                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polygon_gaps(M: HPolytope | VPolytope, L: HPolytope | VPolytope, G: np.ndarray,
+                  invG: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(axes (B, k, 2), gaps (B, k)) of the separating-axis test of the polygon
-    with vertices VM against each g_b L + t_b, L the polygon with vertices VL.
+    M against each g_b L + t_b, L a polygon.
 
     The axes are polygon_axes of M and those of L mapped by G^-T (the edge
     normals of gL), renormalized; see separating_axis_gaps.
     """
-    axesM, axesL = polygon_axes(VM), polygon_axes(VL)
+    axesM, axesL = polygon_axes(M), polygon_axes(L)
     axesG = axesL @ invG
     axesG /= np.linalg.norm(axesG, axis=2, keepdims=True)
     axes = np.concatenate([np.broadcast_to(axesM, (len(t),) + axesM.shape), axesG], axis=1)
-    return axes, separating_axis_gaps(VM, VL @ np.swapaxes(G, 1, 2) + t[:, None, :], axes)
+    return axes, separating_axis_gaps(vertex_set(M), vertex_set(L) @ np.swapaxes(G, 1, 2)
+                                      + t[:, None, :], axes)
 
 
-def polygon_gaps(VA: np.ndarray, VB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(axes (k, 2), gaps (k,)) of the separating-axis test of two planar
-    vertex sets as they stand. One gap vector answers both questions the
+def polygon_gaps(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """(axes (k, 2), gaps (k,)) of the separating-axis test of two polygons
+    as they stand, each a planar polytope (whose kept hull gives its axes)
+    or an (m, 2) vertex set. One gap vector answers both questions the
     separation lemma asks: the polygons meet when every gap is at most TOL
     (intersects), and a hyperplane separates them when the largest gap is
     at least -TOL (separating_hyperplane)."""
+    A, B = (P if isinstance(P, (HPolytope, VPolytope)) else VPolytope(P) for P in (A, B))
     eye = np.eye(2)[None]
-    axes, gaps = _polygon_gaps(VA, VB, eye, eye, np.zeros((1, 2)))
+    axes, gaps = _polygon_gaps(A, B, eye, eye, np.zeros((1, 2)))
     return axes[0], gaps[0]
 
 
@@ -650,6 +683,10 @@ def moved_boxes(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     G (B, n, n) holds the linear maps g_b. A ball or ellipsoid {c + lin z}
     has the closed form cg = G c and hw_i = ||(G lin)_i|| (its support at
     e_i); every other body reads moved_support at the 2n directions +-e_i.
+    The quadric keeps its closed form because it is faster, not only to
+    keep its bits: 4096 rows at n = 3 take 0.6-0.9 ms against 1.6-2.3 ms
+    through moved_support, centred or not (one BLAS thread, best of 25 on
+    a 2-core Xeon), and the ball-ellipsoid chi LHS calls it twice per batch.
     """
     B, n, _ = G.shape
     if isinstance(L, (Ball, Ellipsoid)):
@@ -681,13 +718,6 @@ def moved_frames(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     return singular_frames(G @ quadric_frame(L)[0])
 
 
-def _polygon_hull(body: ConvexBody) -> PlanarHull | None:
-    """planar_hull of a polytope in the plane with a vertex set, else None
-    (other bodies, flat polygons)."""
-    V = vertex_set(body) if body.dim == 2 else None
-    return None if V is None else planar_hull(V)
-
-
 def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray,
                             frames: tuple[np.ndarray, np.ndarray] | None = None
                             ) -> np.ndarray | None:
@@ -711,7 +741,7 @@ def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray,
         _, s = moved_frames(L, G) if frames is None else frames
         vj = batch_ellipsoid_intrinsic_volumes(s, range(n + 1))
         return np.column_stack([vj[j] for j in range(n + 1)])
-    hull = _polygon_hull(L)
+    hull = polytope_hull(L) if n == 2 else None
     if hull is None:
         return None
     edges = hull.edges @ np.swapaxes(G, 1, 2)  # (B, k, 2): the edges of each g_b L
@@ -751,7 +781,7 @@ def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
         if vj is None:
             return None
         return vj * np.array([kappa(n - j) * M.radius ** (n - j) for j in range(n + 1)])
-    hull = _polygon_hull(M)
+    hull = polytope_hull(M) if n == 2 else None
     if hull is None:
         return None
     eq = hull.equations
@@ -794,10 +824,8 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
             U2, S2 = singular_frames(np.einsum("ij,bjk->bik", invM, G @ linL))
         P = -np.einsum("bji,bj->bi", U2, c2)
         return centered_ellipsoid_distance(P, S2) <= 1.0 + TOL
-    VM = vertex_set(M) if n == 2 else None
-    VL = None if VM is None else vertex_set(L)
-    if VL is not None:
-        return np.all(_polygon_gaps(VM, VL, G, invG, t)[1] <= TOL, axis=1)
+    if n == 2 and vertex_set(M) is not None and vertex_set(L) is not None:
+        return np.all(_polygon_gaps(M, L, G, invG, t)[1] <= TOL, axis=1)
 
     hit = np.zeros(B, dtype=bool)
     if quadric[1] or vertex_set(L) is not None:
@@ -888,7 +916,7 @@ def distance_to_body(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     if isinstance(body, VPolytope):
         return _vpolytope_distance(body, points)
     if isinstance(body, HPolytope):
-        return _vpolytope_distance(VPolytope(body._vertices), points)
+        return _vpolytope_distance(body._vpolytope, points)
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
@@ -982,15 +1010,14 @@ def _triangle_distance(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _hull_equations(body: VPolytope) -> np.ndarray | None:
-    """Facet equations [normal | offset] with <n,x> + offset <= 0 inside, or
-    None for a flat vertex set. A segment in R^1 has the two end points as
-    facets, so its membership is an interval test."""
+    """Facet equations [normal | offset] with <n,x> + offset <= 0 inside, from
+    the kept hull (polytope_hull), or None for a flat vertex set. A segment
+    in R^1 has the two end points as facets, so its membership is an
+    interval test."""
     V = body.vertices
     if body.dim == 1:  # a repeated point is flat too
         return np.array([[1.0, -V.max()], [-1.0, V.min()]]) if V.min() < V.max() else None
-    if V.shape[0] <= body.dim:
-        return None
-    hull = planar_hull(body.vertices) if body.dim == 2 else qhull(body.vertices)
+    hull = polytope_hull(body)
     return None if hull is None else hull.equations
 
 
@@ -1018,7 +1045,7 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
         lo, hi = V.min(), V.max()
         return np.maximum.reduce([lo - points[:, 0], points[:, 0] - hi, np.zeros(len(points))])
     if rank == 3:
-        hull = qhull(V)
+        hull = polytope_hull(body)
         if hull is None:
             raise ValueError("Qhull finds this rank-3 vertex set flat")
         inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= TOL, axis=1)
@@ -1027,7 +1054,7 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
             dist = np.minimum(dist, _triangle_distance(V[simplex], points))
         return np.where(inside, 0.0, dist)
     if rank == 2 and n == 2:
-        hull = planar_hull(V)
+        hull = polytope_hull(body)
         if hull is not None:
             inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= TOL,
                             axis=1)
@@ -1048,17 +1075,18 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
     return _segment_distance(V[np.argmin(proj)], V[np.argmax(proj)], points)
 
 
-def polygon_boundary_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
-    """Distance to the boundary of a polygon (n = 2), from either side.
+def polygon_boundary_distance(body: HPolytope | VPolytope, points: np.ndarray) -> np.ndarray:
+    """Distance to the boundary of a polygon (n = 2), from either side, along
+    the edges of its kept hull (polytope_hull).
 
     A flat vertex set is its own boundary: the distance to the set.
     """
     if body.dim != 2:
         raise ValueError("boundary distance implemented for polygons only")
     points = np.atleast_2d(points)
-    hull = planar_hull(body.vertices)
+    hull = polytope_hull(body)
     if hull is None:
-        return _vpolytope_distance(body, points)
+        return distance_to_body(body, points)
     return _edge_distance(hull.points, points)
 
 
@@ -1073,7 +1101,7 @@ def diameter(body: ConvexBody) -> float:
         return 2.0 * body.radius
     if isinstance(body, Ellipsoid):
         return 2.0 * float(np.max(body.semiaxes))
-    V = body._vertices if isinstance(body, HPolytope) else body.vertices
+    V = body._vpolytope.vertices if isinstance(body, HPolytope) else body.vertices
     diff = V[:, None, :] - V[None, :, :]
     return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
 
@@ -1085,12 +1113,20 @@ def diameter_upper_bound(body: ConvexBody) -> float:
 
 
 def minkowski_sum_vpolytopes(a: VPolytope, b: VPolytope) -> VPolytope:
-    """Hull of all pairwise vertex sums."""
+    """Hull of all pairwise vertex sums.
+
+    In the plane the sum keeps the hull just built as its own: its vertices
+    are that hull's corners in order, which planar_hull would find again
+    vertex for vertex.
+    """
     sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
     hull = planar_hull(sums) if a.dim == 2 else qhull(sums)
     if hull is None:
         return VPolytope(np.unique(np.round(sums, 12), axis=0))
-    return VPolytope(sums[hull.vertices])
+    out = VPolytope(sums[hull.vertices])
+    if a.dim == 2:
+        out._hull = PlanarHull(vertices=np.arange(len(hull.vertices)), points=out.vertices)
+    return out
 
 
 def as_vpolytope(body: HPolytope) -> VPolytope:

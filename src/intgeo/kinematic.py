@@ -495,11 +495,6 @@ class LemmaCheck:
                 "failures": self.failures}
 
 
-def _hull_edges(poly: bd.VPolytope) -> list[tuple[np.ndarray, np.ndarray]]:
-    P = bd.planar_hull(poly.vertices).points
-    return [(P[i], P[(i + 1) % len(P)]) for i in range(len(P))]
-
-
 def check_lemma_inputs(M, L) -> None:
     """Refuse a pair separation_lemma_check cannot run, with ValueError.
 
@@ -528,8 +523,9 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
     separating hyperplane exactly when t lies on the boundary of D.
     Interior/exterior samples landing within _SKIP_MARGIN of the boundary are
     counted as boundary_skips instead of being classified. Both predicates
-    are read off one separating-axis pass (bodies.polygon_gaps); inputs are
-    checked by check_lemma_inputs.
+    are read off one separating-axis pass (bodies.polygon_gaps), with M's
+    axes from its kept hull and D's edges from D's; inputs are checked by
+    check_lemma_inputs.
     """
     check_lemma_inputs(M, L)
     rng, _ = resolve_rng(rng)
@@ -565,19 +561,18 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
                     t = cand
                     break
         else:
-            edges = _hull_edges(D)
-            lengths = np.array([np.linalg.norm(b - a) for a, b in edges])
+            hull = bd.polytope_hull(D)
+            lengths = np.array([np.linalg.norm(e) for e in hull.edges])
             probs = lengths / lengths.sum()
-            idx = int(rng.choice(len(edges), p=probs))
-            a, b = edges[idx]
+            idx = int(rng.choice(len(lengths), p=probs))
             u = rng.random()
             u = float(np.clip(u + 0.1 * rng.standard_normal(), 0.0, 1.0))
-            t = a + u * (b - a)
+            t = hull.points[idx] + u * hull.edges[idx]
         if t is None:
             result.boundary_skips += 1
             continue
         result.stratum_counts[stratum] += 1
-        _, gaps = bd.polygon_gaps(M.vertices, gL.vertices + t)
+        _, gaps = bd.polygon_gaps(M, gL.vertices + t)
         nonempty = bool(np.all(gaps <= bd.TOL))
         separable = bool(gaps.max() >= -bd.TOL)
         on_boundary = stratum == "boundary"

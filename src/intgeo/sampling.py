@@ -140,7 +140,8 @@ def batch_flat_hits(body: bd.ConvexBody, flats: AffineFlat,
     minimize the gauge quadratic over each flat (one batched QR). Polytopes
     test point flats with contains_points and hyperplanes of a polytope
     with a vertex set (bodies.vertex_set) by the interval test
-    min V.nu <= offset.nu <= max V.nu on the flat's normal nu. The other
+    min V.nu <= offset.nu <= max V.nu on the flat's normal nu, formed in
+    closed form at n <= 3 (_hyperplane_normals). The other
     polytope flats (0 < j < n - 1, such as lines in 3-D, and flats of
     H-polytopes at n >= 4) solve one LP per flat.
     """
@@ -170,11 +171,25 @@ def batch_flat_hits(body: bd.ConvexBody, flats: AffineFlat,
         return bd.contains_points(body, off, tol)
     V = bd.vertex_set(body) if j == n - 1 else None
     if V is not None:
-        nu = np.linalg.svd(np.swapaxes(U, 1, 2))[2][:, -1]  # (m, n) unit normals
+        nu = _hyperplane_normals(U)
         proj = nu @ V.T
         s = np.einsum("bi,bi->b", off, nu)
         return (proj.min(axis=1) - tol <= s) & (s <= proj.max(axis=1) + tol)
     return np.array([_flat_hits_lp(body, U[i], off[i]) for i in range(m)], dtype=bool)
+
+
+def _hyperplane_normals(U: np.ndarray) -> np.ndarray:
+    """Unit normals (m, n) of the hyperplanes spanned by the orthonormal
+    bases U (m, n, n - 1): at n = 2 the basis vector turned by 90 degrees,
+    at n = 3 the cross product of the two basis vectors, at n >= 4 the last
+    right singular vector of each U^T (LAPACK). The hit test is the same
+    for nu and -nu, so the sign is free."""
+    n = U.shape[1]
+    if n == 2:
+        return np.column_stack([-U[:, 1, 0], U[:, 0, 0]])
+    if n == 3:
+        return np.cross(U[:, :, 0], U[:, :, 1])
+    return np.linalg.svd(np.swapaxes(U, 1, 2))[2][:, -1]
 
 
 def _flat_hits_lp(body: bd.ConvexBody, U: np.ndarray, off: np.ndarray) -> bool:

@@ -83,14 +83,6 @@ def as_symmetric(X: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     return 0.5 * (X + XT)
 
 
-def as_orthogonal(Q: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    if np.max(np.abs(Q.T @ Q - np.eye(n))) > tol:
-        raise ValueError("matrix is not orthogonal to tolerance")
-    return Q
-
-
 def sample_gaussian_sym(n: int, rng: np.random.Generator,
                         size: int | None = None) -> np.ndarray:
     """Gaussian symmetric matrices in the chart above; (n, n) or (size, n, n)."""

@@ -370,18 +370,13 @@ def volume_exact(body) -> float:
     if isinstance(body, bd.VPolytope):
         if body.dim == 1:
             return float(np.ptp(body.vertices))
-        if body.vertices.shape[0] <= body.dim:
-            return 0.0
-        if body.dim == 2:
-            hull = bd.planar_hull(body.vertices)
-            return 0.0 if hull is None else hull.area
-        hull = bd.qhull(body.vertices)
+        hull = bd.polytope_hull(body)
         return 0.0 if hull is None else float(hull.volume)
     if isinstance(body, bd.HPolytope):
         box = bd.axis_box(body)
         if box is not None:
             return float(np.prod(box[1] - box[0]))
-        return volume_exact(bd.VPolytope(body._vertices))
+        return volume_exact(body._vpolytope)
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
@@ -389,8 +384,8 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
     """The vector (V_0, ..., V_n) for bodies with a closed form.
 
     Supported: balls, ellipsoids (through batch_ellipsoid_intrinsic_volumes),
-    axis-aligned boxes, and polygons (n = 2, through bodies.planar_hull;
-    flat ones too). Raises ValueError otherwise;
+    axis-aligned boxes, and polygons (n = 2, through their kept hull,
+    bodies.polytope_hull; flat ones too). Raises ValueError otherwise;
     use steiner_fit for general bodies.
     """
     if isinstance(body, bd.Ball):
@@ -404,11 +399,10 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
         box = bd.axis_box(body)
         if box is not None:
             return _elementary_symmetric(box[1] - box[0], body.dim)
-        if body.dim == 2:
-            return closed_intrinsic_volumes(bd.VPolytope(bd.vertex_set(body)))
-        raise ValueError("no closed form for this halfspace system")
-    if isinstance(body, bd.VPolytope) and body.dim == 2:
-        hull = bd.planar_hull(body.vertices)
+        if body.dim != 2:
+            raise ValueError("no closed form for this halfspace system")
+    if isinstance(body, (bd.HPolytope, bd.VPolytope)) and body.dim == 2:
+        hull = bd.polytope_hull(body)
         if hull is None:  # a point or a segment: V_1 is its length
             return np.array([1.0, bd.diameter(body), 0.0])
         return np.array([1.0, hull.perimeter / 2.0, hull.area])
@@ -533,31 +527,3 @@ def euler_valuation() -> Valuation:
 
 def volume_valuation(n: int) -> Valuation:
     return Valuation("volume", volume_exact, degree=float(n))
-
-
-def valuation_norm_estimate(phi: Valuation, n: int, rng, trials: int = 200) -> float:
-    """Diagnostic sup of |phi| over a family of convex subsets of the unit ball.
-
-    A finite stand-in for the supremum over all K contained in B^n; useful for
-    checking that a custom valuation is bounded before integrating it.
-    """
-    from . import symmetric as sym
-
-    rng, _ = resolve_rng(rng)
-    best = 0.0
-    for i in range(trials):
-        kind = i % 3
-        if kind == 0:
-            r = rng.random() ** (1.0 / n)
-            c = rng.standard_normal(n)
-            c *= (1.0 - r) * rng.random() / max(np.linalg.norm(c), 1e-12)
-            body = bd.Ball(c, max(r, 1e-3))
-        elif kind == 1:
-            q = sym.sample_haar_orthogonal(n, rng)
-            a = rng.random(n) * 0.999 + 1e-3
-            a /= max(1.0, a.max())
-            body = bd.Ellipsoid(np.zeros(n), q, a)
-        else:
-            body = bd.random_polytope(n, n + 3 + int(rng.integers(0, 6)), rng)
-        best = max(best, abs(phi(body)))
-    return best

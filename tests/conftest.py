@@ -1,11 +1,28 @@
-"""Shared pytest wiring for the acceptance suite.
+"""Shared pytest wiring.
 
 Each acceptance test records one pass/fail line through record(); the
 terminal-summary hook replays them in a dedicated section so the verdicts
-stay visible even when pytest captures stdout.
+stay visible even when pytest captures stdout. The hull_builds fixture
+counts the convex hulls bodies builds.
 """
 
+import pytest
+
+from intgeo import bodies as bd
+
 _ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def hull_builds(monkeypatch):
+    """A list that gains the name of each bodies.planar_hull or bodies.qhull
+    call made while the test runs."""
+    calls = []
+    for name in ("planar_hull", "qhull"):
+        build = getattr(bd, name)
+        monkeypatch.setattr(bd, name,
+                            lambda P, name=name, build=build: calls.append(name) or build(P))
+    return calls
 
 
 def record(line):

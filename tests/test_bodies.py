@@ -1008,3 +1008,48 @@ def test_planar_hull_is_flat_where_qhull_raises(P):
                                bd.distance_to_body(body, far), rtol=1e-15)
     if len(P) > 1:
         assert bd.minkowski_sum_vpolytopes(body, body).dim == 2
+
+
+# one hull per polytope
+
+
+@pytest.mark.parametrize("make", [lambda: bd.VPolytope(VPENT.vertices),
+                                  lambda: bd.HPolytope(PENT.normals, PENT.offsets)],
+                         ids=["v-polygon", "h-polygon"])
+def test_each_polytope_builds_its_hull_once(make, hull_builds):
+    body = make()
+    pts = np.array([[0.1, 0.2], [2.0, 0.0]])
+    G = np.stack([rot2(0.3), np.diag([1.5, 0.5])])
+    for _ in range(3):
+        bd.contains_points(body, pts)
+        bd.polygon_boundary_distance(body, pts)
+        bd.distance_to_body(body, pts)
+        volume_exact(body)
+        closed_intrinsic_volumes(body)
+        bd.moved_intrinsic_volumes(body, G)
+        bd.difference_volumes(body, body, G)
+    assert hull_builds == ["planar_hull"]
+    assert bd.polytope_hull(body) is bd.polytope_hull(body)
+
+
+def test_polytope_hull_is_none_without_a_kept_hull():
+    assert bd.polytope_hull(bd.unit_ball(2)) is None
+    assert bd.polytope_hull(ELL3) is None
+    assert bd.polytope_hull(H_BOX_4D) is None
+    assert bd.polytope_hull(bd.VPolytope([[0.0, 0.0], [1.0, 0.5]])) is None
+    assert bd.polytope_hull(bd.VPolytope([[0.0], [1.0]])) is None
+    hull = bd.polytope_hull(bd.cube(3))
+    assert abs(hull.volume - 1.0) < 1e-12
+
+
+def test_minkowski_sum_keeps_the_hull_planar_hull_would_build():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        A = bd.random_polytope(2, int(rng.integers(3, 12)), rng)
+        B = bd.VPolytope(rng.standard_normal((int(rng.integers(1, 9)), 2)))
+        kept = bd.polytope_hull(bd.minkowski_sum_vpolytopes(A, B))
+        built = bd.planar_hull(kept.points)
+        np.testing.assert_array_equal(kept.points, built.points)
+        np.testing.assert_array_equal(kept.vertices, built.vertices)
+        np.testing.assert_array_equal(kept.equations, built.equations)
+        assert kept.area == built.area

@@ -500,6 +500,16 @@ def test_separation_lemma_random_polygons():
     assert d["disagreements"] == 0
 
 
+def test_lemma_check_builds_two_hulls_per_trial(hull_builds):
+    # the Minkowski sum D and the moved gL + t; M keeps one hull for the run
+    rng = np.random.default_rng(17)
+    M = bd.random_polytope(2, 8, rng)
+    L = bd.random_polytope(2, 8, rng)
+    hull_builds.clear()
+    separation_lemma_check(M, L, 150, rng)
+    assert len(hull_builds) <= 2 * 150 + 2
+
+
 @pytest.mark.parametrize("M, L", [
     (bd.VPolytope([[0.0, 0.0]]), bd.VPolytope([[0.0, 0.0], [1.0, 0.0]])),
     (bd.VPolytope([[0.0, 1.0]]), bd.VPolytope([[2.0, 0.0]])),

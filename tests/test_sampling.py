@@ -6,9 +6,9 @@ from scipy.spatial import ConvexHull
 
 from intgeo import bodies as bd
 from intgeo.sampling import (AffineFlat, GroupElement, _flat_hits_lp,
-                             batch_flat_hits, flat_hits, flat_weight,
-                             sample_affine_flat, sample_group_element,
-                             translation_region)
+                             _hyperplane_normals, batch_flat_hits, flat_hits,
+                             flat_weight, sample_affine_flat,
+                             sample_group_element, translation_region)
 from intgeo.symmetric import expm_sym
 from intgeo.volumes import kappa
 
@@ -161,6 +161,23 @@ def test_batch_flat_hits_match_the_lp_per_flat(n, j):
             assert got.tolist() == want
         assert 15 <= np.sum(batch_flat_hits(body, flats)) <= 385  # hits and misses
     assert all(flat_hits(V, AffineFlat(Ub, ob)) for Ub, ob in zip(U, off))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hyperplane_normals_need_no_svd_at_n_le_3(n, monkeypatch):
+    # the oracle of the hit test itself is test_batch_flat_hits_match_the_lp_per_flat
+    rng = np.random.default_rng(30 + n)
+    V = bd.random_polytope(n, 10, rng)
+    flats = sample_affine_flat(n, n - 1, rng, window_radius=1.5, size=300)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    nu = _hyperplane_normals(flats.basis)
+    hits = batch_flat_hits(V, flats)
+    assert calls == []
+    np.testing.assert_allclose(np.linalg.norm(nu, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.einsum("bi,bij->bj", nu, flats.basis), 0.0, atol=1e-15)
+    assert 0 < hits.sum() < 300
 
 
 def test_batch_flat_hits_of_quadrics_match_flat_by_flat_minimization():

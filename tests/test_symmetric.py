@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 from scipy.stats import kstest
 
-from intgeo.symmetric import (as_orthogonal, as_symmetric, coords_to_sym,
+from intgeo.symmetric import (as_symmetric, coords_to_sym,
                               eigh_sym, eigvals_sym_batch, expm_sym,
                               orthonormal_factor, sample_gaussian_sym,
                               sample_haar_orthogonal, singular_frames,
@@ -196,10 +196,6 @@ def test_as_symmetric_and_as_orthogonal_validate():
         as_symmetric(M)
     X = as_symmetric(0.5 * (M + M.T))
     np.testing.assert_allclose(X, X.T, atol=1e-15)
-    Q = sample_haar_orthogonal(3, rng)
-    np.testing.assert_allclose(as_orthogonal(Q), Q)
-    with pytest.raises(ValueError):
-        as_orthogonal(M)
 
 
 # ---------------------------------------------------------------------------

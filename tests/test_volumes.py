@@ -11,8 +11,8 @@ from intgeo.volumes import (QuadratureError, batch_ellipsoid_intrinsic_volumes,
                             elliptic_e_agm, euler_characteristic,
                             euler_valuation, intrinsic_volume_ball,
                             intrinsic_volume_cube, intrinsic_volume_ellipsoid,
-                            kappa, steiner_fit, valuation_norm_estimate,
-                            volume_exact, volume_mc, volume_valuation)
+                            kappa, steiner_fit, volume_exact, volume_mc,
+                            volume_valuation)
 
 
 def box2(x0, x1, y0, y1):
@@ -379,5 +379,3 @@ def test_valuations():
     assert chi(bd.EMPTY) == 0.0
     assert abs(vol(bd.unit_ball(2)) - math.pi) < 1e-12
     assert vol.degree == 2.0
-    norm = valuation_norm_estimate(chi, 2, 5)
-    assert abs(norm - 1.0) < 1e-12
