@@ -1032,7 +1032,7 @@ def test_each_polytope_builds_its_hull_once(make, hull_builds):
     assert bd.polytope_hull(body) is bd.polytope_hull(body)
 
 
-def test_polytope_hull_is_none_without_a_kept_hull():
+def test_polytope_hull_by_body_type():
     assert bd.polytope_hull(bd.unit_ball(2)) is None
     assert bd.polytope_hull(ELL3) is None
     assert bd.polytope_hull(H_BOX_4D) is None
