@@ -25,7 +25,10 @@ read the kept hull, and no other module builds one. Every hull in the
 plane is planar_hull, Andrew's monotone chain in numpy: edge normals, facet
 equations, areas and perimeters of polygons all come from its
 counter-clockwise vertex order. Only hulls in other dimensions call
-scipy's Qhull (scipy.spatial, imported when first needed).
+scipy's Qhull (scipy.spatial, imported when first needed). Two convex
+polygons sum without a hull: minkowski_rings merges their boundary rings
+(polygon_ring) by edge angle over a whole batch of pairs, and the planar
+minkowski_sum_vpolytopes is its batch of one.
 
 Bodies serialize to plain JSON dicts with a "type" tag so the CLI and the
 cache files can round-trip them; see body_to_dict / body_from_dict. They
@@ -261,8 +264,7 @@ def planar_hull(points: np.ndarray) -> PlanarHull | None:
     if P.shape[0] < 3:
         return None
     order = np.lexsort((P[:, 1], P[:, 0])).tolist()
-    tol = (_HULL_ULPS * np.finfo(float).eps * float(np.max(np.abs(P)))
-           * float(np.max(np.ptp(P, axis=0))))
+    tol = _straight_turn_tol(P)
     xy = P.tolist()
 
     def chain(idx):
@@ -285,6 +287,14 @@ def planar_hull(points: np.ndarray) -> PlanarHull | None:
         return None
     idx = np.array(hull)
     return PlanarHull(vertices=idx, points=P[idx])
+
+
+def _straight_turn_tol(P: np.ndarray) -> float:
+    """The cross product at or below which a turn through the planar points
+    P counts as straight: _HULL_ULPS ulps of (largest |coordinate|) x
+    (largest extent)."""
+    return (_HULL_ULPS * np.finfo(float).eps * float(np.max(np.abs(P)))
+            * float(np.max(np.ptp(P, axis=0))))
 
 
 def qhull(points: np.ndarray):
@@ -1022,11 +1032,24 @@ def _hull_equations(body: VPolytope) -> np.ndarray | None:
 
 
 def _edge_distance(ring: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polygonal ring through ring's rows."""
-    dist = np.full(points.shape[0], np.inf)
-    for i in range(len(ring)):
-        dist = np.minimum(dist, _segment_distance(ring[i], ring[(i + 1) % len(ring)], points))
-    return dist
+    """Distance from each point to the closed polygonal ring through ring's rows.
+
+    ring (..., k, 2) and points (..., p, 2) broadcast over leading batch
+    axes; the result is (..., p). Every point meets every edge in one
+    broadcast, at the foot _segment_distance finds for one edge: the
+    nearest point of the segment, or its start when the edge is shorter
+    than 1e-15.
+    """
+    p0 = ring[..., None, :, :]  # (..., 1, k, 2)
+    d = np.roll(ring, -1, axis=-2)[..., None, :, :] - p0
+    x = points[..., :, None, :]  # (..., p, 1, 2)
+    w = x - p0
+    denom = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    short = denom < 1e-30
+    t = np.clip((w[..., 0] * d[..., 0] + w[..., 1] * d[..., 1])
+                / np.where(short, 1.0, denom), 0.0, 1.0)
+    foot = p0 + np.where(short, 0.0, t)[..., None] * d
+    return np.linalg.norm(x - foot, axis=-1).min(axis=-1)
 
 
 def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
@@ -1070,9 +1093,7 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
                 dist = np.minimum(dist, _triangle_distance(tri, points))
             return dist
     # a segment, or a planar set the hull finds flat up to rounding
-    d = centered[np.argmax(np.linalg.norm(centered, axis=1))]
-    proj = centered @ d
-    return _segment_distance(V[np.argmin(proj)], V[np.argmax(proj)], points)
+    return _segment_distance(*_segment_ends(V), points)
 
 
 def polygon_boundary_distance(body: HPolytope | VPolytope, points: np.ndarray) -> np.ndarray:
@@ -1112,21 +1133,97 @@ def diameter_upper_bound(body: ConvexBody) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
+def polygon_ring(body: HPolytope | VPolytope) -> np.ndarray:
+    """The boundary of a planar polytope as a counter-clockwise ring, (k, 2).
+
+    A full-dimensional hull (polytope_hull) gives its corners; a flat vertex
+    set gives its two extreme points (a segment) or its one point.
+    """
+    hull = polytope_hull(body)
+    if hull is not None:
+        return hull.points
+    V = vertex_set(body)
+    return V[:1] if affine_rank(V) == 0 else _segment_ends(V)
+
+
+def _segment_ends(V: np.ndarray) -> np.ndarray:
+    """The two extreme rows of a vertex set along its longest direction from
+    the centroid: the end points of a collinear set."""
+    centered = V - V.mean(axis=0)
+    proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
+    return V[[np.argmin(proj), np.argmax(proj)]]
+
+
+def minkowski_rings(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The boundary rings of the Minkowski sums P_b + Q_b of convex polygons,
+    by merging their edges by angle (de Berg et al., Computational Geometry,
+    3rd ed., sec. 13.3).
+
+    P (..., m, 2) and Q (..., l, 2) are counter-clockwise rings
+    (polygon_ring) that broadcast over leading batch axes. A ring of one
+    point has no edges and a segment's two points have two, e and -e. The
+    result (..., m' + l', 2), m' and l' the edge counts (one point when both
+    are 0), runs counter-clockwise from the sum of the rings' topmost points
+    (where their edges of least angle start) and takes one edge at a time
+    in order of angle, so each row is an exact sum P[i] + Q[j]. Parallel
+    edges leave a point on a straight turn; minkowski_sum_vpolytopes drops
+    them.
+    """
+    batch = np.broadcast_shapes(P.shape[:-2], Q.shape[:-2])
+    P = np.broadcast_to(P, batch + P.shape[-2:])
+    Q = np.broadcast_to(Q, batch + Q.shape[-2:])
+    starts, angles = [], []
+    for R in (P, Q):
+        if R.shape[-2] == 1:
+            starts.append(np.zeros(batch + (1,), dtype=int))
+            angles.append(np.zeros(batch + (0,)))
+            continue
+        e = np.roll(R, -1, axis=-2) - R
+        ang = np.arctan2(e[..., 1], e[..., 0])
+        s = np.argmin(ang, axis=-1)[..., None]
+        starts.append(s)
+        # the edges from the one of least angle on: their angles ascend
+        roll = (s + np.arange(R.shape[-2])) % R.shape[-2]
+        angles.append(np.take_along_axis(ang, roll, axis=-1))
+    m = angles[0].shape[-1]
+    if m + angles[1].shape[-1] == 0:
+        return P + Q
+    order = np.argsort(np.concatenate(angles, axis=-1), axis=-1, kind="stable")
+    from_p = order < m
+    steps_p = np.cumsum(from_p, axis=-1) - from_p  # P's edges taken before each point
+    steps_q = np.arange(order.shape[-1]) - steps_p
+    i = (starts[0] + steps_p) % P.shape[-2]
+    j = (starts[1] + steps_q) % Q.shape[-2]
+    return (np.take_along_axis(P, i[..., None], axis=-2)
+            + np.take_along_axis(Q, j[..., None], axis=-2))
+
+
 def minkowski_sum_vpolytopes(a: VPolytope, b: VPolytope) -> VPolytope:
     """Hull of all pairwise vertex sums.
 
-    In the plane the sum keeps the hull just built as its own: its vertices
-    are that hull's corners in order, which planar_hull would find again
-    vertex for vertex.
+    In the plane it is the edge merge minkowski_rings of the two
+    polygon_rings, a batch of one, with its straight turns dropped at
+    planar_hull's tolerance (_HULL_ULPS) and rotated to start at the
+    lexicographic minimum (x, then y): the corners of planar_hull of all
+    pairwise sums, exact sums in the same order. The sum keeps that ring as
+    its hull. In other dimensions it is Qhull (qhull) of the pairwise sums.
     """
+    if a.dim == 2:
+        R = minkowski_rings(polygon_ring(a), polygon_ring(b))
+        if len(R) >= 3:
+            o, c, nxt = np.roll(R, 1, axis=0), R, np.roll(R, -1, axis=0)
+            cross = ((c[:, 0] - o[:, 0]) * (nxt[:, 1] - o[:, 1])
+                     - (c[:, 1] - o[:, 1]) * (nxt[:, 0] - o[:, 0]))
+            R = R[cross > _straight_turn_tol(R)]
+        if len(R) >= 3:
+            out = VPolytope(np.roll(R, -int(np.lexsort((R[:, 1], R[:, 0]))[0]), axis=0))
+            out._hull = PlanarHull(vertices=np.arange(len(R)), points=out.vertices)
+            return out
     sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
-    hull = planar_hull(sums) if a.dim == 2 else qhull(sums)
+    hull = None if a.dim == 2 else qhull(sums)
     if hull is None:
         return VPolytope(np.unique(np.round(sums, 12), axis=0))
-    out = VPolytope(sums[hull.vertices])
-    if a.dim == 2:
-        out._hull = PlanarHull(vertices=np.arange(len(hull.vertices)), points=out.vertices)
-    return out
+    return VPolytope(sums[hull.vertices])
 
 
 def as_vpolytope(body: HPolytope) -> VPolytope:

@@ -14,7 +14,9 @@ the estimate against each, so the convention is pinned by data, not fiat.
 
 separation_lemma_check exercises the boundary characterization of the
 difference body: t lies on the boundary of M + (-gL) exactly when M and
-gL + t intersect but admit a separating hyperplane.
+gL + t intersect but admit a separating hyperplane. It runs all of its
+trials at once: one draw of g, one edge merge for every difference body,
+rejection rounds for the planted translations and one separating-axis pass.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
                          run_chunks, z_score)
 from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
-from .symmetric import congruence, eigh_sym, sample_gaussian_sym, sample_haar_orthogonal
+from .symmetric import (congruence, eigh_sym, expm_sym, sample_gaussian_sym,
+                        sample_haar_orthogonal)
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 from .weyl import merge_constants, trace_moment
 
@@ -43,6 +46,9 @@ _LHS_BATCH = 4096  # group elements drawn at a time
 _CROFTON_BATCH = 16384  # flats drawn at a time
 # interior/exterior lemma-check points this close to the boundary are skipped
 _SKIP_MARGIN = 1e-6
+# interior/exterior lemma-check candidates per trial: the cap, and per round
+_LEMMA_CANDIDATES = 400
+_LEMMA_ROUND = 8
 
 
 def stage_samples(samples: int) -> int:
@@ -516,72 +522,84 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
                            rng) -> LemmaCheck:
     """Stress the boundary biconditional on random deformations of L.
 
-    For each trial, draw g = k exp(X), build the difference body
-    D = M + (-gL), and plant the translation t in one of three strata:
-    interior of D, boundary of D (edge point with tangential jitter), or
-    exterior. The claim under test: M and gL + t intersect AND admit a
-    separating hyperplane exactly when t lies on the boundary of D.
-    Interior/exterior samples landing within _SKIP_MARGIN of the boundary are
-    counted as boundary_skips instead of being classified. Both predicates
-    are read off one separating-axis pass (bodies.polygon_gaps), with M's
-    axes from its kept hull and D's edges from D's; inputs are checked by
-    check_lemma_inputs.
+    Trial i draws g = k exp(X), builds the difference body D = M + (-gL) and
+    plants the translation t in stratum i mod 3: the interior of D, its
+    boundary (a point on an edge drawn by length, its position jittered
+    along the edge) or its exterior. The claim under test: M and gL + t
+    intersect AND admit a separating hyperplane exactly when t lies on the
+    boundary of D.
+
+    Every trial goes through each step at once:
+    - k, X and g are drawn for all trials;
+    - each D is the edge merge bodies.minkowski_rings of M's ring and that
+      of -gL (bodies.polygon_ring of L, reversed where det g < 0 so it
+      stays counter-clockwise), from M's and L's geometry alone;
+    - interior and exterior candidates are drawn in rounds of
+      _LEMMA_ROUND per trial still open, from D's box (interior) or the box
+      twice its size around it (exterior), and the first that lies inside
+      (outside) D's edge half-planes and farther than _SKIP_MARGIN from its
+      boundary (bodies._edge_distance) is kept; a trial with none after
+      _LEMMA_CANDIDATES candidates counts as a boundary_skip;
+    - both predicates are read off one batched separating-axis pass
+      (bodies._polygon_gaps, the kernel of batch_intersects): M and gL + t
+      meet when every gap is at most TOL, and a hyperplane separates them
+      when the largest gap is at least -TOL.
+    failures holds the first 10 disagreements in trial order. The result
+    depends only on the bodies, trials and the stream of rng; inputs are
+    checked by check_lemma_inputs.
     """
     check_lemma_inputs(M, L)
     rng, _ = resolve_rng(rng)
-    from .symmetric import expm_sym
-
-    result = LemmaCheck(trials=trials, agreements=0, disagreements=0,
-                        boundary_skips=0,
-                        stratum_counts={"interior": 0, "boundary": 0, "exterior": 0})
     strata = ("interior", "boundary", "exterior")
-    for trial in range(int(trials)):
-        stratum = strata[trial % 3]
-        k = sample_haar_orthogonal(2, rng)
-        X = sample_gaussian_sym(2, rng)
-        gL = bd.VPolytope(L.vertices @ (k @ expm_sym(X)).T)
-        D = bd.minkowski_sum_vpolytopes(M, bd.VPolytope(-gL.vertices))
-        lo, hi = bd.bounding_box(D)
-        span = hi - lo
-        t = None
-        if stratum == "interior":
-            for _ in range(400):
-                cand = lo + rng.random(2) * span
-                if (bd.contains_points(D, cand[None, :])[0]
-                        and bd.polygon_boundary_distance(D, cand[None, :])[0] > _SKIP_MARGIN):
-                    t = cand
-                    break
-        elif stratum == "exterior":
-            blo = lo - 0.5 * span
-            bspan = 2.0 * span
-            for _ in range(400):
-                cand = blo + rng.random(2) * bspan
-                if (not bd.contains_points(D, cand[None, :], tol=0.0)[0]
-                        and bd.polygon_boundary_distance(D, cand[None, :])[0] > _SKIP_MARGIN):
-                    t = cand
-                    break
-        else:
-            hull = bd.polytope_hull(D)
-            lengths = np.array([np.linalg.norm(e) for e in hull.edges])
-            probs = lengths / lengths.sum()
-            idx = int(rng.choice(len(lengths), p=probs))
-            u = rng.random()
-            u = float(np.clip(u + 0.1 * rng.standard_normal(), 0.0, 1.0))
-            t = hull.points[idx] + u * hull.edges[idx]
-        if t is None:
-            result.boundary_skips += 1
-            continue
-        result.stratum_counts[stratum] += 1
-        _, gaps = bd.polygon_gaps(M, gL.vertices + t)
-        nonempty = bool(np.all(gaps <= bd.TOL))
-        separable = bool(gaps.max() >= -bd.TOL)
-        on_boundary = stratum == "boundary"
-        if (nonempty and separable) == on_boundary:
-            result.agreements += 1
-        else:
-            result.disagreements += 1
-            if len(result.failures) < 10:
-                result.failures.append({"stratum": stratum, "t": t.tolist(),
-                                        "nonempty": bool(nonempty),
-                                        "separable": bool(separable)})
-    return result
+    T = int(trials)
+    if T == 0:
+        return LemmaCheck(trials=0, agreements=0, disagreements=0, boundary_skips=0,
+                          stratum_counts=dict.fromkeys(strata, 0))
+    stratum = np.arange(T) % 3
+    k = sample_haar_orthogonal(2, rng, size=T)
+    X = sample_gaussian_sym(2, rng, size=T)
+    G = k @ expm_sym(X)
+    invG = expm_sym(-X) @ np.swapaxes(k, 1, 2)
+    ringL = bd.polygon_ring(L) @ -np.swapaxes(G, 1, 2)  # (T, l, 2): -g L
+    flip = np.linalg.det(G) < 0
+    ringL[flip] = ringL[flip, ::-1]
+    D = bd.minkowski_rings(bd.polygon_ring(M), ringL)  # (T, K, 2)
+    E = np.roll(D, -1, axis=1) - D
+    normals = np.stack([E[..., 1], -E[..., 0]], axis=-1)  # outward, unnormalized
+    offsets = np.einsum("tki,tki->tk", normals, D)
+    lo, hi = D.min(axis=1), D.max(axis=1)
+    span = hi - lo
+    t = np.full((T, 2), np.nan)
+    for s, box_lo, box_span in ((0, lo, span), (2, lo - 0.5 * span, 2.0 * span)):
+        open_ = np.flatnonzero(stratum == s)
+        for _ in range(_LEMMA_CANDIDATES // _LEMMA_ROUND):
+            if open_.size == 0:
+                break
+            cand = (box_lo[open_, None, :]
+                    + rng.random((open_.size, _LEMMA_ROUND, 2)) * box_span[open_, None, :])
+            inside = np.all(cand @ np.swapaxes(normals[open_], 1, 2)
+                            <= offsets[open_, None, :], axis=2)
+            ok = ((inside == (s == 0))
+                  & (bd._edge_distance(D[open_], cand) > _SKIP_MARGIN))
+            found = ok.any(axis=1)
+            t[open_[found]] = cand[found, ok[found].argmax(axis=1)]
+            open_ = open_[~found]
+    edge = np.flatnonzero(stratum == 1)
+    cum = np.cumsum(np.hypot(E[edge, :, 0], E[edge, :, 1]), axis=1)
+    pick = rng.random(edge.size) * cum[:, -1]
+    idx = np.minimum((cum <= pick[:, None]).sum(axis=1), D.shape[1] - 1)
+    u = np.clip(rng.random(edge.size) + 0.1 * rng.standard_normal(edge.size), 0.0, 1.0)
+    t[edge] = D[edge, idx] + u[:, None] * E[edge, idx]
+    have = np.flatnonzero(~np.isnan(t[:, 0]))
+    _, gaps = bd._polygon_gaps(M, L, G[have], invG[have], t[have])
+    nonempty = np.all(gaps <= bd.TOL, axis=1)
+    separable = gaps.max(axis=1) >= -bd.TOL
+    agree = (nonempty & separable) == (stratum[have] == 1)
+    agreements = int(agree.sum())
+    return LemmaCheck(
+        trials=T, agreements=agreements, disagreements=have.size - agreements,
+        boundary_skips=T - have.size,
+        stratum_counts={name: int(np.sum(stratum[have] == s)) for s, name in enumerate(strata)},
+        failures=[{"stratum": strata[stratum[have[r]]], "t": t[have[r]].tolist(),
+                   "nonempty": bool(nonempty[r]), "separable": bool(separable[r])}
+                  for r in np.flatnonzero(~agree)[:10]])

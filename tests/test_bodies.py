@@ -1053,3 +1053,118 @@ def test_minkowski_sum_keeps_the_hull_planar_hull_would_build():
         np.testing.assert_array_equal(kept.vertices, built.vertices)
         np.testing.assert_array_equal(kept.equations, built.equations)
         assert kept.area == built.area
+
+
+# the planar edge merge and the broadcast boundary distance
+
+
+def _hull_of_pairwise_sums(A, B):
+    """The corners of planar_hull over all pairwise vertex sums, or None."""
+    sums = (A.vertices[:, None, :] + B.vertices[None, :, :]).reshape(-1, 2)
+    hull = bd.planar_hull(sums)
+    return None if hull is None else sums[hull.vertices]
+
+
+def test_edge_merge_matches_planar_hull_of_pairwise_sums():
+    # minkowski_sum_vpolytopes at n = 2 is the edge merge, a batch of one:
+    # bit for bit the corners planar_hull finds among all m l sums
+    rng = np.random.default_rng(181)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    seen = {"reflection": 0, "point": 0, "segment": 0, "parallel": 0}
+    for i in range(1200):
+        A = bd.random_polytope(2, int(rng.integers(3, 12)), rng,
+                               radius=float(rng.uniform(0.2, 5.0)),
+                               center=rng.normal(size=2))
+        kind = i % 6
+        if kind in (0, 1):  # -g L under a random g, det g of either sign
+            g = sample_haar_orthogonal(2, rng) @ expm_sym(sample_gaussian_sym(2, rng))
+            seen["reflection"] += bool(np.linalg.det(g) < 0)
+            B = bd.VPolytope(bd.random_polytope(2, int(rng.integers(3, 9)), rng).vertices @ -g.T)
+        elif kind == 2:
+            B = bd.VPolytope(rng.standard_normal((1, 2)))
+            A, B = (A, B) if i % 4 else (B, A)
+            seen["point"] += 1
+        elif kind == 3:
+            B = bd.VPolytope(rng.standard_normal((2, 2)))
+            A, B = (A, B) if i % 4 else (B, A)
+            seen["segment"] += 1
+        elif kind == 4:  # every edge of one square parallel to one of the other
+            A = bd.VPolytope(square * rng.uniform(0.5, 2.0) + rng.normal(size=2))
+            B = bd.VPolytope(square[::-1] * rng.uniform(0.5, 2.0) + rng.normal(size=2))
+            seen["parallel"] += 1
+        else:  # two segments: a parallelogram
+            A = bd.VPolytope(rng.standard_normal((2, 2)))
+            B = bd.VPolytope(rng.standard_normal((2, 2)))
+        want = _hull_of_pairwise_sums(A, B)
+        got = bd.minkowski_sum_vpolytopes(A, B)
+        np.testing.assert_array_equal(got.vertices, want)
+        np.testing.assert_array_equal(bd.polytope_hull(got).points, want)
+    assert min(seen.values()) >= 100
+
+
+def test_edge_merge_of_squares_drops_the_straight_turns():
+    square = bd.VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    ring = bd.minkowski_rings(bd.polygon_ring(square), bd.polygon_ring(square))
+    assert ring.shape == (8, 2)  # each side twice: four straight turns
+    np.testing.assert_array_equal(bd.minkowski_sum_vpolytopes(square, square).vertices,
+                                  [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+
+
+def test_edge_merge_by_batch_matches_one_pair_at_a_time():
+    # the lemma check's batch: one ring of M against the rings of -g_b L,
+    # reversed where det g_b < 0
+    rng = np.random.default_rng(182)
+    M = bd.random_polytope(2, 7, rng)
+    L = bd.random_polytope(2, 6, rng)
+    G = sample_haar_orthogonal(2, rng, size=64) @ expm_sym(sample_gaussian_sym(2, rng, size=64))
+    Q = bd.polygon_ring(L) @ -np.swapaxes(G, 1, 2)
+    flip = np.linalg.det(G) < 0
+    Q[flip] = Q[flip, ::-1]
+    rings = bd.minkowski_rings(bd.polygon_ring(M), Q)
+    assert rings.shape == (64, len(bd.polygon_ring(M)) + len(bd.polygon_ring(L)), 2)
+    for b in range(64):
+        np.testing.assert_array_equal(rings[b], bd.minkowski_rings(bd.polygon_ring(M), Q[b]))
+        want = _hull_of_pairwise_sums(M, bd.VPolytope(Q[b]))
+        start = int(np.flatnonzero(np.all(rings[b] == want[0], axis=1))[0])
+        np.testing.assert_array_equal(np.roll(rings[b], -start, axis=0), want)
+
+
+def _edge_distance_by_loop(ring, points):
+    # one _segment_distance per edge, the kernel before it was broadcast
+    dist = np.full(points.shape[0], np.inf)
+    for i in range(len(ring)):
+        dist = np.minimum(dist, bd._segment_distance(ring[i], ring[(i + 1) % len(ring)], points))
+    return dist
+
+
+def test_edge_distance_matches_the_loop_over_edges():
+    rng = np.random.default_rng(183)
+    for _ in range(300):
+        ring = bd.polygon_ring(bd.random_polytope(2, int(rng.integers(3, 12)), rng))
+        pts = rng.uniform(-2.0, 2.0, (64, 2))
+        np.testing.assert_allclose(bd._edge_distance(ring, pts),
+                                   _edge_distance_by_loop(ring, pts), rtol=0.0, atol=1e-15)
+    # far from the unit scale the two agree to rounding of the coordinates
+    for _ in range(100):
+        ring = bd.polygon_ring(bd.random_polytope(2, int(rng.integers(3, 12)), rng,
+                                                  radius=10.0, center=rng.normal(size=2) * 10))
+        pts = rng.uniform(-40.0, 40.0, (64, 2))
+        scale = max(np.max(np.abs(ring)), np.max(np.abs(pts)))
+        np.testing.assert_allclose(bd._edge_distance(ring, pts),
+                                   _edge_distance_by_loop(ring, pts),
+                                   rtol=0.0, atol=8 * np.finfo(float).eps * scale)
+    # a repeated ring point is an edge of length 0: the distance to that point
+    ring = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pts = rng.uniform(-2.0, 2.0, (64, 2))
+    np.testing.assert_allclose(bd._edge_distance(ring, pts),
+                               _edge_distance_by_loop(ring, pts), rtol=0.0, atol=1e-15)
+
+
+def test_edge_distance_broadcasts_over_batch_axes():
+    rng = np.random.default_rng(184)
+    rings = rng.standard_normal((5, 6, 2))
+    pts = rng.standard_normal((5, 3, 2))
+    got = bd._edge_distance(rings, pts)
+    assert got.shape == (5, 3)
+    for b in range(5):
+        np.testing.assert_array_equal(got[b], bd._edge_distance(rings[b], pts[b]))

@@ -525,3 +525,69 @@ def test_chi_and_volume_string_or_valuation_agree():
     res_v = lhs_kinematic("so", euler_valuation(), bd.unit_ball(2),
                           bd.unit_ball(2), 5000, 23)
     assert abs(res_s.mean - res_v.mean) < 1e-12
+
+
+# the batched lemma check
+
+
+def _lemma_pair(seed=17):
+    rng = np.random.default_rng(seed)
+    return bd.random_polytope(2, 8, rng), bd.random_polytope(2, 8, rng), rng
+
+
+def test_lemma_check_builds_only_the_hulls_of_M_and_L(hull_builds):
+    M, L, rng = _lemma_pair()
+    hull_builds.clear()
+    separation_lemma_check(M, L, 150, rng)
+    assert len(hull_builds) <= 2
+
+
+def test_lemma_check_catches_a_difference_body_of_the_wrong_sign(monkeypatch):
+    # D built as M + gL instead of M + (-gL): its boundary points are not
+    # touching positions, and the separating-axis test has to say so
+    merge = bd.minkowski_rings
+    monkeypatch.setattr(bd, "minkowski_rings", lambda P, Q: merge(P, -Q))
+    M, L, rng = _lemma_pair()
+    res = separation_lemma_check(M, L, 300, rng)
+    assert res.disagreements > 0
+    assert res.agreements + res.disagreements + res.boundary_skips == 300
+
+
+def test_lemma_check_counts_the_trials_it_cannot_plant(monkeypatch):
+    # no interior or exterior candidate is far enough from the boundary
+    monkeypatch.setattr(kin, "_SKIP_MARGIN", 1e9)
+    M, L, rng = _lemma_pair()
+    res = separation_lemma_check(M, L, 60, rng)
+    assert res.boundary_skips == 40
+    assert res.stratum_counts == {"interior": 0, "boundary": 20, "exterior": 0}
+    assert res.agreements + res.disagreements + res.boundary_skips == res.trials == 60
+
+
+def test_lemma_check_keeps_the_first_ten_failures_in_trial_order(monkeypatch):
+    # every gap positive: gL + t misses M, so each boundary trial disagrees
+    planted = []
+
+    def disjoint(M, L, G, invG, t):
+        planted.append(t.copy())
+        axes, gaps = gaps_of(M, L, G, invG, t)
+        return axes, np.abs(gaps) + 1.0
+
+    gaps_of = bd._polygon_gaps
+    monkeypatch.setattr(bd, "_polygon_gaps", disjoint)
+    M, L, rng = _lemma_pair()
+    res = separation_lemma_check(M, L, 150, rng)
+    assert res.disagreements == 50 and res.agreements == 100
+    assert len(res.failures) == 10
+    boundary_t = planted[0][1::3]  # trials 1, 4, 7, ... in trial order
+    for failure, t in zip(res.failures, boundary_t):
+        assert failure == {"stratum": "boundary", "t": t.tolist(),
+                           "nonempty": False, "separable": True}
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2])
+def test_lemma_check_runs_a_few_trials(trials):
+    M, L, rng = _lemma_pair()
+    res = separation_lemma_check(M, L, trials, rng)
+    assert res.trials == trials
+    assert res.agreements == trials and res.disagreements == res.boundary_skips == 0
+    assert sum(res.stratum_counts.values()) == trials
