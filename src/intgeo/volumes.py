@@ -22,8 +22,12 @@ elliptic integral E by the arithmetic-geometric mean at n = 2
 (carlson_rg; Carlson 1995, Numer. Algorithms 10), both valid for any
 positive axes, and a fixed trapezoid grid in s = log t at n >= 4, valid to
 ~1e-10 relative for axis ratios up to e^20 and refused (QuadratureError)
-beyond. Regression tests pin the batch evaluator to the reference and the
-two elliptic kernels to scipy.special.
+beyond. The grid's sum is computed as polynomial moments: the integrand
+of every V_j is a polynomial in T = t^2 over E(T)^{3/2}, E = prod_l
+(1 + a_l^2 T), so one pass of E^{-3/2} over the nodes gives the moments
+every j reads. Regression tests pin the batch evaluator to the reference,
+the grid to the per-axis trapezoid loop it replaced, and the two elliptic
+kernels to scipy.special.
 """
 
 from __future__ import annotations
@@ -251,42 +255,68 @@ def carlson_rg(x, y, z) -> np.ndarray:
 # ~e^{-3(30 + log b_min)}: 1e-13 at the floor b_min = e^-20, rising by e^3 per
 # unit of log-spread beyond it. Against a 30-digit quadrature the grid is
 # within 2e-11 (n = 4, 5; spreads to 22) and 2e-10 (n = 8; step error).
+# _grid_intrinsic_volumes sums the trapezoid rule on these nodes as
+# polynomial moments, building its node tables per call. The moments and
+# their coefficients stay normal doubles while the axes' product is at least
+# e^-165 (_GRID_LOG_PRODUCT bounds log prod b_l^2): implied by the e^-20
+# floor at n <= 9, and refused where it fails at n >= 10.
 _GRID_H = 0.30
 _GRID_S = np.arange(-32.0, 30.0 + _GRID_H / 2, _GRID_H)
-_GRID_T2 = np.exp(2.0 * _GRID_S)
 _GRID_FLOOR = math.exp(-20.0)
+_GRID_LOG_PRODUCT = -330.0
 _GRID_ROWS = 256
 
 
 def _grid_intrinsic_volumes(B: np.ndarray) -> np.ndarray:
     """V_j / kappa_j for j = 1..n-1 of rows B with max axis 1, shape (m, n - 1).
 
-    One pass over the axes: the kernel 1/((b_i^2 t^2 + 1) P) is formed once
-    per axis and integrated against every j by one matmul with H e^{j s}.
-    Every j is computed whichever are asked for, so a value never depends on
-    the other j requested. Rows go through in blocks of _GRID_ROWS so the
-    (rows, nodes) work arrays stay in cache.
+    The trapezoid rule in s on the principal-axis integrals, summed as
+    polynomial moments. With T = e^{2s}, F_l = 1 + b_l^2 T and E = prod_l
+    F_l = sum_k e_k(b^2) T^k,
+
+        sum_i b_i^2 e_{j-1}(b^2 without i) / F_i = P_j(T) / E(T),
+        P_j(T) = sum_{k<n} D_jk T^k,
+        D_jk = sum_i b_i^2 e_{j-1}(b^2 without i) e_k(b^2 without i),
+
+    so V_j / kappa_j = sum_k D_jk m_{j+2k}, with the moments m_p = sum_s h
+    e^{ps} E(T_s)^{-3/2}, p = 1..3n-3, all read off one (rows, nodes) array.
+    Every coefficient and every term is positive, so nothing cancels.
+
+    Past s = 0 the tables carry E / T^n and fold T^{-3n/2} into the weights,
+    so no table entry exceeds 1. With e_n = prod_l b_l^2 >=
+    e^{_GRID_LOG_PRODUCT}, E^{-3/2} is then at most e_n^{-3/2} <= e^{495}
+    and every D_jk at least e_n^2 >= e^{-660}: neither leaves the normal
+    double range. Every j is computed whichever are asked for, so a value
+    never depends on the other j requested. Rows go through in blocks of
+    _GRID_ROWS, so the (rows, nodes) work arrays stay in cache.
     """
     m, n = B.shape
     B2 = B * B
-    weights = _GRID_H * np.exp(np.outer(_GRID_S, np.arange(1, n)))
-    others = [[l for l in range(n) if l != i] for i in range(n)]
-    e = _elementary_symmetric(B2[:, others], n - 2)
-    core = np.zeros((m, n - 1))
+    past = np.where(_GRID_S > 0.0, _GRID_S, 0.0)
+    # T^k, and T^(k-n) past 0
+    powers = np.exp(2.0 * (np.outer(np.arange(n + 1), _GRID_S) - n * past))
+    weights = _GRID_H * np.exp(np.outer(_GRID_S, np.arange(1, 3 * n - 2))
+                               - 3.0 * n * past[:, None])
+    p = np.arange(n - 1)[:, None] + 2 * np.arange(n)  # m_{j+2k} sits at [j-1, k]
+    drop = 1.0 - np.eye(n)  # row i of the symmetric functions leaves out axis i
+    core = np.empty((m, n - 1))
     for r in range(0, m, _GRID_ROWS):
         b2 = B2[r:r + _GRID_ROWS]
-        f = np.empty((b2.shape[0], _GRID_T2.size))
-        inv_p = np.ones_like(f)
+        # eo[k, row, i] = e_k(b^2 without i), k = 0..n-1, one axis at a time
+        eo = np.zeros((n, b2.shape[0], n))
+        eo[0] = 1.0
         for l in range(n):
-            np.multiply(b2[:, l, None], _GRID_T2, out=f)
-            f += 1.0
-            inv_p *= np.sqrt(f, out=f)
-        np.reciprocal(inv_p, out=inv_p)
-        for i in range(n):
-            np.multiply(b2[:, i, None], _GRID_T2, out=f)
-            f += 1.0
-            np.divide(inv_p, f, out=f)
-            core[r:r + _GRID_ROWS] += b2[:, i, None] * e[r:r + _GRID_ROWS, i] * (f @ weights)
+            eo[1:] += (b2[:, l, None] * drop[l]) * eo[:-1]
+        # e_k(b^2) = e_k(b^2 without 0) + b_0^2 e_{k-1}(b^2 without 0)
+        e = np.zeros((b2.shape[0], n + 1))
+        e[:, :n] = eo[:, :, 0].T
+        e[:, 1:] += b2[:, 0, None] * eo[:, :, 0].T
+        D = np.matmul((b2 * eo[:n - 1]).transpose(1, 0, 2), eo.transpose(1, 2, 0))
+        E = e @ powers
+        q = np.sqrt(E)
+        q *= E
+        moments = np.reciprocal(q, out=q) @ weights
+        core[r:r + _GRID_ROWS] = (D * moments[:, p]).sum(axis=2)
     return core
 
 
@@ -304,7 +334,11 @@ def batch_ellipsoid_intrinsic_volumes(semiaxes: np.ndarray, js) -> dict[int, np.
     - n >= 4: a fixed trapezoid rule in s = log t over the principal-axis
       integrals, accurate to ~1e-10 relative while every axis is at least
       e^-20 times the largest, a margin Gaussian spectra never approach.
-      A batch with any row beyond that raises QuadratureError.
+      Its sum is taken as polynomial moments: one (rows, nodes) array of
+      E(T)^{-3/2} against the weights e^{ps}, then n^2 coefficients per
+      row (_grid_intrinsic_volumes). A batch with any row beyond the floor
+      raises QuadratureError, and so, at n >= 10 only, does a row whose
+      axes multiply to less than e^-165 times the largest axis to the n.
 
     A row with a semiaxis that is not finite and positive raises
     QuadratureError at every n, whatever js asks for, and so does a V_j
@@ -340,6 +374,8 @@ def batch_ellipsoid_intrinsic_volumes(semiaxes: np.ndarray, js) -> dict[int, np.
         B = A / scale
         if np.any(B.min(axis=1) < _GRID_FLOOR):
             raise QuadratureError("axis ratio beyond the grid's e^20 range")
+        if np.any(2.0 * np.log(B).sum(axis=1) < _GRID_LOG_PRODUCT):
+            raise QuadratureError("axis product beyond the grid's e^-165 range")
         core = _grid_intrinsic_volumes(B)
         for j in mid:
             out[j] = kappa(j) * core[:, j - 1] * scale[:, 0] ** j

@@ -140,6 +140,28 @@ def test_eigvals_batch_matches_scalar_op():
         np.testing.assert_allclose(lam_batch[i], lam, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigvals_batch_matches_lapack_at_small_n(n):
+    # eigh_sym's eigenvalues, descending, within 8 eps ||X||_F of eigvalsh:
+    # Gaussian stacks and planted corners (diagonal, repeated eigenvalues
+    # with and without a rotation, zero), at unit scale and scaled by 1e+-150
+    rng = np.random.default_rng(60 + n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    repeated = np.where(np.arange(n) == n - 1, -1.0, 2.0)
+    corners = np.array([np.diag(rng.standard_normal(n)), np.diag(repeated),
+                        (Q * repeated) @ Q.T, np.eye(n), np.zeros((n, n))])
+    stack = np.concatenate([sample_gaussian_sym(n, rng, size=4000), corners])
+    for scale in (1.0, 1e150, 1e-150):
+        X = stack * scale
+        got = eigvals_sym_batch(X)
+        ref = np.linalg.eigvalsh(X)[..., ::-1]
+        assert got.shape == ref.shape
+        assert np.all(np.diff(got, axis=-1) <= 0.0)
+        tol = 8.0 * np.finfo(float).eps * np.linalg.norm(X, axis=(-2, -1))
+        assert np.all(np.abs(got - ref) <= tol[:, None])
+        assert np.all(got[-1] == 0.0)
+
+
 def test_expm_sym_against_scipy():
     rng = np.random.default_rng(4)
     for n in (2, 3, 5):

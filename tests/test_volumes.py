@@ -183,6 +183,88 @@ def test_batch_grid_refuses_rows_beyond_its_floor():
     np.testing.assert_allclose(got[4], kappa(4) * np.prod(outside, axis=1), rtol=1e-15)
 
 
+def _grid_per_axis(B):
+    """The grid's trapezoid sum as a loop over the axes, V_j / kappa_j for
+    j = 1..n-1 of rows B with max axis 1: for each axis i the kernel
+    1/((b_i^2 t^2 + 1) prod_l sqrt(b_l^2 t^2 + 1)) on the same nodes, against
+    h e^{js}. The reference for the moment form of the batch evaluator."""
+    import intgeo.volumes as vol
+
+    m, n = B.shape
+    B2 = B * B
+    t2 = np.exp(2.0 * vol._GRID_S)
+    weights = vol._GRID_H * np.exp(np.outer(vol._GRID_S, np.arange(1, n)))
+    inv_p = 1.0 / np.prod(np.sqrt(1.0 + B2[:, :, None] * t2), axis=1)
+    core = np.zeros((m, n - 1))
+    for i in range(n):
+        rest = np.delete(B2, i, axis=1)
+        e = np.ones((m, n - 1))  # e_0..e_{n-2} of the other axes
+        e[:, 1:] = 0.0
+        for l in range(n - 1):
+            e[:, 1:] = e[:, 1:] + rest[:, l, None] * e[:, :-1]
+        f = inv_p / (1.0 + B2[:, i, None] * t2)
+        core += B2[:, i, None] * e * (f @ weights)
+    return core
+
+
+def _grid_rows(rng, rows, n, spread):
+    """Rows with max axis exactly 1 and log-axes in [-spread, 0]; row 0 has
+    equal axes, row 1 one axis above n - 1 equal ones, and three floor
+    corners are appended."""
+    import intgeo.volumes as vol
+
+    logs = rng.permuted(np.column_stack(
+        [np.zeros(rows), rng.uniform(-spread, 0.0, (rows, n - 1))]), axis=1)
+    B = np.exp(logs)
+    B[0] = 1.0
+    B[1, 0] = 1.0
+    B[1, 1:] = math.exp(-0.5 * spread)
+    floor = vol._GRID_FLOOR
+    corners = np.ones((3, n))
+    corners[0, 1:] = floor  # a needle at the floor
+    corners[1, -1] = floor  # a flat disc at the floor
+    corners[2, 1:] = np.exp(np.linspace(0.0, -20.0, n))[1:]  # evenly spread to it
+    corners[2, -1] = floor
+    return np.vstack([B, corners])
+
+
+@pytest.mark.parametrize("spread", [1.0, 10.0, 20.0])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_grid_moments_match_the_per_axis_loop(n, spread):
+    # the moment form and the loop sum the same trapezoid rule on the same
+    # nodes, so they agree to rounding; no overflow or underflow warning
+    # may appear on the way, at the floor included
+    rng = np.random.default_rng(10 * n + int(spread))
+    B = _grid_rows(rng, 200, n, spread)
+    ref = _grid_per_axis(B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = batch_ellipsoid_intrinsic_volumes(B, range(n + 1))
+    for j in range(1, n):
+        np.testing.assert_allclose(got[j], kappa(j) * ref[:, j - 1], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_grid_refuses_axis_products_its_moments_cannot_hold(n):
+    # at n >= 10 the e^-20 floor alone lets the axes' product fall so low
+    # that the moment coefficients leave the double range; rows down to
+    # e^-165 still match the loop, and one row past it fails the batch
+    inside = np.ones((1, n))
+    inside[0, 1:] = math.exp(-165.0 / (n - 1)) * (1.0 + 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = batch_ellipsoid_intrinsic_volumes(inside, range(1, n))
+    ref = _grid_per_axis(inside)
+    for j in range(1, n):
+        np.testing.assert_allclose(got[j], kappa(j) * ref[:, j - 1], rtol=1e-13, atol=0)
+    outside = np.vstack([inside, inside * (1.0 - 2e-9)])
+    outside[1, 0] = 1.0
+    with pytest.raises(QuadratureError):
+        batch_ellipsoid_intrinsic_volumes(outside, [1])
+    got = batch_ellipsoid_intrinsic_volumes(outside, [0, n])
+    np.testing.assert_allclose(got[n], kappa(n) * np.prod(outside, axis=1), rtol=1e-15)
+
+
 def _log_spread_axes(rng, rows, n, spread):
     """Positive axes whose logs spread over [-spread/2, spread/2], with the
     equal-axes and two-equal-axes corners appended."""
