@@ -241,10 +241,11 @@ def eigvals_sym_batch(X: np.ndarray) -> np.ndarray:
     direct c_j route's spectra.
 
     At n <= 3 they are eigh_sym's, reversed (the closed-form rotation at
-    n = 2, Jacobi sweeps at n = 3): for 8192 rows 0.46 ms at n = 2 and
-    7.6 ms at n = 3, against 3.8 and 11.7 ms for one LAPACK call per
-    matrix (2-vCPU x86 sandbox, one BLAS thread). At n >= 4 LAPACK's
-    eigvalsh, which skips the eigenvectors eigh_sym would form there.
+    n = 2, Jacobi sweeps at n = 3): for 8192 rows 0.3-0.45 ms at n = 2 and
+    5-7 ms at n = 3, against 2.2-3.8 and 7.2-11.3 ms for one LAPACK call
+    per matrix (shared 2-vCPU x86 machine, one BLAS thread). At n >= 4
+    LAPACK's eigvalsh, which skips the eigenvectors eigh_sym would form
+    there. The tests pin it to eigvalsh and to a cyclic Jacobi reference.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[-1] > 3:
