@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe, elliprg
 
+import intgeo.volumes as vol
 from intgeo import bodies as bd
 from intgeo.volumes import (QuadratureError, batch_ellipsoid_intrinsic_volumes,
                             carlson_rg, closed_intrinsic_volumes,
@@ -188,8 +189,6 @@ def _grid_per_axis(B):
     j = 1..n-1 of rows B with max axis 1: for each axis i the kernel
     1/((b_i^2 t^2 + 1) prod_l sqrt(b_l^2 t^2 + 1)) on the same nodes, against
     h e^{js}. The reference for the moment form of the batch evaluator."""
-    import intgeo.volumes as vol
-
     m, n = B.shape
     B2 = B * B
     t2 = np.exp(2.0 * vol._GRID_S)
@@ -198,8 +197,8 @@ def _grid_per_axis(B):
     core = np.zeros((m, n - 1))
     for i in range(n):
         rest = np.delete(B2, i, axis=1)
-        e = np.ones((m, n - 1))  # e_0..e_{n-2} of the other axes
-        e[:, 1:] = 0.0
+        e = np.zeros((m, n - 1))  # e_0..e_{n-2} of the other axes
+        e[:, 0] = 1.0
         for l in range(n - 1):
             e[:, 1:] = e[:, 1:] + rest[:, l, None] * e[:, :-1]
         f = inv_p / (1.0 + B2[:, i, None] * t2)
@@ -211,8 +210,6 @@ def _grid_rows(rng, rows, n, spread):
     """Rows with max axis exactly 1 and log-axes in [-spread, 0]; row 0 has
     equal axes, row 1 one axis above n - 1 equal ones, and three floor
     corners are appended."""
-    import intgeo.volumes as vol
-
     logs = rng.permuted(np.column_stack(
         [np.zeros(rows), rng.uniform(-spread, 0.0, (rows, n - 1))]), axis=1)
     B = np.exp(logs)
