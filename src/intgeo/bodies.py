@@ -28,7 +28,15 @@ counter-clockwise vertex order. Only hulls in other dimensions call
 scipy's Qhull (scipy.spatial, imported when first needed). Two convex
 polygons sum without a hull: minkowski_rings merges their boundary rings
 (polygon_ring) by edge angle over a whole batch of pairs, and the planar
-minkowski_sum_vpolytopes is its batch of one.
+minkowski_sum_vpolytopes is its batch of one. An H-polytope at n <= 3
+validates from its vertex enumeration, without linear programs.
+
+Polytope distances read one list of distance faces per polytope
+(_distance_faces), taken from its kept hull: a ring of edges for
+_edge_distance (any dimension) or a stack of triangles for
+_triangle_distance (R^3). Each kernel is one broadcast over faces and
+points, and over rows where batch_intersects maps the faces by a batch of
+affine maps, so no row builds a body or a hull.
 
 Bodies serialize to plain JSON dicts with a "type" tag so the CLI and the
 cache files can round-trip them; see body_to_dict / body_from_dict. They
@@ -41,6 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -135,9 +144,12 @@ class Ellipsoid:
 class HPolytope:
     """{x : normals @ x <= offsets}, verified nonempty and bounded on construction.
 
-    Rows are normalized to unit length so TOL acts as a geometric distance.
-    Pass validate=False only for systems already known feasible and bounded
-    (e.g. the output of intersect_hrep on two valid polytopes).
+    At n <= 3 the vertex enumeration (as_vpolytope, kept) and the extreme
+    rays of {d : normals @ d <= 0} verify it without linear programs; at
+    n >= 4 a feasibility LP and 2n support LPs do. Rows are normalized to
+    unit length so TOL acts as a geometric distance. Pass validate=False
+    only for systems already known feasible and bounded (e.g. the output
+    of intersect_hrep on two valid polytopes).
     """
 
     normals: np.ndarray
@@ -154,19 +166,28 @@ class HPolytope:
             raise ValueError("zero normal row in halfspace system")
         self.normals = self.normals / norms[:, None]
         self.offsets = self.offsets / norms
-        if self.validate:
-            if linprog.feasible(self.normals, self.offsets) is None:
-                raise ValueError("halfspace system is infeasible")
-            n = self.normals.shape[1]
-            for k in range(n):
-                u = np.zeros(n)
-                for s in (1.0, -1.0):
-                    u[k] = s
-                    try:
-                        linprog.support_hrep(self.normals, self.offsets, u)
-                    except ValueError:
-                        raise ValueError("halfspace system is unbounded")
-                u[k] = 0.0
+        if not self.validate:
+            return
+        N = self.normals
+        n = N.shape[1]
+        if n <= 3:
+            # the enumeration raises when there is no vertex; with one, the
+            # system is unbounded exactly when some d != 0 has N d <= 0, and
+            # then one lies on an extreme ray of that cone: a unit null
+            # vector, of either sign, of n - 1 of the rows
+            self._vpolytope
+            rows = np.array(list(combinations(range(len(N)), n - 1)), dtype=int)
+            D = np.linalg.svd(N[rows])[2][:, -1]
+            if np.any(np.all(N @ np.hstack([D.T, -D.T]) <= 1e-12, axis=0)):
+                raise ValueError("halfspace system is unbounded")
+            return
+        if linprog.feasible(N, self.offsets) is None:
+            raise ValueError("halfspace system is infeasible")
+        try:
+            for u in _axes(n)[1]:
+                linprog.support_hrep(N, self.offsets, u)
+        except ValueError:
+            raise ValueError("halfspace system is unbounded")
 
     @property
     def dim(self) -> int:
@@ -199,6 +220,11 @@ class VPolytope:
         if self.dim == 1 or V.shape[0] <= self.dim:
             return None
         return planar_hull(V) if self.dim == 2 else qhull(V)
+
+    @cached_property
+    def _faces(self):
+        # _distance_faces, once per body
+        return _distance_faces(self)
 
 
 ConvexBody = Ball | Ellipsoid | HPolytope | VPolytope
@@ -815,10 +841,14 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
       are moved_frames(L, G), or frames when the caller holds them;
     - two polygons (vertex sets at n = 2): the separating-axis test, every
       gap at most TOL;
-    - other pairs, row by row, after a hit sought at the midpoint of the
-      two boxes' overlap (when L's box is cheap): the distance from the
-      origin to the polytope in the quadric's frame is at most 1 + TOL
-      (n <= 3), or two polytopes solve the intersection LP.
+    - other pairs, after a hit sought at the midpoint of the two boxes'
+      overlap (when L's box is cheap):
+      - a quadric and a polytope P (n <= 3): P's distance faces
+        (_distance_faces), mapped row by row into the quadric's frame where
+        it is the unit ball, come within 1 + TOL of the origin (a quadric
+        inside P meets the midpoint test): one kernel call per block of
+        rows, no body or hull per row;
+      - two polytopes: the intersection LP, row by row.
     """
     B, n = t.shape
     quadric = [isinstance(body, (Ball, Ellipsoid)) for body in (M, L)]
@@ -852,10 +882,14 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
         hit[rest] = [_polytopes_intersect_lp(M, affine_image(L, AffineMap(G[b], t[b])))
                      for b in rest]
         return hit
-    # the polytope's vertices in the quadric's frame, x |-> A_b x + off_b
-    V = vertex_set(L if quadric[0] else M)
-    if V is None:
+    # the polytope P's distance faces in the quadric's frame, x |-> A_b x +
+    # off_b, where the quadric is the unit ball. A quadric inside P needs
+    # no containment test: the boxes' overlap is then the quadric's box,
+    # whose midpoint, its centre, lies in both, so the shortcut found it
+    P = L if quadric[0] else M
+    if vertex_set(P) is None:
         raise NotImplementedError("polytope distance supported for n <= 3")
+    kernel, faces, _ = (P._vpolytope if isinstance(P, HPolytope) else P)._faces
     if quadric[0]:
         _, c, inv = quadric_frame(M)
         A = inv @ G[rest]
@@ -864,9 +898,12 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
         _, c, inv = quadric_frame(L)
         A = inv @ invG[rest]
         off = -np.einsum("bij,bj->bi", A, t[rest]) - inv @ c
-    pts = V @ np.swapaxes(A, 1, 2) + off[:, None, :]
-    origin = np.zeros((1, n))
-    hit[rest] = [_vpolytope_distance(VPolytope(p), origin)[0] <= 1.0 + TOL for p in pts]
+    AT = np.swapaxes(A, 1, 2)
+    step = max(1, _BLOCK_ENTRIES // faces.size)
+    for s in range(0, rest.size, step):
+        b = slice(s, s + step)
+        mapped = (faces.reshape(-1, n) @ AT[b] + off[b, None, :]).reshape((-1,) + faces.shape)
+        hit[rest[b]] = kernel(mapped, np.zeros((len(mapped), 1, n)))[:, 0] <= 1.0 + TOL
     return hit
 
 
@@ -904,6 +941,10 @@ def _polytopes_intersect_lp(a: HPolytope | VPolytope, b: HPolytope | VPolytope) 
 # ---------------------------------------------------------------------------
 # distances
 
+# the polytope distance kernels take this many face entries times points (or
+# rows) at a time, so each (points x faces x 3 x n) temporary stays near a
+# megabyte
+_BLOCK_ENTRIES = 1 << 17
 
 # Newton on the secular equation: step cap and relative stopping step
 _NEWTON_STEPS = 100
@@ -914,8 +955,9 @@ def distance_to_body(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to the body (0 for interior points).
 
     Balls are analytic, ellipsoids use Newton's method on the Lagrange
-    multiplier of the closest-point problem, polytopes project onto faces
-    (n <= 3).
+    multiplier of the closest-point problem, and polytopes (n <= 3) read
+    the distance to their distance faces (_distance_faces) in one broadcast
+    kernel, _edge_distance or _triangle_distance, with interior points at 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(body, Ball):
@@ -984,41 +1026,6 @@ def centered_ellipsoid_distance(P: np.ndarray, semiaxes: np.ndarray) -> np.ndarr
     return out
 
 
-def _segment_distance(p0: np.ndarray, p1: np.ndarray, points: np.ndarray) -> np.ndarray:
-    d = p1 - p0
-    denom = float(d @ d)
-    if denom < 1e-30:
-        return np.linalg.norm(points - p0, axis=1)
-    t = np.clip((points - p0) @ d / denom, 0.0, 1.0)
-    return np.linalg.norm(points - (p0 + t[:, None] * d), axis=1)
-
-
-def _triangle_distance(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
-    a, b, c = tri
-    nrm = np.cross(b - a, c - a)
-    nn = float(nrm @ nrm)
-    if nn < 1e-30:
-        return np.minimum(_segment_distance(a, b, points),
-                          np.minimum(_segment_distance(b, c, points),
-                                     _segment_distance(a, c, points)))
-    w = points - a
-    dist_plane = w @ nrm / np.sqrt(nn)
-    proj = points - dist_plane[:, None] * nrm / np.sqrt(nn)
-    # barycentric test of the projections
-    v0, v1 = b - a, c - a
-    v2 = proj - a
-    d00, d01, d11 = v0 @ v0, v0 @ v1, v1 @ v1
-    d20, d21 = v2 @ v0, v2 @ v1
-    den = d00 * d11 - d01 * d01
-    s = (d11 * d20 - d01 * d21) / den
-    t = (d00 * d21 - d01 * d20) / den
-    inside = (s >= -1e-12) & (t >= -1e-12) & (s + t <= 1 + 1e-12)
-    edge = np.minimum(_segment_distance(a, b, points),
-                      np.minimum(_segment_distance(b, c, points),
-                                 _segment_distance(a, c, points)))
-    return np.where(inside, np.abs(dist_plane), edge)
-
-
 def _hull_equations(body: VPolytope) -> np.ndarray | None:
     """Facet equations [normal | offset] with <n,x> + offset <= 0 inside, from
     the kept hull (polytope_hull), or None for a flat vertex set. A segment
@@ -1031,69 +1038,113 @@ def _hull_equations(body: VPolytope) -> np.ndarray | None:
     return None if hull is None else hull.equations
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i b_i over the last axis, broadcast, added in ascending i: at
+    n = 2 the rounding of a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
 def _edge_distance(ring: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the closed polygonal ring through ring's rows.
 
-    ring (..., k, 2) and points (..., p, 2) broadcast over leading batch
-    axes; the result is (..., p). Every point meets every edge in one
-    broadcast, at the foot _segment_distance finds for one edge: the
-    nearest point of the segment, or its start when the edge is shorter
-    than 1e-15.
+    ring (..., k, n) and points (..., p, n) broadcast over leading batch
+    axes, in any dimension n; the result is (..., p). Every point meets
+    every edge in one broadcast, at the nearest point of the segment, or
+    its start when the edge is shorter than 1e-15. A ring of two rows is a
+    segment (its edge twice) and a ring of one row a point.
     """
-    p0 = ring[..., None, :, :]  # (..., 1, k, 2)
+    p0 = ring[..., None, :, :]  # (..., 1, k, n)
     d = np.roll(ring, -1, axis=-2)[..., None, :, :] - p0
-    x = points[..., :, None, :]  # (..., p, 1, 2)
-    w = x - p0
-    denom = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    x = points[..., :, None, :]  # (..., p, 1, n)
+    denom = _dot(d, d)
     short = denom < 1e-30
-    t = np.clip((w[..., 0] * d[..., 0] + w[..., 1] * d[..., 1])
-                / np.where(short, 1.0, denom), 0.0, 1.0)
+    t = np.clip(_dot(x - p0, d) / np.where(short, 1.0, denom), 0.0, 1.0)
     foot = p0 + np.where(short, 0.0, t)[..., None] * d
     return np.linalg.norm(x - foot, axis=-1).min(axis=-1)
 
 
-def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
+def _triangle_distance(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the union of triangles in R^3.
+
+    tris (..., f, 3, 3) and points (..., p, 3) broadcast over leading batch
+    axes, as _edge_distance's rings do; the result is (..., p). A point
+    whose foot on a triangle's plane has barycentric coordinates within
+    1e-12 of the triangle is its height over that plane away from it; any
+    other point, and every point for a triangle whose normal is shorter
+    than 1e-15 (a degenerate one), takes the distance to the triangle's
+    three edges (_edge_distance).
+    """
+    a, b, c = (tris[..., None, :, i, :] for i in range(3))  # (..., 1, f, 3)
+    v0, v1 = b - a, c - a
+    w = points[..., :, None, :] - a  # (..., p, f, 3)
+    nrm = np.cross(v0, v1)
+    nn = _dot(nrm, nrm)  # = |v0|^2 |v1|^2 - (v0 . v1)^2
+    flat = nn < 1e-30
+    nn = np.where(flat, 1.0, nn)
+    height = _dot(w, nrm) / np.sqrt(nn)
+    v2 = w - (height / np.sqrt(nn))[..., None] * nrm  # the foot, relative to a
+    d00, d01, d11 = _dot(v0, v0), _dot(v0, v1), _dot(v1, v1)
+    d20, d21 = _dot(v2, v0), _dot(v2, v1)
+    s = (d11 * d20 - d01 * d21) / nn
+    t = (d00 * d21 - d01 * d20) / nn
+    inside = ~flat & (s >= -1e-12) & (t >= -1e-12) & (s + t <= 1 + 1e-12)
+    edges = np.swapaxes(_edge_distance(tris, points[..., None, :, :]), -1, -2)
+    return np.where(inside, np.abs(height), edges).min(axis=-1)
+
+
+def _distance_faces(body: VPolytope):
+    """(kernel, faces, solid): a polytope's distance faces (n <= 3) and the
+    broadcast kernel that reads them, _edge_distance or _triangle_distance.
+
+    The faces cover the boundary of a full-dimensional polytope, whose
+    interior points are at 0 (solid), and the whole of a flat one:
+    - a full polygon: its kept hull's ring (polytope_hull);
+    - a full 3-D polytope: the kept hull's triangles (Qhull's simplices);
+    - a flat polygon in R^3: the fan over its planar hull;
+    - an interval at n = 1 and any collinear set: the segment between its
+      ends (_segment_ends), a ring of two rows;
+    - a single point: a ring of one row.
+    The affine rank is affine_rank's (tolerance 1e-10); a rank-3 set whose
+    hull Qhull finds flat raises ValueError.
+    """
     V = body.vertices
     n = body.dim
     if n > 3:
         raise NotImplementedError("polytope distance supported for n <= 3")
-    if V.shape[0] == 1:
-        return np.linalg.norm(points - V[0], axis=1)
-    # rank-deficient vertex sets degrade to segments / planar fans
-    centered = V - V.mean(axis=0)
-    rank = np.linalg.matrix_rank(centered, tol=1e-10)
+    rank = affine_rank(V)
+    hull = polytope_hull(body) if rank == n else None
     if rank == 0:
-        return np.linalg.norm(points - V[0], axis=1)
-    if n == 1:
-        lo, hi = V.min(), V.max()
-        return np.maximum.reduce([lo - points[:, 0], points[:, 0] - hi, np.zeros(len(points))])
+        return _edge_distance, V[:1], False
     if rank == 3:
-        hull = polytope_hull(body)
         if hull is None:
             raise ValueError("Qhull finds this rank-3 vertex set flat")
-        inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= TOL, axis=1)
-        dist = np.full(points.shape[0], np.inf)
-        for simplex in hull.simplices:
-            dist = np.minimum(dist, _triangle_distance(V[simplex], points))
-        return np.where(inside, 0.0, dist)
-    if rank == 2 and n == 2:
-        hull = polytope_hull(body)
-        if hull is not None:
-            inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= TOL,
-                            axis=1)
-            return np.where(inside, 0.0, _edge_distance(hull.points, points))
-    elif rank == 2:  # a flat polytope in R^3: fan over its planar hull
+        return _triangle_distance, V[hull.simplices], True
+    if rank == 2 and hull is not None:
+        return _edge_distance, hull.points, True
+    if rank == 2 and n == 3:  # a flat polygon
+        centered = V - V.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         hull = planar_hull(centered @ vt[:2].T)
         if hull is not None:
-            order = hull.vertices
-            dist = np.full(points.shape[0], np.inf)
-            for i in range(1, len(order) - 1):
-                tri = np.array([V[order[0]], V[order[i]], V[order[i + 1]]])
-                dist = np.minimum(dist, _triangle_distance(tri, points))
-            return dist
+            o = hull.vertices
+            return _triangle_distance, V[np.column_stack([np.full(len(o) - 2, o[0]),
+                                                          o[1:-1], o[2:]])], False
     # a segment, or a planar set the hull finds flat up to rounding
-    return _segment_distance(*_segment_ends(V), points)
+    return _edge_distance, _segment_ends(V), False
+
+
+def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the polytope (n <= 3): 0 inside a solid
+    one (contains_points), else the distance to its faces (_distance_faces,
+    kept), one kernel call per block of points."""
+    kernel, faces, solid = body._faces
+    step = max(1, _BLOCK_ENTRIES // faces.size)
+    dist = np.concatenate([kernel(faces, points[s:s + step])
+                           for s in range(0, max(len(points), 1), step)])
+    return np.where(contains_points(body, points), 0.0, dist) if solid else dist
 
 
 def polygon_boundary_distance(body: HPolytope | VPolytope, points: np.ndarray) -> np.ndarray:
@@ -1233,8 +1284,6 @@ def as_vpolytope(body: HPolytope) -> VPolytope:
     one det and one solve; the feasible, nonsingular solutions, deduplicated
     in that order, are the vertices.
     """
-    from itertools import combinations
-
     N, o = body.normals, body.offsets
     m, n = N.shape
     if n > 3:

@@ -29,7 +29,7 @@ from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
                          run_chunks, z_score)
 from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
-from .symmetric import (congruence, eigh_sym, expm_sym, sample_gaussian_sym,
+from .symmetric import (congruence, eigh_sym, sample_gaussian_sym,
                         sample_haar_orthogonal)
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 from .weyl import merge_constants, trace_moment
@@ -530,7 +530,9 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
     boundary of D.
 
     Every trial goes through each step at once:
-    - k, X and g are drawn for all trials;
+    - k, X and g are drawn for all trials, g = k V e^Lambda V^T and
+      g^-1 = V e^-Lambda V^T k^T from one eigendecomposition X = V Lambda V^T
+      (symmetric.eigh_sym);
     - each D is the edge merge bodies.minkowski_rings of M's ring and that
       of -gL (bodies.polygon_ring of L, reversed where det g < 0 so it
       stays counter-clockwise), from M's and L's geometry alone;
@@ -558,8 +560,9 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
     stratum = np.arange(T) % 3
     k = sample_haar_orthogonal(2, rng, size=T)
     X = sample_gaussian_sym(2, rng, size=T)
-    G = k @ expm_sym(X)
-    invG = expm_sym(-X) @ np.swapaxes(k, 1, 2)
+    lam, V = eigh_sym(X)
+    G = k @ congruence(V, np.exp(lam))
+    invG = congruence(V, np.exp(-lam)) @ np.swapaxes(k, 1, 2)
     ringL = bd.polygon_ring(L) @ -np.swapaxes(G, 1, 2)  # (T, l, 2): -g L
     flip = np.linalg.det(G) < 0
     ringL[flip] = ringL[flip, ::-1]

@@ -1129,11 +1129,93 @@ def test_edge_merge_by_batch_matches_one_pair_at_a_time():
         np.testing.assert_array_equal(np.roll(rings[b], -start, axis=0), want)
 
 
+# the polytope distance by a loop over simplices, the code before the
+# broadcast kernels (bodies._edge_distance, bodies._triangle_distance), kept
+# as their reference: one _segment_distance per edge, one _triangle_distance
+# per triangle and a branch per kind of vertex set
+
+
+def _segment_distance(p0, p1, points):
+    d = p1 - p0
+    denom = float(d @ d)
+    if denom < 1e-30:
+        return np.linalg.norm(points - p0, axis=1)
+    t = np.clip((points - p0) @ d / denom, 0.0, 1.0)
+    return np.linalg.norm(points - (p0 + t[:, None] * d), axis=1)
+
+
+def _triangle_distance(tri, points):
+    a, b, c = tri
+    nrm = np.cross(b - a, c - a)
+    nn = float(nrm @ nrm)
+    if nn < 1e-30:
+        return np.minimum(_segment_distance(a, b, points),
+                          np.minimum(_segment_distance(b, c, points),
+                                     _segment_distance(a, c, points)))
+    w = points - a
+    dist_plane = w @ nrm / np.sqrt(nn)
+    proj = points - dist_plane[:, None] * nrm / np.sqrt(nn)
+    # barycentric test of the projections
+    v0, v1 = b - a, c - a
+    v2 = proj - a
+    d00, d01, d11 = v0 @ v0, v0 @ v1, v1 @ v1
+    d20, d21 = v2 @ v0, v2 @ v1
+    den = d00 * d11 - d01 * d01
+    s = (d11 * d20 - d01 * d21) / den
+    t = (d00 * d21 - d01 * d20) / den
+    inside = (s >= -1e-12) & (t >= -1e-12) & (s + t <= 1 + 1e-12)
+    edge = np.minimum(_segment_distance(a, b, points),
+                      np.minimum(_segment_distance(b, c, points),
+                                 _segment_distance(a, c, points)))
+    return np.where(inside, np.abs(dist_plane), edge)
+
+
+def _vpolytope_distance(body, points):
+    V = body.vertices
+    n = body.dim
+    if V.shape[0] == 1:
+        return np.linalg.norm(points - V[0], axis=1)
+    # rank-deficient vertex sets degrade to segments / planar fans
+    centered = V - V.mean(axis=0)
+    rank = np.linalg.matrix_rank(centered, tol=1e-10)
+    if rank == 0:
+        return np.linalg.norm(points - V[0], axis=1)
+    if n == 1:
+        lo, hi = V.min(), V.max()
+        return np.maximum.reduce([lo - points[:, 0], points[:, 0] - hi, np.zeros(len(points))])
+    if rank == 3:
+        hull = bd.polytope_hull(body)
+        inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= bd.TOL,
+                        axis=1)
+        dist = np.full(points.shape[0], np.inf)
+        for simplex in hull.simplices:
+            dist = np.minimum(dist, _triangle_distance(V[simplex], points))
+        return np.where(inside, 0.0, dist)
+    if rank == 2 and n == 2:
+        hull = bd.polytope_hull(body)
+        if hull is not None:
+            inside = np.all(points @ hull.equations[:, :-1].T + hull.equations[:, -1] <= bd.TOL,
+                            axis=1)
+            return np.where(inside, 0.0, _edge_distance_by_loop(hull.points, points))
+    elif rank == 2:  # a flat polytope in R^3: fan over its planar hull
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        hull = bd.planar_hull(centered @ vt[:2].T)
+        if hull is not None:
+            order = hull.vertices
+            dist = np.full(points.shape[0], np.inf)
+            for i in range(1, len(order) - 1):
+                tri = np.array([V[order[0]], V[order[i]], V[order[i + 1]]])
+                dist = np.minimum(dist, _triangle_distance(tri, points))
+            return dist
+    # a segment, or a planar set the hull finds flat up to rounding
+    return _segment_distance(*bd._segment_ends(V), points)
+
+
 def _edge_distance_by_loop(ring, points):
     # one _segment_distance per edge, the kernel before it was broadcast
     dist = np.full(points.shape[0], np.inf)
     for i in range(len(ring)):
-        dist = np.minimum(dist, bd._segment_distance(ring[i], ring[(i + 1) % len(ring)], points))
+        dist = np.minimum(dist, _segment_distance(ring[i], ring[(i + 1) % len(ring)], points))
     return dist
 
 
@@ -1168,3 +1250,255 @@ def test_edge_distance_broadcasts_over_batch_axes():
     assert got.shape == (5, 3)
     for b in range(5):
         np.testing.assert_array_equal(got[b], bd._edge_distance(rings[b], pts[b]))
+
+
+# the broadcast polytope distance kernels against the loop over simplices
+
+
+def _rotated_flat(rng, m, n, k):
+    """m random points of a k-flat in R^n, turned by a random rotation."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    P = np.zeros((m, n))
+    P[:, :k] = rng.standard_normal((m, k))
+    return P @ Q.T + rng.standard_normal(n)
+
+
+def _points_on_faces(body, rng):
+    """The vertices of a polytope, points on the edges and facets of its kept
+    hull (any combination of vertices for a flat one), and each of these
+    pushed 1e-6 off in a random direction."""
+    V = bd.vertex_set(body)
+    hull = bd.polytope_hull(body)
+    if hull is None:
+        tri = rng.integers(0, len(V), (20, 3))
+    elif body.dim == 2:
+        k = rng.integers(0, len(hull.vertices), 20)
+        tri = hull.vertices[np.column_stack([k, (k + 1) % len(hull.vertices), k])]
+    else:
+        tri = hull.simplices[rng.integers(0, len(hull.simplices), 20)]
+    a, b, c = V[tri.T]
+    w = rng.dirichlet(np.ones(3), 20)
+    on = np.vstack([V, w[:, :1] * a + (1.0 - w[:, :1]) * b,
+                    w[:, :1] * a + w[:, 1:2] * b + w[:, 2:] * c])
+    off = rng.standard_normal(on.shape)
+    return np.vstack([on, on + 1e-6 * off / np.linalg.norm(off, axis=1, keepdims=True)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polytope_distance_matches_the_loop_oracle(n):
+    # full and flat bodies at unit scale: the broadcast kernels against the
+    # loop over simplices, to 1e-14
+    rng = np.random.default_rng(211 + n)
+    bodies = []
+    for _ in range(25):
+        if n > 1:
+            bodies.append(bd.random_polytope(n, int(rng.integers(n + 1, 12)), rng,
+                                             center=rng.normal(size=n) * 0.3))
+        bodies.append(bd.VPolytope(rng.standard_normal((int(rng.integers(n + 1, 12)), n))))
+        bodies.append(bd.VPolytope(_rotated_flat(rng, 5, n, 1)))  # collinear
+        bodies.append(bd.VPolytope(np.repeat(rng.standard_normal((1, n)), 2, axis=0)))
+        if n == 3:  # flat polygons: the fan over the planar hull
+            bodies.append(bd.VPolytope(_rotated_flat(rng, int(rng.integers(3, 9)), 3, 2)))
+    bodies += [HEX, PENT, _h_polytope_with_a_corner_cut(n)] if n == 2 else [
+        _h_polytope_with_a_corner_cut(n)]
+    for body in bodies:
+        V = bd.vertex_set(body)
+        pts = np.vstack([rng.uniform(-2.0, 2.0, (40, n)), _points_on_faces(body, rng)])
+        np.testing.assert_allclose(bd.distance_to_body(body, pts),
+                                   _vpolytope_distance(bd.VPolytope(V), pts),
+                                   rtol=0.0, atol=1e-14)
+
+
+def test_triangle_distance_matches_the_loop_oracle():
+    # a stack of triangles, degenerate ones among them (collinear corners, a
+    # repeated corner, one point), against one oracle call per triangle, and
+    # each degenerate triangle alone, which reads its three edges
+    rng = np.random.default_rng(215)
+    a, b = rng.standard_normal((2, 3))
+    degenerate = np.array([[a, 0.3 * a + 0.7 * b, b], [a, a, b], [a, a, a]])
+    tris = np.concatenate([rng.standard_normal((30, 3, 3)), degenerate])
+    w = rng.dirichlet(np.ones(3), len(tris))
+    pts = np.vstack([rng.uniform(-2.0, 2.0, (60, 3)), tris.reshape(-1, 3),
+                     0.5 * (tris[:, 0] + tris[:, 1]), np.einsum("fk,fkn->fn", w, tris)])
+    want = np.min([_triangle_distance(tri, pts) for tri in tris], axis=0)
+    np.testing.assert_allclose(bd._triangle_distance(tris, pts), want, rtol=0.0, atol=1e-14)
+    for tri in degenerate:
+        np.testing.assert_allclose(bd._triangle_distance(tri[None], pts),
+                                   _triangle_distance(tri, pts), rtol=0.0, atol=1e-14)
+    # leading batch axes, as _edge_distance takes them
+    T = rng.standard_normal((4, 5, 3, 3))
+    P = rng.standard_normal((4, 7, 3))
+    got = bd._triangle_distance(T, P)
+    assert got.shape == (4, 7)
+    for r in range(4):
+        np.testing.assert_array_equal(got[r], bd._triangle_distance(T[r], P[r]))
+
+
+def _edge_distance_planar(ring, points):
+    # the planar broadcast kernel before it took any dimension
+    p0 = ring[..., None, :, :]
+    d = np.roll(ring, -1, axis=-2)[..., None, :, :] - p0
+    x = points[..., :, None, :]
+    w = x - p0
+    denom = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    short = denom < 1e-30
+    t = np.clip((w[..., 0] * d[..., 0] + w[..., 1] * d[..., 1])
+                / np.where(short, 1.0, denom), 0.0, 1.0)
+    foot = p0 + np.where(short, 0.0, t)[..., None] * d
+    return np.linalg.norm(x - foot, axis=-1).min(axis=-1)
+
+
+def test_planar_distances_keep_their_bits():
+    # in the plane the kernel sums the two components in the same order, so
+    # the lemma check's batches and polygon distances are bit for bit those
+    # of the planar kernel
+    rng = np.random.default_rng(217)
+    rings = rng.standard_normal((40, 9, 2))
+    pts = rng.uniform(-3.0, 3.0, (40, 8, 2))
+    np.testing.assert_array_equal(bd._edge_distance(rings, pts), _edge_distance_planar(rings, pts))
+    for body in (HEX, PENT, VPENT, bd.random_polytope(2, 11, rng)):
+        hull = bd.polytope_hull(body)
+        pts = np.vstack([rng.uniform(-2.0, 2.0, (200, 2)), hull.points])
+        want = np.where(bd.contains_points(body, pts), 0.0, _edge_distance_planar(hull.points, pts))
+        np.testing.assert_array_equal(bd.distance_to_body(body, pts), want)
+        np.testing.assert_array_equal(bd.polygon_boundary_distance(body, pts),
+                                      _edge_distance_planar(hull.points, pts))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_edge_distance_matches_the_loop_in_other_dimensions(n):
+    rng = np.random.default_rng(216 + n)
+    for k in (1, 2, 5):
+        ring = rng.standard_normal((k, n))
+        pts = np.vstack([rng.uniform(-2.0, 2.0, (64, n)), ring])
+        np.testing.assert_allclose(bd._edge_distance(ring, pts),
+                                   _edge_distance_by_loop(ring, pts), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadric_polytope_rows_match_the_loop_oracle(n):
+    # batch_intersects of a ball or an ellipsoid Q and a polytope P, either
+    # way round, row by row against the loop: P's vertices mapped into Q's
+    # frame, where Q is the unit ball, as a new body per row, within 1 + TOL
+    # of the origin. Full and flat P; random rows, rows planted to touch and
+    # the touching rows pushed 1e-6 apart
+    rng = np.random.default_rng(221 + n)
+    B = 16
+    ball = bd.Ball(0.1 * rng.standard_normal(n), 0.7)
+    ell = bd.Ellipsoid(0.1 * rng.standard_normal(n),
+                       np.linalg.qr(rng.standard_normal((n, n)))[0], rng.uniform(0.5, 1.2, n))
+    polys = [bd.random_polytope(n, 8, rng, radius=0.8), bd.random_polytope(n, 12, rng, radius=5.0),
+             _h_polytope_with_a_corner_cut(n),
+             bd.VPolytope(0.8 * _rotated_flat(rng, 4, n, 1)),
+             bd.VPolytope(0.5 * rng.standard_normal((1, n)))]
+    if n == 3:
+        polys.append(bd.VPolytope(0.8 * _rotated_flat(rng, 6, 3, 2)))
+
+    def lin(Q):
+        return Q.radius * np.eye(n) if isinstance(Q, bd.Ball) else Q.axes * Q.semiaxes
+
+    def oracle(Q, W):
+        # W: P's vertices placed in the world, per row
+        A = np.linalg.inv(lin(Q))
+        origin = np.zeros((1, n))
+        return np.array([_vpolytope_distance(bd.VPolytope((w - Q.center) @ A.T), origin)[0]
+                         <= 1.0 + bd.TOL for w in W])
+
+    for P in polys:
+        V = bd.vertex_set(P)
+        for Q in (ball, ell):
+            for quadric_first in (True, False):
+                G, invG = _draw_maps(n, B, rng)
+                u = rng.standard_normal((B, n))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                A = lin(Q)
+                if quadric_first:  # Q meets g P + t
+                    p = Q.center + (u @ A) @ A.T / np.linalg.norm(u @ A, axis=1)[:, None]
+                    GV = V @ np.swapaxes(G, 1, 2)
+                    touch = p - GV[np.arange(B), np.argmin(np.einsum("bmi,bi->bm", GV, u), axis=1)]
+                else:  # P meets g Q + t
+                    AG = G @ A
+                    Au = np.einsum("bij,bkj,bk->bi", AG, AG, u)
+                    touch = (V[np.argmax(u @ V.T, axis=1)] - np.einsum("bij,j->bi", G, Q.center)
+                             + Au / np.linalg.norm(np.einsum("bji,bj->bi", AG, u), axis=1)[:, None])
+                # Q's centre at P's centroid
+                centred = (Q.center - V.mean(axis=0) @ np.swapaxes(G, 1, 2) if quadric_first
+                           else V.mean(axis=0) - G @ Q.center)
+                for t, meet in ((rng.uniform(-2.0, 2.0, (B, n)), None), (touch, True),
+                                (touch + 1e-6 * u, False), (centred, True)):
+                    if quadric_first:
+                        got = bd.batch_intersects(Q, P, G, invG, t)
+                        want = oracle(Q, V @ np.swapaxes(G, 1, 2) + t[:, None, :])
+                    else:
+                        got = bd.batch_intersects(P, Q, G, invG, t)
+                        want = oracle(Q, (V - t[:, None, :]) @ np.swapaxes(invG, 1, 2))
+                    np.testing.assert_array_equal(got, want)
+                    assert meet is None or np.all(got == meet)
+
+
+def test_quadric_polytope_batches_build_no_hull_per_row(hull_builds):
+    # one broadcast per block of rows over the faces of the polytope's one
+    # kept hull: 4096 rows of a ball against a cube in R^3 (several blocks)
+    # and a disc against a polygon. Every row planted to touch meets, every
+    # row pushed 1e-6 apart misses, and random rows read as in short batches
+    rng = np.random.default_rng(231)
+    for M, L, B in ((bd.unit_ball(3), bd.cube(3, centered=True), 4096),
+                    (bd.unit_ball(2), bd.VPolytope(VPENT.vertices), 1024)):
+        n = M.dim
+        G, invG = _draw_maps(n, B, rng)
+        u = rng.standard_normal((B, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        GV = bd.vertex_set(L) @ np.swapaxes(G, 1, 2)
+        touch = u - GV[np.arange(B), np.argmin(np.einsum("bmi,bi->bm", GV, u), axis=1)]
+        hull_builds.clear()
+        assert bd.batch_intersects(M, L, G, invG, touch).all()
+        assert not bd.batch_intersects(M, L, G, invG, touch + 1e-6 * u).any()
+        t = rng.uniform(-2.5, 2.5, (B, n))
+        hits = bd.batch_intersects(M, L, G, invG, t)
+        assert hull_builds == ["qhull" if n == 3 else "planar_hull"]
+        assert 0 < hits.sum() < B
+        short = [bd.batch_intersects(M, L, G[s:s + 100], invG[s:s + 100], t[s:s + 100])
+                 for s in range(0, B, 100)]
+        np.testing.assert_array_equal(hits, np.concatenate(short))
+        assert hull_builds == ["qhull" if n == 3 else "planar_hull"]
+
+
+def _lp_valid(N, o):
+    """The LP verdict on {x : N x <= o}: feasible, and bounded along +-e_k."""
+    norms = np.linalg.norm(N, axis=1)
+    N, o = N / norms[:, None], o / norms
+    if linprog.feasible(N, o) is None:
+        return False
+    try:
+        for u in np.vstack([np.eye(N.shape[1]), -np.eye(N.shape[1])]):
+            linprog.support_hrep(N, o, u)
+    except ValueError:
+        return False
+    return True
+
+
+def test_hpolytopes_validate_without_lps_up_to_3d(monkeypatch):
+    # at n <= 3 the vertex enumeration and the extreme rays of {d : N d <= 0}
+    # give the LPs' verdict on random systems without solving one; a
+    # validated H-polytope at n = 4 that is not a box still solves 1 + 2n
+    rng = np.random.default_rng(241)
+    systems = []
+    for i in range(300):
+        n = 1 + i % 3
+        m = int(rng.integers(1, 3 * n + 3))
+        systems.append((rng.standard_normal((m, n)), rng.uniform(-0.3, 1.0, m)))
+    verdicts = [_lp_valid(N, o) for N, o in systems]
+    assert 50 < sum(verdicts) < 250
+    calls = []
+    solve = linprog.solve_lp
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    for (N, o), want in zip(systems, verdicts):
+        try:
+            bd.HPolytope(N, o)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+    assert calls == []
+    _h_polytope_with_a_corner_cut(4)
+    assert len(calls) == 1 + 2 * 4

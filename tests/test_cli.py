@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +521,27 @@ for argv in json.loads(sys.argv[1]):
     report.append([argv[0], rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
 print(json.dumps(report))
 """
+
+
+def test_kin_polytope_workload_solves_no_lp(tmp_path, monkeypatch):
+    # the benchmark's kin-polytope commands, in process: loading its two
+    # H-polygons, the chi LHS and Crofton terms and the lemma check
+    from intgeo import linprog
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    caches, commands = workloads.build("kin-polytope", 1, str(tmp_path))
+    out = str(tmp_path / "out.json")
+    for cmd in caches:
+        assert cli.main(cmd.with_out(out)) == 0
+    calls = []
+    solve = linprog.solve_lp
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    assert [cmd.name for cmd in commands] == ["chi-hpolygons", "lemma-vpolygons"]
+    for cmd in commands:
+        assert cli.main(cmd.with_out(out)) == 0
+    assert calls == []
 
 
 def test_workload_commands_never_load_scipy(tmp_path):
