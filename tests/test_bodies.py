@@ -1299,8 +1299,7 @@ def test_polytope_distance_matches_the_loop_oracle(n):
         bodies.append(bd.VPolytope(np.repeat(rng.standard_normal((1, n)), 2, axis=0)))
         if n == 3:  # flat polygons: the fan over the planar hull
             bodies.append(bd.VPolytope(_rotated_flat(rng, int(rng.integers(3, 9)), 3, 2)))
-    bodies += [HEX, PENT, _h_polytope_with_a_corner_cut(n)] if n == 2 else [
-        _h_polytope_with_a_corner_cut(n)]
+    bodies += [_h_polytope_with_a_corner_cut(n)] + ([HEX, PENT] if n == 2 else [])
     for body in bodies:
         V = bd.vertex_set(body)
         pts = np.vstack([rng.uniform(-2.0, 2.0, (40, n)), _points_on_faces(body, rng)])
