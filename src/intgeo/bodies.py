@@ -11,13 +11,15 @@ Whether M meets g L + t is batch_intersects, over a batch of linear maps g
 and translations t (intersects is its one-row case), the axis box of g L
 is moved_boxes, and the volume of the t at which they meet, vol(M + (-g L)),
 is the row sum of difference_volumes, its parts by degree in g; membership
-is the one-row case of contains_points, and support and bounding_box are the
-one-row cases of moved_support: the body types pick the kernels there and
-nowhere else. Polytopes whose vertex set is cheap (vertex_set) answer
-support, distances and volumes from it without the linear programs
-(linprog) that the others solve; an axis-aligned H-box (axis_box) answers
-support in closed form in any dimension. The principal axes of a moved
-ball or ellipsoid (moved_frames) come from symmetric.singular_frames.
+is the one-row case of contains_points, support and bounding_box are the
+one-row cases of moved_support, and whether affine flats meet a body is
+batch_flat_hits, built from those kernels: the body types pick the kernels
+there and nowhere else. Polytopes whose vertex set is cheap (vertex_set)
+answer support, distances, volumes and hyperplane hits from it without the
+linear programs (linprog) that the others solve; an axis-aligned H-box
+(axis_box) answers support in closed form in any dimension. The principal
+axes of a moved ball or ellipsoid (moved_frames) come from
+symmetric.singular_frames.
 
 Each polytope builds its convex hull once and keeps it (polytope_hull):
 membership, distances, separating axes, areas, perimeters and volumes all
@@ -842,7 +844,8 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
     - two polygons (vertex sets at n = 2): the separating-axis test, every
       gap at most TOL;
     - other pairs, after a hit sought at the midpoint of the two boxes'
-      overlap (when L's box is cheap):
+      overlap (when L's box is cheap and neither body is a flat V-polytope,
+      whose membership would be an LP per row):
       - a quadric and a polytope P (n <= 3): P's distance faces
         (_distance_faces), mapped row by row into the quadric's frame where
         it is the unit ball, come within 1 + TOL of the origin (a quadric
@@ -868,7 +871,9 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
         return np.all(_polygon_gaps(M, L, G, invG, t)[1] <= TOL, axis=1)
 
     hit = np.zeros(B, dtype=bool)
-    if quadric[1] or vertex_set(L) is not None:
+    # a flat V-polytope has no facets, so its membership would be an LP per row
+    flat = [isinstance(body, VPolytope) and _hull_equations(body) is None for body in (M, L)]
+    if (quadric[1] or vertex_set(L) is not None) and not any(flat):
         # the midpoint of the boxes' overlap, when it lies in both bodies,
         # settles a hit without a distance or an LP
         loM, hiM = bounding_box(M)
@@ -905,6 +910,81 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
         mapped = (faces.reshape(-1, n) @ AT[b] + off[b, None, :]).reshape((-1,) + faces.shape)
         hit[rest[b]] = kernel(mapped, np.zeros((len(mapped), 1, n)))[:, 0] <= 1.0 + TOL
     return hit
+
+
+def batch_flat_hits(body: ConvexBody, basis: np.ndarray, offset: np.ndarray,
+                    tol: float = TOL) -> np.ndarray:
+    """Whether each affine flat offset_b + span(basis_b) meets the body: (m,) bool.
+
+    basis (m, n, j) holds orthonormal columns and offset (m, n) a point of
+    each flat. The flat's dimension and the body's type pick the kernel:
+    - j = n: every flat; j = 0: contains_points at the offsets;
+    - hyperplanes (j = n - 1) of a body whose support needs no LP (a ball
+      or ellipsoid, a polytope with a vertex_set, an axis_box): <offset, nu>
+      lies in the support interval [-h(-nu), h(nu)] (moved_support with
+      g = I) widened by tol, nu the unit normal (_hyperplane_normals);
+    - other flats of a ball or ellipsoid {c + lin z : ||z|| <= 1}: in z
+      coordinates the flat's point of least gauge is the offset minus its
+      projection on the directions lin^-1 basis, orthonormalized by
+      Gram-Schmidt over the whole batch (no QR per flat); the flat hits
+      when that point, mapped back, passes contains_points, with its slack;
+    - the other polytope flats (lines in 3-D, and flats of H-polytopes at
+      n >= 4 that are not axis boxes): one LP per flat (_flat_hits_lp).
+    """
+    m, n, j = basis.shape
+    if j == n:
+        return np.ones(m, dtype=bool)
+    if j == 0:
+        return contains_points(body, offset, tol)
+    quadric = isinstance(body, (Ball, Ellipsoid))
+    if j == n - 1 and (quadric or vertex_set(body) is not None or axis_box(body) is not None):
+        nu = _hyperplane_normals(basis)
+        h = moved_support(body, _axes(n)[0], np.vstack([nu, -nu]))[0]
+        s = np.einsum("bi,bi->b", offset, nu)
+        return (-h[m:] - tol <= s) & (s <= h[:m] + tol)
+    if quadric:
+        lin, c, inv = quadric_frame(body)
+        z = (offset - c) @ inv.T
+        Q = []
+        for i in range(j):
+            w = basis[:, :, i] @ inv.T
+            for q in Q:
+                w = w - _dot(q, w)[:, None] * q
+            Q.append(w / np.sqrt(_dot(w, w))[:, None])
+            z = z - _dot(Q[-1], z)[:, None] * Q[-1]
+        return contains_points(body, c + z @ lin.T, tol)
+    return np.array([_flat_hits_lp(body, U, o) for U, o in zip(basis, offset)], dtype=bool)
+
+
+def _hyperplane_normals(U: np.ndarray) -> np.ndarray:
+    """Unit normals (m, n) of the hyperplanes spanned by the orthonormal
+    bases U (m, n, n - 1): at n = 2 the basis vector turned by 90 degrees,
+    at n = 3 the cross product of the two basis vectors, at n >= 4 the last
+    right singular vector of each U^T (LAPACK). The hit test is the same
+    for nu and -nu, so the sign is free."""
+    n = U.shape[1]
+    if n == 2:
+        return np.column_stack([-U[:, 1, 0], U[:, 0, 0]])
+    if n == 3:
+        return np.cross(U[:, :, 0], U[:, :, 1])
+    return np.linalg.svd(np.swapaxes(U, 1, 2))[2][:, -1]
+
+
+def _flat_hits_lp(body: HPolytope | VPolytope, U: np.ndarray, off: np.ndarray) -> bool:
+    """Whether the flat off + span(U) meets a polytope, as an LP feasibility."""
+    n, j = U.shape
+    if isinstance(body, HPolytope):
+        return linprog.feasible(body.normals @ U, body.offsets - body.normals @ off) is not None
+    V = body.vertices
+    m = V.shape[0]
+    # convex weights w and flat coordinates s with V^T w = off + U s
+    A_eq = np.zeros((n + 1, m + 2 * j))
+    A_eq[:n, :m] = V.T
+    A_eq[:n, m:m + j] = -U
+    A_eq[:n, m + j:] = U
+    A_eq[n, :m] = 1.0
+    b_eq = np.concatenate([off, [1.0]])
+    return linprog.feasible(None, None, nonneg=True, A_eq=A_eq, b_eq=b_eq) is not None
 
 
 def intersects(a: ConvexBody, b: ConvexBody) -> bool:

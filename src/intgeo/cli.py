@@ -256,6 +256,9 @@ def cmd_kinematic(args) -> dict:
     threads = _threads(args)
 
     constants = None
+    if args.cj_cache and not kinematic.GROUPS[group][1]:
+        raise ConfigError(f"--cj-cache holds gl constants; --group {group} "
+                          "draws no X, so every c_j is 1")
     if args.cj_cache:
         try:
             records = weyl.load_constants(args.cj_cache)
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crofton-samples", dest="crofton_samples", default=None)
     p.add_argument("--window-radius", dest="window_radius", default=None)
     p.add_argument("--cj-cache", dest="cj_cache", default=None,
-                   help="constants cache JSON from `intgeo cj --cache`")
+                   help="constants cache JSON from `intgeo cj --cache` (--group gl only)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     common(p)
     p.set_defaults(func=cmd_kinematic)

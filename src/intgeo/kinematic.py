@@ -2,10 +2,12 @@
 
 The left-hand side integrates phi(M cap g L) over group elements g = k exp(X)
 plus translation, with k Haar (probability measure) on O(n) or SO(n) and X
-Gaussian on Sym(n); the compact groups pin X = 0. The right-hand side is the
+Gaussian on Sym(n); the compact groups O(n) and SO(n) are the case X = 0,
+drawn down the same path with trace weights of 1. The right-hand side is the
 Hadwiger-style expansion sum_j c_j phi_{n-j}(M) V_j(L) with Crofton
-coefficients phi_{n-j}(M) estimated over random flats and the deformation
-constants c_j from the weyl module.
+coefficients phi_{n-j}(M) estimated over random flats (whether a flat meets
+M is bodies.batch_flat_hits) and the deformation constants c_j from the
+weyl module.
 
 Normalization note: with the probability Haar measure used here, the direct
 integral equals the plain sum (the "half" convention); doubling the component
@@ -28,13 +30,15 @@ import numpy as np
 from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
                          run_chunks, z_score)
-from .sampling import batch_flat_hits, flat_weight, sample_affine_flat
+from .sampling import flat_weight, sample_affine_flat
 from .symmetric import (congruence, eigh_sym, sample_gaussian_sym,
                         sample_haar_orthogonal)
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 from .weyl import merge_constants, trace_moment
 
-GROUPS = {"gl": ("full", False), "o": ("full", True), "so": ("special", True)}
+# per group: the component of O(n) that k is Haar on, and whether X is drawn
+# (the compact groups take X = 0)
+GROUPS = {"gl": ("full", True), "o": ("full", False), "so": ("special", False)}
 # inner points per LHS sample of the volume integrand: with the trace tilted
 # its mean given g is constant and the draw of t sets most of the variance,
 # so more points cost time and buy little (sigma^2 x seconds on two discs is
@@ -155,13 +159,13 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     of g is e^{j tau / n} times part j of k exp(X_0), and the trace
     integrates exactly: part j is weighted by
     weyl.trace_moment(n, j) e^{-j tau / n}. The estimate then depends on k
-    and X_0 alone. Compact groups sum the parts. It draws nothing, so the
-    hit-or-miss estimate keeps every bit it had without it. When M is a
-    ball the Steiner sum behind it splits over j, and terms[j] estimates
-    E_g V_j(gL) (bodies.moved_intrinsic_volumes), with the trace sampled,
-    so the terms check the factorization apart from c_j's own route. The
-    volume phi has no exact estimate: its t-integral vol(M) vol(gL) would
-    make the Fubini anchor a tautology.
+    and X_0 alone. It draws nothing, so the hit-or-miss estimate keeps
+    every bit it had without it. When M is a ball the Steiner sum behind
+    it splits over j, and terms[j] estimates E_g V_j(gL)
+    (bodies.moved_intrinsic_volumes), with the trace sampled, so the terms
+    check the factorization apart from c_j's own route. The volume phi has
+    no exact estimate: its t-integral vol(M) vol(gL) would make the Fubini
+    anchor a tautology.
 
     The volume phi stays hit-or-miss in t, but under gl its trace is
     tilted: the draws of X are shifted to X + I (the same eigenvectors, the
@@ -171,10 +175,15 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     the weighted t-integral, vol(M) vol(L) e^{tr X} times that weight, is
     the constant e^{n/2} vol(M) vol(L), so the log-normal tail of det g is
     gone and only t and the inner points vary.
+
+    Every group takes the same path: g = k V e^Lambda V^T from one
+    eigendecomposition X = V Lambda V^T (symmetric.eigh_sym and congruence).
+    The compact groups (GROUPS) draw no X and take X = 0 there, with trace
+    moments of 1 and no tilt, so their weights are all 1.
     """
     kind = check_lhs_inputs(group, phi, M, L)
     rng, seed = resolve_rng(rng)
-    component, compact = GROUPS[group]
+    component, deforms = GROUPS[group]
     n = M.dim
     quadric = (isinstance(M, (bd.Ball, bd.Ellipsoid))
                and isinstance(L, (bd.Ball, bd.Ellipsoid)))
@@ -182,7 +191,9 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     rows = max(1, _BLOCK_POINTS // inner_samples)
     steiner = isinstance(M, bd.Ball)
     degrees = np.arange(n + 1)
-    moments = np.array([trace_moment(n, j) for j in degrees])
+    moments = np.array([trace_moment(n, j) if deforms else 1.0 for j in degrees])
+    # the volume phi draws tr X from N(n, n): X + I, so g becomes e g
+    tilt = float(deforms and kind == "volume")
     acc = RunningMean()
     exact = RunningMean()
     terms = [RunningMean() for _ in range(n + 1)]
@@ -190,18 +201,13 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     while done < samples:
         B = min(_LHS_BATCH, samples - done)
         k = sample_haar_orthogonal(n, rng, component=component, size=B)
+        X = sample_gaussian_sym(n, rng, size=B) if deforms else np.zeros((B, n, n))
+        lam, V = eigh_sym(X)
+        lam = lam + tilt
+        G = k @ congruence(V, np.exp(lam))
         invG = None  # the chi kernel of two quadrics never reads it
-        if compact:
-            G = k
-            invG = np.swapaxes(k, 1, 2)
-        else:
-            X = sample_gaussian_sym(n, rng, size=B)
-            lam, V = eigh_sym(X)
-            if kind == "volume":  # draw tr X from N(n, n): X + I, g becomes e g
-                lam = lam + 1.0
-            G = k @ congruence(V, np.exp(lam))
-            if not (kind == "chi" and quadric):
-                invG = np.einsum("bij,bkj->bik", congruence(V, np.exp(-lam)), k)
+        if not (kind == "chi" and quadric):
+            invG = np.einsum("bij,bkj->bik", congruence(V, np.exp(-lam)), k)
         # the box of gL is cg +- hw per row
         cg, hw = bd.moved_boxes(L, G)
         hi = hiM[None, :] + hw - cg
@@ -216,9 +222,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             acc.update(np.where(bd.batch_intersects(M, L, G, invG, t, frames), volbox, 0.0))
             vj = bd.moved_intrinsic_volumes(L, G, frames) if steiner else None
             dv = bd.difference_volumes(M, L, G, vj)
-            if dv is not None:
-                if not compact:  # integrate the trace of X out, part by part
-                    dv = dv * moments * np.exp(-np.outer(lam.sum(axis=1), degrees) / n)
+            if dv is not None:  # integrate the trace of X out, part by part
+                dv = dv * moments * np.exp(-np.outer(lam.sum(axis=1), degrees) / n)
                 exact.update(dv.sum(axis=1))
             if vj is not None:
                 for j in range(n + 1):
@@ -239,10 +244,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                 inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(r1 - r0, -1)
                 inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
                 frac[r0:r1] = np.mean(inM & inL, axis=1)
-            val = volbox * volI * frac
-            if not compact:  # the likelihood ratio of N(0, n) to N(n, n) at tr X
-                val = val * moments[n] * np.exp(-lam.sum(axis=1))
-            acc.update(val)
+            # the likelihood ratio of N(0, n) to N(n, n) at tr X
+            acc.update(volbox * volI * frac * moments[n] * np.exp(-lam.sum(axis=1)))
         else:
             val = [phi(bd.intersect_hrep(M, bd.affine_image(L, bd.AffineMap(g, s))))
                    for g, s in zip(G, t)]
@@ -262,12 +265,12 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
     The flat measure is normalized so flats meeting the unit ball have mass
     kappa_{n-j}. window_radius defaults to 1.5x the outer radius of M and
     must dominate it, otherwise contributing flats would be missed. Each
-    batch of flats is tested at once by sampling.batch_flat_hits: closed
-    forms for balls and ellipsoids; for polytopes contains_points at j = 0
-    and, when the vertex set is cheap (V-polytopes, H-polytopes at n <= 3),
-    an interval test on the normal of hyperplanes (j = n - 1). Polytope
-    flats of 0 < j < n - 1 (lines in 3-D) and H-polytope flats of j > 0 at
-    n >= 4 still solve one LP per flat.
+    batch of flats is tested at once by bodies.batch_flat_hits, where M's
+    type picks the kernel: contains_points for points, the support
+    interval for hyperplanes of any body but a non-box H-polytope at
+    n >= 4, a gauge test for the other flats of a ball or ellipsoid, and
+    one LP per flat for the other polytope flats (lines in 3-D, flats of
+    non-box H-polytopes at n >= 4).
     """
     kind = _phi_kind(phi)
     n = M.dim
@@ -294,7 +297,8 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
     done = 0
     while done < samples:
         B = min(_CROFTON_BATCH, samples - done)
-        hit = batch_flat_hits(M, sample_affine_flat(n, j, rng, window_radius, size=B))
+        flats = sample_affine_flat(n, j, rng, window_radius, size=B)
+        hit = bd.batch_flat_hits(M, flats.basis, flats.offset)
         acc.update(np.where(hit, weight, 0.0))
         done += B
     return EstimatorResult.from_accumulator(acc, seed, importance_volume=weight)
@@ -411,7 +415,8 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     crofton_samples default to stage_samples(samples). The c_j stage
     reserves its streams even when it draws nothing: when constants are
     given (e.g. from a cache file) or the group is compact, where every c_j
-    is 1. Each stage merges its chunks in order.
+    is 1; constants other than c_j = 1 for a compact group raise
+    ValueError. Each stage merges its chunks in order.
 
     The headline lhs is the translation-exact estimate when the pair has
     one, else the hit-or-miss estimate; z_total, z_half and convention read
@@ -423,11 +428,16 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     c_j = 1, so the split tests nothing and is left out.
     """
     n = M.dim
-    kind = _phi_kind(phi)
+    kind = check_lhs_inputs(group, phi, M, L)
+    _, deforms = GROUPS[group]
+    if not deforms and constants is not None and any(
+            (c.mean, c.std_error) != (1.0, 0.0) for c in constants.values()):
+        raise ValueError(f"group {group} draws no X, so every c_j is 1; "
+                         "the given constants are not")
     if v_l is None:
         v_l = check_rhs_inputs(phi, M, L)
     cj_worker = None
-    if constants is None and group == "gl":
+    if constants is None and deforms:
         from .weyl import c_direct
 
         def cj_worker(rng, k):
@@ -457,7 +467,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     if lhs.exact is not None:
         hzt, hzh = z_pair(lhs)
         extra["hit_or_miss"] = {"lhs": lhs.to_dict(), "z_total": hzt, "z_half": hzh}
-        if group == "gl" and lhs.terms is not None:
+        if deforms and lhs.terms is not None:
             extra["lhs_terms"] = _term_checks(lhs.terms, constants, rhs)
     head = lhs if lhs.exact is None else lhs.exact
     zt, zh = z_pair(head)

@@ -1,5 +1,8 @@
 """Samplers for the product measure on the motion group and for affine flats.
 
+This module holds measures and draws only: whether a drawn flat meets a body
+is bodies.batch_flat_hits, where the body types pick the kernels.
+
 A group element is g = k exp(X) with k Haar on O(n) (or a chosen component),
 X Gaussian on Sym(n), and a translation t. The translation marginal is
 Lebesgue, so estimators restrict t to the box hull of the translations that
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies as bd
-from . import linprog
 from .symmetric import expm_sym, sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import kappa
 
@@ -131,87 +133,6 @@ def flat_weight(n: int, j: int, window_radius: float) -> float:
     return kappa(n - j) * window_radius ** (n - j)
 
 
-def batch_flat_hits(body: bd.ConvexBody, flats: AffineFlat,
-                    tol: float = 1e-9) -> np.ndarray:
-    """Which flats of a batch (basis (m, n, j), offset (m, n)) meet the body.
-
-    The one hit test of each body type, (m,) bool. Balls compare the
-    distance from the center to each flat with the radius; ellipsoids
-    minimize the gauge quadratic over each flat (one batched QR). Polytopes
-    test point flats with contains_points and hyperplanes of a polytope
-    with a vertex set (bodies.vertex_set) by the interval test
-    min V.nu <= offset.nu <= max V.nu on the flat's normal nu, formed in
-    closed form at n <= 3 (_hyperplane_normals). The other
-    polytope flats (0 < j < n - 1, such as lines in 3-D, and flats of
-    H-polytopes at n >= 4) solve one LP per flat.
-    """
-    U = flats.basis
-    off = flats.offset
-    m, n, j = U.shape
-    if j == n:
-        return np.ones(m, dtype=bool)
-    if isinstance(body, bd.Ball):
-        c = body.center
-        if j:
-            proj = np.einsum("bik,bk->bi", U, np.einsum("bik,i->bk", U, c))
-            cperp = c[None, :] - proj
-        else:
-            cperp = np.broadcast_to(c, (m, n))
-        return np.linalg.norm(cperp - off, axis=1) <= body.radius + tol
-    if isinstance(body, bd.Ellipsoid):
-        D = body.axes / body.semiaxes  # columns of D are scaled axis coords
-        b = (off - body.center) @ D
-        if j:
-            Q, _ = np.linalg.qr(np.einsum("ki,bkj->bij", D, U))
-            b = b - np.einsum("bij,bj->bi", Q, np.einsum("bij,bi->bj", Q, b))
-        return np.einsum("bi,bi->b", b, b) <= 1.0 + tol
-    if not isinstance(body, (bd.HPolytope, bd.VPolytope)):
-        raise TypeError(f"unsupported body {type(body).__name__}")
-    if j == 0:
-        return bd.contains_points(body, off, tol)
-    V = bd.vertex_set(body) if j == n - 1 else None
-    if V is not None:
-        nu = _hyperplane_normals(U)
-        proj = nu @ V.T
-        s = np.einsum("bi,bi->b", off, nu)
-        return (proj.min(axis=1) - tol <= s) & (s <= proj.max(axis=1) + tol)
-    return np.array([_flat_hits_lp(body, U[i], off[i]) for i in range(m)], dtype=bool)
-
-
-def _hyperplane_normals(U: np.ndarray) -> np.ndarray:
-    """Unit normals (m, n) of the hyperplanes spanned by the orthonormal
-    bases U (m, n, n - 1): at n = 2 the basis vector turned by 90 degrees,
-    at n = 3 the cross product of the two basis vectors, at n >= 4 the last
-    right singular vector of each U^T (LAPACK). The hit test is the same
-    for nu and -nu, so the sign is free."""
-    n = U.shape[1]
-    if n == 2:
-        return np.column_stack([-U[:, 1, 0], U[:, 0, 0]])
-    if n == 3:
-        return np.cross(U[:, :, 0], U[:, :, 1])
-    return np.linalg.svd(np.swapaxes(U, 1, 2))[2][:, -1]
-
-
-def _flat_hits_lp(body: bd.ConvexBody, U: np.ndarray, off: np.ndarray) -> bool:
-    """Whether the flat offset + span(U) meets a polytope, as an LP feasibility."""
-    n, j = U.shape
-    if isinstance(body, bd.HPolytope):
-        A_ub = body.normals @ U
-        b_ub = body.offsets - body.normals @ off
-        return linprog.feasible(A_ub, b_ub) is not None
-    V = body.vertices
-    m = V.shape[0]
-    # convex weights w and flat coordinates s with V^T w = off + U s
-    A_eq = np.zeros((n + 1, m + 2 * j))
-    A_eq[:n, :m] = V.T
-    A_eq[:n, m:m + j] = -U
-    A_eq[:n, m + j:] = U
-    A_eq[n, :m] = 1.0
-    b_eq = np.concatenate([off, [1.0]])
-    return linprog.feasible(None, None, nonneg=True, A_eq=A_eq, b_eq=b_eq) is not None
-
-
-def flat_hits(body: bd.ConvexBody, flat: AffineFlat, tol: float = 1e-9) -> bool:
-    """Whether one flat meets the body: batch_flat_hits on a batch of one."""
-    one = AffineFlat(flat.basis[None], flat.offset[None])
-    return bool(batch_flat_hits(body, one, tol)[0])
+def flat_hits(body: bd.ConvexBody, flat: AffineFlat, tol: float = bd.TOL) -> bool:
+    """Whether one flat meets the body: bodies.batch_flat_hits on a batch of one."""
+    return bool(bd.batch_flat_hits(body, flat.basis[None], flat.offset[None], tol)[0])

@@ -1501,3 +1501,157 @@ def test_hpolytopes_validate_without_lps_up_to_3d(monkeypatch):
     assert calls == []
     _h_polytope_with_a_corner_cut(4)
     assert len(calls) == 1 + 2 * 4
+
+
+# ---------------------------------------------------------------------------
+# affine flats
+
+
+def _flats(n, j, m, rng, radius=1.5):
+    """(basis, offset) of m flats from the invariant measure in a window."""
+    from intgeo.sampling import sample_affine_flat
+
+    flats = sample_affine_flat(n, j, rng, window_radius=radius, size=m)
+    return flats.basis, flats.offset
+
+
+def _through(U, points):
+    """Offsets putting the flats span(U_b) through points_b."""
+    return points - np.einsum("bij,bj->bi", U, np.einsum("bij,bi->bj", U, points))
+
+
+@pytest.mark.parametrize("n, j", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)])
+def test_batch_flat_hits_match_the_lp_per_flat(n, j):
+    # every polytope kernel (contains_points for points, the support
+    # interval for hyperplanes, the LP for lines in 3-D) against the LP per
+    # flat: a V-polytope, the same body as an H-polytope and a flat
+    # V-polytope, on random flats and on flats through a vertex, which only
+    # graze the body or cut it
+    rng = np.random.default_rng(10 * n + j)
+    V = bd.random_polytope(n, 10, rng, radius=1.2)
+    eq = ConvexHull(V.vertices).equations
+    H = bd.HPolytope(eq[:, :-1], -eq[:, -1])
+    F = _rotated_flat(rng, 5, n, n - 1)
+    F = bd.VPolytope(0.8 * (F - F.mean(axis=0)))
+    U, off = _flats(n, j, 400, rng)
+    for body in (V, H, F):
+        W = bd.vertex_set(body)
+        grazing = _through(U[:40], W[rng.integers(len(W), size=40)])
+        for Ub, ob in ((U, off), (U[:40], grazing)):
+            got = bd.batch_flat_hits(body, Ub, ob)
+            assert got.tolist() == [bd._flat_hits_lp(body, u, o) for u, o in zip(Ub, ob)]
+        assert got.all()
+        hits = bd.batch_flat_hits(body, U, off).sum()
+        if j == n:
+            assert hits == 400
+        elif body is not F or j > 0:  # points miss a flat body
+            assert 0 < hits < 400
+
+
+def _quadrics(n, rng):
+    """An off-centre ball of radius 2.5 and a rotated ellipsoid in R^n."""
+    return (bd.Ball(0.3 * rng.standard_normal(n), 2.5),
+            bd.Ellipsoid(0.2 * rng.standard_normal(n), np.linalg.qr(rng.standard_normal((n, n)))[0],
+                         np.geomspace(1.6, 0.4, n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch_flat_hits_of_quadrics_match_flat_by_flat_minimization(n, monkeypatch):
+    # against the least-squares distance to each flat, for every j: the
+    # ball's in the world (slack TOL, as contains_points), the ellipsoid's
+    # gauge in its frame. Flats at a ball's distance r + TOL / 2 hit and
+    # r + 2 TOL miss, whichever kernel the flat's dimension picks (at
+    # r = 2.5 a slack of TOL on the gauge would reach r + 2.5 TOL). No flat
+    # takes a QR
+    rng = np.random.default_rng(12 + n)
+    ball, ell = _quadrics(n, rng)
+    D = ell.axes / ell.semiaxes
+    for j in range(n + 1):
+        U, off = _flats(n, j, 300, rng, radius=3.0)
+        want_ell, want_ball = [], []
+        for Ub, ob in zip(U, off):
+            A, b = D.T @ Ub, D.T @ (ob - ell.center)
+            s = np.linalg.lstsq(A, -b, rcond=None)[0] if j else np.zeros(0)
+            want_ell.append(float(np.linalg.norm(A @ s + b) ** 2) <= 1.0)
+            w = ball.center - ob
+            want_ball.append(np.linalg.norm(w - Ub @ (Ub.T @ w)) <= ball.radius + bd.TOL)
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("QR called"))
+        assert bd.batch_flat_hits(ell, U, off).tolist() == want_ell
+        assert bd.batch_flat_hits(ball, U, off).tolist() == want_ball
+        monkeypatch.undo()
+        if j == n:
+            continue
+        if j:  # points rarely hit the ellipsoid, and take contains_points
+            assert 0 < sum(want_ell) < 300 and 0 < sum(want_ball) < 300
+        # unit directions orthogonal to each flat, at the ball's distance r + d
+        u = rng.standard_normal((300, n))
+        u = u - np.einsum("bij,bj->bi", U, np.einsum("bij,bi->bj", U, u))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        for d, meet in ((0.5 * bd.TOL, True), (2.0 * bd.TOL, False)):
+            hits = bd.batch_flat_hits(ball, U, ball.center + (ball.radius + d) * u)
+            assert np.all(hits == meet)
+
+
+def test_hyperplanes_of_a_4d_box_solve_no_lp(monkeypatch):
+    # the support interval of an axis box, against the LP per flat
+    rng = np.random.default_rng(41)
+    U, off = _flats(4, 3, 500, rng, radius=2.5)
+    want = [bd._flat_hits_lp(H_BOX_4D, u, o) for u, o in zip(U, off)]
+    calls = []
+    solve = linprog.solve_lp
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    got = bd.batch_flat_hits(H_BOX_4D, U, off)
+    assert calls == []
+    assert got.tolist() == want
+    assert 0 < got.sum() < 500
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hyperplane_normals_need_no_svd_at_n_le_3(n, monkeypatch):
+    # the oracle of the hit test itself is test_batch_flat_hits_match_the_lp_per_flat
+    rng = np.random.default_rng(30 + n)
+    V = bd.random_polytope(n, 10, rng)
+    U, off = _flats(n, n - 1, 300, rng)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    nu = bd._hyperplane_normals(U)
+    hits = bd.batch_flat_hits(V, U, off)
+    assert calls == []
+    np.testing.assert_allclose(np.linalg.norm(nu, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.einsum("bi,bij->bj", nu, U), 0.0, atol=1e-15)
+    assert 0 < hits.sum() < 300
+
+
+def test_quadric_rows_against_flat_polytopes_solve_no_lp(monkeypatch):
+    # a flat V-polytope decides membership by LP, so the midpoint shortcut
+    # of batch_intersects skips it: a ball against a segment or a flat
+    # triangle in R^3, either way round, reads the distance faces only and
+    # agrees with the loop oracle; a cube against them takes one
+    # intersection LP per row and agrees with _polytopes_intersect_lp
+    rng = np.random.default_rng(251)
+    B = 200
+    ball, cube = bd.unit_ball(3), bd.cube(3, side=1.2, centered=True)
+    calls = []
+    solve = linprog.solve_lp
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    for P in (bd.VPolytope(_rotated_flat(rng, 2, 3, 1)), bd.VPolytope(_rotated_flat(rng, 3, 3, 2))):
+        V = P.vertices
+        for first in (True, False):
+            G, invG = _draw_maps(3, B, rng)
+            t = _box_translations(ball, P, G, rng) if first else _box_translations(P, ball, G, rng)
+            calls.clear()
+            if first:  # the ball meets g P + t
+                got = bd.batch_intersects(ball, P, G, invG, t)
+                W = V @ np.swapaxes(G, 1, 2) + t[:, None, :]
+            else:  # P meets g B + t: g^-1 (P - t) meets B
+                got = bd.batch_intersects(P, ball, G, invG, t)
+                W = (V - t[:, None, :]) @ np.swapaxes(invG, 1, 2)
+            assert calls == []
+            want = [_vpolytope_distance(bd.VPolytope(w), np.zeros((1, 3)))[0] <= 1.0 + bd.TOL
+                    for w in W]
+            assert got.tolist() == want and 0 < got.sum() < B
+            if first:
+                got = bd.batch_intersects(cube, P, G, invG, t)
+                want = [bd._polytopes_intersect_lp(cube, bd.VPolytope(w)) for w in W]
+                assert got.tolist() == want and 0 < got.sum() < B

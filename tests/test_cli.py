@@ -347,6 +347,19 @@ def test_kinematic_rejects_wrong_cache(ball2, tmp_path):
     assert "cache" in err
 
 
+@pytest.mark.parametrize("group", ["o", "so"])
+def test_kinematic_refuses_a_cj_cache_for_a_compact_group(ball2, tmp_path, group):
+    # a cache holds gl constants; o and so have c_j = 1 for every j
+    cache = str(tmp_path / "cj2.json")
+    common = ["--seed", "3", "--threads", "1", "--out", str(tmp_path / "out.json")]
+    assert cli.main(["cj", "--n", "2", "--method", "direct", "--samples", "2000",
+                     "--cache", cache] + common) == 0
+    argv = ["kinematic", "--group", group, "--M", ball2, "--L", ball2,
+            "--samples", "1000", "--crofton-samples", "1000"] + common
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--cj-cache", cache]) == 2
+
+
 def test_config_file_merges_under_flags(ball2, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"group": "so", "phi": "chi", "M": ball2,

@@ -442,6 +442,23 @@ def test_build_report_injection_paths():
     assert injected.to_dict() == drawn.to_dict()
 
 
+@pytest.mark.parametrize("group", ["o", "so"])
+def test_build_report_refuses_gl_constants_for_a_compact_group(monkeypatch, group):
+    # the compact groups draw no X, so every c_j is 1; gl constants would
+    # scale the right-hand side by c_j and leave the LHS as it is
+    def no_lhs(*args, **kwargs):
+        raise AssertionError("lhs_kinematic called")
+
+    monkeypatch.setattr(kin, "lhs_kinematic", no_lhs)
+    gl = {0: EstimatorResult(1.0, 0.0, 100, 7), 1: EstimatorResult(2.35, 0.01, 100, 7),
+          2: EstimatorResult(math.e, 0.0, 100, 7)}
+    unit_mean = {j: EstimatorResult(1.0, 0.01, 100, 7) for j in range(3)}
+    for constants in (gl, unit_mean):
+        with pytest.raises(ValueError, match="every c_j is 1"):
+            build_report(group, "chi", bd.unit_ball(2), bd.unit_ball(2), 1000, 7,
+                         constants=constants)
+
+
 @pytest.mark.parametrize("phi, M, L, message", [
     ("chi", bd.unit_ball(3), bd.VPolytope(np.vstack([np.zeros(3), np.eye(3)])),
      "no closed form for VPolytope"),

@@ -1,14 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
 
 from intgeo import bodies as bd
-from intgeo.sampling import (AffineFlat, GroupElement, _flat_hits_lp,
-                             _hyperplane_normals, batch_flat_hits, flat_hits,
-                             flat_weight, sample_affine_flat,
-                             sample_group_element, translation_region)
+from intgeo import sampling
+from intgeo.sampling import (AffineFlat, GroupElement, flat_hits, flat_weight,
+                             sample_affine_flat, sample_group_element,
+                             translation_region)
 from intgeo.symmetric import expm_sym
 from intgeo.volumes import kappa
 
@@ -140,61 +141,19 @@ def test_flat_hits_ellipsoid_and_polytopes_agree_with_sampling():
                 assert got  # flat_hits may only disagree by being more exact
 
 
-@pytest.mark.parametrize("n, j", [(2, 0), (2, 1), (3, 0), (3, 2)])
-def test_batch_flat_hits_match_the_lp_per_flat(n, j):
-    # point flats and hyperplanes take contains_points and the vertex-set
-    # interval test; the per-flat LP (kept for lines in 3-D) is the oracle
-    rng = np.random.default_rng(10 * n + j)
-    V = bd.random_polytope(n, 10, rng, radius=1.2)
-    eq = ConvexHull(V.vertices).equations
-    H = bd.HPolytope(eq[:, :-1], -eq[:, -1])
-    flats = sample_affine_flat(n, j, rng, window_radius=1.5, size=400)
-    # plus flats through a vertex, which only graze the body or cut it
-    U = flats.basis[:40]
-    v = V.vertices[rng.integers(len(V.vertices), size=40)]
-    off = v - np.einsum("bij,bj->bi", U, np.einsum("bij,bi->bj", U, v))
-    grazing = AffineFlat(U, off)
-    for body in (V, H):
-        for batch in (flats, grazing):
-            got = batch_flat_hits(body, batch)
-            want = [_flat_hits_lp(body, Ub, ob) for Ub, ob in zip(batch.basis, batch.offset)]
-            assert got.tolist() == want
-        assert 15 <= np.sum(batch_flat_hits(body, flats)) <= 385  # hits and misses
-    assert all(flat_hits(V, AffineFlat(Ub, ob)) for Ub, ob in zip(U, off))
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_hyperplane_normals_need_no_svd_at_n_le_3(n, monkeypatch):
-    # the oracle of the hit test itself is test_batch_flat_hits_match_the_lp_per_flat
-    rng = np.random.default_rng(30 + n)
-    V = bd.random_polytope(n, 10, rng)
-    flats = sample_affine_flat(n, n - 1, rng, window_radius=1.5, size=300)
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    nu = _hyperplane_normals(flats.basis)
-    hits = batch_flat_hits(V, flats)
-    assert calls == []
-    np.testing.assert_allclose(np.linalg.norm(nu, axis=1), 1.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(np.einsum("bi,bij->bj", nu, flats.basis), 0.0, atol=1e-15)
-    assert 0 < hits.sum() < 300
-
-
-def test_batch_flat_hits_of_quadrics_match_flat_by_flat_minimization():
-    # balls and ellipsoids against the distance to the flat by least squares
-    rng = np.random.default_rng(12)
-    ell = bd.Ellipsoid([0.2, -0.1, 0.3], np.linalg.qr(rng.standard_normal((3, 3)))[0],
-                       [1.4, 0.7, 0.3])
-    ball = bd.Ball([0.1, 0.2, -0.3], 0.8)
-    D = ell.axes / ell.semiaxes
-    for j in (0, 1, 2):
-        flats = sample_affine_flat(3, j, rng, window_radius=1.5, size=300)
-        want_ell, want_ball = [], []
-        for U, off in zip(flats.basis, flats.offset):
-            A, b = D.T @ U, D.T @ (off - ell.center)
-            s, *_ = np.linalg.lstsq(A, -b, rcond=None)
-            want_ell.append(float(np.linalg.norm(A @ s + b) ** 2) <= 1.0)
-            w = ball.center - off
-            want_ball.append(np.linalg.norm(w - U @ (U.T @ w)) <= ball.radius)
-        assert batch_flat_hits(ell, flats).tolist() == want_ell
-        assert batch_flat_hits(ball, flats).tolist() == want_ball
+def test_sampling_holds_measures_and_draws_only():
+    # the body types pick their kernels in bodies and nowhere else: this
+    # module imports no linear programs and names no body type
+    tree = ast.parse(Path(sampling.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split(".") + [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(part for a in node.names for part in a.name.split("."))
+    assert "linprog" not in names
+    assert not names & {"Ball", "Ellipsoid", "HPolytope", "VPolytope", "vertex_set"}
