@@ -1227,21 +1227,6 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
     return np.where(contains_points(body, points), 0.0, dist) if solid else dist
 
 
-def polygon_boundary_distance(body: HPolytope | VPolytope, points: np.ndarray) -> np.ndarray:
-    """Distance to the boundary of a polygon (n = 2), from either side, along
-    the edges of its kept hull (polytope_hull).
-
-    A flat vertex set is its own boundary: the distance to the set.
-    """
-    if body.dim != 2:
-        raise ValueError("boundary distance implemented for polygons only")
-    points = np.atleast_2d(points)
-    hull = polytope_hull(body)
-    if hull is None:
-        return distance_to_body(body, points)
-    return _edge_distance(hull.points, points)
-
-
 # ---------------------------------------------------------------------------
 # diameter, Minkowski sums, conversions
 

@@ -124,10 +124,13 @@ def run_chunks(stages, seed: int, threads: int) -> list[list]:
     running, which keeps the streams of the stages after it. One pool of
     min(threads, cores, chunks) threads runs the chunks, and the results
     come back per stage in chunk order: they depend only on (stages, seed),
-    and threads changes the speed, never the output.
+    and threads changes the speed, never the output. A stage budget below 1
+    raises ValueError before any chunk runs.
     """
     plan = []  # (stage, chunk samples), one per chunk
     for s, (_, samples) in enumerate(stages):
+        if not samples >= 1:
+            raise ValueError(f"sample budgets must be at least 1, got {samples!r}")
         full, rest = divmod(samples, CHUNK_SAMPLES)
         plan += [(s, CHUNK_SAMPLES)] * full + ([(s, rest)] if rest else [])
     children = np.random.SeedSequence(seed).spawn(len(plan))

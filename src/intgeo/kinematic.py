@@ -149,7 +149,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
     near 1 MB whatever the batch; the draws are the ones a single
     (batch, inner_samples, n) draw would give. Inputs are checked by
-    check_lhs_inputs before anything is drawn.
+    check_lhs_inputs, and inner_samples must be at least 1, before anything
+    is drawn (ValueError).
 
     For chi the t-integral of the integrand is vol(M + (-gL)), so the same
     draws of g also give the translation-exact estimate wherever the pair
@@ -182,6 +183,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     moments of 1 and no tilt, so their weights are all 1.
     """
     kind = check_lhs_inputs(group, phi, M, L)
+    if inner_samples < 1:
+        raise ValueError(f"inner_samples must be at least 1, got {inner_samples}")
     rng, seed = resolve_rng(rng)
     component, deforms = GROUPS[group]
     n = M.dim
@@ -258,13 +261,26 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                if terms[0].count else None))
 
 
+def _crofton_window(M, window_radius: float | None) -> float:
+    """window_radius, or 1.5x the outer radius of M when it is None;
+    ValueError unless it is finite and at least that outer radius."""
+    rad = bd.outer_radius(M)
+    if window_radius is None:
+        return 1.5 * rad
+    if not (np.isfinite(window_radius) and window_radius >= rad - 1e-12):
+        raise ValueError("the window radius must be finite and at least the outer "
+                         f"radius of M ({rad:.6g}), got {window_radius}")
+    return window_radius
+
+
 def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
                         window_radius: float | None = None) -> EstimatorResult:
     """phi_{n-j}(M): the integral of phi(M cap E) over the j-flat measure.
 
     The flat measure is normalized so flats meeting the unit ball have mass
     kappa_{n-j}. window_radius defaults to 1.5x the outer radius of M and
-    must dominate it, otherwise contributing flats would be missed. Each
+    must be finite and dominate it, otherwise contributing flats would be
+    missed (ValueError, raised before anything is drawn). Each
     batch of flats is tested at once by bodies.batch_flat_hits, where M's
     type picks the kernel: contains_points for points, the support
     interval for hyperplanes of any body but a non-box H-polytope at
@@ -277,11 +293,7 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
     rng, seed = resolve_rng(rng)
-    rad = bd.outer_radius(M)
-    if window_radius is None:
-        window_radius = 1.5 * rad
-    if window_radius < rad - 1e-12:
-        raise ValueError("window radius must dominate the body's outer radius")
+    window_radius = _crofton_window(M, window_radius)
     weight = flat_weight(n, j, window_radius)
     if kind == "volume":
         mean = volume_exact(M) * kappa(0) if j == n else 0.0
@@ -402,16 +414,16 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
                  crofton_samples: int | None = None,
                  window_radius: float | None = None,
                  constants: dict[int, EstimatorResult] | None = None,
-                 threads: int = 1,
-                 v_l: np.ndarray | None = None) -> KinematicReport:
+                 threads: int = 1) -> KinematicReport:
     """Run both sides and package the comparison.
 
     The stages run on one chunk plan (estimation.run_chunks) in the order
     LHS, c_j, then Crofton j = 0..n, so every chunk of every stage draws
     from its own child of SeedSequence(seed) and the report depends only
-    on its arguments, never on threads; check_rhs_inputs runs first, so an
-    RHS that cannot be evaluated draws nothing, unless the caller has run it
-    and passes its result as v_l (L's intrinsic volumes). cj_samples and
+    on its arguments, never on threads. Nothing is drawn before the inputs
+    are checked: check_lhs_inputs, check_rhs_inputs (which also gives L's
+    intrinsic volumes), the window (_crofton_window) and every stage budget
+    (run_chunks); each refusal is a ValueError. cj_samples and
     crofton_samples default to stage_samples(samples). The c_j stage
     reserves its streams even when it draws nothing: when constants are
     given (e.g. from a cache file) or the group is compact, where every c_j
@@ -434,8 +446,9 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
             (c.mean, c.std_error) != (1.0, 0.0) for c in constants.values()):
         raise ValueError(f"group {group} draws no X, so every c_j is 1; "
                          "the given constants are not")
-    if v_l is None:
-        v_l = check_rhs_inputs(phi, M, L)
+    v_l = check_rhs_inputs(phi, M, L)
+    window_radius = _crofton_window(M, window_radius)
+    stage = stage_samples(samples)
     cj_worker = None
     if constants is None and deforms:
         from .weyl import c_direct
@@ -446,10 +459,11 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     # the workers look lhs_kinematic and crofton_coefficient up when called
     stages = [(lambda rng, k: lhs_kinematic(group, phi, M, L, k, rng,
                                             inner_samples=inner_samples), samples),
-              (cj_worker, cj_samples or stage_samples(samples))]
+              (cj_worker, stage if cj_samples is None else cj_samples)]
     stages += [(lambda rng, k, j=j: crofton_coefficient(phi, M, j, k, rng,
                                                         window_radius=window_radius),
-                crofton_samples or stage_samples(samples)) for j in range(n + 1)]
+                stage if crofton_samples is None else crofton_samples)
+               for j in range(n + 1)]
     lhs_parts, cj_parts, *crofton_parts = run_chunks(stages, seed, threads)
     lhs = merge_lhs(lhs_parts, seed)
     if cj_worker is not None:

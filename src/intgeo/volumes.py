@@ -499,15 +499,16 @@ def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
 
     samples is the total budget, split evenly across the dilation radii. The
     number of radii must be at least n + 1 so the Vandermonde-like design
-    matrix has full column rank.
+    matrix has full column rank, and each radius finite and positive;
+    otherwise ValueError is raised before anything is drawn.
     """
     rng, seed = resolve_rng(rng)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     n = body.dim if not isinstance(body, bd.EmptyBody) else 0
     if radii.size < n + 1:
         raise ValueError("need at least n + 1 dilation radii")
-    if np.any(radii <= 0):
-        raise ValueError("dilation radii must be positive")
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError("dilation radii must be finite and positive")
     per = max(int(samples) // radii.size, 1)
     lo, hi = bd.bounding_box(body)
     y = np.empty(radii.size)

@@ -119,10 +119,13 @@ def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
     spectrum of the traceless part X_0, and c_j is trace_moment(n, j) times
     the mean of V_j(exp(X_0) B^n) / V_j(B^n); no weight is needed. c_0 = 1
     and c_n = e^{n/2} come out exactly, with standard error 0 (V_0 = 1 and
-    det exp(X_0) = 1), so only 0 < j < n draw: none does at n = 1.
+    det exp(X_0) = 1), so only 0 < j < n draw: none does at n = 1. A j
+    outside [0, n] raises ValueError.
     """
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
+    if any(not 0 <= j <= n for j in js):
+        raise ValueError("need 0 <= j <= n")
     scale = {j: trace_moment(n, j) / intrinsic_volume_ball(n, j) for j in js if 0 < j < n}
     accs = {j: RunningMean() for j in scale}
     done = 0

@@ -1003,9 +1003,6 @@ def test_planar_hull_is_flat_where_qhull_raises(P):
     assert bd.contains_points(body, P[:1]).tolist() == [True]
     length = bd.diameter(body)
     np.testing.assert_allclose(closed_intrinsic_volumes(body), [1.0, length, 0.0], atol=1e-15)
-    far = np.array([[5.0, -4.0]])
-    np.testing.assert_allclose(bd.polygon_boundary_distance(body, far),
-                               bd.distance_to_body(body, far), rtol=1e-15)
     if len(P) > 1:
         assert bd.minkowski_sum_vpolytopes(body, body).dim == 2
 
@@ -1022,7 +1019,6 @@ def test_each_polytope_builds_its_hull_once(make, hull_builds):
     G = np.stack([rot2(0.3), np.diag([1.5, 0.5])])
     for _ in range(3):
         bd.contains_points(body, pts)
-        bd.polygon_boundary_distance(body, pts)
         bd.distance_to_body(body, pts)
         volume_exact(body)
         closed_intrinsic_volumes(body)
@@ -1360,8 +1356,6 @@ def test_planar_distances_keep_their_bits():
         pts = np.vstack([rng.uniform(-2.0, 2.0, (200, 2)), hull.points])
         want = np.where(bd.contains_points(body, pts), 0.0, _edge_distance_planar(hull.points, pts))
         np.testing.assert_array_equal(bd.distance_to_body(body, pts), want)
-        np.testing.assert_array_equal(bd.polygon_boundary_distance(body, pts),
-                                      _edge_distance_planar(hull.points, pts))
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -189,6 +189,43 @@ def test_bad_radii_are_configuration_errors(box2, radii, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    (ValueError("a refused input"), 2, "error: "),
+    (np.linalg.LinAlgError("a singular matrix"), 3, "numerical failure: "),
+], ids=["value-error", "lin-alg-error"])
+def test_library_refusals_map_to_exit_codes(ball2, tmp_path, monkeypatch, capsys, error,
+                                            code, prefix):
+    # the library refuses an input with ValueError; LinAlgError, its
+    # subclass, is a numerical failure
+    from intgeo import kinematic
+
+    def stage(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(kinematic, "lhs_kinematic", stage)
+    rc = cli.main(["kinematic", "--M", ball2, "--L", ball2, "--seed", "1", "--samples", "100",
+                   "--threads", "1", "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err == f"{prefix}{error}\n"
+
+
+def test_the_command_leaves_input_checks_to_the_library():
+    # each input rule is checked once, where the library draws; the command
+    # parses its flags and maps the library's ValueError to exit 2
+    import ast
+    import inspect
+
+    from intgeo import kinematic
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"check_lhs_inputs", "check_rhs_inputs", "check_lemma_inputs",
+                        "outer_radius"}
+    assert "v_l" not in inspect.signature(kinematic.build_report).parameters
+
+
 def test_chi_ball_vs_polytope_above_3d_is_refused(tmp_path):
     cube = tmp_path / "cube4.json"
     cube.write_text(json.dumps(bd.body_to_dict(bd.cube(4, side=2.0, centered=True))))

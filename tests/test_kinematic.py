@@ -479,6 +479,46 @@ def test_build_report_refuses_an_rhs_it_cannot_evaluate_before_drawing(monkeypat
         build_report("gl", phi, M, L, 1000, 1)
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew before refusing the input")
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.5],
+                         ids=["nan", "inf", "below-outer-radius"])
+def test_bad_windows_are_refused_before_drawing(monkeypatch, window):
+    # the unit disc has outer radius 1; NaN and inf windows drew flats that
+    # never met it, so each phi_{n-j} with j < n read 0 +- 0
+    monkeypatch.setattr(kin, "run_chunks", _no_draw)
+    monkeypatch.setattr(kin, "sample_affine_flat", _no_draw)
+    disc = bd.unit_ball(2)
+    with pytest.raises(ValueError, match="outer radius"):
+        build_report("gl", "chi", disc, disc, 100, 1, window_radius=window)
+    with pytest.raises(ValueError, match="outer radius"):
+        crofton_coefficient("chi", disc, 1, 100, 1, window_radius=window)
+
+
+@pytest.mark.parametrize("stage", ["samples", "cj_samples", "crofton_samples"])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_stage_budgets_below_one_are_refused_before_drawing(monkeypatch, stage, budget):
+    from intgeo import weyl
+
+    for mod, name in ((kin, "lhs_kinematic"), (kin, "crofton_coefficient"),
+                      (weyl, "c_direct")):
+        monkeypatch.setattr(mod, name, _no_draw)
+    budgets = {"samples": 100, "cj_samples": 100, "crofton_samples": 100, stage: budget}
+    samples = budgets.pop("samples")
+    with pytest.raises(ValueError, match="at least 1"):
+        build_report("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), samples, 1, **budgets)
+
+
+@pytest.mark.parametrize("inner", [0, -5])
+def test_lhs_refuses_fewer_than_one_inner_sample_before_drawing(monkeypatch, inner):
+    monkeypatch.setattr(kin, "sample_haar_orthogonal", _no_draw)
+    with pytest.raises(ValueError, match="inner_samples"):
+        lhs_kinematic("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 100, 1,
+                      inner_samples=inner)
+
+
 def test_stage_streams_never_collide(monkeypatch):
     # the LHS, c_j and every Crofton stage span two chunks; each chunk must
     # start from its own generator state

@@ -451,6 +451,14 @@ def test_steiner_fit_needs_enough_radii():
         steiner_fit(bd.unit_ball(2), [0.5, -1.0, 1.0], 1000, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_steiner_fit_refuses_radii_that_are_not_finite(monkeypatch, bad):
+    # a NaN or inf radius was drawn at, and the fit read NaN
+    monkeypatch.setattr(vol.bd, "distance_to_body", lambda *a, **k: pytest.fail("drew"))
+    with pytest.raises(ValueError, match="finite"):
+        steiner_fit(bd.unit_ball(2), [0.5, bad, 1.0], 1000, 0)
+
+
 def test_valuations():
     chi = euler_valuation()
     vol = volume_valuation(2)

@@ -149,6 +149,16 @@ def test_requested_j_subset():
     assert set(out) == {0, 3}
 
 
+@pytest.mark.parametrize("js", [[-1], [4]], ids=["below-0", "above-n"])
+def test_direct_route_refuses_j_outside_0_n(monkeypatch, js):
+    # the direct route returned trace_moment(n, j) for such j; the weyl
+    # route already refused them
+    monkeypatch.setattr(weyl, "sample_gaussian_sym", lambda *a, **k: pytest.fail("drew"))
+    for route in (c_direct, c_weyl):
+        with pytest.raises(ValueError, match="0 <= j <= n"):
+            route(3, 1000, 1, js=js)
+
+
 def test_merge_constants_pools_weyl_shards(monkeypatch):
     parts = [c_weyl(2, 20000, seed) for seed in (100, 101, 102)]
     merged = merge_constants(parts, seed=100)
