@@ -342,7 +342,9 @@ def qhull(points: np.ndarray):
 
 def contains_points(body: ConvexBody, points: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Vectorized membership test; points has shape (m, n), result (m,) bool.
-    A flat vertex set, with no facets, takes the LP per point."""
+    A flat vertex set has no facets: at n <= 3 a point is in when its
+    distance to the set's distance faces (_vpolytope_distance) is at most
+    tol, and past n = 3 it takes the LP per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(body, Ball):
         d = points - body.center
@@ -356,6 +358,8 @@ def contains_points(body: ConvexBody, points: np.ndarray, tol: float = TOL) -> n
         eqs = _hull_equations(body)
         if eqs is not None:
             return np.all(points @ eqs[:, :-1].T + eqs[:, -1] <= tol, axis=1)
+        if body.dim <= 3:
+            return _vpolytope_distance(body, points) <= tol
         return np.array([_vpolytope_member_lp(body, p, tol) for p in points])
     raise TypeError(f"unsupported body {type(body).__name__}")
 

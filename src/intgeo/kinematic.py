@@ -68,14 +68,17 @@ def _phi_kind(phi) -> str:
     raise ValueError(f"unknown valuation {phi!r}")
 
 
-def check_lhs_inputs(group: str, phi, M, L) -> str:
+def check_lhs_inputs(group: str, phi, M, L, inner_samples: int = INNER_SAMPLES) -> str:
     """Refuse an LHS lhs_kinematic cannot evaluate; return the kind of phi.
 
     Raises ValueError for an unknown group or valuation, bodies of different
-    dimensions, a custom valuation on bodies other than H-polytopes, and chi
+    dimensions, a custom valuation on bodies other than H-polytopes, chi
     on a ball or ellipsoid paired with a polytope at n >= 4, where the
-    intersection test needs polytope distances (n <= 3 only).
+    intersection test needs polytope distances (n <= 3 only), and
+    inner_samples below 1.
     """
+    if not inner_samples >= 1:
+        raise ValueError(f"inner_samples must be at least 1, got {inner_samples!r}")
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     kind = _phi_kind(phi)
@@ -149,8 +152,8 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
     near 1 MB whatever the batch; the draws are the ones a single
     (batch, inner_samples, n) draw would give. Inputs are checked by
-    check_lhs_inputs, and inner_samples must be at least 1, before anything
-    is drawn (ValueError).
+    check_lhs_inputs, inner_samples among them, before anything is drawn
+    (ValueError).
 
     For chi the t-integral of the integrand is vol(M + (-gL)), so the same
     draws of g also give the translation-exact estimate wherever the pair
@@ -182,9 +185,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     The compact groups (GROUPS) draw no X and take X = 0 there, with trace
     moments of 1 and no tilt, so their weights are all 1.
     """
-    kind = check_lhs_inputs(group, phi, M, L)
-    if inner_samples < 1:
-        raise ValueError(f"inner_samples must be at least 1, got {inner_samples}")
+    kind = check_lhs_inputs(group, phi, M, L, inner_samples)
     rng, seed = resolve_rng(rng)
     component, deforms = GROUPS[group]
     n = M.dim
@@ -421,8 +422,9 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     LHS, c_j, then Crofton j = 0..n, so every chunk of every stage draws
     from its own child of SeedSequence(seed) and the report depends only
     on its arguments, never on threads. Nothing is drawn before the inputs
-    are checked: check_lhs_inputs, check_rhs_inputs (which also gives L's
-    intrinsic volumes), the window (_crofton_window) and every stage budget
+    are checked: check_lhs_inputs (inner_samples too, so no stage starts
+    at any thread count), check_rhs_inputs (which also gives L's intrinsic
+    volumes), the window (_crofton_window) and every stage budget
     (run_chunks); each refusal is a ValueError. cj_samples and
     crofton_samples default to stage_samples(samples). The c_j stage
     reserves its streams even when it draws nothing: when constants are
@@ -440,7 +442,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     c_j = 1, so the split tests nothing and is left out.
     """
     n = M.dim
-    kind = check_lhs_inputs(group, phi, M, L)
+    kind = check_lhs_inputs(group, phi, M, L, inner_samples)
     _, deforms = GROUPS[group]
     if not deforms and constants is not None and any(
             (c.mean, c.std_error) != (1.0, 0.0) for c in constants.values()):

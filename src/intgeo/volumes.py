@@ -499,8 +499,9 @@ def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
 
     samples is the total budget, split evenly across the dilation radii. The
     number of radii must be at least n + 1 so the Vandermonde-like design
-    matrix has full column rank, and each radius finite and positive;
-    otherwise ValueError is raised before anything is drawn.
+    matrix has full column rank, each radius finite and positive, and the
+    budget at least one sample per radius; otherwise ValueError is raised
+    before anything is drawn.
     """
     rng, seed = resolve_rng(rng)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -509,7 +510,10 @@ def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
         raise ValueError("need at least n + 1 dilation radii")
     if not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("dilation radii must be finite and positive")
-    per = max(int(samples) // radii.size, 1)
+    if not samples >= radii.size:
+        raise ValueError(f"need at least one sample per radius: {samples!r} samples "
+                         f"for {radii.size} radii")
+    per = int(samples) // radii.size
     lo, hi = bd.bounding_box(body)
     y = np.empty(radii.size)
     var = np.empty(radii.size)

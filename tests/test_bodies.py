@@ -73,7 +73,7 @@ def test_membership_all_types():
     assert not bd.membership(box, np.array([1.1, 0.0]))
     assert bd.membership(tri, np.array([0.25, 0.25]))
     assert not bd.membership(tri, np.array([0.6, 0.6]))
-    # a flat vertex set has no facets: a repeated point in R^1 takes the LP
+    # a flat vertex set has no facets: a repeated point in R^1 reads its distance
     point = bd.VPolytope([[0.5], [0.5]])
     assert bd.membership(point, np.array([0.5])) and not bd.membership(point, np.array([0.8]))
 
@@ -89,6 +89,47 @@ def test_contains_points_vectorized_matches_membership():
     Q = ell.axes @ np.diag(ell.semiaxes ** -2.0) @ ell.axes.T
     d = pts - ell.center
     assert np.array_equal(vec, np.einsum("ij,jk,ik->i", d, Q, d) <= 1.0)
+
+
+def test_flat_vpolytope_membership_solves_no_lp(monkeypatch):
+    # at n <= 3 a flat vertex set (a triangle in R^3, segments, a point)
+    # reads the distance to its faces; it took one LP per point, which
+    # stays the oracle
+    rng = np.random.default_rng(29)
+    tri = np.array([[0.2, 0.1, 0.3], [1.1, 0.4, -0.2], [0.3, 1.2, 0.5]])
+    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    normal /= np.linalg.norm(normal)
+    edge = tri[1] - tri[0]
+    outward = np.cross(edge, normal) / np.linalg.norm(edge)
+    outward *= -np.sign(outward @ (tri[2] - tri[0]))
+    bodies, random_pts, planted = [], [], []
+    for V in (tri, tri[:2], tri[:2, :2], tri[:1]):
+        body = bd.VPolytope(V)
+        w = rng.dirichlet(np.ones(len(V)), 100) * 1.6 - 0.6 / len(V)  # in and out
+        pts = np.vstack([w @ V, V.mean(axis=0) + 0.3 * rng.standard_normal((100, V.shape[1]))])
+        bodies.append(body)
+        random_pts.append(pts)
+    # TOL / 2 and 2 TOL off the triangle's plane, and in it off an edge
+    base = rng.dirichlet(np.ones(3), 50) @ tri
+    mid = 0.5 * (tri[0] + tri[1])
+    for scale, want in ((0.5, True), (2.0, False)):
+        planted.append((np.vstack([base + scale * bd.TOL * normal,
+                                   mid + scale * bd.TOL * outward]), want))
+    oracle = [[bd._vpolytope_member_lp(b, p, bd.TOL) for p in pts]
+              for b, pts in zip(bodies, random_pts)]
+    calls = []
+    solve = bd.linprog.solve_lp
+    monkeypatch.setattr(bd.linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    for b, pts, want in zip(bodies, random_pts, oracle):
+        np.testing.assert_array_equal(bd.contains_points(b, pts), want)
+    tri_body = bodies[0]
+    for pts, want in planted:
+        assert np.all(bd.contains_points(tri_body, pts) == want)
+    assert calls == []
+    # the LP agrees at TOL / 2; at 2 TOL its phase-one tolerance (~5e-8)
+    # still accepts, so there the distance is the reference
+    assert all(bd._vpolytope_member_lp(tri_body, p, bd.TOL) for p in planted[0][0])
+    np.testing.assert_array_less(bd.TOL, bd.distance_to_body(tri_body, planted[1][0]))
 
 
 def test_support_values():

@@ -189,6 +189,14 @@ def test_bad_radii_are_configuration_errors(box2, radii, message):
     assert message in err and "Traceback" not in err
 
 
+def test_steiner_budget_below_the_radii_count_is_a_configuration_error(box2):
+    # four default radii at n = 2: two samples cannot reach each of them
+    rc, _, err = run_cli("intrinsic", "--body", box2, "--method", "steiner",
+                         "--samples", "2", "--seed", "1")
+    assert rc == 2
+    assert "one sample per radius" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("error, code, prefix", [
     (ValueError("a refused input"), 2, "error: "),
     (np.linalg.LinAlgError("a singular matrix"), 3, "numerical failure: "),
@@ -454,6 +462,9 @@ def ellipse2(tmp_path_factory):
 
 @pytest.mark.parametrize("args, L", [
     (["cj", "--n", "2", "--samples", str(CHUNK_SAMPLES + 5000)], None),
+    # three chunks, each with its own lattice shifts, merged in chunk order
+    (["cj", "--n", "3", "--method", "direct", "--samples", str(2 * CHUNK_SAMPLES + 3000)],
+     None),
     (["kinematic", "--group", "so", "--samples", str(CHUNK_SAMPLES + 300),
       "--crofton-samples", "2000", "--cj-samples", "2000"], "ball2"),
     # the exact LHS and its per-j terms merge across the two chunks too
@@ -463,7 +474,8 @@ def ellipse2(tmp_path_factory):
     (["kinematic", "--group", "gl", "--samples", "2000",
       "--crofton-samples", str(CHUNK_SAMPLES + 300),
       "--cj-samples", str(CHUNK_SAMPLES + 300)], "ball2"),
-], ids=["cj-two-chunks", "kinematic-two-chunks", "kinematic-gl-ellipse-two-chunks",
+], ids=["cj-two-chunks", "cj-n3-three-chunks", "kinematic-two-chunks",
+        "kinematic-gl-ellipse-two-chunks",
         "kinematic-gl-stages-two-chunks"])
 def test_results_do_not_depend_on_the_thread_count(request, ball2, tmp_path, monkeypatch,
                                                    args, L):

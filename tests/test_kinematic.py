@@ -519,6 +519,22 @@ def test_lhs_refuses_fewer_than_one_inner_sample_before_drawing(monkeypatch, inn
                       inner_samples=inner)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_report_refuses_fewer_than_one_inner_sample_before_any_stage(monkeypatch,
+                                                                          threads):
+    # with two threads the Crofton chunks ran before the LHS chunk refused
+    from intgeo import estimation, weyl
+
+    monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)  # a real pool
+    for mod, name in ((kin, "lhs_kinematic"), (kin, "crofton_coefficient"),
+                      (weyl, "c_direct")):
+        monkeypatch.setattr(mod, name, _no_draw)
+    with pytest.raises(ValueError, match="inner_samples"):
+        build_report("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 100, 1,
+                     inner_samples=0, cj_samples=100, crofton_samples=100,
+                     threads=threads)
+
+
 def test_stage_streams_never_collide(monkeypatch):
     # the LHS, c_j and every Crofton stage span two chunks; each chunk must
     # start from its own generator state

@@ -459,6 +459,15 @@ def test_steiner_fit_refuses_radii_that_are_not_finite(monkeypatch, bad):
         steiner_fit(bd.unit_ball(2), [0.5, bad, 1.0], 1000, 0)
 
 
+@pytest.mark.parametrize("samples", [0, 2], ids=["none", "fewer-than-radii"])
+def test_steiner_fit_refuses_fewer_samples_than_radii(monkeypatch, samples):
+    # each radius drew one point anyway, and three points fitted a disc's V
+    # as (47.1, -68, 31)
+    monkeypatch.setattr(vol.bd, "distance_to_body", lambda *a, **k: pytest.fail("drew"))
+    with pytest.raises(ValueError, match="one sample per radius"):
+        steiner_fit(bd.unit_ball(2), [0.25, 0.5, 0.75], samples, 1)
+
+
 def test_valuations():
     chi = euler_valuation()
     vol = volume_valuation(2)

@@ -153,7 +153,7 @@ def test_requested_j_subset():
 def test_direct_route_refuses_j_outside_0_n(monkeypatch, js):
     # the direct route returned trace_moment(n, j) for such j; the weyl
     # route already refused them
-    monkeypatch.setattr(weyl, "sample_gaussian_sym", lambda *a, **k: pytest.fail("drew"))
+    monkeypatch.setattr(weyl, "lattice_normals", lambda *a, **k: pytest.fail("drew"))
     for route in (c_direct, c_weyl):
         with pytest.raises(ValueError, match="0 <= j <= n"):
             route(3, 1000, 1, js=js)
@@ -195,3 +195,164 @@ def test_load_constants_rejects_other_files(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ValueError):
         load_constants(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the shifted lattice rule behind both routes
+
+# c_1 ... c_4 at n = 5 from eight direct-route runs of 16 * 2^16 points
+# (seeds 70000-70007), each to about 1e-4 relative or better
+LONG_RUN_C5 = {1: 5.423197, 2: 16.13729, 3: 26.60201, 4: 24.30608}
+
+
+@pytest.mark.parametrize("route, n, truth", [
+    (c_direct, 2, {1: QUADRATURE_C[(2, 1)]}),
+    (c_direct, 3, {1: QUADRATURE_C[(3, 1)], 2: QUADRATURE_C[(3, 2)]}),
+    (c_direct, 5, LONG_RUN_C5),
+    (c_weyl, 2, {0: 1.0, 1: QUADRATURE_C[(2, 1)], 2: math.e}),
+    (c_weyl, 3, {0: 1.0, 1: QUADRATURE_C[(3, 1)], 2: QUADRATURE_C[(3, 2)],
+                 3: math.exp(1.5)}),
+], ids=["direct-2", "direct-3", "direct-5", "weyl-2", "weyl-3"])
+def test_lattice_interval_coverage(route, n, truth):
+    # the nominal 95% interval, mean +- 1.96 SE with the SE read from the
+    # SHIFTS shift means, over 200 replicates at 2000 points (125 per
+    # shift), pooled over the case's j; a t law with 15 degrees of freedom
+    # puts it near 0.93
+    hits = [abs(est[j].mean - want) <= 1.96 * est[j].std_error
+            for est in (route(n, 2000, seed) for seed in range(2000, 2200))
+            for j, want in truth.items()]
+    assert 0.90 <= np.mean(hits) <= 1.0, f"{route.__name__} n={n}: {np.mean(hits):.3f}"
+
+
+def test_lattice_cuts_the_error():
+    # at the cj-spectra budgets and seeds plain Monte Carlo normals read
+    # 3.3e-3, 5.2e-3 and 5.6e-3 here
+    def worst(out):
+        return max(est.std_error / abs(est.mean) for j, est in out.items() if j >= 1)
+
+    assert worst(c_direct(3, 30000, 12)) < 1e-3
+    assert worst(c_weyl(3, 30000, 12)) < 1e-3
+    assert worst(c_direct(5, 20000, 13)) < 3e-3
+
+
+def test_weyl_draws_no_plain_normals():
+    # one c_j sampler: neither route may fall back to plain Monte Carlo draws
+    import ast
+    import inspect
+
+    calls = {node.func.attr if isinstance(node.func, ast.Attribute) else
+             getattr(node.func, "id", None)
+             for node in ast.walk(ast.parse(inspect.getsource(weyl)))
+             if isinstance(node, ast.Call)}
+    assert not calls & {"standard_normal", "normal", "sample_gaussian_sym"}
+
+
+def test_the_budget_splits_exactly_over_the_shifts():
+    for samples in (1, 7, 16, 2000, 30001):
+        counts = weyl._shift_counts(samples)
+        assert counts.sum() == samples and counts.max() - counts.min() <= 1
+        assert counts.size == min(weyl.SHIFTS, samples)
+        rng = np.random.default_rng(1)
+        shifts = np.concatenate([s for s, _ in weyl.lattice_normals(3, samples, rng)])
+        np.testing.assert_array_equal(np.bincount(shifts), counts)
+    assert c_direct(3, 2001, 5)[1].samples == 2001
+    assert c_weyl(2, 2001, 5)[1].samples == 2001
+
+
+def test_radical_inverse_prefixes_are_full_lattices():
+    # the first 2^m points of the sequence are {k z / 2^m : k < 2^m}
+    z = np.array(weyl.LATTICE_Z, dtype=np.uint64)
+    for m in (0, 3, 6, 10):
+        pts = (weyl._bit_reverse(np.arange(1 << m))[:, None] * z) & weyl._MASK
+        assert np.all(pts % (1 << (32 - m)) == 0)
+        got = np.sort(pts >> np.uint64(32 - m), axis=0)
+        want = np.sort((np.arange(1 << m)[:, None] * np.array(weyl.LATTICE_Z)) % (1 << m), axis=0)
+        np.testing.assert_array_equal(got, want)
+
+
+def _omega(x):
+    # 2 pi^2 B_2(x), the kernel of the P_2 figure of merit
+    return 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0)
+
+
+def _gamma(k):
+    return 1.0 / k**2  # the product weights LATTICE_Z was built with
+
+
+def _p2_error_sq(z, m):
+    """The P_2 figure of merit e^2 of the 2^m-point lattice with generating
+    vector z, by direct summation over its points."""
+    N = 1 << m
+    x = (np.arange(N)[:, None] * (np.asarray(z) % N) % N) / N
+    return -1.0 + np.prod(1.0 + _gamma(np.arange(1, len(z) + 1)) * _omega(x), axis=1).mean()
+
+
+def _embedded_cbc(s, m=16, lo=6):
+    """Embedded component-by-component construction of a base-2 rank-1
+    lattice (Cools, Kuo & Nuyens 2006, SIAM J. Sci. Comput. 28).
+
+    Component d is the odd z < 2^m that minimizes, over the moduli 2^lo ...
+    2^m, the worst ratio of the P_2 error of (z_1 ... z_{d-1}, z) to the
+    smallest one any candidate reaches at that modulus (ties: the first
+    candidate in the order 5^b). omega is symmetric about 1/2, so z and -z
+    are equivalent and the candidates are 5^b mod 2^m, b < 2^(m-2). The
+    points k z / 2^m with k = 2^v u, u odd, give (u z mod 2^(m-v)) / 2^(m-v);
+    with u = +-5^a each class v sums as a cyclic correlation over a, one FFT
+    per class, and the 2^l-point lattice is the classes v >= m - l plus
+    k = 0.
+    """
+    N = 1 << m
+    k = np.arange(N)
+    p = 1.0 + _gamma(1) * _omega(k / N)  # the running product, z_1 = 1
+    z = [1]
+    nb = N // 4
+    zb = np.ones(nb, dtype=np.int64)
+    for b in range(1, nb):
+        zb[b] = zb[b - 1] * 5 % N
+    classes = []
+    for v in range(m - 2):
+        M = N >> v
+        powers = zb[:M // 4] % M
+        classes.append((v, M, powers, np.fft.fft(_omega(powers / M))))
+    for d in range(2, s + 1):
+        S = np.zeros((m, nb))  # S[v, b]: sum over class v of p(k) omega(k 5^b / N)
+        for v, M, powers, G in classes:
+            q = p[(powers << v) % N] + p[((M - powers) << v) % N]
+            S[v] = np.fft.ifft(np.conj(np.fft.fft(q)) * G).real[np.arange(nb) % (M // 4)]
+        S[m - 2] = (p[1 << (m - 2)] + p[3 << (m - 2)]) * _omega(0.25)
+        S[m - 1] = p[1 << (m - 1)] * _omega(0.5)
+        # the 2^l-point lattice: k = 0 (omega(0)) and the classes v >= m - l
+        new_terms = [p[0] * _omega(0.0) + S[m - l:].sum(axis=0) for l in range(lo, m + 1)]
+        e2 = np.array([-1.0 + (p[::N >> l].sum() + _gamma(d) * t) / (1 << l)
+                       for l, t in zip(range(lo, m + 1), new_terms)])
+        best = int(zb[np.argmin((e2 / e2.min(axis=1, keepdims=True)).max(axis=0))])
+        z.append(best)
+        p *= 1.0 + _gamma(d) * _omega(k * best % N / N)
+    return z
+
+
+def test_fast_cbc_matches_a_brute_force_search():
+    # the oracle's FFT bookkeeping against every candidate summed directly,
+    # at 2^3 ... 2^8 points and six components
+    m, lo, z = 8, 3, [1]
+    for _ in range(5):
+        cands = [pow(5, b, 1 << m) for b in range(1 << (m - 2))]
+        e2 = np.array([[_p2_error_sq(z + [c], l) for c in cands] for l in range(lo, m + 1)])
+        z.append(cands[int(np.argmin((e2 / e2.min(axis=1, keepdims=True)).max(axis=0)))])
+    assert _embedded_cbc(6, m, lo) == z
+
+
+def test_generating_vector_is_the_embedded_cbc_vector():
+    assert tuple(_embedded_cbc(len(weyl.LATTICE_Z))) == weyl.LATTICE_Z
+
+
+# e^2 of LATTICE_Z, all 36 components, at 2^6 ... 2^16 points
+LATTICE_P2 = (0.21632800167897792, 0.08984339382705797, 0.0359501675329339,
+              0.014509665961564444, 0.006607674465443303, 0.0024766242303333463,
+              0.0009606960925423458, 0.0003842577839263672, 0.0001477835674279504,
+              5.7444050068244934e-05, 2.2819834524012705e-05)
+
+
+def test_generating_vector_figure_of_merit_at_each_modulus():
+    for m, want in zip(range(6, 17), LATTICE_P2):
+        assert _p2_error_sq(weyl.LATTICE_Z, m) == pytest.approx(want, rel=1e-6)
