@@ -370,20 +370,26 @@ def membership(body: ConvexBody, x: np.ndarray, tol: float = TOL) -> bool:
 
 
 def _vpolytope_member_lp(body: VPolytope, x: np.ndarray, tol: float) -> bool:
+    """Whether x is a convex combination of the vertices, within tol.
+
+    The feasibility LP's weights count only when, clipped at 0 and scaled
+    to sum 1 (convex weights w), ||V^T w - x|| <= tol: its pivoting
+    tolerances alone take points ~5e-8 off a flat body, or weights down to
+    -1e-9. Otherwise the distance decides at n <= 3 (distance_to_body), and
+    the point is out at n >= 4.
+    """
     V = body.vertices
     m, n = V.shape
+    x = np.asarray(x, dtype=float)
     scale = max(1.0, float(np.max(np.abs(V))))
     A_eq = np.vstack([V.T / scale, np.ones((1, m))])
-    b_eq = np.concatenate([np.asarray(x, dtype=float) / scale, [1.0]])
+    b_eq = np.concatenate([x / scale, [1.0]])
     w = linprog.feasible(None, None, nonneg=True, A_eq=A_eq, b_eq=b_eq)
     if w is not None:
-        return True
-    # retry with slack for points within tol of the hull boundary
-    if tol > 0:
-        d = distance_to_body(body, x[None, :])[0] if n <= 3 else None
-        if d is not None:
-            return d <= tol
-    return False
+        w = np.maximum(w, 0.0)
+        if np.linalg.norm(V.T @ (w / w.sum()) - x) <= tol:
+            return True
+    return n <= 3 and bool(distance_to_body(body, x[None, :])[0] <= tol)
 
 
 def support(body: ConvexBody, u: np.ndarray) -> float:
@@ -792,6 +798,19 @@ def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray,
                             np.abs(np.linalg.det(G)) * hull.area])
 
 
+def has_difference_volumes(M: ConvexBody, L: ConvexBody) -> bool:
+    """Whether difference_volumes has a closed form for the pair: a ball M
+    with an L whose moved V_j have one (moved_intrinsic_volumes: a ball or
+    ellipsoid at n <= 3, a polygon), or a polygon M (n = 2) with any L. It
+    reads the bodies' types, dimension and hulls, never a linear map."""
+    n = M.dim
+    if isinstance(M, Ball):
+        if isinstance(L, (Ball, Ellipsoid)):
+            return n <= 3
+        return n == 2 and polytope_hull(L) is not None
+    return n == 2 and polytope_hull(M) is not None
+
+
 def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
                        vj: np.ndarray | None = None) -> np.ndarray | None:
     """The parts of vol(M + (-g_b L)) by degree in g_b, (B, n + 1), for each
@@ -812,20 +831,18 @@ def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
       unit normals u_e (the mixed area; Schneider, Convex Bodies, sec. 5.1),
       and |det g_b| area(L).
     Every other pair (M an ellipsoid, quadrics at n >= 4, polytopes at
-    n = 3, flat polygons) has None.
+    n = 3, flat polygons) has None: has_difference_volumes decides.
     """
     from .volumes import kappa, volume_exact
 
+    if not has_difference_volumes(M, L):
+        return None
     B, n, _ = G.shape
     if isinstance(M, Ball):
         if vj is None:
             vj = moved_intrinsic_volumes(L, G)
-        if vj is None:
-            return None
         return vj * np.array([kappa(n - j) * M.radius ** (n - j) for j in range(n + 1)])
-    hull = polytope_hull(M) if n == 2 else None
-    if hull is None:
-        return None
+    hull = polytope_hull(M)
     eq = hull.equations
     lengths = np.hypot(hull.edges[:, 0], hull.edges[:, 1])
     mixed = moved_support(L, G, -eq[:, :2]) @ lengths

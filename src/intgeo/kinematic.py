@@ -3,11 +3,14 @@
 The left-hand side integrates phi(M cap g L) over group elements g = k exp(X)
 plus translation, with k Haar (probability measure) on O(n) or SO(n) and X
 Gaussian on Sym(n); the compact groups O(n) and SO(n) are the case X = 0,
-drawn down the same path with trace weights of 1. The right-hand side is the
-Hadwiger-style expansion sum_j c_j phi_{n-j}(M) V_j(L) with Crofton
-coefficients phi_{n-j}(M) estimated over random flats (whether a flat meets
-M is bodies.batch_flat_hits) and the deformation constants c_j from the
-weyl module.
+drawn down the same path with trace weights of 1. Under gl, chi on a pair
+whose translation integral has a closed form (bodies.has_difference_volumes)
+takes X from the shifted lattice rule of sampling.lattice_normals, the
+sampler of the c_j routes, and every other LHS draws X by plain Monte Carlo.
+The right-hand side is the Hadwiger-style expansion sum_j c_j phi_{n-j}(M)
+V_j(L) with Crofton coefficients phi_{n-j}(M) estimated over random flats
+(whether a flat meets M is bodies.batch_flat_hits) and the deformation
+constants c_j from the weyl module.
 
 Normalization note: with the probability Haar measure used here, the direct
 integral equals the plain sum (the "half" convention); doubling the component
@@ -30,9 +33,10 @@ import numpy as np
 from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
                          run_chunks, z_score)
-from .sampling import flat_weight, sample_affine_flat
+from .sampling import (flat_weight, lattice_normals, sample_affine_flat, shift_counts,
+                       shift_mean)
 from .symmetric import (congruence, eigh_sym, sample_gaussian_sym,
-                        sample_haar_orthogonal)
+                        sample_haar_orthogonal, split_coords_to_sym, sym_dim)
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
 from .weyl import merge_constants, trace_moment
 
@@ -163,13 +167,27 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     of g is e^{j tau / n} times part j of k exp(X_0), and the trace
     integrates exactly: part j is weighted by
     weyl.trace_moment(n, j) e^{-j tau / n}. The estimate then depends on k
-    and X_0 alone. It draws nothing, so the hit-or-miss estimate keeps
-    every bit it had without it. When M is a ball the Steiner sum behind
-    it splits over j, and terms[j] estimates E_g V_j(gL)
-    (bodies.moved_intrinsic_volumes), with the trace sampled, so the terms
-    check the factorization apart from c_j's own route. The volume phi has
-    no exact estimate: its t-integral vol(M) vol(gL) would make the Fubini
-    anchor a tautology.
+    and X_0 alone. When M is a ball the Steiner sum behind it splits over
+    j, and terms[j] estimates E_g V_j(gL) (bodies.moved_intrinsic_volumes),
+    with the trace sampled, so the terms check the factorization apart from
+    c_j's own route. The volume phi has no exact estimate: its t-integral
+    vol(M) vol(gL) would make the Fubini anchor a tautology.
+
+    That integrand is smooth in X, so under gl such a pair
+    (bodies.has_difference_volumes) takes X from the shifted lattice rule:
+    the rows of sampling.lattice_normals in sym_dim(n) dimensions, in the
+    split chart of symmetric.split_coords_to_sym (the traceless
+    coordinates first, the trace last, so the exact estimate reads the
+    leading sym_dim(n) - 1), in batches of at most _LHS_BATCH rows. k, its
+    coin and t keep their draws from rng, in the order plain Monte Carlo
+    draws them; the lattice shifts are drawn from rng before the first
+    batch. Every per-row value (hit-or-miss, exact and terms) is summed
+    per shift, and each estimate is the mean of the shift means with
+    their standard deviation over sqrt(SHIFTS) as standard error
+    (sampling.shift_mean): a t law with SHIFTS - 1 degrees of freedom.
+    The volume phi, custom valuations, the compact groups and chi pairs
+    without an exact form keep plain Monte Carlo draws (RunningMean), bit
+    for bit.
 
     The volume phi stays hit-or-miss in t, but under gl its trace is
     tilted: the draws of X are shifted to X + I (the same eigenvectors, the
@@ -198,14 +216,20 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     moments = np.array([trace_moment(n, j) if deforms else 1.0 for j in degrees])
     # the volume phi draws tr X from N(n, n): X + I, so g becomes e g
     tilt = float(deforms and kind == "volume")
-    acc = RunningMean()
-    exact = RunningMean()
-    terms = [RunningMean() for _ in range(n + 1)]
-    done = 0
-    while done < samples:
-        B = min(_LHS_BATCH, samples - done)
+    lattice = deforms and kind == "chi" and bd.has_difference_volumes(M, L)
+    if lattice:
+        counts = shift_counts(samples)
+        acc, exact, *terms = [_ShiftSums(counts) for _ in range(n + 3)]
+    else:
+        acc, exact, *terms = [_PlainMean() for _ in range(n + 3)]
+    for B, shift, w in _lhs_batches(n, samples, rng, lattice):
         k = sample_haar_orthogonal(n, rng, component=component, size=B)
-        X = sample_gaussian_sym(n, rng, size=B) if deforms else np.zeros((B, n, n))
+        if lattice:
+            X = split_coords_to_sym(w, n)
+        elif deforms:
+            X = sample_gaussian_sym(n, rng, size=B)
+        else:
+            X = np.zeros((B, n, n))
         lam, V = eigh_sym(X)
         lam = lam + tilt
         G = k @ congruence(V, np.exp(lam))
@@ -223,15 +247,16 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             # a ball M reads its hit test and Steiner's V_j off one set of
             # singular frames
             frames = bd.moved_frames(L, G) if steiner else None
-            acc.update(np.where(bd.batch_intersects(M, L, G, invG, t, frames), volbox, 0.0))
+            acc.update(np.where(bd.batch_intersects(M, L, G, invG, t, frames), volbox, 0.0),
+                       shift)
             vj = bd.moved_intrinsic_volumes(L, G, frames) if steiner else None
             dv = bd.difference_volumes(M, L, G, vj)
             if dv is not None:  # integrate the trace of X out, part by part
                 dv = dv * moments * np.exp(-np.outer(lam.sum(axis=1), degrees) / n)
-                exact.update(dv.sum(axis=1))
+                exact.update(dv.sum(axis=1), shift)
             if vj is not None:
                 for j in range(n + 1):
-                    terms[j].update(vj[:, j])
+                    terms[j].update(vj[:, j], shift)
         elif kind == "volume":
             center = cg + t
             loI = np.maximum(loM[None, :], center - hw)
@@ -249,17 +274,62 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                 inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
                 frac[r0:r1] = np.mean(inM & inL, axis=1)
             # the likelihood ratio of N(0, n) to N(n, n) at tr X
-            acc.update(volbox * volI * frac * moments[n] * np.exp(-lam.sum(axis=1)))
+            acc.update(volbox * volI * frac * moments[n] * np.exp(-lam.sum(axis=1)), shift)
         else:
             val = [phi(bd.intersect_hrep(M, bd.affine_image(L, bd.AffineMap(g, s))))
                    for g, s in zip(G, t)]
-            acc.update(volbox * np.array(val))
-        done += B
+            acc.update(volbox * np.array(val), shift)
     return LhsEstimate(
-        **vars(EstimatorResult.from_accumulator(acc, seed)),
-        exact=EstimatorResult.from_accumulator(exact, seed) if exact.count else None,
-        terms=([EstimatorResult.from_accumulator(a, seed) for a in terms]
-               if terms[0].count else None))
+        **vars(acc.result(seed)),
+        exact=exact.result(seed) if exact.count else None,
+        terms=[a.result(seed) for a in terms] if terms[0].count else None)
+
+
+def _lhs_batches(n: int, samples: int, rng, lattice: bool):
+    """Yield (B, shift, w) per batch of at most _LHS_BATCH group elements.
+
+    Plain Monte Carlo yields only the batch sizes (shift and w None: the
+    caller draws X from rng). The lattice yields the rows of
+    sampling.lattice_normals in sym_dim(n) dimensions, their shift indices
+    and their normals w, cut into batches.
+    """
+    if not lattice:
+        for done in range(0, samples, _LHS_BATCH):
+            yield min(_LHS_BATCH, samples - done), None, None
+        return
+    for shift, w in lattice_normals(sym_dim(n), samples, rng):
+        for r0 in range(0, shift.size, _LHS_BATCH):
+            r1 = min(r0 + _LHS_BATCH, shift.size)
+            yield r1 - r0, shift[r0:r1], w[r0:r1]
+
+
+class _PlainMean(RunningMean):
+    """RunningMean behind the interface of _ShiftSums: plain Monte Carlo
+    rows carry no shift (None)."""
+
+    def update(self, values: np.ndarray, shift=None) -> None:
+        super().update(values)
+
+    def result(self, seed: int) -> EstimatorResult:
+        return EstimatorResult.from_accumulator(self, seed)
+
+
+class _ShiftSums:
+    """One per-row value summed per lattice shift. The result is the mean of
+    the shift means with their standard deviation over sqrt(shifts) as
+    standard error (sampling.shift_mean)."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        self.sums = np.zeros(counts.size)
+        self.count = 0
+
+    def update(self, values: np.ndarray, shift: np.ndarray) -> None:
+        self.sums += np.bincount(shift, values, self.counts.size)
+        self.count += shift.size
+
+    def result(self, seed: int) -> EstimatorResult:
+        return EstimatorResult(*shift_mean(self.sums, self.counts), self.count, seed)
 
 
 def _crofton_window(M, window_radius: float | None) -> float:

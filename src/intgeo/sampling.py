@@ -14,10 +14,27 @@ normalized so that the flats meeting the unit ball have total mass
 kappa_{n-j}; the sampler realizes it as Haar directions times a uniform
 offset in a (n-j)-ball window of radius R, weighted by kappa_{n-j} R^{n-j}.
 The window must dominate sup_{x in M} ||x|| or flats meeting M are missed.
+
+Standard normals for quasi-Monte Carlo come from lattice_normals, a randomly
+shifted rank-1 lattice rule (Dick, Kuo & Sloan 2013, *Acta Numerica* 22):
+point i is frac(phi_2(i) z + Delta), with phi_2 the base-2 radical inverse,
+so the first 2^m points of the sequence are the full lattice of modulus 2^m
+and any budget takes a prefix. The generating vector z (LATTICE_Z) is one
+embedded vector for 2^6 ... 2^16 points (Cools, Kuo & Nuyens 2006, *SIAM
+J. Sci. Comput.* 28), built offline by fast component-by-component
+construction and kept as a literal. Each point goes through the tent
+(baker's) transform u -> 1 - |2u - 1| and Box-Muller, one pair of
+coordinates per pair of normals. A budget is split over SHIFTS independent
+uniform shifts Delta (shift_counts); a consumer sums its per-point values
+per shift and reports the mean of the shift means with their standard
+deviation over sqrt(SHIFTS) as standard error (shift_mean). Two consumers
+read it: both c_j routes (weyl) and the translation-exact chi LHS under gl
+(kinematic.lhs_kinematic).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +42,29 @@ import numpy as np
 from . import bodies as bd
 from .symmetric import expm_sym, sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import kappa
+
+# Random shifts per lattice budget. Fewer, longer shifts cut the variance
+# (the lattice error falls faster than 1/points): at the cj-spectra budgets
+# (3e4 at n = 3, 2e4 at n = 5) 32 shifts gave 2-6x the variance of 16. More
+# shifts sharpen the standard error, whose shift means give a t law with
+# SHIFTS - 1 degrees of freedom: the nominal 95% interval covers 0.931 at
+# 16 and 0.941 at 32 for normal shift means. Over 200 replicates (seeds
+# 5000-5199, 2000 and 3e4 samples, n = 2 and 3, both c_j routes) 16 shifts
+# covered 0.90-0.955, 32 shifts 0.92-0.965. 16 keeps the variance.
+SHIFTS = 16
+_LATTICE_BATCH = 8192  # lattice points generated at a time
+_MASK = np.uint64((1 << 32) - 1)  # lattice coordinates are 32-bit fractions
+# The embedded generating vector for 2^6 ... 2^16 points in 36 dimensions,
+# enough for Sym(n) at n <= 8. Built by fast CBC over the odd residues mod
+# 2^16 for the P_2 figure of merit (the shift-averaged worst-case error of
+# the unanchored Sobolev space) with product weights gamma_k = 1/k^2,
+# minimizing at each component the worst ratio, over the eleven moduli 2^6
+# ... 2^16, of a candidate's error to the best candidate's at that modulus.
+# tests/test_weyl.py holds the construction and rebuilds it.
+LATTICE_Z = (1, 29233, 19221, 63057, 28329, 5245, 45473, 11889, 1093, 33545, 53905,
+             15341, 4141, 25901, 11977, 52241, 6761, 26913, 30065, 6585, 2801, 22445,
+             5429, 21593, 48905, 33401, 38509, 61173, 7613, 35869, 56729, 28569, 19417,
+             23641, 41781, 12961)
 
 
 @dataclass(eq=False)
@@ -136,3 +176,71 @@ def flat_weight(n: int, j: int, window_radius: float) -> float:
 def flat_hits(body: bd.ConvexBody, flat: AffineFlat, tol: float = bd.TOL) -> bool:
     """Whether one flat meets the body: bodies.batch_flat_hits on a batch of one."""
     return bool(bd.batch_flat_hits(body, flat.basis[None], flat.offset[None], tol)[0])
+
+
+# ---------------------------------------------------------------------------
+# the shifted lattice rule
+
+
+def _bit_reverse(i: np.ndarray) -> np.ndarray:
+    """phi_2(i) 2^32 for each index: its 32 bits in reverse order."""
+    x = np.asarray(i, dtype=np.uint64)
+    for s, m in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F), (8, 0x00FF00FF)):
+        s, m = np.uint64(s), np.uint64(m)
+        x = ((x >> s) & m) | ((x & m) << s)
+    return ((x >> np.uint64(16)) | (x << np.uint64(16))) & _MASK
+
+
+def shift_counts(samples: int) -> np.ndarray:
+    """Points per shift: the budget split over min(SHIFTS, samples) shifts,
+    the first ones taking one point more."""
+    shifts = min(SHIFTS, samples)
+    q, r = divmod(samples, shifts)
+    return q + (np.arange(shifts) < r)
+
+
+def lattice_normals(d: int, samples: int, rng):
+    """Yield (shift, w): batches of the budget's points, each row of w the d
+    standard normals of one point and shift its shift's index.
+
+    Shift k takes the first shift_counts(samples)[k] points of the
+    lattice, moved by its own uniform shift; the shifts are drawn from rng
+    once, as 32-bit integers, so a point's coordinate is (m + 1/2) / 2^32
+    with m an integer and the tent transform never returns 0 or 1.
+    """
+    counts = shift_counts(samples)
+    width = d + d % 2  # Box-Muller reads coordinates in pairs
+    z = np.array(LATTICE_Z[:width], dtype=np.uint64)
+    delta = rng.integers(0, 1 << 32, size=(counts.size, width), dtype=np.uint64)
+    block = max(1, _LATTICE_BATCH // counts.size)
+    for start in range(0, int(counts[0]), block):
+        idx = np.arange(start, min(start + block, int(counts[0])))
+        keep = idx < counts[:, None]
+        yield np.nonzero(keep)[0], _block_normals(idx, keep, z, delta)[:, :d]
+
+
+def _block_normals(idx: np.ndarray, keep: np.ndarray, z: np.ndarray,
+                   delta: np.ndarray) -> np.ndarray:
+    """Normals at the points idx of the shifts keep selects (rows of keep:
+    shifts): the 32-bit coordinates m = (i z + Delta) mod 2^32 of the
+    points (m + 1/2) / 2^32, the tent transform (2 min(m, 2^32 - 1 - m) +
+    1) / 2^32, exact in floating point, then Box-Muller on each pair of
+    columns. A function of its own, so that its work arrays are freed
+    before lattice_normals yields."""
+    x = _bit_reverse(idx)[:, None] * z + delta[:, None]  # < 2^49: uint64 never wraps
+    x = np.bitwise_and(x, _MASK, out=x)[keep]
+    w = np.minimum(x, _MASK - x, out=x) * 2.0**-31 + 2.0**-32
+    del x
+    r = np.sqrt(-2.0 * np.log(w[:, 0::2]))
+    theta = 2.0 * math.pi * w[:, 1::2]
+    np.multiply(r, np.cos(theta), out=w[:, 0::2])
+    np.multiply(r, np.sin(theta), out=w[:, 1::2])
+    return w
+
+
+def shift_mean(sums: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """The mean of the shift means and its standard error, their standard
+    deviation over sqrt(shifts); 0 for a single shift."""
+    means = sums / counts
+    se = float(means.std(ddof=1) / math.sqrt(means.size)) if means.size > 1 else 0.0
+    return float(means.mean()), se

@@ -65,6 +65,35 @@ def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
     return X
 
 
+def helmert(n: int) -> np.ndarray:
+    """(n, n - 1): the Helmert basis of the traceless hyperplane, column k
+    (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)) with k ones."""
+    H = np.triu(np.ones((n, n - 1)))
+    k = np.arange(1, n)
+    H[k, k - 1] = -k
+    return H / np.sqrt(k * (k + 1.0))
+
+
+def split_coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
+    """Map coordinates of the split chart (..., d) to symmetric matrices.
+
+    The traceless part comes first: n - 1 diagonal coordinates through the
+    Helmert basis (helmert), then the n(n - 1)/2 off-diagonal coordinates
+    of coords_to_sym. With d = sym_dim(n) the last coordinate is the trace
+    direction I / sqrt(n), so standard normals give the Gaussian of
+    sample_gaussian_sym, tr X ~ N(0, n); with d = sym_dim(n) - 1 the
+    matrices are traceless.
+    """
+    coords = np.asarray(coords, dtype=float)
+    m = sym_dim(n) - 1
+    if coords.shape[-1] not in (m, m + 1):
+        raise ValueError(f"need {m} or {m + 1} coordinates at n = {n}")
+    diag = coords[..., :n - 1] @ helmert(n).T
+    if coords.shape[-1] > m:
+        diag = diag + coords[..., m:] / np.sqrt(n)
+    return coords_to_sym(np.concatenate([diag, coords[..., n - 1:m]], axis=-1), n)
+
+
 def sym_to_coords(X: np.ndarray) -> np.ndarray:
     """Inverse chart; an isometry between Frobenius and Euclidean norms."""
     X = np.asarray(X, dtype=float)

@@ -126,10 +126,33 @@ def test_flat_vpolytope_membership_solves_no_lp(monkeypatch):
     for pts, want in planted:
         assert np.all(bd.contains_points(tri_body, pts) == want)
     assert calls == []
-    # the LP agrees at TOL / 2; at 2 TOL its phase-one tolerance (~5e-8)
-    # still accepts, so there the distance is the reference
+    # the LP agrees at TOL / 2 and at 2 TOL, and so does the distance
     assert all(bd._vpolytope_member_lp(tri_body, p, bd.TOL) for p in planted[0][0])
+    assert not any(bd._vpolytope_member_lp(tri_body, p, bd.TOL) for p in planted[1][0])
     np.testing.assert_array_less(bd.TOL, bd.distance_to_body(tri_body, planted[1][0]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_flat_vpolytope_lp_membership_keeps_to_tol(n):
+    # the LP's phase-one tolerance took points ~5e-8 off a flat body as
+    # members; its weights now count only when they reproduce the point to
+    # within TOL. At n = 3 the LP is the oracle of the distance kernel, at
+    # n = 4 contains_points itself
+    if n == 3:
+        V = np.array([[0.2, 0.1, 0.3], [1.1, 0.4, -0.2], [0.3, 1.2, 0.5]])
+        normal = np.cross(V[1] - V[0], V[2] - V[0])
+        normal /= np.linalg.norm(normal)
+        base = V.mean(axis=0)
+    else:  # conv(0, e1, e2, e3), flat in R^4
+        V = np.vstack([np.zeros(4), np.eye(4)[:3]])
+        normal = np.eye(4)[3]
+        base = np.array([0.2, 0.2, 0.2, 0.0])
+    body = bd.VPolytope(V)
+    for off, want in ((5e-10, True), (3e-8, False)):
+        x = base + off * normal
+        assert bd._vpolytope_member_lp(body, x, bd.TOL) is want
+        if n == 4:
+            assert bd.contains_points(body, x[None])[0] == want
 
 
 def test_support_values():

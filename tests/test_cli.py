@@ -460,27 +460,41 @@ def ellipse2(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("args, L", [
+@pytest.fixture(scope="module")
+def pentagon2(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bodies") / "pentagon2.json"
+    ang = 2.0 * np.pi * np.arange(5) / 5.0 + 0.3
+    path.write_text(json.dumps(bd.body_to_dict(bd.HPolytope(
+        np.column_stack([np.cos(ang), np.sin(ang)]), [0.9, 1.0, 0.8, 1.1, 0.7]))))
+    return str(path)
+
+
+@pytest.mark.parametrize("args, bodies", [
     (["cj", "--n", "2", "--samples", str(CHUNK_SAMPLES + 5000)], None),
     # three chunks, each with its own lattice shifts, merged in chunk order
     (["cj", "--n", "3", "--method", "direct", "--samples", str(2 * CHUNK_SAMPLES + 3000)],
      None),
     (["kinematic", "--group", "so", "--samples", str(CHUNK_SAMPLES + 300),
-      "--crofton-samples", "2000", "--cj-samples", "2000"], "ball2"),
-    # the exact LHS and its per-j terms merge across the two chunks too
+      "--crofton-samples", "2000", "--cj-samples", "2000"], ("ball2", "ball2")),
+    # the exact LHS and its per-j terms merge across the two chunks too,
+    # each chunk with its own lattice shifts for X
     (["kinematic", "--group", "gl", "--samples", str(CHUNK_SAMPLES + 300),
-      "--crofton-samples", "2000", "--cj-samples", "2000"], "ellipse2"),
+      "--crofton-samples", "2000", "--cj-samples", "2000"], ("ball2", "ellipse2")),
+    # a polygon M: the mixed-area exact LHS on the lattice, across two chunks
+    (["kinematic", "--group", "gl", "--samples", str(CHUNK_SAMPLES + 300),
+      "--crofton-samples", "2000", "--cj-samples", "2000"], ("box2", "pentagon2")),
     # the c_j and Crofton stages run on the same chunk plan
     (["kinematic", "--group", "gl", "--samples", "2000",
       "--crofton-samples", str(CHUNK_SAMPLES + 300),
-      "--cj-samples", str(CHUNK_SAMPLES + 300)], "ball2"),
+      "--cj-samples", str(CHUNK_SAMPLES + 300)], ("ball2", "ball2")),
 ], ids=["cj-two-chunks", "cj-n3-three-chunks", "kinematic-two-chunks",
-        "kinematic-gl-ellipse-two-chunks",
+        "kinematic-gl-ellipse-two-chunks", "kinematic-gl-hpolygons-two-chunks",
         "kinematic-gl-stages-two-chunks"])
-def test_results_do_not_depend_on_the_thread_count(request, ball2, tmp_path, monkeypatch,
-                                                   args, L):
-    if L is not None:
-        args = args + ["--M", ball2, "--L", request.getfixturevalue(L)]
+def test_results_do_not_depend_on_the_thread_count(request, tmp_path, monkeypatch,
+                                                   args, bodies):
+    if bodies is not None:
+        M, L = (request.getfixturevalue(name) for name in bodies)
+        args = args + ["--M", M, "--L", L]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one core
     out = []
     for threads in ("1", "2"):
@@ -488,11 +502,11 @@ def test_results_do_not_depend_on_the_thread_count(request, ball2, tmp_path, mon
         assert cli.main(args + ["--seed", "8", "--threads", threads, "--out", str(path)]) == 0
         out.append(json.dumps(json.loads(path.read_text())["results"], sort_keys=True))
     assert out[0] == out[1]
-    if L == "ellipse2":
+    if bodies is not None and bodies[1] in ("ellipse2", "pentagon2"):
         results = json.loads(out[0])
         assert results["lhs_estimator"] == "translation-exact"
         assert results["lhs"]["samples"] == results["hit_or_miss"]["lhs"]["samples"]
-        assert len(results["lhs_terms"]) == 3
+        assert len(results.get("lhs_terms", [])) == (3 if bodies[0] == "ball2" else 0)
 
 
 def test_parse_samples_rejects_non_scalars():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,8 +78,9 @@ PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
 # SVD and QR the same draws make the same hit decisions and move the
 # estimates by rounding only (test_pinned_rows_match_the_lapack_kernels)
 PINNED_LHS = pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, want", [
+    # X from the shifted lattice (a gl chi pair with a translation-exact form)
     ("gl", "chi", bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6]),
-     10000, 41, 256, (122.89850320635118, 8.70850479145077)),
+     10000, 41, 256, (115.66375678657538, 7.542481874831941)),
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 5000, 42, 256,
      (26.153437951265143, 0.5741316114858679)),
     # one row per block of inner points
@@ -189,6 +191,61 @@ def test_interval_coverage_of_the_exact_lhs():
     assert 0.90 <= covered / 200 <= 1.0, f"{covered}/200"
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload module (perfbench/workloads.py)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+@pytest.mark.parametrize("case", ["hpolygons-300", "ball-ellipsoid-1000"])
+def test_lattice_lhs_interval_coverage(workloads, case):
+    # the nominal 95% interval of the gl exact LHS, X from the shifted
+    # lattice and the SE from SHIFTS shift means (a t law with 15 degrees
+    # of freedom puts it near 0.93), over 200 replicates; the polygons'
+    # truth is area(M) + c_1 (per M / pi)(per L / 2) + e area(L) with c_1
+    # by quadrature (QUADRATURE_C of tests/test_weyl.py)
+    if case == "hpolygons-300":  # kin-polytope's M (6 edges) and L (5)
+        rng = np.random.default_rng(workloads.POLYGON_SEED)
+        M, L = (bd.body_from_dict(workloads._h_polygon(rng, k)) for k in (6, 5))
+        vM, vL = closed_intrinsic_volumes(M), closed_intrinsic_volumes(L)
+        want = vM[2] + 2.3453315089325 * (2.0 * vM[1] / math.pi) * vL[1] + math.e * vL[2]
+        assert want == pytest.approx(26.508335, abs=1e-6)
+        samples = 300
+    else:
+        M, L = bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6])
+        want, samples = 112.26898, 1000
+    covered = 0
+    for seed in range(2000, 2200):
+        est = lhs_kinematic("gl", "chi", M, L, samples, seed).exact
+        covered += abs(est.mean - want) <= 1.96 * est.std_error
+    assert 0.90 <= covered / 200 <= 1.0, f"{covered}/200"
+
+
+@pytest.mark.parametrize("command, bound", [("chi-hpolygons", 1.2e-2),
+                                            ("chi-ball-ellipsoid", 5e-4)])
+def test_lattice_cuts_the_lhs_error(workloads, tmp_path, command, bound):
+    # the benchmark's gl chi reports (workload seed 1): with X drawn by
+    # plain Monte Carlo their headline relative SE reads 1.71e-2 and
+    # 1.49e-3. 16 shift means make the SE itself noisy (chi^2 with 15
+    # degrees of freedom), so the bounds sit well above the 3.9e-3 and
+    # 1.3e-4 these seeds give
+    workload = "kin-polytope" if command == "chi-hpolygons" else "kin-ellipsoid"
+    _, commands = workloads.build(workload, 1, str(tmp_path))
+    argv = next(c.argv for c in commands if c.name == command)
+
+    def flag(name):
+        return int(float(argv[argv.index(name) + 1])) if name in argv else None
+
+    M, L = (bd.load_body(argv[argv.index(b) + 1]) for b in ("--M", "--L"))
+    rep = build_report("gl", "chi", M, L, flag("--samples"), flag("--seed"),
+                       crofton_samples=flag("--crofton-samples"))
+    assert rep.lhs_estimator == "translation-exact"
+    assert rep.lhs.std_error / rep.lhs.mean < bound
+
+
 @pytest.mark.parametrize("group", ["o", "so"])
 @pytest.mark.parametrize("M, L", [
     (bd.Ball([0.3, -0.2, 0.1], 0.7), TILTED),
@@ -274,7 +331,8 @@ def test_chi_quadric_vs_polytope_refused_above_3d(M, L):
 
 
 @pytest.mark.parametrize("group, phi, M, L, samples, seed, want", [
-    ("gl", "chi", HEX, PENT, 500, 51, (15.634476950906032, 0.8752199001449398)),
+    # X from the shifted lattice: the lattice rows through the same LP route
+    ("gl", "chi", HEX, PENT, 500, 51, (19.177362097329635, 1.4115868257765218)),
     ("o", "chi", PENT, bd.cube(2, side=1.5, centered=True), 500, 52,
      (7.853047167788888, 0.215661864403388)),
     ("gl", "chi", bd.cube(3, side=1.2, centered=True),
@@ -338,14 +396,35 @@ def test_gl_chi_interval_anchor():
 
 def test_custom_valuation_matches_chi_path():
     # a custom valuation equal to chi must retrace the chi estimate exactly
-    # (same group samples, intersection emptiness decided consistently)
+    # (same group samples, intersection emptiness decided consistently);
+    # under O(n) the chi path draws plain Monte Carlo, as custom valuations
+    # do in every group (gl takes X from the lattice for this exact pair)
     sq = bd.cube(2, side=2.0, centered=True)
     small = bd.cube(2, side=1.0, centered=True)
     chi_like = Valuation("unit-mass", lambda body: 1.0, degree=0.0)
-    a = lhs_kinematic("gl", "chi", sq, small, 1200, 13)
-    b = lhs_kinematic("gl", chi_like, sq, small, 1200, 13)
+    a = lhs_kinematic("o", "chi", sq, small, 1200, 13)
+    b = lhs_kinematic("o", chi_like, sq, small, 1200, 13)
     assert abs(a.mean - b.mean) < 1e-9
     assert abs(a.std_error - b.std_error) < 1e-9
+
+
+def test_only_gl_chi_with_an_exact_form_draws_the_lattice(monkeypatch):
+    # the volume phi, chi without a translation-exact form (an ellipsoid
+    # M), the compact groups and custom valuations draw X (or X = 0) as
+    # before; a gl chi pair with that form is the one lattice consumer
+    def refuse(*args, **kwargs):
+        raise RuntimeError("lattice drawn")
+
+    monkeypatch.setattr(kin, "lattice_normals", refuse)
+    disc = bd.unit_ball(2)
+    sq = bd.cube(2, side=2.0, centered=True)
+    small = bd.cube(2, side=1.0, centered=True)
+    lhs_kinematic("gl", "volume", disc, disc, 200, 1)
+    assert lhs_kinematic("gl", "chi", TILTED, OFFSET_BALL, 200, 1).exact is None
+    assert lhs_kinematic("o", "chi", disc, disc, 200, 1).exact is not None
+    lhs_kinematic("gl", Valuation("unit-mass", lambda body: 1.0), sq, small, 200, 1)
+    with pytest.raises(RuntimeError, match="lattice drawn"):
+        lhs_kinematic("gl", "chi", disc, disc, 200, 1)
 
 
 def test_custom_valuation_needs_hpolytopes():

@@ -9,7 +9,8 @@ from intgeo.symmetric import (as_symmetric, coords_to_sym,
                               eigh_sym, eigvals_sym_batch, expm_sym,
                               orthonormal_factor, sample_gaussian_sym,
                               sample_haar_orthogonal, singular_frames,
-                              sym_basis, sym_dim, sym_to_coords)
+                              split_coords_to_sym, sym_basis, sym_dim,
+                              sym_to_coords)
 
 
 def eigendecompose(X: np.ndarray, tol: float = 1e-13,
@@ -92,6 +93,27 @@ def test_coords_roundtrip():
         # the chart is a Frobenius isometry
         np.testing.assert_allclose(np.linalg.norm(X, axis=(1, 2)),
                                    np.linalg.norm(c, axis=1), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_split_chart_is_an_isometry_with_the_trace_last(n):
+    # the split chart of the lattice draws is orthonormal like coords_to_sym,
+    # so standard normals keep the Gaussian law; the traceless form puts
+    # tr X = 0, the full one tr X = sqrt(n) times the last coordinate
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((9, sym_dim(n)))
+    X = split_coords_to_sym(c, n)
+    np.testing.assert_allclose(X, np.swapaxes(X, -1, -2), atol=0.0)
+    np.testing.assert_allclose(np.linalg.norm(X, axis=(1, 2)), np.linalg.norm(c, axis=1),
+                               rtol=1e-13)
+    np.testing.assert_allclose(np.trace(X, axis1=1, axis2=2), np.sqrt(n) * c[:, -1],
+                               rtol=1e-13, atol=1e-14)
+    X0 = split_coords_to_sym(c[:, :-1], n)
+    np.testing.assert_allclose(np.trace(X0, axis1=1, axis2=2), 0.0, atol=1e-14)
+    np.testing.assert_allclose(X - X0, np.sqrt(1.0 / n) * c[:, -1, None, None] * np.eye(n),
+                               atol=1e-14)
+    with pytest.raises(ValueError, match="coordinates"):
+        split_coords_to_sym(np.hstack([c, c[:, :1]]), n)
 
 
 def test_gaussian_sym_entry_variances():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from intgeo import weyl
+from intgeo import sampling, weyl
 from intgeo.estimation import z_score
 from intgeo.weyl import (ESS_FLOOR, WEYL_MAX_N, EssFloorError, WeylEstimate,
                          c_direct, c_weyl, compute_constants,
@@ -249,11 +249,11 @@ def test_weyl_draws_no_plain_normals():
 
 def test_the_budget_splits_exactly_over_the_shifts():
     for samples in (1, 7, 16, 2000, 30001):
-        counts = weyl._shift_counts(samples)
+        counts = sampling.shift_counts(samples)
         assert counts.sum() == samples and counts.max() - counts.min() <= 1
-        assert counts.size == min(weyl.SHIFTS, samples)
+        assert counts.size == min(sampling.SHIFTS, samples)
         rng = np.random.default_rng(1)
-        shifts = np.concatenate([s for s, _ in weyl.lattice_normals(3, samples, rng)])
+        shifts = np.concatenate([s for s, _ in sampling.lattice_normals(3, samples, rng)])
         np.testing.assert_array_equal(np.bincount(shifts), counts)
     assert c_direct(3, 2001, 5)[1].samples == 2001
     assert c_weyl(2, 2001, 5)[1].samples == 2001
@@ -261,12 +261,12 @@ def test_the_budget_splits_exactly_over_the_shifts():
 
 def test_radical_inverse_prefixes_are_full_lattices():
     # the first 2^m points of the sequence are {k z / 2^m : k < 2^m}
-    z = np.array(weyl.LATTICE_Z, dtype=np.uint64)
+    z = np.array(sampling.LATTICE_Z, dtype=np.uint64)
     for m in (0, 3, 6, 10):
-        pts = (weyl._bit_reverse(np.arange(1 << m))[:, None] * z) & weyl._MASK
+        pts = (sampling._bit_reverse(np.arange(1 << m))[:, None] * z) & sampling._MASK
         assert np.all(pts % (1 << (32 - m)) == 0)
         got = np.sort(pts >> np.uint64(32 - m), axis=0)
-        want = np.sort((np.arange(1 << m)[:, None] * np.array(weyl.LATTICE_Z)) % (1 << m), axis=0)
+        want = np.sort((np.arange(1 << m)[:, None] * np.array(sampling.LATTICE_Z)) % (1 << m), axis=0)
         np.testing.assert_array_equal(got, want)
 
 
@@ -343,7 +343,7 @@ def test_fast_cbc_matches_a_brute_force_search():
 
 
 def test_generating_vector_is_the_embedded_cbc_vector():
-    assert tuple(_embedded_cbc(len(weyl.LATTICE_Z))) == weyl.LATTICE_Z
+    assert tuple(_embedded_cbc(len(sampling.LATTICE_Z))) == sampling.LATTICE_Z
 
 
 # e^2 of LATTICE_Z, all 36 components, at 2^6 ... 2^16 points
@@ -355,4 +355,4 @@ LATTICE_P2 = (0.21632800167897792, 0.08984339382705797, 0.0359501675329339,
 
 def test_generating_vector_figure_of_merit_at_each_modulus():
     for m, want in zip(range(6, 17), LATTICE_P2):
-        assert _p2_error_sq(weyl.LATTICE_Z, m) == pytest.approx(want, rel=1e-6)
+        assert _p2_error_sq(sampling.LATTICE_Z, m) == pytest.approx(want, rel=1e-6)
