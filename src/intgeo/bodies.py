@@ -19,7 +19,8 @@ answer support, distances, volumes and hyperplane hits from it without the
 linear programs (linprog) that the others solve; an axis-aligned H-box
 (axis_box) answers support in closed form in any dimension. The principal
 axes of a moved ball or ellipsoid (moved_frames) come from
-symmetric.singular_frames.
+symmetric.singular_frames, and its semiaxes alone, for its intrinsic
+volumes, from symmetric.singular_values.
 
 Each polytope builds its convex hull once and keeps it (polytope_hull):
 membership, distances, separating axes, areas, perimeters and volumes all
@@ -56,7 +57,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linprog
-from .symmetric import singular_frames
+from .symmetric import singular_frames, singular_values
 
 TOL = 1e-9
 # a turn of the monotone chain counts as straight when its cross product is
@@ -757,24 +758,23 @@ def moved_frames(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     Gaussian g, errors of up to 0.2% in the smallest semiaxis), and it keeps
     each semiaxis to about 1e-15 relative even across spreads of e^20, where
     LAPACK's SVD reads up to 1e-7 on Q diag(e^u). The hit test of a ball M
-    (batch_intersects) and the V_j of g_b L (moved_intrinsic_volumes) read
-    the same frames; a caller that needs both computes them once and passes
-    them to each.
+    (batch_intersects) reads these frames; the V_j of g_b L
+    (moved_intrinsic_volumes) read the semiaxes alone, from the same sweeps
+    (symmetric.singular_values).
     """
     if not isinstance(L, (Ball, Ellipsoid)):
         return None
     return singular_frames(G @ quadric_frame(L)[0])
 
 
-def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray,
-                            frames: tuple[np.ndarray, np.ndarray] | None = None
-                            ) -> np.ndarray | None:
+def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray) -> np.ndarray | None:
     """V_0, ..., V_n of each g_b L, (B, n + 1), or None where L has no closed form.
 
     G (B, n, n) holds the linear maps g_b. L's type picks the kernel:
-    - a ball or ellipsoid at n <= 3: volumes.batch_ellipsoid_intrinsic_volumes
-      of the semiaxes of g_b L (moved_frames, or frames when the caller
-      holds them);
+    - a ball or ellipsoid {c + lin z} at n <= 3:
+      volumes.batch_ellipsoid_intrinsic_volumes of the semiaxes of g_b L,
+      the singular values of G_b lin (symmetric.singular_values: the
+      semiaxes of moved_frames to the last bit, without the axes);
     - a polygon (a full-dimensional vertex set at n = 2): V_1 is half the
       perimeter of g_b L, the lengths of its edges G_b e, and V_2 is
       |det G_b| area(L).
@@ -786,7 +786,7 @@ def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray,
     if isinstance(L, (Ball, Ellipsoid)):
         if n > 3:
             return None
-        _, s = moved_frames(L, G) if frames is None else frames
+        s = singular_values(G @ quadric_frame(L)[0])
         vj = batch_ellipsoid_intrinsic_volumes(s, range(n + 1))
         return np.column_stack([vj[j] for j in range(n + 1)])
     hull = polytope_hull(L) if n == 2 else None
@@ -851,8 +851,7 @@ def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
 
 
 def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarray,
-                     t: np.ndarray,
-                     frames: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                     t: np.ndarray) -> np.ndarray:
     """Whether M meets g_b L + t_b, for each row b: (B,) bool.
 
     G (B, n, n) holds the linear maps, invG their inverses (two balls or
@@ -861,7 +860,7 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
     - two balls or ellipsoids: the distance from the origin to g_b L + t_b
       in M's frame (quadric_frame) is at most 1 + TOL. For a ball M that
       frame is the world's scaled by 1/r, so the principal axes of g_b L
-      are moved_frames(L, G), or frames when the caller holds them;
+      are moved_frames(L, G);
     - two polygons (vertex sets at n = 2): the separating-axis test, every
       gap at most TOL;
     - other pairs, after a hit sought at the midpoint of the two boxes'
@@ -882,7 +881,7 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
         cg, _ = moved_boxes(L, G)
         c2 = np.einsum("ij,bj->bi", invM, cg + t - cM)
         if isinstance(M, Ball):
-            U2, S2 = moved_frames(L, G) if frames is None else frames
+            U2, S2 = moved_frames(L, G)
             S2 = S2 / M.radius
         else:
             U2, S2 = singular_frames(np.einsum("ij,bjk->bik", invM, G @ linL))

@@ -3,14 +3,17 @@
 The left-hand side integrates phi(M cap g L) over group elements g = k exp(X)
 plus translation, with k Haar (probability measure) on O(n) or SO(n) and X
 Gaussian on Sym(n); the compact groups O(n) and SO(n) are the case X = 0,
-drawn down the same path with trace weights of 1. Under gl, chi on a pair
-whose translation integral has a closed form (bodies.has_difference_volumes)
-takes X from the shifted lattice rule of sampling.lattice_normals, the
-sampler of the c_j routes, and every other LHS draws X by plain Monte Carlo.
-The right-hand side is the Hadwiger-style expansion sum_j c_j phi_{n-j}(M)
-V_j(L) with Crofton coefficients phi_{n-j}(M) estimated over random flats
-(whether a flat meets M is bodies.batch_flat_hits) and the deformation
-constants c_j from the weyl module.
+drawn down the same path with trace weights of 1. Chi on a pair whose
+translation integral has a closed form (bodies.has_difference_volumes) runs
+two loops on one stream: an exact loop that integrates t out and, under gl,
+takes X from the shifted lattice rule of sampling.lattice_normals (the
+sampler of the c_j routes), then a hit-or-miss check in plain Monte Carlo
+at its own budget. Every other LHS is that plain hit-or-miss loop alone,
+with the trace of X tilted under gl. The right-hand side is the
+Hadwiger-style expansion sum_j c_j phi_{n-j}(M) V_j(L) with Crofton
+coefficients phi_{n-j}(M) estimated over random flats (whether a flat meets
+M is bodies.batch_flat_hits) and the deformation constants c_j from the
+weyl module.
 
 Normalization note: with the probability Haar measure used here, the direct
 integral equals the plain sum (the "half" convention); doubling the component
@@ -43,6 +46,9 @@ from .weyl import merge_constants, trace_moment
 # per group: the component of O(n) that k is Haar on, and whether X is drawn
 # (the compact groups take X = 0)
 GROUPS = {"gl": ("full", True), "o": ("full", False), "so": ("special", False)}
+# the trace tilt s of the hit-or-miss LHS under gl, per kind of phi: X is
+# drawn as X + s I and each row weighted by trace_moment(n, s n) e^{-s tr X}
+_TILT = {"volume": 1.0, "chi": 0.5, "custom": 0.0}
 # inner points per LHS sample of the volume integrand: with the trace tilted
 # its mean given g is constant and the draw of t sets most of the variance,
 # so more points cost time and buy little (sigma^2 x seconds on two discs is
@@ -116,9 +122,10 @@ def check_rhs_inputs(phi, M, L) -> np.ndarray:
 @dataclass
 class LhsEstimate(EstimatorResult):
     """One run of lhs_kinematic: the hit-or-miss estimate (the inherited
-    fields) and, from the same draws of g, the translation-exact estimate
-    (exact; None where the pair has no closed form) and, when M is a ball,
-    the estimates of E_g V_j(gL), one per j (terms; None otherwise)."""
+    fields) and, from the exact loop's own draws of g, the
+    translation-exact estimate (exact; None where the pair has no closed
+    form) and, when M is a ball, the estimates of E_g V_j(gL), one per j
+    (terms; None otherwise)."""
 
     exact: EstimatorResult | None = None
     terms: list[EstimatorResult] | None = None
@@ -140,14 +147,48 @@ def merge_lhs(parts: list[LhsEstimate], seed: int) -> LhsEstimate:
 
 
 def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
-                  inner_samples: int = INNER_SAMPLES) -> LhsEstimate:
+                  inner_samples: int = INNER_SAMPLES,
+                  check_samples: int | None = None) -> LhsEstimate:
     """The group-side integral, estimated with the translation box folded in.
 
     phi may be "chi", "volume", or a Valuation; custom valuations need both
-    bodies as H-polytopes (the intersection must be constructible). Every
-    pair draws k, X and t in batches. The box of gL is bodies.moved_boxes
-    and M's box bodies.bounding_box, so the translation box t ranges over is
-    their Minkowski difference. The hit-or-miss integrand, per kind of phi:
+    bodies as H-polytopes (the intersection must be constructible). Inputs
+    are checked by check_lhs_inputs, inner_samples among them, and
+    check_samples must be None or at least 1, before anything is drawn
+    (ValueError). Two loops draw from rng in turn.
+
+    The exact loop runs for chi on a pair whose t-integral has a closed
+    form (bodies.has_difference_volumes): M meets gL + t exactly when t lies
+    in M + (-gL), so the integral over t is vol(M + (-gL)), and
+    bodies.difference_volumes splits it into parts of degree j in g (the
+    result's exact, over samples rows). Under gl, g = e^{tau/n} k exp(X_0)
+    with tau = tr X ~ N(0, n) independent of the rest, so part j of g is
+    e^{j tau / n} times part j of k exp(X_0), and the trace integrates
+    exactly: part j is weighted by weyl.trace_moment(n, j) e^{-j tau / n}.
+    That integrand is smooth in X, so X comes from the shifted lattice rule:
+    the rows of sampling.lattice_normals in sym_dim(n) dimensions, in the
+    split chart of symmetric.split_coords_to_sym (the traceless coordinates
+    first, the trace last), a whole lattice block at a time; the shifts are
+    drawn from rng first. Each value is summed per shift, and the estimate
+    is the mean of the shift means with their standard deviation over
+    sqrt(SHIFTS) as standard error (sampling.shift_mean): a t law with
+    SHIFTS - 1 degrees of freedom. The compact groups take X = 0 in plain
+    batches. A ball M draws no k, since V_j(k G L) = V_j(G L): its parts
+    are Steiner's kappa_{n-j} r^{n-j} V_j(gL), and terms[j] estimates
+    E_g V_j(gL) (bodies.moved_intrinsic_volumes, the semiaxes alone), with
+    the trace sampled, so the terms check the factorization apart from
+    c_j's own route. A polygon M draws k from rng per block (its mixed
+    area reads the support of k G L). The volume phi has no exact loop:
+    its t-integral vol(M) vol(gL) would make the Fubini anchor a tautology.
+
+    The hit-or-miss loop draws k, X and t from rng in batches of
+    _LHS_BATCH, with t uniform in the translation box: the Minkowski
+    difference of M's box (bodies.bounding_box) and gL's
+    (bodies.moved_boxes), whose volume weights each row. It runs over
+    samples rows where the pair has no exact loop (its estimate is then the
+    headline) and over check_samples rows (None: samples) where it has one,
+    as a check that rests on neither Steiner's formula nor the mixed area.
+    Its integrand, per kind of phi:
     - chi: bodies.batch_intersects, where the pair's types pick the kernel;
     - volume: bodies.contains_points of M at the inner points and of L at
       their pull-backs g^-1 (x - t), for every pair of bodies;
@@ -155,87 +196,58 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     The volume integrand draws its inner_samples points per row in blocks
     of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
     near 1 MB whatever the batch; the draws are the ones a single
-    (batch, inner_samples, n) draw would give. Inputs are checked by
-    check_lhs_inputs, inner_samples among them, before anything is drawn
-    (ValueError).
+    (batch, inner_samples, n) draw would give. The standard error is the
+    rows' own (RunningMean).
 
-    For chi the t-integral of the integrand is vol(M + (-gL)), so the same
-    draws of g also give the translation-exact estimate wherever the pair
-    has that closed form (the result's exact). bodies.difference_volumes
-    splits the volume into parts of degree j in g. Under gl, g = e^{tau/n} k
-    exp(X_0) with tau = tr X ~ N(0, n) independent of the rest, so part j
-    of g is e^{j tau / n} times part j of k exp(X_0), and the trace
-    integrates exactly: part j is weighted by
-    weyl.trace_moment(n, j) e^{-j tau / n}. The estimate then depends on k
-    and X_0 alone. When M is a ball the Steiner sum behind it splits over
-    j, and terms[j] estimates E_g V_j(gL) (bodies.moved_intrinsic_volumes),
-    with the trace sampled, so the terms check the factorization apart from
-    c_j's own route. The volume phi has no exact estimate: its t-integral
-    vol(M) vol(gL) would make the Fubini anchor a tautology.
-
-    That integrand is smooth in X, so under gl such a pair
-    (bodies.has_difference_volumes) takes X from the shifted lattice rule:
-    the rows of sampling.lattice_normals in sym_dim(n) dimensions, in the
-    split chart of symmetric.split_coords_to_sym (the traceless
-    coordinates first, the trace last, so the exact estimate reads the
-    leading sym_dim(n) - 1), in batches of at most _LHS_BATCH rows. k, its
-    coin and t keep their draws from rng, in the order plain Monte Carlo
-    draws them; the lattice shifts are drawn from rng before the first
-    batch. Every per-row value (hit-or-miss, exact and terms) is summed
-    per shift, and each estimate is the mean of the shift means with
-    their standard deviation over sqrt(SHIFTS) as standard error
-    (sampling.shift_mean): a t law with SHIFTS - 1 degrees of freedom.
-    The volume phi, custom valuations, the compact groups and chi pairs
-    without an exact form keep plain Monte Carlo draws (RunningMean), bit
-    for bit.
-
-    The volume phi stays hit-or-miss in t, but under gl its trace is
-    tilted: the draws of X are shifted to X + I (the same eigenvectors, the
-    same stream), so tr X ~ N(n, n) and g becomes e g, and each sample is
-    weighted by trace_moment(n, n) e^{-tr X}, the likelihood ratio of
-    N(0, n) to N(n, n). This is the degree-n case of the exact chi weights:
-    the weighted t-integral, vol(M) vol(L) e^{tr X} times that weight, is
-    the constant e^{n/2} vol(M) vol(L), so the log-normal tail of det g is
-    gone and only t and the inner points vary.
+    Under gl that loop tilts the trace by s (_TILT: 1 for the volume phi,
+    1/2 for chi, 0 for custom valuations): the draws of X are shifted to
+    X + s I (the same eigenvectors, the same stream), so tr X ~ N(s n, n)
+    and g becomes e^s g, and each row is weighted by
+    trace_moment(n, s n) e^{-s tr X}, the likelihood ratio of N(0, n) to
+    N(s n, n). For the volume phi (the degree-n case of the exact chi
+    weights) the weighted t-integral is the constant e^{n/2} vol(M) vol(L),
+    so the log-normal tail of det g is gone and only t and the inner points
+    vary. For chi, whose t-integral mixes degrees 0 to n, s = 1/2 halves
+    the spread of the row weights: on the unit ball against the
+    (1.3, 0.9, 0.6) ellipsoid at 2000 rows the replicate sd falls from 22
+    to 10.6 and the 95% interval covers 0.94 instead of 0.865.
 
     Every group takes the same path: g = k V e^Lambda V^T from one
-    eigendecomposition X = V Lambda V^T (symmetric.eigh_sym and congruence).
-    The compact groups (GROUPS) draw no X and take X = 0 there, with trace
-    moments of 1 and no tilt, so their weights are all 1.
+    eigendecomposition X = V Lambda V^T (symmetric.eigh_sym and congruence),
+    and g^-1 = V e^-Lambda V^T k^T. The compact groups (GROUPS) draw no X
+    and take X = 0 there, with trace moments of 1 and no tilt, so their
+    weights are all 1.
     """
     kind = check_lhs_inputs(group, phi, M, L, inner_samples)
+    if not (check_samples is None or check_samples >= 1):
+        raise ValueError(f"check_samples must be at least 1, got {check_samples!r}")
     rng, seed = resolve_rng(rng)
     component, deforms = GROUPS[group]
+    exact = terms = None
+    checks = samples
+    if kind == "chi" and bd.has_difference_volumes(M, L):
+        exact, terms = _exact_loop(M, L, samples, rng, seed, component, deforms)
+        checks = samples if check_samples is None else check_samples
+    acc = RunningMean()
     n = M.dim
     quadric = (isinstance(M, (bd.Ball, bd.Ellipsoid))
                and isinstance(L, (bd.Ball, bd.Ellipsoid)))
     loM, hiM = bd.bounding_box(M)
     rows = max(1, _BLOCK_POINTS // inner_samples)
-    steiner = isinstance(M, bd.Ball)
-    degrees = np.arange(n + 1)
-    moments = np.array([trace_moment(n, j) if deforms else 1.0 for j in degrees])
-    # the volume phi draws tr X from N(n, n): X + I, so g becomes e g
-    tilt = float(deforms and kind == "volume")
-    lattice = deforms and kind == "chi" and bd.has_difference_volumes(M, L)
-    if lattice:
-        counts = shift_counts(samples)
-        acc, exact, *terms = [_ShiftSums(counts) for _ in range(n + 3)]
-    else:
-        acc, exact, *terms = [_PlainMean() for _ in range(n + 3)]
-    for B, shift, w in _lhs_batches(n, samples, rng, lattice):
+    s = _TILT[kind] if deforms else 0.0
+    moment = trace_moment(n, s * n)
+    for done in range(0, checks, _LHS_BATCH):
+        B = min(_LHS_BATCH, checks - done)
         k = sample_haar_orthogonal(n, rng, component=component, size=B)
-        if lattice:
-            X = split_coords_to_sym(w, n)
-        elif deforms:
-            X = sample_gaussian_sym(n, rng, size=B)
-        else:
-            X = np.zeros((B, n, n))
+        X = sample_gaussian_sym(n, rng, size=B) if deforms else np.zeros((B, n, n))
         lam, V = eigh_sym(X)
-        lam = lam + tilt
+        lam = lam + s
+        # times moment, the likelihood ratio of N(0, n) to N(s n, n) at tr X
+        weight = np.exp(-s * lam.sum(axis=1))
         G = k @ congruence(V, np.exp(lam))
         invG = None  # the chi kernel of two quadrics never reads it
         if not (kind == "chi" and quadric):
-            invG = np.einsum("bij,bkj->bik", congruence(V, np.exp(-lam)), k)
+            invG = congruence(V, np.exp(-lam)) @ np.swapaxes(k, 1, 2)
         # the box of gL is cg +- hw per row
         cg, hw = bd.moved_boxes(L, G)
         hi = hiM[None, :] + hw - cg
@@ -244,19 +256,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         volbox = np.prod(wid, axis=1)
         t = lo + rng.random((B, n)) * wid
         if kind == "chi":
-            # a ball M reads its hit test and Steiner's V_j off one set of
-            # singular frames
-            frames = bd.moved_frames(L, G) if steiner else None
-            acc.update(np.where(bd.batch_intersects(M, L, G, invG, t, frames), volbox, 0.0),
-                       shift)
-            vj = bd.moved_intrinsic_volumes(L, G, frames) if steiner else None
-            dv = bd.difference_volumes(M, L, G, vj)
-            if dv is not None:  # integrate the trace of X out, part by part
-                dv = dv * moments * np.exp(-np.outer(lam.sum(axis=1), degrees) / n)
-                exact.update(dv.sum(axis=1), shift)
-            if vj is not None:
-                for j in range(n + 1):
-                    terms[j].update(vj[:, j], shift)
+            val = np.where(bd.batch_intersects(M, L, G, invG, t), volbox, 0.0)
         elif kind == "volume":
             center = cg + t
             loI = np.maximum(loM[None, :], center - hw)
@@ -273,34 +273,47 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                 inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(r1 - r0, -1)
                 inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
                 frac[r0:r1] = np.mean(inM & inL, axis=1)
-            # the likelihood ratio of N(0, n) to N(n, n) at tr X
-            acc.update(volbox * volI * frac * moments[n] * np.exp(-lam.sum(axis=1)), shift)
+            val = volbox * volI * frac
         else:
-            val = [phi(bd.intersect_hrep(M, bd.affine_image(L, bd.AffineMap(g, s))))
-                   for g, s in zip(G, t)]
-            acc.update(volbox * np.array(val), shift)
-    return LhsEstimate(
-        **vars(acc.result(seed)),
-        exact=exact.result(seed) if exact.count else None,
-        terms=[a.result(seed) for a in terms] if terms[0].count else None)
+            val = volbox * np.array([phi(bd.intersect_hrep(M, bd.affine_image(
+                L, bd.AffineMap(g, v)))) for g, v in zip(G, t)])
+        acc.update(val * moment * weight)
+    return LhsEstimate(**vars(EstimatorResult.from_accumulator(acc, seed)),
+                       exact=exact, terms=terms)
 
 
-def _lhs_batches(n: int, samples: int, rng, lattice: bool):
-    """Yield (B, shift, w) per batch of at most _LHS_BATCH group elements.
-
-    Plain Monte Carlo yields only the batch sizes (shift and w None: the
-    caller draws X from rng). The lattice yields the rows of
-    sampling.lattice_normals in sym_dim(n) dimensions, their shift indices
-    and their normals w, cut into batches.
-    """
-    if not lattice:
-        for done in range(0, samples, _LHS_BATCH):
-            yield min(_LHS_BATCH, samples - done), None, None
-        return
-    for shift, w in lattice_normals(sym_dim(n), samples, rng):
-        for r0 in range(0, shift.size, _LHS_BATCH):
-            r1 = min(r0 + _LHS_BATCH, shift.size)
-            yield r1 - r0, shift[r0:r1], w[r0:r1]
+def _exact_loop(M, L, samples: int, rng, seed: int, component: str, deforms: bool
+                ) -> tuple[EstimatorResult, list[EstimatorResult] | None]:
+    """lhs_kinematic's translation-exact estimate and, for a ball M, its
+    per-j terms (its docstring has the estimator)."""
+    n = M.dim
+    ball = isinstance(M, bd.Ball)
+    degrees = np.arange(n + 1)
+    if deforms:
+        counts = shift_counts(samples)
+        accs = [_ShiftSums(counts) for _ in range(n + 2)]
+        blocks = ((shift, split_coords_to_sym(w, n))
+                  for shift, w in lattice_normals(sym_dim(n), samples, rng))
+    else:
+        accs = [_PlainMean() for _ in range(n + 2)]
+        blocks = ((None, np.zeros((min(_LHS_BATCH, samples - done), n, n)))
+                  for done in range(0, samples, _LHS_BATCH))
+    moments = np.array([trace_moment(n, j) if deforms else 1.0 for j in degrees])
+    exact, *terms = accs
+    for shift, X in blocks:
+        lam, V = eigh_sym(X)
+        G = congruence(V, np.exp(lam))
+        if not ball:
+            G = sample_haar_orthogonal(n, rng, component=component, size=len(G)) @ G
+        vj = bd.moved_intrinsic_volumes(L, G) if ball else None
+        # integrate the trace of X out, part by part
+        dv = (bd.difference_volumes(M, L, G, vj) * moments
+              * np.exp(-np.outer(lam.sum(axis=1), degrees) / n))
+        exact.update(dv.sum(axis=1), shift)
+        if ball:
+            for j in range(n + 1):
+                terms[j].update(vj[:, j], shift)
+    return exact.result(seed), [a.result(seed) for a in terms] if ball else None
 
 
 class _PlainMean(RunningMean):
@@ -322,14 +335,13 @@ class _ShiftSums:
     def __init__(self, counts: np.ndarray):
         self.counts = counts
         self.sums = np.zeros(counts.size)
-        self.count = 0
 
     def update(self, values: np.ndarray, shift: np.ndarray) -> None:
         self.sums += np.bincount(shift, values, self.counts.size)
-        self.count += shift.size
 
     def result(self, seed: int) -> EstimatorResult:
-        return EstimatorResult(*shift_mean(self.sums, self.counts), self.count, seed)
+        return EstimatorResult(*shift_mean(self.sums, self.counts), int(self.counts.sum()),
+                               seed)
 
 
 def _crofton_window(M, window_radius: float | None) -> float:
@@ -423,8 +435,9 @@ class KinematicReport:
     the translation-exact one when the pair has it, else hit-or-miss. With
     an exact headline, hit_or_miss holds the hit-or-miss estimate with its
     own z-scores, the check that does not rest on Steiner's formula or the
-    mixed area, and lhs_terms (gl with a ball M) compares E_g V_j(gL) with
-    c_j V_j(L) one j at a time.
+    mixed area (plain rows at the stage budget, trace tilted under gl), and
+    lhs_terms (gl with a ball M) compares E_g V_j(gL) with c_j V_j(L) one j
+    at a time.
     """
 
     group: str
@@ -505,7 +518,9 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     The headline lhs is the translation-exact estimate when the pair has
     one, else the hit-or-miss estimate; z_total, z_half and convention read
     the headline. With an exact headline the report also carries the
-    hit-or-miss estimate with its own z-scores, and under gl with a ball M
+    hit-or-miss estimate with its own z-scores, a check drawn over
+    min(k, stage_samples(k)) rows of each LHS chunk of k samples
+    (lhs_kinematic's check_samples), and under gl with a ball M
     the per-j check lhs_terms: for each j the estimate of E_g V_j(gL), the
     prediction c_j V_j(L) and z, the term's standard error combined with
     V_j(L) se(c_j). Under O(n) and SO(n) every V_j(gL) is V_j(L) and
@@ -530,7 +545,9 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
 
     # the workers look lhs_kinematic and crofton_coefficient up when called
     stages = [(lambda rng, k: lhs_kinematic(group, phi, M, L, k, rng,
-                                            inner_samples=inner_samples), samples),
+                                            inner_samples=inner_samples,
+                                            check_samples=min(k, stage_samples(k))),
+               samples),
               (cj_worker, stage if cj_samples is None else cj_samples)]
     stages += [(lambda rng, k, j=j: crofton_coefficient(phi, M, j, k, rng,
                                                         window_radius=window_radius),

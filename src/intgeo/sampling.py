@@ -200,14 +200,24 @@ def shift_counts(samples: int) -> np.ndarray:
 
 
 def lattice_normals(d: int, samples: int, rng):
-    """Yield (shift, w): batches of the budget's points, each row of w the d
-    standard normals of one point and shift its shift's index.
+    """An iterator of (shift, w): batches of the budget's points, each row
+    of w the d standard normals of one point and shift its shift's index.
 
     Shift k takes the first shift_counts(samples)[k] points of the
     lattice, moved by its own uniform shift; the shifts are drawn from rng
-    once, as 32-bit integers, so a point's coordinate is (m + 1/2) / 2^32
-    with m an integer and the tent transform never returns 0 or 1.
+    once, as 32-bit integers, when the first batch is taken, so a point's
+    coordinate is (m + 1/2) / 2^32 with m an integer and the tent transform
+    never returns 0 or 1. LATTICE_Z has len(LATTICE_Z) = 36 components, so
+    d above that raises ValueError at the call, before anything is drawn.
     """
+    if d > len(LATTICE_Z):
+        raise ValueError(f"the lattice rule has {len(LATTICE_Z)} dimensions "
+                         f"(LATTICE_Z), asked for {d}")
+    return _lattice_batches(d, samples, rng)
+
+
+def _lattice_batches(d: int, samples: int, rng):
+    """The batches of lattice_normals; the shifts are drawn on the first."""
     counts = shift_counts(samples)
     width = d + d % 2  # Box-Muller reads coordinates in pairs
     z = np.array(LATTICE_Z[:width], dtype=np.uint64)

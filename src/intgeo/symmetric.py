@@ -10,10 +10,11 @@ and off-diagonal entries of variance 1/2.
 
 Three kernels serve every group element g = k exp(X): eigh_sym (X = V
 diag(lam) V^T, behind expm_sym and the kinematic LHS), singular_frames (the
-principal axes of g L) and orthonormal_factor (the QR behind
-sample_haar_orthogonal). Each picks its path by n in one place: batched
-Jacobi rotations or Gram-Schmidt on (B,) arrays of entries at n <= 3, where
-numpy would dispatch LAPACK once per small matrix, and LAPACK at n >= 4.
+principal axes of g L; singular_values reads the semiaxes alone off the same
+sweeps) and orthonormal_factor (the QR behind sample_haar_orthogonal).
+Each picks its path by n in one place: batched Jacobi rotations or
+Gram-Schmidt on (B,) arrays of entries at n <= 3, where numpy would
+dispatch LAPACK once per small matrix, and LAPACK at n >= 4.
 A row's result does not depend on the stack it comes in. eigvals_sym_batch,
 the spectra of the direct c_j route, reads eigh_sym's eigenvalues at n <= 3
 and LAPACK's eigvalsh at n >= 4.
@@ -54,12 +55,17 @@ def _offdiag_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
     """Map chart coordinates (..., n(n+1)/2) to symmetric matrices (..., n, n)."""
     coords = np.asarray(coords, dtype=float)
-    lead = coords.shape[:-1]
-    X = np.zeros(lead + (n, n))
+    return _sym_from_parts(coords[..., :n], coords[..., n:], n)
+
+
+def _sym_from_parts(diag: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric matrices (..., n, n) with diagonal diag (..., n) and
+    off-diagonal chart coordinates off (..., n(n - 1)/2), written in place."""
+    X = np.zeros(diag.shape[:-1] + (n, n))
     idx = np.arange(n)
-    X[..., idx, idx] = coords[..., :n]
+    X[..., idx, idx] = diag
     iu, ju = _offdiag_indices(n)
-    off = coords[..., n:] / np.sqrt(2.0)
+    off = off / np.sqrt(2.0)
     X[..., iu, ju] = off
     X[..., ju, iu] = off
     return X
@@ -91,7 +97,7 @@ def split_coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
     diag = coords[..., :n - 1] @ helmert(n).T
     if coords.shape[-1] > m:
         diag = diag + coords[..., m:] / np.sqrt(n)
-    return coords_to_sym(np.concatenate([diag, coords[..., n - 1:m]], axis=-1), n)
+    return _sym_from_parts(diag, coords[..., n - 1:m], n)
 
 
 def sym_to_coords(X: np.ndarray) -> np.ndarray:
@@ -305,6 +311,32 @@ def singular_frames(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError as exc:
             raise FloatingPointError(f"svd: {exc}") from exc
         return U, s
+    cols, s = _hestenes(A)
+    cols = [a / v for a, v in zip(cols, s)]
+    _sort_columns(s, cols, descending=True)
+    return _columns_to_stack(cols).reshape(A.shape), np.stack(s, axis=-1).reshape(A.shape[:-1])
+
+
+def singular_values(A: np.ndarray) -> np.ndarray:
+    """The s of singular_frames(A), to the last bit, without U: the same
+    sweeps at n <= 3, with the column norms sorted (the same values in the
+    same order) but the columns neither normalized nor sorted; LAPACK's
+    singular values at n >= 4."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-1] > 3:
+        try:
+            return np.linalg.svd(A, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise FloatingPointError(f"svd: {exc}") from exc
+    s = np.sort(np.stack(_hestenes(A)[1], axis=-1), axis=-1)[..., ::-1]
+    return s.reshape(A.shape[:-1])
+
+
+def _hestenes(A: np.ndarray) -> tuple[list, list]:
+    """The one-sided Jacobi sweeps of singular_frames on a stack (..., n, n),
+    n <= 3: the rotated columns, n (n, B) arrays, and their norms, n (B,)
+    arrays, both in column order."""
+    n = A.shape[-1]
     cols = list(_stack_to_columns(A.reshape(-1, n, n)))
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     for sweep in range(_JACOBI_SWEEPS + 1):
@@ -329,9 +361,7 @@ def singular_frames(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = [np.sqrt(_dot(a, a)) for a in cols]
     if not all(np.all(v > 0.0) for v in s):
         raise FloatingPointError("singular_frames needs nonsingular finite matrices")
-    cols = [a / v for a, v in zip(cols, s)]
-    _sort_columns(s, cols, descending=True)
-    return _columns_to_stack(cols).reshape(A.shape), np.stack(s, axis=-1).reshape(A.shape[:-1])
+    return cols, s
 
 
 def orthonormal_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

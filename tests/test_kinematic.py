@@ -78,9 +78,10 @@ PENT = bd.VPolytope([[np.cos(a) * 0.9, np.sin(a) * 0.6]
 # SVD and QR the same draws make the same hit decisions and move the
 # estimates by rounding only (test_pinned_rows_match_the_lapack_kernels)
 PINNED_LHS = pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, want", [
-    # X from the shifted lattice (a gl chi pair with a translation-exact form)
+    # the hit-or-miss check of a gl chi pair with a translation-exact form:
+    # plain draws after the exact loop's lattice, the trace tilted by 1/2
     ("gl", "chi", bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6]),
-     10000, 41, 256, (115.66375678657538, 7.542481874831941)),
+     10000, 41, 256, (107.3213661411892, 6.844014310392289)),
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 5000, 42, 256,
      (26.153437951265143, 0.5741316114858679)),
     # one row per block of inner points
@@ -113,6 +114,10 @@ def _lapack_frames(A):
     return U, s
 
 
+def _lapack_values(A):
+    return np.linalg.svd(A, compute_uv=False)
+
+
 def _lapack_factor(G):
     Q, R = np.linalg.qr(G)
     d = np.sign(np.einsum("mii->mi", R))
@@ -124,15 +129,18 @@ def _lapack_factor(G):
 @PINNED_LHS
 def test_pinned_rows_match_the_lapack_kernels(monkeypatch, group, phi, M, L, samples,
                                               seed, inner, want):
-    # the same draws through LAPACK's eigh, SVD and QR: every hit decision
+    # the same draws through LAPACK's eigh, SVD (the frames of the hit test
+    # and the semiaxes of the exact loop's V_j) and QR: every hit decision
     # agrees (one flipped hit moves the mean by >= 1/samples of a box), and
     # the estimates differ by rounding only
     new = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
     monkeypatch.setattr(kin, "eigh_sym", np.linalg.eigh)
     monkeypatch.setattr(bd, "singular_frames", _lapack_frames)
+    monkeypatch.setattr(bd, "singular_values", _lapack_values)
     monkeypatch.setattr(sym, "orthonormal_factor", _lapack_factor)
     old = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
     pairs = [(new, old)] + ([(new.exact, old.exact)] if old.exact else [])
+    pairs += list(zip(new.terms, old.terms)) if old.terms else []
     for a, b in pairs:
         assert a.mean == pytest.approx(b.mean, rel=1e-12, abs=0.0)
         assert a.std_error == pytest.approx(b.std_error, rel=1e-12, abs=0.0)
@@ -170,8 +178,9 @@ def test_interval_coverage_of_the_volume_lhs():
     (HEX, bd.cube(2, side=1.5, centered=True), 3000, 48),
 ], ids=["ball-ellipse", "ball-ellipsoid", "hpolygons"])
 def test_exact_and_hit_or_miss_lhs_agree(M, L, samples, seed):
-    # two estimates of one integral from the same draws of g: hit-or-miss
-    # over t, and t integrated exactly by bodies.difference_volumes
+    # two estimates of one integral, each from its own loop's draws of g:
+    # hit-or-miss over t, and t integrated exactly by
+    # bodies.difference_volumes
     res = lhs_kinematic("gl", "chi", M, L, samples, seed)
     assert res.exact is not None and res.exact.samples == samples
     assert z_score(res.mean, res.std_error, res.exact.mean, res.exact.std_error) < 4.0
@@ -222,6 +231,69 @@ def test_lattice_lhs_interval_coverage(workloads, case):
         est = lhs_kinematic("gl", "chi", M, L, samples, seed).exact
         covered += abs(est.mean - want) <= 1.96 * est.std_error
     assert 0.90 <= covered / 200 <= 1.0, f"{covered}/200"
+
+
+def test_tilted_check_interval_coverage():
+    # the nominal 95% interval of the gl chi hit-or-miss check (plain rows,
+    # the trace tilted by 1/2) over 200 replicates at 2000 rows, against
+    # sum_j kappa_(3-j) c_j V_j(L) with c_j by quadrature; untilted, these
+    # replicates read coverage 0.865 and sd 22
+    M = bd.unit_ball(3)
+    L = bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6])
+    means, covered = [], 0
+    for seed in range(2000, 2200):
+        est = lhs_kinematic("gl", "chi", M, L, 16, seed, check_samples=2000)
+        assert est.samples == 2000 and est.exact.samples == 16
+        means.append(est.mean)
+        covered += abs(est.mean - 112.26898) <= 1.96 * est.std_error
+    assert covered / 200 >= 0.90, f"{covered}/200"
+    assert np.std(means, ddof=1) < 15.0
+
+
+@pytest.mark.parametrize("M, exact_haar", [
+    (bd.unit_ball(2), 0),  # V_j(k G L) = V_j(G L): the exact loop draws no k
+    (HEX, 5000),  # the mixed area reads the support of k G L
+], ids=["ball", "hpolygon"])
+def test_each_loop_draws_only_what_it_reads(monkeypatch, M, exact_haar):
+    # the exact loop runs the V_j and difference-volume kernels over samples
+    # rows, the hit-or-miss check draws k and runs the hit test over
+    # check_samples rows, and neither runs the other's kernels
+    seen = {"haar": 0, "difference_volumes": 0, "moved_intrinsic_volumes": 0,
+            "batch_intersects": 0}
+
+    def counting(module, name, key, rows):
+        # count rows(args, kwargs) rows per call of module.name
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen[key] += rows(args, kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(kin, "sample_haar_orthogonal", "haar", lambda a, kw: kw["size"])
+    # the rows of G in difference_volumes(M, L, G, vj), moved_intrinsic_volumes(L, G)
+    # and of t in batch_intersects(M, L, G, invG, t)
+    counting(bd, "difference_volumes", "difference_volumes", lambda a, kw: len(a[2]))
+    counting(bd, "moved_intrinsic_volumes", "moved_intrinsic_volumes",
+             lambda a, kw: len(a[1]))
+    counting(bd, "batch_intersects", "batch_intersects", lambda a, kw: len(a[4]))
+    L = bd.Ellipsoid([0.1, 0.2], np.eye(2), [1.4, 0.5])
+    res = lhs_kinematic("gl", "chi", M, L, 5000, 3, check_samples=1000)
+    assert (res.samples, res.exact.samples) == (1000, 5000)
+    assert seen["haar"] == exact_haar + 1000
+    assert seen["difference_volumes"] == 5000
+    assert seen["moved_intrinsic_volumes"] == (5000 if isinstance(M, bd.Ball) else 0)
+    assert seen["batch_intersects"] == 1000
+
+
+def test_check_samples_below_one_are_refused_before_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="check_samples"):
+        lhs_kinematic("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 100, rng,
+                      check_samples=0)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("command, bound", [("chi-hpolygons", 1.2e-2),
@@ -331,13 +403,15 @@ def test_chi_quadric_vs_polytope_refused_above_3d(M, L):
 
 
 @pytest.mark.parametrize("group, phi, M, L, samples, seed, want", [
-    # X from the shifted lattice: the lattice rows through the same LP route
-    ("gl", "chi", HEX, PENT, 500, 51, (19.177362097329635, 1.4115868257765218)),
+    # a polygon M: the exact loop draws its k (after the lattice shifts
+    # under gl) before the hit-or-miss check draws k, X and t; under gl
+    # every chi hit-or-miss row is trace tilted by 1/2
+    ("gl", "chi", HEX, PENT, 500, 51, (18.714154487530926, 1.1723360397824605)),
     ("o", "chi", PENT, bd.cube(2, side=1.5, centered=True), 500, 52,
-     (7.853047167788888, 0.215661864403388)),
+     (7.647067860385399, 0.22278060028597554)),
     ("gl", "chi", bd.cube(3, side=1.2, centered=True),
      bd.VPolytope(np.vstack([np.zeros(3), np.eye(3)]) - 0.25), 200, 53,
-     (22.369360539827557, 4.420763818338408)),
+     (23.095877385177108, 3.870172265626857)),
     # the volume row is the trace-tilted estimator's (lhs_kinematic's docstring)
     ("gl", "volume", HEX, PENT, 300, 54, (11.473564281599765, 1.0400873682003948)),
 ], ids=["chi-hhex-vpent", "chi-vpent-hsquare", "chi-hcube-vsimplex", "volume-hhex-vpent"])
@@ -395,15 +469,18 @@ def test_gl_chi_interval_anchor():
 
 
 def test_custom_valuation_matches_chi_path():
-    # a custom valuation equal to chi must retrace the chi estimate exactly
-    # (same group samples, intersection emptiness decided consistently);
-    # under O(n) the chi path draws plain Monte Carlo, as custom valuations
-    # do in every group (gl takes X from the lattice for this exact pair)
+    # a custom valuation equal to chi must retrace the chi hit-or-miss
+    # estimate exactly (same group samples, intersection emptiness decided
+    # consistently); under O(n) neither is trace tilted. chi on this pair
+    # (a polygon M) runs the exact loop first, which draws one k per row,
+    # so the custom valuation starts from the stream past those draws
     sq = bd.cube(2, side=2.0, centered=True)
     small = bd.cube(2, side=1.0, centered=True)
     chi_like = Valuation("unit-mass", lambda body: 1.0, degree=0.0)
-    a = lhs_kinematic("o", "chi", sq, small, 1200, 13)
-    b = lhs_kinematic("o", chi_like, sq, small, 1200, 13)
+    a = lhs_kinematic("o", "chi", sq, small, 1200, np.random.default_rng(13))
+    rng = np.random.default_rng(13)
+    sym.sample_haar_orthogonal(2, rng, size=1200)
+    b = lhs_kinematic("o", chi_like, sq, small, 1200, rng)
     assert abs(a.mean - b.mean) < 1e-9
     assert abs(a.std_error - b.std_error) < 1e-9
 

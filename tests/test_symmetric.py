@@ -6,10 +6,10 @@ from scipy.linalg import expm as scipy_expm
 from scipy.stats import kstest
 
 from intgeo.symmetric import (as_symmetric, coords_to_sym,
-                              eigh_sym, eigvals_sym_batch, expm_sym,
+                              eigh_sym, helmert, eigvals_sym_batch, expm_sym,
                               orthonormal_factor, sample_gaussian_sym,
                               sample_haar_orthogonal, singular_frames,
-                              split_coords_to_sym, sym_basis, sym_dim,
+                              singular_values, split_coords_to_sym, sym_basis, sym_dim,
                               sym_to_coords)
 
 
@@ -114,6 +114,21 @@ def test_split_chart_is_an_isometry_with_the_trace_last(n):
                                atol=1e-14)
     with pytest.raises(ValueError, match="coordinates"):
         split_coords_to_sym(np.hstack([c, c[:, :1]]), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_split_chart_has_the_bits_of_coords_to_sym(n):
+    # the split chart writes its Helmert diagonal and the off-diagonal
+    # coordinates straight into X: coords_to_sym of the concatenated
+    # diagonal and off-diagonal coordinates, to the last bit
+    rng = np.random.default_rng(20 + n)
+    m = sym_dim(n) - 1
+    for c in (rng.standard_normal((50, m + 1)), rng.standard_normal((50, m))):
+        diag = c[:, :n - 1] @ helmert(n).T
+        if c.shape[1] > m:
+            diag = diag + c[:, m:] / np.sqrt(n)
+        want = coords_to_sym(np.concatenate([diag, c[:, n - 1:m]], axis=1), n)
+        assert np.array_equal(split_coords_to_sym(c, n), want)
 
 
 def test_gaussian_sym_entry_variances():
@@ -361,6 +376,23 @@ def test_singular_frames_match_lapack(n):
     U1, s1 = singular_frames(A[0])
     np.testing.assert_array_equal(U1, U[0])
     np.testing.assert_array_equal(s1, s[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_singular_values_are_the_frames_semiaxes(n):
+    # the semiaxes-only return of the same sweeps: singular_frames' s to the
+    # last bit, one row or a stack alike
+    rng = np.random.default_rng(85 + n)
+    A = rng.standard_normal((300, n, n))
+    assert np.array_equal(singular_values(A), singular_frames(A)[1])
+    assert np.array_equal(singular_values(A[3]), singular_frames(A)[1][3])
+    with pytest.raises(FloatingPointError):
+        singular_values(np.zeros((2, n, n)))
+
+
+def test_singular_values_at_n4_are_lapack():
+    A = np.random.default_rng(89).standard_normal((8, 4, 4))
+    np.testing.assert_array_equal(singular_values(A), np.linalg.svd(A, compute_uv=False))
 
 
 def qr_positive(G):

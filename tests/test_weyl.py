@@ -259,6 +259,21 @@ def test_the_budget_splits_exactly_over_the_shifts():
     assert c_weyl(2, 2001, 5)[1].samples == 2001
 
 
+def test_the_lattice_refuses_more_dimensions_than_its_vector():
+    # LATTICE_Z has 36 components (Sym(8)); past them the sampler and the
+    # direct route (n = 9 needs 44) refuse at the call, before any draw
+    assert len(sampling.LATTICE_Z) == 36
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="36 dimensions"):
+        sampling.lattice_normals(37, 100, rng)
+    with pytest.raises(ValueError, match="36 dimensions"):
+        c_direct(9, 100, rng)
+    assert rng.bit_generator.state == state
+    w = np.concatenate([w for _, w in sampling.lattice_normals(36, 64, rng)])
+    assert w.shape == (64, 36) and np.all(np.isfinite(w))
+
+
 def test_radical_inverse_prefixes_are_full_lattices():
     # the first 2^m points of the sequence are {k z / 2^m : k < 2^m}
     z = np.array(sampling.LATTICE_Z, dtype=np.uint64)
