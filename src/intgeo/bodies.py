@@ -19,8 +19,7 @@ answer support, distances, volumes and hyperplane hits from it without the
 linear programs (linprog) that the others solve; an axis-aligned H-box
 (axis_box) answers support in closed form in any dimension. The principal
 axes of a moved ball or ellipsoid (moved_frames) come from
-symmetric.singular_frames, and its semiaxes alone, for its intrinsic
-volumes, from symmetric.singular_values.
+symmetric.singular_frames.
 
 Each polytope builds its convex hull once and keeps it (polytope_hull):
 membership, distances, separating axes, areas, perimeters and volumes all
@@ -57,7 +56,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linprog
-from .symmetric import singular_frames, singular_values
+from .symmetric import singular_frames
 
 TOL = 1e-9
 # a turn of the monotone chain counts as straight when its cross product is
@@ -758,9 +757,8 @@ def moved_frames(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     Gaussian g, errors of up to 0.2% in the smallest semiaxis), and it keeps
     each semiaxis to about 1e-15 relative even across spreads of e^20, where
     LAPACK's SVD reads up to 1e-7 on Q diag(e^u). The hit test of a ball M
-    (batch_intersects) reads these frames; the V_j of g_b L
-    (moved_intrinsic_volumes) read the semiaxes alone, from the same sweeps
-    (symmetric.singular_values).
+    (batch_intersects) and the V_j of g_b L (moved_intrinsic_volumes) read
+    them; no caller needs both for the same G.
     """
     if not isinstance(L, (Ball, Ellipsoid)):
         return None
@@ -771,10 +769,8 @@ def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray) -> np.ndarray | None:
     """V_0, ..., V_n of each g_b L, (B, n + 1), or None where L has no closed form.
 
     G (B, n, n) holds the linear maps g_b. L's type picks the kernel:
-    - a ball or ellipsoid {c + lin z} at n <= 3:
-      volumes.batch_ellipsoid_intrinsic_volumes of the semiaxes of g_b L,
-      the singular values of G_b lin (symmetric.singular_values: the
-      semiaxes of moved_frames to the last bit, without the axes);
+    - a ball or ellipsoid at n <= 3: volumes.batch_ellipsoid_intrinsic_volumes
+      of the semiaxes of g_b L (moved_frames);
     - a polygon (a full-dimensional vertex set at n = 2): V_1 is half the
       perimeter of g_b L, the lengths of its edges G_b e, and V_2 is
       |det G_b| area(L).
@@ -786,7 +782,7 @@ def moved_intrinsic_volumes(L: ConvexBody, G: np.ndarray) -> np.ndarray | None:
     if isinstance(L, (Ball, Ellipsoid)):
         if n > 3:
             return None
-        s = singular_values(G @ quadric_frame(L)[0])
+        _, s = moved_frames(L, G)
         vj = batch_ellipsoid_intrinsic_volumes(s, range(n + 1))
         return np.column_stack([vj[j] for j in range(n + 1)])
     hull = polytope_hull(L) if n == 2 else None

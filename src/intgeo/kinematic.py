@@ -147,15 +147,13 @@ def merge_lhs(parts: list[LhsEstimate], seed: int) -> LhsEstimate:
 
 
 def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
-                  inner_samples: int = INNER_SAMPLES,
-                  check_samples: int | None = None) -> LhsEstimate:
+                  inner_samples: int = INNER_SAMPLES) -> LhsEstimate:
     """The group-side integral, estimated with the translation box folded in.
 
     phi may be "chi", "volume", or a Valuation; custom valuations need both
     bodies as H-polytopes (the intersection must be constructible). Inputs
-    are checked by check_lhs_inputs, inner_samples among them, and
-    check_samples must be None or at least 1, before anything is drawn
-    (ValueError). Two loops draw from rng in turn.
+    are checked by check_lhs_inputs, inner_samples among them, before
+    anything is drawn (ValueError). Two loops draw from rng in turn.
 
     The exact loop runs for chi on a pair whose t-integral has a closed
     form (bodies.has_difference_volumes): M meets gL + t exactly when t lies
@@ -175,7 +173,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     SHIFTS - 1 degrees of freedom. The compact groups take X = 0 in plain
     batches. A ball M draws no k, since V_j(k G L) = V_j(G L): its parts
     are Steiner's kappa_{n-j} r^{n-j} V_j(gL), and terms[j] estimates
-    E_g V_j(gL) (bodies.moved_intrinsic_volumes, the semiaxes alone), with
+    E_g V_j(gL) (bodies.moved_intrinsic_volumes), with
     the trace sampled, so the terms check the factorization apart from
     c_j's own route. A polygon M draws k from rng per block (its mixed
     area reads the support of k G L). The volume phi has no exact loop:
@@ -186,8 +184,9 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     difference of M's box (bodies.bounding_box) and gL's
     (bodies.moved_boxes), whose volume weights each row. It runs over
     samples rows where the pair has no exact loop (its estimate is then the
-    headline) and over check_samples rows (None: samples) where it has one,
-    as a check that rests on neither Steiner's formula nor the mixed area.
+    headline) and, where it has one, over min(samples, stage_samples(samples))
+    rows, the budget of a report's other stages, as a check that rests on
+    neither Steiner's formula nor the mixed area.
     Its integrand, per kind of phi:
     - chi: bodies.batch_intersects, where the pair's types pick the kernel;
     - volume: bodies.contains_points of M at the inner points and of L at
@@ -219,15 +218,13 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     weights are all 1.
     """
     kind = check_lhs_inputs(group, phi, M, L, inner_samples)
-    if not (check_samples is None or check_samples >= 1):
-        raise ValueError(f"check_samples must be at least 1, got {check_samples!r}")
     rng, seed = resolve_rng(rng)
     component, deforms = GROUPS[group]
     exact = terms = None
     checks = samples
     if kind == "chi" and bd.has_difference_volumes(M, L):
         exact, terms = _exact_loop(M, L, samples, rng, seed, component, deforms)
-        checks = samples if check_samples is None else check_samples
+        checks = min(samples, stage_samples(samples))
     acc = RunningMean()
     n = M.dim
     quadric = (isinstance(M, (bd.Ball, bd.Ellipsoid))
@@ -520,7 +517,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     the headline. With an exact headline the report also carries the
     hit-or-miss estimate with its own z-scores, a check drawn over
     min(k, stage_samples(k)) rows of each LHS chunk of k samples
-    (lhs_kinematic's check_samples), and under gl with a ball M
+    (lhs_kinematic), and under gl with a ball M
     the per-j check lhs_terms: for each j the estimate of E_g V_j(gL), the
     prediction c_j V_j(L) and z, the term's standard error combined with
     V_j(L) se(c_j). Under O(n) and SO(n) every V_j(gL) is V_j(L) and
@@ -545,9 +542,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
 
     # the workers look lhs_kinematic and crofton_coefficient up when called
     stages = [(lambda rng, k: lhs_kinematic(group, phi, M, L, k, rng,
-                                            inner_samples=inner_samples,
-                                            check_samples=min(k, stage_samples(k))),
-               samples),
+                                            inner_samples=inner_samples), samples),
               (cj_worker, stage if cj_samples is None else cj_samples)]
     stages += [(lambda rng, k, j=j: crofton_coefficient(phi, M, j, k, rng,
                                                         window_radius=window_radius),

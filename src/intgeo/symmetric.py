@@ -10,11 +10,10 @@ and off-diagonal entries of variance 1/2.
 
 Three kernels serve every group element g = k exp(X): eigh_sym (X = V
 diag(lam) V^T, behind expm_sym and the kinematic LHS), singular_frames (the
-principal axes of g L; singular_values reads the semiaxes alone off the same
-sweeps) and orthonormal_factor (the QR behind sample_haar_orthogonal).
-Each picks its path by n in one place: batched Jacobi rotations or
-Gram-Schmidt on (B,) arrays of entries at n <= 3, where numpy would
-dispatch LAPACK once per small matrix, and LAPACK at n >= 4.
+principal axes of g L) and orthonormal_factor (the QR behind
+sample_haar_orthogonal). Each picks its path by n in one place: batched
+Jacobi rotations or Gram-Schmidt on (B,) arrays of entries at n <= 3, where
+numpy would dispatch LAPACK once per small matrix, and LAPACK at n >= 4.
 A row's result does not depend on the stack it comes in. eigvals_sym_batch,
 the spectra of the direct c_j route, reads eigh_sym's eigenvalues at n <= 3
 and LAPACK's eigvalsh at n >= 4.
@@ -311,32 +310,6 @@ def singular_frames(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError as exc:
             raise FloatingPointError(f"svd: {exc}") from exc
         return U, s
-    cols, s = _hestenes(A)
-    cols = [a / v for a, v in zip(cols, s)]
-    _sort_columns(s, cols, descending=True)
-    return _columns_to_stack(cols).reshape(A.shape), np.stack(s, axis=-1).reshape(A.shape[:-1])
-
-
-def singular_values(A: np.ndarray) -> np.ndarray:
-    """The s of singular_frames(A), to the last bit, without U: the same
-    sweeps at n <= 3, with the column norms sorted (the same values in the
-    same order) but the columns neither normalized nor sorted; LAPACK's
-    singular values at n >= 4."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[-1] > 3:
-        try:
-            return np.linalg.svd(A, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise FloatingPointError(f"svd: {exc}") from exc
-    s = np.sort(np.stack(_hestenes(A)[1], axis=-1), axis=-1)[..., ::-1]
-    return s.reshape(A.shape[:-1])
-
-
-def _hestenes(A: np.ndarray) -> tuple[list, list]:
-    """The one-sided Jacobi sweeps of singular_frames on a stack (..., n, n),
-    n <= 3: the rotated columns, n (n, B) arrays, and their norms, n (B,)
-    arrays, both in column order."""
-    n = A.shape[-1]
     cols = list(_stack_to_columns(A.reshape(-1, n, n)))
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     for sweep in range(_JACOBI_SWEEPS + 1):
@@ -361,7 +334,9 @@ def _hestenes(A: np.ndarray) -> tuple[list, list]:
     s = [np.sqrt(_dot(a, a)) for a in cols]
     if not all(np.all(v > 0.0) for v in s):
         raise FloatingPointError("singular_frames needs nonsingular finite matrices")
-    return cols, s
+    cols = [a / v for a, v in zip(cols, s)]
+    _sort_columns(s, cols, descending=True)
+    return _columns_to_stack(cols).reshape(A.shape), np.stack(s, axis=-1).reshape(A.shape[:-1])
 
 
 def orthonormal_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

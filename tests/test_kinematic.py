@@ -114,10 +114,6 @@ def _lapack_frames(A):
     return U, s
 
 
-def _lapack_values(A):
-    return np.linalg.svd(A, compute_uv=False)
-
-
 def _lapack_factor(G):
     Q, R = np.linalg.qr(G)
     d = np.sign(np.einsum("mii->mi", R))
@@ -136,7 +132,6 @@ def test_pinned_rows_match_the_lapack_kernels(monkeypatch, group, phi, M, L, sam
     new = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
     monkeypatch.setattr(kin, "eigh_sym", np.linalg.eigh)
     monkeypatch.setattr(bd, "singular_frames", _lapack_frames)
-    monkeypatch.setattr(bd, "singular_values", _lapack_values)
     monkeypatch.setattr(sym, "orthonormal_factor", _lapack_factor)
     old = lhs_kinematic(group, phi, M, L, samples, seed, inner_samples=inner)
     pairs = [(new, old)] + ([(new.exact, old.exact)] if old.exact else [])
@@ -242,8 +237,8 @@ def test_tilted_check_interval_coverage():
     L = bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6])
     means, covered = [], 0
     for seed in range(2000, 2200):
-        est = lhs_kinematic("gl", "chi", M, L, 16, seed, check_samples=2000)
-        assert est.samples == 2000 and est.exact.samples == 16
+        est = lhs_kinematic("gl", "chi", M, L, 2000, seed)
+        assert est.samples == 2000 and est.exact.samples == 2000
         means.append(est.mean)
         covered += abs(est.mean - 112.26898) <= 1.96 * est.std_error
     assert covered / 200 >= 0.90, f"{covered}/200"
@@ -252,12 +247,13 @@ def test_tilted_check_interval_coverage():
 
 @pytest.mark.parametrize("M, exact_haar", [
     (bd.unit_ball(2), 0),  # V_j(k G L) = V_j(G L): the exact loop draws no k
-    (HEX, 5000),  # the mixed area reads the support of k G L
+    (HEX, 20000),  # the mixed area reads the support of k G L
 ], ids=["ball", "hpolygon"])
 def test_each_loop_draws_only_what_it_reads(monkeypatch, M, exact_haar):
     # the exact loop runs the V_j and difference-volume kernels over samples
     # rows, the hit-or-miss check draws k and runs the hit test over
-    # check_samples rows, and neither runs the other's kernels
+    # min(samples, stage_samples(samples)) rows, and neither runs the
+    # other's kernels
     seen = {"haar": 0, "difference_volumes": 0, "moved_intrinsic_volumes": 0,
             "batch_intersects": 0}
 
@@ -279,21 +275,12 @@ def test_each_loop_draws_only_what_it_reads(monkeypatch, M, exact_haar):
              lambda a, kw: len(a[1]))
     counting(bd, "batch_intersects", "batch_intersects", lambda a, kw: len(a[4]))
     L = bd.Ellipsoid([0.1, 0.2], np.eye(2), [1.4, 0.5])
-    res = lhs_kinematic("gl", "chi", M, L, 5000, 3, check_samples=1000)
-    assert (res.samples, res.exact.samples) == (1000, 5000)
-    assert seen["haar"] == exact_haar + 1000
-    assert seen["difference_volumes"] == 5000
-    assert seen["moved_intrinsic_volumes"] == (5000 if isinstance(M, bd.Ball) else 0)
-    assert seen["batch_intersects"] == 1000
-
-
-def test_check_samples_below_one_are_refused_before_drawing():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="check_samples"):
-        lhs_kinematic("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), 100, rng,
-                      check_samples=0)
-    assert rng.bit_generator.state == state
+    res = lhs_kinematic("gl", "chi", M, L, 20000, 3)
+    assert (res.samples, res.exact.samples) == (10000, 20000)
+    assert seen["haar"] == exact_haar + 10000
+    assert seen["difference_volumes"] == 20000
+    assert seen["moved_intrinsic_volumes"] == (20000 if isinstance(M, bd.Ball) else 0)
+    assert seen["batch_intersects"] == 10000
 
 
 @pytest.mark.parametrize("command, bound", [("chi-hpolygons", 1.2e-2),

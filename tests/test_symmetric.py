@@ -9,8 +9,7 @@ from intgeo.symmetric import (as_symmetric, coords_to_sym,
                               eigh_sym, helmert, eigvals_sym_batch, expm_sym,
                               orthonormal_factor, sample_gaussian_sym,
                               sample_haar_orthogonal, singular_frames,
-                              singular_values, split_coords_to_sym, sym_basis, sym_dim,
-                              sym_to_coords)
+                              split_coords_to_sym, sym_basis, sym_dim, sym_to_coords)
 
 
 def eigendecompose(X: np.ndarray, tol: float = 1e-13,
@@ -376,23 +375,6 @@ def test_singular_frames_match_lapack(n):
     U1, s1 = singular_frames(A[0])
     np.testing.assert_array_equal(U1, U[0])
     np.testing.assert_array_equal(s1, s[0])
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_singular_values_are_the_frames_semiaxes(n):
-    # the semiaxes-only return of the same sweeps: singular_frames' s to the
-    # last bit, one row or a stack alike
-    rng = np.random.default_rng(85 + n)
-    A = rng.standard_normal((300, n, n))
-    assert np.array_equal(singular_values(A), singular_frames(A)[1])
-    assert np.array_equal(singular_values(A[3]), singular_frames(A)[1][3])
-    with pytest.raises(FloatingPointError):
-        singular_values(np.zeros((2, n, n)))
-
-
-def test_singular_values_at_n4_are_lapack():
-    A = np.random.default_rng(89).standard_normal((8, 4, 4))
-    np.testing.assert_array_equal(singular_values(A), np.linalg.svd(A, compute_uv=False))
 
 
 def qr_positive(G):
