@@ -8,8 +8,7 @@ and the kinematic formula machinery built on top of them.
 from .bodies import (AffineMap, Ball, ConvexBody, Ellipsoid, EMPTY, EmptyBody,
                      HPolytope, VPolytope, affine_image, body_from_dict,
                      body_to_dict, bounding_box, cube, diameter,
-                     diameter_upper_bound, difference_volumes,
-                     intersect_hrep, intersects,
+                     difference_volumes, intersect_hrep, intersects,
                      load_body, membership, minkowski_sum_vpolytopes,
                      random_polytope, separating_hyperplane, support,
                      unit_ball)
@@ -24,11 +23,9 @@ from .symmetric import (expm_sym, sample_gaussian_sym, sample_haar_orthogonal,
                         sym_basis, sym_dim, sym_to_coords, coords_to_sym)
 from .volumes import (QuadratureError, SteinerFit, Valuation,
                       batch_ellipsoid_intrinsic_volumes,
-                      closed_intrinsic_volumes, euler_characteristic,
-                      euler_valuation, intrinsic_volume_ball,
-                      intrinsic_volume_cube, intrinsic_volume_ellipsoid,
-                      kappa, steiner_fit, volume_exact, volume_mc,
-                      volume_valuation)
+                      closed_intrinsic_volumes, intrinsic_volume_ball,
+                      intrinsic_volume_ellipsoid, kappa, steiner_fit,
+                      volume_exact)
 from .weyl import (EssFloorError, WeylEstimate, c_direct, c_weyl,
                    compute_constants, load_constants, lookup_constants,
                    save_constants, z_n)

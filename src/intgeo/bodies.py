@@ -1248,8 +1248,7 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
 
 
 def diameter(body: ConvexBody) -> float:
-    """Exact diameter. H-polytopes read their vertex enumeration (n <= 3);
-    for higher-dimensional halfspace systems use diameter_upper_bound."""
+    """Exact diameter. H-polytopes read their vertex enumeration (n <= 3)."""
     if isinstance(body, Ball):
         return 2.0 * body.radius
     if isinstance(body, Ellipsoid):
@@ -1257,12 +1256,6 @@ def diameter(body: ConvexBody) -> float:
     V = body._vpolytope.vertices if isinstance(body, HPolytope) else body.vertices
     diff = V[:, None, :] - V[None, :, :]
     return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
-
-
-def diameter_upper_bound(body: ConvexBody) -> float:
-    """Bounding-box diagonal; an upper bound valid in any dimension."""
-    lo, hi = bounding_box(body)
-    return float(np.linalg.norm(hi - lo))
 
 
 def polygon_ring(body: HPolytope | VPolytope) -> np.ndarray:

@@ -36,8 +36,7 @@ import numpy as np
 from . import bodies as bd
 from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rng,
                          run_chunks, z_score)
-from .sampling import (flat_weight, lattice_normals, sample_affine_flat, shift_counts,
-                       shift_mean)
+from .sampling import ShiftSums, flat_weight, lattice_normals, sample_affine_flat
 from .symmetric import (congruence, eigh_sym, sample_gaussian_sym,
                         sample_haar_orthogonal, split_coords_to_sym, sym_dim)
 from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
@@ -169,7 +168,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     first, the trace last), a whole lattice block at a time; the shifts are
     drawn from rng first. Each value is summed per shift, and the estimate
     is the mean of the shift means with their standard deviation over
-    sqrt(SHIFTS) as standard error (sampling.shift_mean): a t law with
+    sqrt(SHIFTS) as standard error (sampling.ShiftSums): a t law with
     SHIFTS - 1 degrees of freedom. The compact groups take X = 0 in plain
     batches. A ball M draws no k, since V_j(k G L) = V_j(G L): its parts
     are Steiner's kappa_{n-j} r^{n-j} V_j(gL), and terms[j] estimates
@@ -287,8 +286,7 @@ def _exact_loop(M, L, samples: int, rng, seed: int, component: str, deforms: boo
     ball = isinstance(M, bd.Ball)
     degrees = np.arange(n + 1)
     if deforms:
-        counts = shift_counts(samples)
-        accs = [_ShiftSums(counts) for _ in range(n + 2)]
+        accs = [ShiftSums(samples) for _ in range(n + 2)]
         blocks = ((shift, split_coords_to_sym(w, n))
                   for shift, w in lattice_normals(sym_dim(n), samples, rng))
     else:
@@ -314,7 +312,7 @@ def _exact_loop(M, L, samples: int, rng, seed: int, component: str, deforms: boo
 
 
 class _PlainMean(RunningMean):
-    """RunningMean behind the interface of _ShiftSums: plain Monte Carlo
+    """RunningMean behind the interface of sampling.ShiftSums: plain Monte Carlo
     rows carry no shift (None)."""
 
     def update(self, values: np.ndarray, shift=None) -> None:
@@ -322,23 +320,6 @@ class _PlainMean(RunningMean):
 
     def result(self, seed: int) -> EstimatorResult:
         return EstimatorResult.from_accumulator(self, seed)
-
-
-class _ShiftSums:
-    """One per-row value summed per lattice shift. The result is the mean of
-    the shift means with their standard deviation over sqrt(shifts) as
-    standard error (sampling.shift_mean)."""
-
-    def __init__(self, counts: np.ndarray):
-        self.counts = counts
-        self.sums = np.zeros(counts.size)
-
-    def update(self, values: np.ndarray, shift: np.ndarray) -> None:
-        self.sums += np.bincount(shift, values, self.counts.size)
-
-    def result(self, seed: int) -> EstimatorResult:
-        return EstimatorResult(*shift_mean(self.sums, self.counts), int(self.counts.sum()),
-                               seed)
 
 
 def _crofton_window(M, window_radius: float | None) -> float:

@@ -25,11 +25,11 @@ J. Sci. Comput.* 28), built offline by fast component-by-component
 construction and kept as a literal. Each point goes through the tent
 (baker's) transform u -> 1 - |2u - 1| and Box-Muller, one pair of
 coordinates per pair of normals. A budget is split over SHIFTS independent
-uniform shifts Delta (shift_counts); a consumer sums its per-point values
-per shift and reports the mean of the shift means with their standard
-deviation over sqrt(SHIFTS) as standard error (shift_mean). Two consumers
-read it: both c_j routes (weyl) and the translation-exact chi LHS under gl
-(kinematic.lhs_kinematic).
+uniform shifts Delta (shift_counts). ShiftSums is the one reader of a
+lattice estimate: it sums a per-point value per shift and reports the mean
+of the shift means with their standard deviation over sqrt(SHIFTS) as
+standard error. Two consumers read it: both c_j routes (weyl) and the
+translation-exact chi LHS under gl (kinematic.lhs_kinematic).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies as bd
+from .estimation import EstimatorResult
 from .symmetric import expm_sym, sample_gaussian_sym, sample_haar_orthogonal
 from .volumes import kappa
 
@@ -193,7 +194,10 @@ def _bit_reverse(i: np.ndarray) -> np.ndarray:
 
 def shift_counts(samples: int) -> np.ndarray:
     """Points per shift: the budget split over min(SHIFTS, samples) shifts,
-    the first ones taking one point more."""
+    the first ones taking one point more. A budget below 1 raises
+    ValueError."""
+    if not samples >= 1:
+        raise ValueError(f"a lattice budget must be at least 1 point, got {samples!r}")
     shifts = min(SHIFTS, samples)
     q, r = divmod(samples, shifts)
     return q + (np.arange(shifts) < r)
@@ -208,17 +212,17 @@ def lattice_normals(d: int, samples: int, rng):
     once, as 32-bit integers, when the first batch is taken, so a point's
     coordinate is (m + 1/2) / 2^32 with m an integer and the tent transform
     never returns 0 or 1. LATTICE_Z has len(LATTICE_Z) = 36 components, so
-    d above that raises ValueError at the call, before anything is drawn.
+    d above that, or a budget below 1, raises ValueError at the call,
+    before anything is drawn.
     """
     if d > len(LATTICE_Z):
         raise ValueError(f"the lattice rule has {len(LATTICE_Z)} dimensions "
                          f"(LATTICE_Z), asked for {d}")
-    return _lattice_batches(d, samples, rng)
+    return _lattice_batches(d, shift_counts(samples), rng)
 
 
-def _lattice_batches(d: int, samples: int, rng):
+def _lattice_batches(d: int, counts: np.ndarray, rng):
     """The batches of lattice_normals; the shifts are drawn on the first."""
-    counts = shift_counts(samples)
     width = d + d % 2  # Box-Muller reads coordinates in pairs
     z = np.array(LATTICE_Z[:width], dtype=np.uint64)
     delta = rng.integers(0, 1 << 32, size=(counts.size, width), dtype=np.uint64)
@@ -248,9 +252,20 @@ def _block_normals(idx: np.ndarray, keep: np.ndarray, z: np.ndarray,
     return w
 
 
-def shift_mean(sums: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """The mean of the shift means and its standard error, their standard
-    deviation over sqrt(shifts); 0 for a single shift."""
-    means = sums / counts
-    se = float(means.std(ddof=1) / math.sqrt(means.size)) if means.size > 1 else 0.0
-    return float(means.mean()), se
+class ShiftSums:
+    """One per-point value of a lattice budget, summed per shift: update
+    with the values and the shift indices lattice_normals yields. The
+    result is the mean of the shift means with their standard deviation
+    over sqrt(shifts) as standard error, 0 for a single shift."""
+
+    def __init__(self, samples: int):
+        self.counts = shift_counts(samples)
+        self.sums = np.zeros(self.counts.size)
+
+    def update(self, values: np.ndarray, shift: np.ndarray) -> None:
+        self.sums += np.bincount(shift, values, self.counts.size)
+
+    def result(self, seed: int) -> EstimatorResult:
+        means = self.sums / self.counts
+        se = float(means.std(ddof=1) / math.sqrt(means.size)) if means.size > 1 else 0.0
+        return EstimatorResult(float(means.mean()), se, int(self.counts.sum()), seed)

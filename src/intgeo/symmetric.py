@@ -379,18 +379,16 @@ def sample_haar_orthogonal(n: int, rng: np.random.Generator,
     (orthonormal_factor, R's diagonal positive).
 
     component selects the measure: "special" conditions on det = +1 (flip one
-    column when det = -1), "reflection" on det = -1, and "full" takes the
-    rotation representative and flips a column with probability 1/2, giving
-    the probability Haar measure on all of O(n).
+    column when det = -1), and "full" takes the rotation representative and
+    flips a column with probability 1/2, giving the probability Haar measure
+    on all of O(n).
     """
-    if component not in ("full", "special", "reflection"):
+    if component not in ("full", "special"):
         raise ValueError(f"unknown component {component!r}")
     m = 1 if size is None else int(size)
     Q, det = orthonormal_factor(rng.standard_normal((m, n, n)))
     if component == "special":
         flip = det < 0
-    elif component == "reflection":
-        flip = det > 0
     else:  # the rotation representative, then a fair coin
         flip = (det < 0) != (rng.random(m) < 0.5)
     Q[:, :, -1] *= np.where(flip, -1.0, 1.0)[:, None]

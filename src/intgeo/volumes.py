@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import bodies as bd
-from .estimation import EstimatorResult, RunningMean, resolve_rng
+from .estimation import resolve_rng
 
 
 class QuadratureError(RuntimeError):
@@ -60,12 +60,6 @@ def intrinsic_volume_ball(n: int, j: int, radius: float = 1.0) -> float:
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
     return math.comb(n, j) * kappa(n) / kappa(n - j) * radius**j
-
-
-def intrinsic_volume_cube(n: int, j: int, side: float = 1.0) -> float:
-    if not 0 <= j <= n:
-        raise ValueError("need 0 <= j <= n")
-    return math.comb(n, j) * side**j
 
 
 def _elementary_symmetric(vals: np.ndarray, k: int) -> np.ndarray:
@@ -384,15 +378,6 @@ def batch_ellipsoid_intrinsic_volumes(semiaxes: np.ndarray, js) -> dict[int, np.
     return {j: out[j] for j in js}
 
 
-def euler_characteristic(body) -> int:
-    """1 for every nonempty convex body, 0 for the empty marker."""
-    if isinstance(body, bd.EmptyBody):
-        return 0
-    if isinstance(body, (bd.Ball, bd.Ellipsoid, bd.HPolytope, bd.VPolytope)):
-        return 1
-    raise TypeError(f"unsupported body {type(body).__name__}")
-
-
 def volume_exact(body) -> float:
     """Lebesgue volume by closed form or hull computation; an H-polytope
     that is an axis-aligned box is the product of its sides (any n), any
@@ -445,24 +430,7 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
     raise ValueError(f"no closed form for {type(body).__name__}")
 
 
-_MC_BATCH = 65536  # points drawn at a time by volume_mc and steiner_fit
-
-
-def volume_mc(body, samples: int, rng) -> EstimatorResult:
-    """Hit-or-miss volume estimate inside the body's bounding box."""
-    rng, seed = resolve_rng(rng)
-    lo, hi = bd.bounding_box(body)
-    widths = hi - lo
-    box_vol = float(np.prod(widths))
-    acc = RunningMean()
-    done = 0
-    while done < samples:
-        k = min(_MC_BATCH, samples - done)
-        pts = lo + rng.random((k, lo.size)) * widths
-        hits = bd.contains_points(body, pts)
-        acc.update(np.where(hits, box_vol, 0.0))
-        done += k
-    return EstimatorResult.from_accumulator(acc, seed, importance_volume=box_vol)
+_MC_BATCH = 65536  # points drawn at a time by steiner_fit
 
 
 @dataclass
@@ -546,25 +514,13 @@ def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
 
 @dataclass
 class Valuation:
-    """A functional on convex bodies, zero on the empty marker.
-
-    degree records homogeneity (phi(lambda M) = lambda^degree phi(M)) when
-    known; it is informational and used by diagnostics only.
-    """
+    """A functional on convex bodies, zero on the empty marker."""
 
     name: str
     func: Callable
-    degree: float | None = None
 
     def __call__(self, body) -> float:
         if isinstance(body, bd.EmptyBody):
             return 0.0
         return float(self.func(body))
 
-
-def euler_valuation() -> Valuation:
-    return Valuation("chi", euler_characteristic, degree=0.0)
-
-
-def volume_valuation(n: int) -> Valuation:
-    return Valuation("volume", volume_exact, degree=float(n))

@@ -45,7 +45,7 @@ shifted rank-1 lattice rule. A call splits its budget over the sampler's
 SHIFTS independent uniform shifts, drawn from its rng (the counts differ
 by at most one), estimates each c_j by the mean of the shift means, and
 reports as standard error the standard deviation of the shift means over
-sqrt(SHIFTS) (sampling.shift_mean); samples is the budget. On the weyl
+sqrt(SHIFTS) (sampling.ShiftSums); samples is the budget. On the weyl
 route the ESS still reads the weights of every point.
 """
 
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import EstimatorResult, merge_results, resolve_rng
-from .sampling import lattice_normals, shift_counts, shift_mean
+from .sampling import ShiftSums, lattice_normals
 from .symmetric import eigvals_sym_batch, helmert, split_coords_to_sym, sym_dim
 from .volumes import batch_ellipsoid_intrinsic_volumes, intrinsic_volume_ball
 
@@ -138,15 +138,13 @@ def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
     out = {j: EstimatorResult(trace_moment(n, j), 0.0, samples, seed)
            for j in js if j not in scale}
     if scale:
-        counts = shift_counts(samples)
-        sums = {j: np.zeros(counts.size) for j in scale}
+        sums = {j: ShiftSums(samples) for j in scale}
         for shift, w in lattice_normals(sym_dim(n) - 1, samples, rng):
             lam0 = eigvals_sym_batch(split_coords_to_sym(w, n))
             vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam0), list(scale))
             for j in scale:
-                sums[j] += np.bincount(shift, vj[j] * scale[j], counts.size)
-        for j in scale:
-            out[j] = EstimatorResult(*shift_mean(sums[j], counts), samples, seed)
+                sums[j].update(vj[j] * scale[j], shift)
+        out.update({j: sums[j].result(seed) for j in scale})
     return {j: out[j] for j in js}
 
 
@@ -171,8 +169,7 @@ def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
     scale = {j: trace_moment(n, j) / intrinsic_volume_ball(n, j) for j in js}
     sigma = math.sqrt((n + 2) / 2.0)
-    counts = shift_counts(samples)
-    sums = {j: np.zeros(counts.size) for j in js}
+    sums = {j: ShiftSums(samples) for j in js}
     H = helmert(n)
     w_sum = 0.0
     w_sq = 0.0
@@ -183,12 +180,12 @@ def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
         w_sq += float((wt * wt).sum())
         vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam0), js)
         for j in js:
-            sums[j] += np.bincount(shift, vj[j] * scale[j] * wt, counts.size)
+            sums[j].update(vj[j] * scale[j] * wt, shift)
     ess = w_sum**2 / (samples * w_sq) if w_sq > 0 else 0.0
     if ess < ESS_FLOOR:
         raise EssFloorError(f"effective sample fraction {ess:.4f} below {ESS_FLOOR}")
-    return {j: WeylEstimate(*shift_mean(sums[j], counts), samples, seed, ess=ess,
-                            weight_sum=w_sum, weight_sq_sum=w_sq) for j in js}
+    return {j: WeylEstimate(**vars(sums[j].result(seed)), ess=ess, weight_sum=w_sum,
+                            weight_sq_sum=w_sq) for j in js}
 
 
 def compute_constants(n: int, samples: int, rng, method: str = "direct",
@@ -246,16 +243,15 @@ def load_constants(path: str) -> list[dict]:
     return data["constants"]
 
 
-def lookup_constants(records: list[dict], n: int, method: str | None = None,
-                     seed: int | None = None) -> dict[int, EstimatorResult]:
-    """Pick the cached c_j records for (n, method, seed); None matches any."""
+def lookup_constants(records: list[dict], n: int,
+                     method: str | None = None) -> dict[int, EstimatorResult]:
+    """Pick the cached c_j records for (n, method); a method of None matches
+    any."""
     out: dict[int, EstimatorResult] = {}
     for rec in records:
         if rec["n"] != n:
             continue
         if method is not None and rec["method"] != method:
-            continue
-        if seed is not None and rec["seed"] != seed:
             continue
         out[rec["j"]] = EstimatorResult(mean=rec["mean"], std_error=rec["std_error"],
                                         samples=rec["samples"], seed=rec["seed"])

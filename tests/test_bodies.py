@@ -868,7 +868,6 @@ def test_diameter():
     assert abs(bd.diameter(ell) - 4.0) < 1e-12
     sq = bd.cube(2, side=2.0, centered=True)
     assert abs(bd.diameter(sq) - 2.0 * np.sqrt(2.0)) < 1e-9
-    assert bd.diameter_upper_bound(sq) >= bd.diameter(sq) - 1e-9
 
 
 def test_minkowski_sum_vpolytopes():

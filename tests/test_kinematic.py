@@ -13,8 +13,7 @@ from intgeo.kinematic import (GROUPS, build_report,
                               crofton_coefficient, lhs_kinematic, merge_lhs,
                               rhs_hadwiger_gl, separation_lemma_check)
 from intgeo.symmetric import congruence
-from intgeo.volumes import (Valuation, closed_intrinsic_volumes,
-                            euler_valuation, kappa, volume_exact)
+from intgeo.volumes import Valuation, closed_intrinsic_volumes, kappa, volume_exact
 
 
 def test_groups_table():
@@ -463,7 +462,7 @@ def test_custom_valuation_matches_chi_path():
     # so the custom valuation starts from the stream past those draws
     sq = bd.cube(2, side=2.0, centered=True)
     small = bd.cube(2, side=1.0, centered=True)
-    chi_like = Valuation("unit-mass", lambda body: 1.0, degree=0.0)
+    chi_like = Valuation("unit-mass", lambda body: 1.0)
     a = lhs_kinematic("o", "chi", sq, small, 1200, np.random.default_rng(13))
     rng = np.random.default_rng(13)
     sym.sample_haar_orthogonal(2, rng, size=1200)
@@ -654,6 +653,16 @@ def test_stage_budgets_below_one_are_refused_before_drawing(monkeypatch, stage, 
         build_report("gl", "chi", bd.unit_ball(2), bd.unit_ball(2), samples, 1, **budgets)
 
 
+def test_the_exact_loop_refuses_a_zero_lattice_budget_before_drawing():
+    # its shift sums split the budget over zero shifts: ZeroDivisionError
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    ell = bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6])
+    with pytest.raises(ValueError, match="lattice budget"):
+        lhs_kinematic("gl", "chi", bd.unit_ball(3), ell, 0, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("inner", [0, -5])
 def test_lhs_refuses_fewer_than_one_inner_sample_before_drawing(monkeypatch, inner):
     monkeypatch.setattr(kin, "sample_haar_orthogonal", _no_draw)
@@ -738,7 +747,7 @@ def test_lemma_check_refuses_flat_difference_bodies(M, L):
 def test_chi_and_volume_string_or_valuation_agree():
     # passing the Valuation wrapper dispatches identically to the string name
     res_s = lhs_kinematic("so", "chi", bd.unit_ball(2), bd.unit_ball(2), 5000, 23)
-    res_v = lhs_kinematic("so", euler_valuation(), bd.unit_ball(2),
+    res_v = lhs_kinematic("so", Valuation("chi", lambda body: 1.0), bd.unit_ball(2),
                           bd.unit_ball(2), 5000, 23)
     assert abs(res_s.mean - res_v.mean) < 1e-12
 

@@ -141,6 +141,20 @@ def test_flat_hits_ellipsoid_and_polytopes_agree_with_sampling():
                 assert got  # flat_hits may only disagree by being more exact
 
 
+@pytest.mark.parametrize("module", ["weyl", "kinematic"])
+def test_only_sampling_forms_shift_means(module):
+    # the lattice estimates of both consumers are read by sampling.ShiftSums
+    path = Path(sampling.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text())
+    calls = {node.func.attr if isinstance(node.func, ast.Attribute) else
+             getattr(node.func, "id", None)
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "bincount" not in calls
+    assert not imported & {"shift_counts", "shift_mean"}
+
+
 def test_sampling_holds_measures_and_draws_only():
     # the body types pick their kernels in bodies and nowhere else: this
     # module imports no linear programs and names no body type

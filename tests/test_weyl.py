@@ -274,6 +274,17 @@ def test_the_lattice_refuses_more_dimensions_than_its_vector():
     assert w.shape == (64, 36) and np.all(np.isfinite(w))
 
 
+def test_zero_lattice_budgets_are_refused_before_drawing():
+    # shift_counts(0) split the budget over zero shifts: ZeroDivisionError
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="lattice budget"):
+        sampling.lattice_normals(3, 0, rng)
+    with pytest.raises(ValueError, match="lattice budget"):
+        c_weyl(2, 0, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_radical_inverse_prefixes_are_full_lattices():
     # the first 2^m points of the sequence are {k z / 2^m : k < 2^m}
     z = np.array(sampling.LATTICE_Z, dtype=np.uint64)
