@@ -354,13 +354,16 @@ def test_closed_intrinsic_volumes_bodies():
     tri = bd.VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(closed_intrinsic_volumes(tri),
                                [1.0, 1.0 + math.sqrt(2.0) / 2.0, 0.5], atol=1e-12)
+    with pytest.raises(ValueError):
+        closed_intrinsic_volumes(bd.VPolytope(np.zeros((4, 3))))
+
+
+def test_cube_values():
     # a cube of side s has V_j = binom(n, j) s^j
     for n in (1, 2, 3, 4):
         want = [math.comb(n, j) * 0.7**j for j in range(n + 1)]
         np.testing.assert_allclose(closed_intrinsic_volumes(bd.cube(n, side=0.7)),
                                    want, rtol=0.0, atol=1e-14)
-    with pytest.raises(ValueError):
-        closed_intrinsic_volumes(bd.VPolytope(np.zeros((4, 3))))
 
 
 def test_closed_intrinsic_volumes_of_a_flat_ellipse():
