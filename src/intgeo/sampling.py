@@ -148,22 +148,26 @@ def sample_affine_flat(n: int, j: int, rng: np.random.Generator,
 
     The direction is the span of the first j columns of a Haar orthogonal
     matrix; the offset is uniform in the (n-j)-ball of the window radius
-    inside the orthogonal complement. With size, one AffineFlat holds the
-    whole batch (see AffineFlat).
+    inside the orthogonal complement. A point (j = 0) has the whole space
+    as that complement and the offset's direction is already isotropic, so
+    it draws no rotation. With size, one AffineFlat holds the whole batch
+    (see AffineFlat).
     """
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
     if window_radius <= 0:
         raise ValueError("window radius must be positive")
     m = 1 if size is None else int(size)
-    Q = sample_haar_orthogonal(n, rng, size=m)
+    Q = sample_haar_orthogonal(n, rng, size=m) if j else np.zeros((m, n, 0))
     d = n - j
     off = np.zeros((m, n))
     if d:
         z = rng.standard_normal((m, d))
         z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
         r = window_radius * rng.random(m) ** (1.0 / d)
-        off = np.einsum("bik,bk->bi", Q[:, :, j:], r[:, None] * z)
+        off = r[:, None] * z
+        if j:
+            off = np.einsum("bik,bk->bi", Q[:, :, j:], off)
     if size is None:
         return AffineFlat(Q[0, :, :j], off[0])
     return AffineFlat(Q[:, :, :j], off)

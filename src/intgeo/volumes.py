@@ -235,10 +235,13 @@ def carlson_rg(x, y, z) -> np.ndarray:
     2 R_G = z R_F - (x - z)(y - z) R_D / 3 + sqrt(xy / z) (Carlson 1995,
     eq. 1.5) with z, the special argument of R_D, taken as the middle of the
     three: then (x - z)(y - z) <= 0 and all three terms are nonnegative.
+    The three are sorted by compare-exchanges, which pick values without
+    arithmetic, so any order of the arguments gives the same bits.
     """
-    S = np.sort(np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                               for v in (x, y, z))), axis=-1), axis=-1)
-    lo, mid, hi = S[..., 0], S[..., 1], S[..., 2]
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    a, b = np.minimum(x, y), np.maximum(x, y)
+    lo, c = np.minimum(a, z), np.maximum(a, z)
+    mid, hi = np.minimum(b, c), np.maximum(b, c)
     rf, rd = _carlson_rf_rd(lo, hi, mid)
     return 0.5 * (mid * rf - (lo - mid) * (hi - mid) * rd / 3.0 + np.sqrt(lo / mid * hi))
 

@@ -81,18 +81,19 @@ PINNED_LHS = pytest.mark.parametrize("group, phi, M, L, samples, seed, inner, wa
     # plain draws after the exact loop's lattice, the trace tilted by 1/2
     ("gl", "chi", bd.unit_ball(3), bd.Ellipsoid(np.zeros(3), np.eye(3), [1.3, 0.9, 0.6]),
      10000, 41, 256, (107.3213661411892, 6.844014310392289)),
+    # the volume rows share each g over _VOLUME_ROWS_PER_G consecutive rows
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 5000, 42, 256,
-     (26.153437951265143, 0.5741316114858679)),
+     (27.593350069397122, 0.6475761826697097)),
     # one row per block of inner points
     ("gl", "volume", bd.unit_ball(2), bd.unit_ball(2), 24, 43, 70000,
-     (17.19957136839852, 6.215649486487823)),
+     (20.752106686059307, 6.270512549852507)),
     ("gl", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
-     (29.412998971942113, 2.6357785128033098)),
+     (25.70003844411055, 1.848374789270243)),
     # the compact groups draw no X, so the trace tilt leaves them alone
     ("o", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
-     (6.3380914092066005, 0.23837792037988625)),
+     (6.327558266685919, 0.2301916831648061)),
     ("so", "volume", OFFSET_BALL, TILTED, 3000, 44, 64,
-     (5.866333463773204, 0.22263471855160596)),
+     (6.276299029632641, 0.226043833762423)),
     ("o", "chi", TILTED, OFFSET_BALL, 6000, 45, 256,
      (21.73716140889618, 0.2725338420609622)),
 ], ids=["chi-ball-ellipsoid", "volume-discs", "volume-discs-70000",
@@ -156,14 +157,21 @@ def test_gl_volume_lhs_meets_the_fubini_anchor(M, L, samples, seed, inner):
 
 def test_interval_coverage_of_the_volume_lhs():
     # the nominal 95% interval of the volume-phi hit-or-miss LHS, over 200
-    # replicates, against the Fubini anchor e pi^2 of two unit discs
+    # replicates, against the Fubini anchor e pi^2 of two unit discs. Rows
+    # share each g (_VOLUME_ROWS_PER_G), so the row SE is unbiased only if
+    # those rows are uncorrelated: the replicates' own sd must match it
     disc = bd.unit_ball(2)
     want = math.e * math.pi**2
-    covered = 0
+    means, ses = [], []
     for seed in range(5000, 5200):
         est = lhs_kinematic("gl", "volume", disc, disc, 2000, seed, inner_samples=4)
-        covered += abs(est.mean - want) <= 1.96 * est.std_error
+        assert est.samples == 2000
+        means.append(est.mean)
+        ses.append(est.std_error)
+    means, ses = np.array(means), np.array(ses)
+    covered = np.count_nonzero(np.abs(means - want) <= 1.96 * ses)
     assert 0.90 <= covered / 200 <= 1.0, f"{covered}/200"
+    assert np.std(means, ddof=1) == pytest.approx(np.mean(ses), rel=0.15)
 
 
 @pytest.mark.parametrize("M, L, samples, seed", [
@@ -244,42 +252,59 @@ def test_tilted_check_interval_coverage():
     assert np.std(means, ddof=1) < 15.0
 
 
-@pytest.mark.parametrize("M, exact_haar", [
-    (bd.unit_ball(2), 0),  # V_j(k G L) = V_j(G L): the exact loop draws no k
-    (HEX, 20000),  # the mixed area reads the support of k G L
-], ids=["ball", "hpolygon"])
-def test_each_loop_draws_only_what_it_reads(monkeypatch, M, exact_haar):
+@pytest.mark.parametrize("phi, M, samples, want", [
+    # V_j(k G L) = V_j(G L): the exact loop draws no k
+    ("chi", bd.unit_ball(2), 20000,
+     {"haar": 10000, "gaussian": 10000, "difference_volumes": 20000,
+      "moved_intrinsic_volumes": 20000, "batch_intersects": 10000}),
+    # the mixed area reads the support of k G L
+    ("chi", HEX, 20000,
+     {"haar": 30000, "gaussian": 10000, "difference_volumes": 20000,
+      "moved_intrinsic_volumes": 0, "batch_intersects": 10000}),
+    # one k and X per _VOLUME_ROWS_PER_G rows: batches of 4096, 4096 and
+    # 1809 rows draw 512 + 512 + 227 of each, and every row its own inner
+    # points (INNER_SAMPLES of them, tested in M and pulled back into L)
+    ("volume", bd.unit_ball(2), 10001,
+     {"haar": 1251, "gaussian": 1251, "difference_volumes": 0,
+      "moved_intrinsic_volumes": 0, "batch_intersects": 0,
+      "points": 2 * kin.INNER_SAMPLES * 10001}),
+], ids=["ball", "hpolygon", "volume"])
+def test_each_loop_draws_only_what_it_reads(monkeypatch, phi, M, samples, want):
     # the exact loop runs the V_j and difference-volume kernels over samples
-    # rows, the hit-or-miss check draws k and runs the hit test over
-    # min(samples, stage_samples(samples)) rows, and neither runs the
-    # other's kernels
-    seen = {"haar": 0, "difference_volumes": 0, "moved_intrinsic_volumes": 0,
-            "batch_intersects": 0}
+    # rows, the hit-or-miss loop draws k and X and runs its integrand over
+    # min(samples, stage_samples(samples)) rows (all samples for the volume
+    # phi, which has no exact loop), and neither runs the other's kernels
+    seen = dict.fromkeys(want, 0)
 
     def counting(module, name, key, rows):
-        # count rows(args, kwargs) rows per call of module.name
+        # count rows(args, kwargs) rows per call of module.name, where want
+        # names the key
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            seen[key] += rows(args, kwargs)
+            if key in seen:
+                seen[key] += rows(args, kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counting(kin, "sample_haar_orthogonal", "haar", lambda a, kw: kw["size"])
-    # the rows of G in difference_volumes(M, L, G, vj), moved_intrinsic_volumes(L, G)
-    # and of t in batch_intersects(M, L, G, invG, t)
+    counting(kin, "sample_gaussian_sym", "gaussian", lambda a, kw: kw["size"])
+    # the rows of G in difference_volumes(M, L, G, vj), moved_intrinsic_volumes(L, G),
+    # of t in batch_intersects(M, L, G, invG, t) and of the points in
+    # contains_points(body, points), which the volume case counts
     counting(bd, "difference_volumes", "difference_volumes", lambda a, kw: len(a[2]))
     counting(bd, "moved_intrinsic_volumes", "moved_intrinsic_volumes",
              lambda a, kw: len(a[1]))
     counting(bd, "batch_intersects", "batch_intersects", lambda a, kw: len(a[4]))
+    counting(bd, "contains_points", "points", lambda a, kw: len(a[1]))
     L = bd.Ellipsoid([0.1, 0.2], np.eye(2), [1.4, 0.5])
-    res = lhs_kinematic("gl", "chi", M, L, 20000, 3)
-    assert (res.samples, res.exact.samples) == (10000, 20000)
-    assert seen["haar"] == exact_haar + 10000
-    assert seen["difference_volumes"] == 20000
-    assert seen["moved_intrinsic_volumes"] == (20000 if isinstance(M, bd.Ball) else 0)
-    assert seen["batch_intersects"] == 10000
+    res = lhs_kinematic("gl", phi, M, L, samples, 3)
+    if phi == "chi":
+        assert (res.samples, res.exact.samples) == (10000, 20000)
+    else:
+        assert res.samples == samples and res.exact is None
+    assert seen == want
 
 
 @pytest.mark.parametrize("command, bound", [("chi-hpolygons", 1.2e-2),
@@ -318,6 +343,25 @@ def test_compact_exact_lhs_is_the_steiner_sum(group, M, L):
     want = sum(kappa(n - j) * M.radius ** (n - j) * vL[j] for j in range(n + 1))
     assert res.exact.mean == pytest.approx(want, rel=1e-12)
     np.testing.assert_allclose([t.mean for t in res.terms], vL, rtol=1e-12)
+
+
+@pytest.mark.parametrize("group", ["o", "so"])
+def test_compact_exact_lhs_of_a_ball_is_one_row(group):
+    # G = I on every row under rotations: the exact loop evaluates the one
+    # row, reports it with SE exactly 0 over samples rows, and draws nothing,
+    # so the hit-or-miss check after it keeps its stream
+    M = bd.Ball([0.3, -0.2, 0.1], 0.7)
+    G = np.eye(3)[None]
+    vj = bd.moved_intrinsic_volumes(TILTED, G)
+    rng = np.random.default_rng(62)
+    state = rng.bit_generator.state
+    exact, terms = kin._exact_loop(M, TILTED, 10**6, rng, 62, GROUPS[group][0], False)
+    assert rng.bit_generator.state == state
+    assert (exact.mean, exact.std_error, exact.samples) == (
+        bd.difference_volumes(M, TILTED, G, vj).sum(), 0.0, 10**6)
+    assert [(t.mean, t.std_error) for t in terms] == [(v, 0.0) for v in vj[0]]
+    res = lhs_kinematic(group, "chi", M, TILTED, 3000, 62)
+    assert (res.exact.std_error, res.exact.samples) == (0.0, 3000)
 
 
 def test_lhs_terms_match_c_j_one_j_at_a_time():
@@ -399,7 +443,7 @@ def test_chi_quadric_vs_polytope_refused_above_3d(M, L):
      bd.VPolytope(np.vstack([np.zeros(3), np.eye(3)]) - 0.25), 200, 53,
      (23.095877385177108, 3.870172265626857)),
     # the volume row is the trace-tilted estimator's (lhs_kinematic's docstring)
-    ("gl", "volume", HEX, PENT, 300, 54, (11.473564281599765, 1.0400873682003948)),
+    ("gl", "volume", HEX, PENT, 300, 54, (13.26061868593157, 1.234447344453697)),
 ], ids=["chi-hhex-vpent", "chi-vpent-hsquare", "chi-hcube-vsimplex", "volume-hhex-vpent"])
 def test_polytope_lhs_matches_the_lp_route(group, phi, M, L, samples, seed, want):
     # values of the per-sample LP route (support LPs for the box of gL, the

@@ -99,6 +99,25 @@ def test_flat_offsets_fill_the_window_uniformly():
     assert kstest(u, "uniform").pvalue > 0.01
 
 
+def test_point_flats_draw_no_rotation(monkeypatch):
+    # a point's offset is a normalized Gaussian direction times R U^(1/n):
+    # isotropic already, so no Haar matrix is drawn; its radius^n is uniform
+    def no_haar(*args, **kwargs):
+        raise AssertionError("a point flat drew a Haar matrix")
+
+    monkeypatch.setattr(sampling, "sample_haar_orthogonal", no_haar)
+    flats = sample_affine_flat(3, 0, np.random.default_rng(8), window_radius=2.0,
+                               size=4000)
+    assert flats.basis.shape == (4000, 3, 0)
+    r = np.linalg.norm(flats.offset, axis=1)
+    assert r.max() <= 2.0 + 1e-12
+    from scipy.stats import kstest
+
+    assert kstest((r / 2.0) ** 3, "uniform").pvalue > 0.01
+    one = sample_affine_flat(2, 0, np.random.default_rng(8), window_radius=1.0)
+    assert one.basis.shape == (2, 0) and one.offset.shape == (2,)
+
+
 def test_flat_weight():
     assert abs(flat_weight(3, 1, 2.0) - kappa(2) * 4.0) < 1e-12
     assert abs(flat_weight(2, 2, 5.0) - 1.0) < 1e-12  # kappa_0 = 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -307,6 +308,18 @@ def test_carlson_rg_matches_scipy(spread):
             assert np.max(np.abs(got - want) / want) <= 1e-14
     # the symmetric corners: R_G(x, x, x) = sqrt(x)
     np.testing.assert_allclose(carlson_rg(4.0, 4.0, 4.0), 2.0, rtol=1e-15)
+
+
+def test_carlson_rg_has_the_same_bits_in_every_order():
+    # the compare-exchange sort picks values without arithmetic, so all six
+    # orders of the arguments, ties among them, give one result bit for bit
+    rng = np.random.default_rng(110)
+    A2 = _log_spread_axes(rng, 4000, 3, 20.0) ** 2
+    A2[:500, 1] = A2[:500, 0]
+    A2[500:600] = A2[500:600, :1]
+    want = carlson_rg(A2[:, 0], A2[:, 1], A2[:, 2])
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(carlson_rg(*(A2[:, i] for i in perm)), want)
 
 
 def test_elliptic_kernels_refuse_to_return_unconverged_values(monkeypatch):
