@@ -9,7 +9,9 @@ two loops on one stream: an exact loop that integrates t out and, under gl,
 takes X from the shifted lattice rule of sampling.lattice_normals (the
 sampler of the c_j routes), then a hit-or-miss check in plain Monte Carlo
 at its own budget. Every other LHS is that plain hit-or-miss loop alone,
-with the trace of X tilted under gl. The right-hand side is the
+with the trace of X tilted under gl; it draws each translation in the
+eigenframe of its g, where the box of M + (-gL) stays within a bounded
+factor of the body. The right-hand side is the
 Hadwiger-style expansion sum_j c_j phi_{n-j}(M) V_j(L) with Crofton
 coefficients phi_{n-j}(M) estimated over random flats (whether a flat meets
 M is bodies.batch_flat_hits) and the deformation constants c_j from the
@@ -57,7 +59,7 @@ INNER_SAMPLES = 4
 _BLOCK_POINTS = 1 << 16
 # hit-or-miss rows per group element of the volume integrand, whose mean
 # given g is constant (lhs_kinematic). Drawing k and X and building g^-1 and
-# the box of gL is about 55% of a row's cost on two unit discs at 2e4 rows.
+# the box of gL was about 55% of a row's cost on two unit discs at 2e4 rows.
 # Over 120 replicates there (seeds 1000-1119, a 2-core Xeon), one g per 1,
 # 2, 4, 8 and 16 rows took 26.0, 16.4, 13.5, 12.0 and 11.1 ms per run
 # (median), and the replicate sd read 0.371, 0.352, 0.347, 0.342 and 0.318
@@ -190,17 +192,35 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     its t-integral vol(M) vol(gL) would make the Fubini anchor a tautology.
 
     The hit-or-miss loop draws k, X and t from rng in batches of
-    _LHS_BATCH, with t uniform in the translation box: the Minkowski
-    difference of M's box (bodies.bounding_box) and gL's
-    (bodies.moved_boxes), whose volume weights each row. It runs over
-    samples rows where the pair has no exact loop (its estimate is then the
-    headline) and, where it has one, over min(samples, stage_samples(samples))
-    rows, the budget of a report's other stages, as a check that rests on
-    neither Steiner's formula nor the mixed area.
-    Its integrand, per kind of phi:
-    - chi: bodies.batch_intersects, where the pair's types pick the kernel;
-    - volume: bodies.contains_points of M at the inner points and of L at
-      their pull-backs g^-1 (x - t), for every pair of bodies;
+    _LHS_BATCH, and t in the eigenframe of g. With X = V Lambda V^T
+    (symmetric.eigh_sym, each column of V signed so that its
+    largest-magnitude entry is positive, so the Jacobi kernels and LAPACK
+    give one frame) and g = k V e^Lambda V^T, the frame is R = k V, and
+    R^T g = e^Lambda V^T stretches along the axes. t' is uniform in the
+    translation box of that frame, the Minkowski difference of the axis
+    boxes of R^T M and of e^Lambda V^T L (both bodies.moved_boxes), and
+    t = R t'. The box's volume, the product of its widths since R is
+    orthogonal, weights each row. In this frame the stretch e^Lambda is
+    aligned with the axes, so the box stays within a bounded factor of
+    M + (-gL) however gL is turned; a box in fixed axes would grow with
+    that turn, so that most rows miss and a rare hit carries a huge box.
+    An M whose support would be an LP per row (an H-polytope at n >= 4
+    that is not an axis box) gives its box through its axis box
+    (_box_proxy), so no row solves an LP. A ball M draws no k and takes
+    R = V: a row's value then depends on k only through the centre of
+    R^T M, and t' is drawn relative to it.
+
+    The loop runs over samples rows where the pair has no exact loop (its
+    estimate is then the headline) and, where it has one, over
+    min(samples, stage_samples(samples)) rows, the budget of a report's
+    other stages, as a check that rests on neither Steiner's formula nor
+    the mixed area. Its integrand, per kind of phi:
+    - chi: bodies.batch_intersects at g and t, where the pair's types pick
+      the kernel;
+    - volume: inner points x' drawn in the overlap of the two boxes in the
+      frame R, bodies.contains_points of M at R x' and of L at the
+      pull-backs V e^-Lambda (x' - t') = g^-1 (R x' - t), for every pair
+      of bodies;
     - custom valuations: the explicit intersection of each row.
     The volume integrand draws its inner_samples points per row in blocks
     of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
@@ -210,7 +230,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
 
     For the volume phi one group element serves _VOLUME_ROWS_PER_G
     consecutive rows: a batch of B rows draws k and X, and builds the
-    weight, g^-1 and the box of gL, for ceil(B / _VOLUME_ROWS_PER_G)
+    weight, the frame and the boxes, for ceil(B / _VOLUME_ROWS_PER_G)
     elements, while t and the inner points are still drawn per row, so
     samples counts rows. Rows that share g are uncorrelated, because
     E[row | g] is the same constant for every g: e^{n/2} vol(M) vol(L)
@@ -228,15 +248,12 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     weights) the weighted t-integral is the constant e^{n/2} vol(M) vol(L),
     so the log-normal tail of det g is gone and only t and the inner points
     vary. For chi, whose t-integral mixes degrees 0 to n, s = 1/2 halves
-    the spread of the row weights: on the unit ball against the
-    (1.3, 0.9, 0.6) ellipsoid at 2000 rows the replicate sd falls from 22
-    to 10.6 and the 95% interval covers 0.94 instead of 0.865.
+    the spread of the row weights.
 
-    Every group takes the same path: g = k V e^Lambda V^T from one
-    eigendecomposition X = V Lambda V^T (symmetric.eigh_sym and congruence),
-    and g^-1 = V e^-Lambda V^T k^T. The compact groups (GROUPS) draw no X
-    and take X = 0 there, with trace moments of 1 and no tilt, so their
-    weights are all 1.
+    Every group takes the same path, g = R e^Lambda V^T and g^-1 =
+    V e^-Lambda R^T from one eigendecomposition. The compact groups
+    (GROUPS) draw no X and take X = 0 there (V = I, so R = k), with trace
+    moments of 1 and no tilt, so their weights are all 1.
     """
     kind = check_lhs_inputs(group, phi, M, L, inner_samples)
     rng, seed = resolve_rng(rng)
@@ -250,42 +267,44 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     n = M.dim
     quadric = (isinstance(M, (bd.Ball, bd.Ellipsoid))
                and isinstance(L, (bd.Ball, bd.Ellipsoid)))
-    loM, hiM = bd.bounding_box(M)
+    ball = isinstance(M, bd.Ball)
+    Mbox = _box_proxy(M)
     rows = max(1, _BLOCK_POINTS // inner_samples)
     s = _TILT[kind] if deforms else 0.0
     moment = trace_moment(n, s * n)
     for done in range(0, checks, _LHS_BATCH):
         B = min(_LHS_BATCH, checks - done)
         m = -(-B // _VOLUME_ROWS_PER_G) if kind == "volume" else B  # group elements
-        k = sample_haar_orthogonal(n, rng, component=component, size=m)
+        # a ball M takes k = I: no row's value depends on k
+        k = None if ball else sample_haar_orthogonal(n, rng, component=component, size=m)
         X = sample_gaussian_sym(n, rng, size=m) if deforms else np.zeros((m, n, n))
-        lam, V = eigh_sym(X)
+        lam, V = _eigenframe(X)
         lam = lam + s
         # times moment, the likelihood ratio of N(0, n) to N(s n, n) at tr X
         weight = np.exp(-s * lam.sum(axis=1))
-        G = k @ congruence(V, np.exp(lam))
-        invG = None  # the chi kernel of two quadrics never reads it
-        if not (kind == "chi" and quadric):
-            invG = congruence(V, np.exp(-lam)) @ np.swapaxes(k, 1, 2)
-        # the box of gL is cg +- hw per row
-        cg, hw = bd.moved_boxes(L, G)
+        R = V if ball else k @ V
+        RT, Vt = np.swapaxes(R, 1, 2), np.swapaxes(V, 1, 2)
+        D = np.exp(lam)[:, :, None] * Vt  # R^T g = e^Lambda V^T
+        PT = np.exp(-lam)[:, :, None] * Vt  # (g^-1 R)^T = e^-Lambda V^T
+        # the axis boxes of R^T M and of R^T g L: centres and half-widths
+        cM, hM = bd.moved_boxes(Mbox, RT)
+        cg, hw = bd.moved_boxes(L, D)
         if kind == "volume":
-            # each g serves _VOLUME_ROWS_PER_G consecutive rows; the pull-back
-            # g^-T is repeated into a contiguous stack, which keeps numpy's
-            # matmul off its strided path
-            weight, cg, hw, invGT = (np.repeat(a, _VOLUME_ROWS_PER_G, axis=0)[:B]
-                                     for a in (weight, cg, hw, np.swapaxes(invG, 1, 2)))
-        hi = hiM[None, :] + hw - cg
-        lo = loM[None, :] - hw - cg
-        wid = hi - lo
+            # each g serves _VOLUME_ROWS_PER_G consecutive rows; the frame R^T
+            # and the pull-back (g^-1 R)^T are repeated into contiguous
+            # stacks, which keeps numpy's matmul off its strided path
+            weight, cM, hM, cg, hw, RT, PT = (
+                np.repeat(a, _VOLUME_ROWS_PER_G, axis=0)[:B]
+                for a in (weight, cM, hM, cg, hw, RT, PT))
+        # t' uniform in the box of R^T M + (-R^T g L), and t = R t'
+        lo = cM - hM - hw - cg
+        wid = 2.0 * (hM + hw)
         volbox = np.prod(wid, axis=1)
-        t = lo + rng.random((B, n)) * wid
-        if kind == "chi":
-            val = np.where(bd.batch_intersects(M, L, G, invG, t), volbox, 0.0)
-        elif kind == "volume":
-            center = cg + t
-            loI = np.maximum(loM[None, :], center - hw)
-            widI = np.clip(np.minimum(hiM[None, :], center + hw) - loI, 0.0, None)
+        tf = lo + rng.random((B, n)) * wid
+        if kind == "volume":
+            center = cg + tf
+            loI = np.maximum(cM - hM, center - hw)
+            widI = np.clip(np.minimum(cM + hM, center + hw) - loI, 0.0, None)
             volI = np.prod(widI, axis=1)
             frac = np.empty(B)
             # the inner points go in blocks of rows; drawing the blocks in
@@ -293,18 +312,48 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             for r0 in range(0, B, rows):
                 r1 = min(r0 + rows, B)
                 u = rng.random((r1 - r0, inner_samples, n))
-                pts = loI[r0:r1, None, :] + u * widI[r0:r1, None, :]
-                y = (pts - t[r0:r1, None, :]) @ invGT[r0:r1]
-                inM = bd.contains_points(M, pts.reshape(-1, n)).reshape(r1 - r0, -1)
+                pts = loI[r0:r1, None, :] + u * widI[r0:r1, None, :]  # in frame R
+                x = pts @ RT[r0:r1]
+                y = (pts - tf[r0:r1, None, :]) @ PT[r0:r1]
+                inM = bd.contains_points(M, x.reshape(-1, n)).reshape(r1 - r0, -1)
                 inL = bd.contains_points(L, y.reshape(-1, n)).reshape(r1 - r0, -1)
                 frac[r0:r1] = np.count_nonzero(inM & inL, axis=1) / inner_samples
             val = volbox * volI * frac
         else:
-            val = volbox * np.array([phi(bd.intersect_hrep(M, bd.affine_image(
-                L, bd.AffineMap(g, v)))) for g, v in zip(G, t)])
+            G = R @ D
+            t = np.einsum("bij,bj->bi", R, tf)
+            if kind == "chi":
+                # g^-1 = V e^-Lambda R^T; the kernel of two quadrics never reads it
+                invG = None if quadric else np.swapaxes(R @ PT, 1, 2)
+                val = np.where(bd.batch_intersects(M, L, G, invG, t), volbox, 0.0)
+            else:
+                val = volbox * np.array([phi(bd.intersect_hrep(M, bd.affine_image(
+                    L, bd.AffineMap(g, v)))) for g, v in zip(G, t)])
         acc.update(val * moment * weight)
     return LhsEstimate(**vars(EstimatorResult.from_accumulator(acc, seed)),
                        exact=exact, terms=terms)
+
+
+def _eigenframe(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh_sym(X) with each eigenvector column's sign fixed so that its
+    largest-magnitude entry is positive: the Jacobi kernels and LAPACK, whose
+    columns may differ in sign, give one frame."""
+    lam, V = eigh_sym(X)
+    big = np.take_along_axis(V, np.abs(V).argmax(axis=-2)[..., None, :], axis=-2)
+    return lam, V * np.sign(big)
+
+
+def _box_proxy(M):
+    """M, or, where M's support would be an LP per row (an H-polytope at
+    n >= 4 that is not an axis box), its axis box as an H-polytope: it
+    contains M, and bodies.moved_boxes reads its box in any frame R from
+    the box's half-widths h as sum_k |R_kj| h_k, which is at most ||h||."""
+    if (not isinstance(M, bd.HPolytope) or bd.vertex_set(M) is not None
+            or bd.axis_box(M) is not None):
+        return M
+    lo, hi = bd.bounding_box(M)
+    eye = np.eye(M.dim)
+    return bd.HPolytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]), validate=False)
 
 
 def _exact_loop(M, L, samples: int, rng, seed: int, component: str, deforms: bool
