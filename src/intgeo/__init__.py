@@ -5,10 +5,9 @@ measures on rigid motions and affine deformations, Crofton coefficients,
 and the kinematic formula machinery built on top of them.
 """
 
-from .bodies import (AffineMap, Ball, ConvexBody, Ellipsoid, EMPTY, EmptyBody,
-                     HPolytope, VPolytope, affine_image, body_from_dict,
-                     body_to_dict, bounding_box, cube, diameter,
-                     difference_volumes, intersect_hrep, intersects,
+from .bodies import (AffineMap, Ball, ConvexBody, Ellipsoid, HPolytope,
+                     VPolytope, affine_image, body_from_dict, body_to_dict,
+                     bounding_box, cube, difference_volumes, intersects,
                      load_body, membership, minkowski_sum_vpolytopes,
                      random_polytope, separating_hyperplane, support,
                      unit_ball)
@@ -21,7 +20,7 @@ from .sampling import (AffineFlat, GroupElement, flat_hits, flat_weight,
                        translation_region)
 from .symmetric import (expm_sym, sample_gaussian_sym, sample_haar_orthogonal,
                         sym_basis, sym_dim, sym_to_coords, coords_to_sym)
-from .volumes import (QuadratureError, SteinerFit, Valuation,
+from .volumes import (QuadratureError, SteinerFit,
                       batch_ellipsoid_intrinsic_volumes,
                       closed_intrinsic_volumes, intrinsic_volume_ball,
                       intrinsic_volume_ellipsoid, kappa, steiner_fit,

@@ -64,19 +64,6 @@ TOL = 1e-9
 _HULL_ULPS = 32.0
 
 
-class EmptyBody:
-    """Marker for an empty intersection; evaluates false and has no points."""
-
-    def __repr__(self) -> str:
-        return "EmptyBody()"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-EMPTY = EmptyBody()
-
-
 def _array(value, ndim: int, name: str) -> np.ndarray:
     """value as a float array of rank ndim (1 or 2), a lower rank promoted."""
     arr = (np.atleast_1d if ndim == 1 else np.atleast_2d)(np.asarray(value, dtype=float))
@@ -150,8 +137,8 @@ class HPolytope:
     rays of {d : normals @ d <= 0} verify it without linear programs; at
     n >= 4 a feasibility LP and 2n support LPs do. Rows are normalized to
     unit length so TOL acts as a geometric distance. Pass validate=False
-    only for systems already known feasible and bounded (e.g. the output
-    of intersect_hrep on two valid polytopes).
+    only for systems already known feasible and bounded (e.g. the affine
+    image of a valid polytope, affine_image).
     """
 
     normals: np.ndarray
@@ -364,9 +351,9 @@ def contains_points(body: ConvexBody, points: np.ndarray, tol: float = TOL) -> n
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
-def membership(body: ConvexBody, x: np.ndarray, tol: float = TOL) -> bool:
-    """Whether x lies in the body, with slack tol: contains_points on one row."""
-    return bool(contains_points(body, np.asarray(x, dtype=float)[None, :], tol)[0])
+def membership(body: ConvexBody, x: np.ndarray) -> bool:
+    """Whether x lies in the body, with slack TOL: contains_points on one row."""
+    return bool(contains_points(body, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _vpolytope_member_lp(body: VPolytope, x: np.ndarray, tol: float) -> bool:
@@ -474,22 +461,6 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
 
 # ---------------------------------------------------------------------------
 # intersections and separation
-
-
-def intersect_hrep(a: HPolytope, b: HPolytope) -> HPolytope | EmptyBody:
-    """Intersection of two H-polytopes, or EMPTY when infeasible.
-
-    Degenerate but nonempty intersections (shared faces) are kept as bodies
-    with zero volume rather than collapsed to EMPTY.
-    """
-    normals = np.vstack([a.normals, b.normals])
-    offsets = np.concatenate([a.offsets, b.offsets])
-    res = linprog.signed_margin(normals, offsets)
-    if res is not None and res[0] < -TOL:
-        return EMPTY
-    if res is None and linprog.feasible(normals, offsets) is None:
-        return EMPTY
-    return HPolytope(normals, offsets, validate=False)
 
 
 def separating_hyperplane(a: VPolytope, b: VPolytope):
@@ -928,8 +899,7 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
     return hit
 
 
-def batch_flat_hits(body: ConvexBody, basis: np.ndarray, offset: np.ndarray,
-                    tol: float = TOL) -> np.ndarray:
+def batch_flat_hits(body: ConvexBody, basis: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Whether each affine flat offset_b + span(basis_b) meets the body: (m,) bool.
 
     basis (m, n, j) holds orthonormal columns and offset (m, n) a point of
@@ -938,7 +908,7 @@ def batch_flat_hits(body: ConvexBody, basis: np.ndarray, offset: np.ndarray,
     - hyperplanes (j = n - 1) of a body whose support needs no LP (a ball
       or ellipsoid, a polytope with a vertex_set, an axis_box): <offset, nu>
       lies in the support interval [-h(-nu), h(nu)] (moved_support with
-      g = I) widened by tol, nu the unit normal (_hyperplane_normals);
+      g = I) widened by TOL, nu the unit normal (_hyperplane_normals);
     - other flats of a ball or ellipsoid {c + lin z : ||z|| <= 1}: in z
       coordinates the flat's point of least gauge is the offset minus its
       projection on the directions lin^-1 basis, orthonormalized by
@@ -951,13 +921,13 @@ def batch_flat_hits(body: ConvexBody, basis: np.ndarray, offset: np.ndarray,
     if j == n:
         return np.ones(m, dtype=bool)
     if j == 0:
-        return contains_points(body, offset, tol)
+        return contains_points(body, offset)
     quadric = isinstance(body, (Ball, Ellipsoid))
     if j == n - 1 and (quadric or vertex_set(body) is not None or axis_box(body) is not None):
         nu = _hyperplane_normals(basis)
         h = moved_support(body, _axes(n)[0], np.vstack([nu, -nu]))[0]
         s = np.einsum("bi,bi->b", offset, nu)
-        return (-h[m:] - tol <= s) & (s <= h[:m] + tol)
+        return (-h[m:] - TOL <= s) & (s <= h[:m] + TOL)
     if quadric:
         lin, c, inv = quadric_frame(body)
         z = (offset - c) @ inv.T
@@ -968,7 +938,7 @@ def batch_flat_hits(body: ConvexBody, basis: np.ndarray, offset: np.ndarray,
                 w = w - _dot(q, w)[:, None] * q
             Q.append(w / np.sqrt(_dot(w, w))[:, None])
             z = z - _dot(Q[-1], z)[:, None] * Q[-1]
-        return contains_points(body, c + z @ lin.T, tol)
+        return contains_points(body, c + z @ lin.T)
     return np.array([_flat_hits_lp(body, U, o) for U, o in zip(basis, offset)], dtype=bool)
 
 
@@ -1014,7 +984,14 @@ def _polytopes_intersect_lp(a: HPolytope | VPolytope, b: HPolytope | VPolytope) 
     if isinstance(a, VPolytope) and isinstance(b, HPolytope):
         a, b = b, a
     if isinstance(a, HPolytope) and isinstance(b, HPolytope):
-        return not isinstance(intersect_hrep(a, b), EmptyBody)
+        # the stacked system is feasible: a signed margin of at least -TOL,
+        # or a feasible point where the margin LP fails
+        normals = np.vstack([a.normals, b.normals])
+        offsets = np.concatenate([a.offsets, b.offsets])
+        res = linprog.signed_margin(normals, offsets)
+        if res is not None:
+            return not res[0] < -TOL
+        return linprog.feasible(normals, offsets) is not None
     if isinstance(a, HPolytope) and isinstance(b, VPolytope):
         W = b.vertices
         m = W.shape[0]
@@ -1244,18 +1221,7 @@ def _vpolytope_distance(body: VPolytope, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# diameter, Minkowski sums, conversions
-
-
-def diameter(body: ConvexBody) -> float:
-    """Exact diameter. H-polytopes read their vertex enumeration (n <= 3)."""
-    if isinstance(body, Ball):
-        return 2.0 * body.radius
-    if isinstance(body, Ellipsoid):
-        return 2.0 * float(np.max(body.semiaxes))
-    V = body._vpolytope.vertices if isinstance(body, HPolytope) else body.vertices
-    diff = V[:, None, :] - V[None, :, :]
-    return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+# Minkowski sums, conversions
 
 
 def polygon_ring(body: HPolytope | VPolytope) -> np.ndarray:

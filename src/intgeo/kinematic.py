@@ -41,15 +41,15 @@ from .estimation import (EstimatorResult, RunningMean, merge_results, resolve_rn
 from .sampling import ShiftSums, flat_weight, lattice_normals, sample_affine_flat
 from .symmetric import (congruence, eigh_sym, sample_gaussian_sym,
                         sample_haar_orthogonal, split_coords_to_sym, sym_dim)
-from .volumes import (Valuation, closed_intrinsic_volumes, kappa, volume_exact)
+from .volumes import closed_intrinsic_volumes, kappa, volume_exact
 from .weyl import merge_constants, trace_moment
 
 # per group: the component of O(n) that k is Haar on, and whether X is drawn
 # (the compact groups take X = 0)
 GROUPS = {"gl": ("full", True), "o": ("full", False), "so": ("special", False)}
-# the trace tilt s of the hit-or-miss LHS under gl, per kind of phi: X is
-# drawn as X + s I and each row weighted by trace_moment(n, s n) e^{-s tr X}
-_TILT = {"volume": 1.0, "chi": 0.5, "custom": 0.0}
+# the trace tilt s of the hit-or-miss LHS under gl, per phi: X is drawn as
+# X + s I and each row weighted by trace_moment(n, s n) e^{-s tr X}
+_TILT = {"volume": 1.0, "chi": 0.5}
 # inner points per LHS sample of the volume integrand: with the trace tilted
 # its mean given g is constant and the draw of t sets most of the variance,
 # so more points cost time and buy little (sigma^2 x seconds on two discs is
@@ -80,39 +80,32 @@ def stage_samples(samples: int) -> int:
     return max(samples // 4, 10000)
 
 
-def _phi_kind(phi) -> str:
-    if isinstance(phi, Valuation):
-        return {"chi": "chi", "volume": "volume"}.get(phi.name, "custom")
-    if phi in ("chi", "volume"):
-        return phi
-    raise ValueError(f"unknown valuation {phi!r}")
+def _check_phi(phi) -> None:
+    """Refuse, with ValueError, any phi but the strings "chi" and "volume":
+    the two valuations whose right-hand side the report evaluates."""
+    if not (isinstance(phi, str) and phi in ("chi", "volume")):
+        raise ValueError(f"phi must be 'chi' or 'volume', got {phi!r}")
 
 
-def check_lhs_inputs(group: str, phi, M, L, inner_samples: int = INNER_SAMPLES) -> str:
-    """Refuse an LHS lhs_kinematic cannot evaluate; return the kind of phi.
+def check_lhs_inputs(group: str, phi, M, L, inner_samples: int = INNER_SAMPLES) -> None:
+    """Refuse an LHS lhs_kinematic cannot evaluate.
 
-    Raises ValueError for an unknown group or valuation, bodies of different
-    dimensions, a custom valuation on bodies other than H-polytopes, chi
-    on a ball or ellipsoid paired with a polytope at n >= 4, where the
-    intersection test needs polytope distances (n <= 3 only), and
-    inner_samples below 1.
+    Raises ValueError for an unknown group, a phi other than "chi" or
+    "volume" (_check_phi), bodies of different dimensions, chi on a ball
+    or ellipsoid paired with a polytope at n >= 4, where the intersection
+    test needs polytope distances (n <= 3 only), and inner_samples below 1.
     """
     if not inner_samples >= 1:
         raise ValueError(f"inner_samples must be at least 1, got {inner_samples!r}")
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    kind = _phi_kind(phi)
+    _check_phi(phi)
     if M.dim != L.dim:
         raise ValueError("bodies must share a dimension")
-    if kind == "custom" and not (isinstance(M, bd.HPolytope)
-                                 and isinstance(L, bd.HPolytope)):
-        raise ValueError("custom valuations need H-polytope bodies "
-                         "(the intersection must be explicit)")
     quadrics = [isinstance(b, (bd.Ball, bd.Ellipsoid)) for b in (M, L)]
-    if kind == "chi" and M.dim >= 4 and any(quadrics) and not all(quadrics):
+    if phi == "chi" and M.dim >= 4 and any(quadrics) and not all(quadrics):
         raise ValueError("chi of a ball or ellipsoid against a polytope needs "
                          f"n <= 3, got n = {M.dim}")
-    return kind
 
 
 def check_rhs_inputs(phi, M, L) -> np.ndarray:
@@ -121,7 +114,7 @@ def check_rhs_inputs(phi, M, L) -> np.ndarray:
     volume_exact (its Crofton j = n term). Returns L's intrinsic volumes
     (V_0, ..., V_n), the ones rhs_hadwiger_gl reads."""
     v_l = closed_intrinsic_volumes(L)
-    if _phi_kind(phi) == "volume":
+    if phi == "volume":
         try:
             volume_exact(M)
         except NotImplementedError as exc:
@@ -160,10 +153,10 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                   inner_samples: int = INNER_SAMPLES) -> LhsEstimate:
     """The group-side integral, estimated with the translation box folded in.
 
-    phi may be "chi", "volume", or a Valuation; custom valuations need both
-    bodies as H-polytopes (the intersection must be constructible). Inputs
-    are checked by check_lhs_inputs, inner_samples among them, before
-    anything is drawn (ValueError). Two loops draw from rng in turn.
+    phi is "chi" or "volume", the valuations whose right-hand side the
+    report evaluates. Inputs are checked by check_lhs_inputs, phi and
+    inner_samples among them, before anything is drawn (ValueError). Two
+    loops draw from rng in turn.
 
     The exact loop runs for chi on a pair whose t-integral has a closed
     form (bodies.has_difference_volumes): M meets gL + t exactly when t lies
@@ -214,14 +207,13 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     estimate is then the headline) and, where it has one, over
     min(samples, stage_samples(samples)) rows, the budget of a report's
     other stages, as a check that rests on neither Steiner's formula nor
-    the mixed area. Its integrand, per kind of phi:
+    the mixed area. Its integrand, per phi:
     - chi: bodies.batch_intersects at g and t, where the pair's types pick
       the kernel;
     - volume: inner points x' drawn in the overlap of the two boxes in the
       frame R, bodies.contains_points of M at R x' and of L at the
       pull-backs V e^-Lambda (x' - t') = g^-1 (R x' - t), for every pair
-      of bodies;
-    - custom valuations: the explicit intersection of each row.
+      of bodies.
     The volume integrand draws its inner_samples points per row in blocks
     of rows, about _BLOCK_POINTS points at a time, so its work arrays stay
     near 1 MB whatever the batch; the draws are the ones a single
@@ -235,14 +227,14 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     samples counts rows. Rows that share g are uncorrelated, because
     E[row | g] is the same constant for every g: e^{n/2} vol(M) vol(L)
     under gl with the tilt below, vol(M) vol(L) under o and so, where
-    det g = +-1. So the row standard error stays unbiased. chi and custom
-    valuations keep one g per row: their mean given g moves with g, so rows
-    sharing it would be correlated and the row standard error too small.
+    det g = +-1. So the row standard error stays unbiased. chi keeps one g
+    per row: its mean given g moves with g, so rows sharing it would be
+    correlated and the row standard error too small.
 
     Under gl that loop tilts the trace by s (_TILT: 1 for the volume phi,
-    1/2 for chi, 0 for custom valuations): the draws of X are shifted to
-    X + s I (the same eigenvectors, the same stream), so tr X ~ N(s n, n)
-    and g becomes e^s g, and each row is weighted by
+    1/2 for chi): the draws of X are shifted to X + s I (the same
+    eigenvectors, the same stream), so tr X ~ N(s n, n) and g becomes
+    e^s g, and each row is weighted by
     trace_moment(n, s n) e^{-s tr X}, the likelihood ratio of N(0, n) to
     N(s n, n). For the volume phi (the degree-n case of the exact chi
     weights) the weighted t-integral is the constant e^{n/2} vol(M) vol(L),
@@ -255,12 +247,12 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     (GROUPS) draw no X and take X = 0 there (V = I, so R = k), with trace
     moments of 1 and no tilt, so their weights are all 1.
     """
-    kind = check_lhs_inputs(group, phi, M, L, inner_samples)
+    check_lhs_inputs(group, phi, M, L, inner_samples)
     rng, seed = resolve_rng(rng)
     component, deforms = GROUPS[group]
     exact = terms = None
     checks = samples
-    if kind == "chi" and bd.has_difference_volumes(M, L):
+    if phi == "chi" and bd.has_difference_volumes(M, L):
         exact, terms = _exact_loop(M, L, samples, rng, seed, component, deforms)
         checks = min(samples, stage_samples(samples))
     acc = RunningMean()
@@ -270,11 +262,11 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     ball = isinstance(M, bd.Ball)
     Mbox = _box_proxy(M)
     rows = max(1, _BLOCK_POINTS // inner_samples)
-    s = _TILT[kind] if deforms else 0.0
+    s = _TILT[phi] if deforms else 0.0
     moment = trace_moment(n, s * n)
     for done in range(0, checks, _LHS_BATCH):
         B = min(_LHS_BATCH, checks - done)
-        m = -(-B // _VOLUME_ROWS_PER_G) if kind == "volume" else B  # group elements
+        m = -(-B // _VOLUME_ROWS_PER_G) if phi == "volume" else B  # group elements
         # a ball M takes k = I: no row's value depends on k
         k = None if ball else sample_haar_orthogonal(n, rng, component=component, size=m)
         X = sample_gaussian_sym(n, rng, size=m) if deforms else np.zeros((m, n, n))
@@ -289,7 +281,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         # the axis boxes of R^T M and of R^T g L: centres and half-widths
         cM, hM = bd.moved_boxes(Mbox, RT)
         cg, hw = bd.moved_boxes(L, D)
-        if kind == "volume":
+        if phi == "volume":
             # each g serves _VOLUME_ROWS_PER_G consecutive rows; the frame R^T
             # and the pull-back (g^-1 R)^T are repeated into contiguous
             # stacks, which keeps numpy's matmul off its strided path
@@ -301,7 +293,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         wid = 2.0 * (hM + hw)
         volbox = np.prod(wid, axis=1)
         tf = lo + rng.random((B, n)) * wid
-        if kind == "volume":
+        if phi == "volume":
             center = cg + tf
             loI = np.maximum(cM - hM, center - hw)
             widI = np.clip(np.minimum(cM + hM, center + hw) - loI, 0.0, None)
@@ -320,15 +312,10 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
                 frac[r0:r1] = np.count_nonzero(inM & inL, axis=1) / inner_samples
             val = volbox * volI * frac
         else:
-            G = R @ D
             t = np.einsum("bij,bj->bi", R, tf)
-            if kind == "chi":
-                # g^-1 = V e^-Lambda R^T; the kernel of two quadrics never reads it
-                invG = None if quadric else np.swapaxes(R @ PT, 1, 2)
-                val = np.where(bd.batch_intersects(M, L, G, invG, t), volbox, 0.0)
-            else:
-                val = volbox * np.array([phi(bd.intersect_hrep(M, bd.affine_image(
-                    L, bd.AffineMap(g, v)))) for g, v in zip(G, t)])
+            # g^-1 = V e^-Lambda R^T; the kernel of two quadrics never reads it
+            invG = None if quadric else np.swapaxes(R @ PT, 1, 2)
+            val = np.where(bd.batch_intersects(M, L, R @ D, invG, t), volbox, 0.0)
         acc.update(val * moment * weight)
     return LhsEstimate(**vars(EstimatorResult.from_accumulator(acc, seed)),
                        exact=exact, terms=terms)
@@ -423,10 +410,11 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
                         window_radius: float | None = None) -> EstimatorResult:
     """phi_{n-j}(M): the integral of phi(M cap E) over the j-flat measure.
 
-    The flat measure is normalized so flats meeting the unit ball have mass
-    kappa_{n-j}. window_radius defaults to 1.5x the outer radius of M and
-    must be finite and dominate it, otherwise contributing flats would be
-    missed (ValueError, raised before anything is drawn). Each
+    phi is "chi" or "volume" (_check_phi). The flat measure is normalized
+    so flats meeting the unit ball have mass kappa_{n-j}. window_radius
+    defaults to 1.5x the outer radius of M and must be finite and dominate
+    it, otherwise contributing flats would be missed (ValueError, raised
+    before anything is drawn). Each
     batch of flats is tested at once by bodies.batch_flat_hits, where M's
     type picks the kernel: contains_points for points, the support
     interval for hyperplanes of any body but a non-box H-polytope at
@@ -434,19 +422,17 @@ def crofton_coefficient(phi, M, j: int, samples: int, rng, *,
     one LP per flat for the other polytope flats (lines in 3-D, flats of
     non-box H-polytopes at n >= 4).
     """
-    kind = _phi_kind(phi)
+    _check_phi(phi)
     n = M.dim
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
     rng, seed = resolve_rng(rng)
     window_radius = _crofton_window(M, window_radius)
     weight = flat_weight(n, j, window_radius)
-    if kind == "volume":
+    if phi == "volume":
         mean = volume_exact(M) * kappa(0) if j == n else 0.0
         return EstimatorResult(mean=mean, std_error=0.0, samples=int(samples),
                                seed=seed, importance_volume=weight)
-    if kind == "custom":
-        raise ValueError("crofton coefficients support chi and volume only")
     if j == n:
         return EstimatorResult(mean=float(kappa(0)), std_error=0.0,
                                samples=int(samples), seed=seed,
@@ -590,7 +576,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
     c_j = 1, so the split tests nothing and is left out.
     """
     n = M.dim
-    kind = check_lhs_inputs(group, phi, M, L, inner_samples)
+    check_lhs_inputs(group, phi, M, L, inner_samples)
     _, deforms = GROUPS[group]
     if not deforms and constants is not None and any(
             (c.mean, c.std_error) != (1.0, 0.0) for c in constants.values()):
@@ -635,7 +621,7 @@ def build_report(group: str, phi, M, L, samples: int, seed: int, *,
             extra["lhs_terms"] = _term_checks(lhs.terms, constants, rhs)
     head = lhs if lhs.exact is None else lhs.exact
     zt, zh = z_pair(head)
-    return KinematicReport(group=group, phi=kind, n=n, seed=seed, samples=samples,
+    return KinematicReport(group=group, phi=phi, n=n, seed=seed, samples=samples,
                            lhs=head, rhs=rhs, constants=constants,
                            crofton=crofton, z_total=zt, z_half=zh,
                            convention="half" if zh <= zt else "total", **extra)

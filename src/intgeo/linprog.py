@@ -1,10 +1,11 @@
 """Dense two-phase simplex for the small linear programs behind the body operations.
 
-Every feasibility and support question in this package (H-polytope emptiness,
-membership in a V-polytope hull, separating hyperplanes, support functions with
-unboundedness detection) reduces to a linear program with at most a few dozen
-variables, so a plain tableau method with Bland's rule is adequate and keeps the
-dependency surface flat.
+The body questions that no vertex set, axis box or closed form answers (mostly at
+n >= 4: H-polytope validation and support, flat V-polytope membership; lines in
+3-D; polytope pairs no distance kernel covers, two H-polytopes by the signed
+margin of their stacked systems; separating hyperplanes) reduce to a linear
+program with at most a few dozen variables, so a plain tableau method with
+Bland's rule is adequate and keeps the dependency surface flat.
 """
 
 from __future__ import annotations

@@ -76,12 +76,6 @@ class GroupElement:
     X: np.ndarray
     t: np.ndarray
 
-    @property
-    def linear(self) -> np.ndarray:
-        return self.k @ expm_sym(self.X)
-
-    def as_affine_map(self) -> bd.AffineMap:
-        return bd.AffineMap(self.linear, self.t)
 
 
 @dataclass(eq=False)
@@ -123,19 +117,18 @@ def translation_region(M: bd.ConvexBody, moved: bd.ConvexBody) -> tuple[np.ndarr
 
 
 def sample_group_element(M: bd.ConvexBody, L: bd.ConvexBody,
-                         rng: np.random.Generator, component: str = "full",
-                         compact: bool = False) -> tuple[GroupElement, float]:
+                         rng: np.random.Generator,
+                         component: str = "full") -> tuple[GroupElement, float]:
     """Draw one group element with t uniform in the translation box of (M, gL).
 
     Returns (g, region_volume); region_volume is the importance factor the
-    caller must multiply into its integrand. With compact=True the symmetric
-    part is pinned to zero (rigid motions only).
+    caller must multiply into its integrand.
     """
     n = M.dim
     if L.dim != n:
         raise ValueError("bodies must share a dimension")
     k = sample_haar_orthogonal(n, rng, component=component)
-    X = np.zeros((n, n)) if compact else sample_gaussian_sym(n, rng)
+    X = sample_gaussian_sym(n, rng)
     moved = bd.affine_image(L, bd.AffineMap(k @ expm_sym(X), np.zeros(n)))
     lo, hi = translation_region(M, moved)
     t = lo + rng.random(n) * (hi - lo)
@@ -151,12 +144,13 @@ def sample_affine_flat(n: int, j: int, rng: np.random.Generator,
     inside the orthogonal complement. A point (j = 0) has the whole space
     as that complement and the offset's direction is already isotropic, so
     it draws no rotation. With size, one AffineFlat holds the whole batch
-    (see AffineFlat).
+    (see AffineFlat). A window radius that is not finite and positive (NaN
+    included) raises ValueError before anything is drawn.
     """
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
-    if window_radius <= 0:
-        raise ValueError("window radius must be positive")
+    if not (np.isfinite(window_radius) and window_radius > 0):
+        raise ValueError(f"window radius must be finite and positive, got {window_radius!r}")
     m = 1 if size is None else int(size)
     Q = sample_haar_orthogonal(n, rng, size=m) if j else np.zeros((m, n, 0))
     d = n - j
@@ -178,9 +172,9 @@ def flat_weight(n: int, j: int, window_radius: float) -> float:
     return kappa(n - j) * window_radius ** (n - j)
 
 
-def flat_hits(body: bd.ConvexBody, flat: AffineFlat, tol: float = bd.TOL) -> bool:
+def flat_hits(body: bd.ConvexBody, flat: AffineFlat) -> bool:
     """Whether one flat meets the body: bodies.batch_flat_hits on a batch of one."""
-    return bool(bd.batch_flat_hits(body, flat.basis[None], flat.offset[None], tol)[0])
+    return bool(bd.batch_flat_hits(body, flat.basis[None], flat.offset[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -385,8 +384,6 @@ def volume_exact(body) -> float:
     """Lebesgue volume by closed form or hull computation; an H-polytope
     that is an axis-aligned box is the product of its sides (any n), any
     other reads its vertex enumeration (n <= 3)."""
-    if isinstance(body, bd.EmptyBody):
-        return 0.0
     if isinstance(body, bd.Ball):
         return kappa(body.dim) * body.radius**body.dim
     if isinstance(body, bd.Ellipsoid):
@@ -409,7 +406,8 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
 
     Supported: balls, ellipsoids (through batch_ellipsoid_intrinsic_volumes),
     axis-aligned boxes, and polygons (n = 2, through their kept hull,
-    bodies.polytope_hull; flat ones too). Raises ValueError otherwise;
+    bodies.polytope_hull; a flat one's V_1 is the length between the ends
+    of its bodies.polygon_ring). Raises ValueError otherwise;
     use steiner_fit for general bodies.
     """
     if isinstance(body, bd.Ball):
@@ -428,7 +426,8 @@ def closed_intrinsic_volumes(body) -> np.ndarray:
     if isinstance(body, (bd.HPolytope, bd.VPolytope)) and body.dim == 2:
         hull = bd.polytope_hull(body)
         if hull is None:  # a point or a segment: V_1 is its length
-            return np.array([1.0, bd.diameter(body), 0.0])
+            ring = bd.polygon_ring(body)
+            return np.array([1.0, float(np.linalg.norm(ring[-1] - ring[0])), 0.0])
         return np.array([1.0, hull.perimeter / 2.0, hull.area])
     raise ValueError(f"no closed form for {type(body).__name__}")
 
@@ -476,7 +475,7 @@ def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
     """
     rng, seed = resolve_rng(rng)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    n = body.dim if not isinstance(body, bd.EmptyBody) else 0
+    n = body.dim
     if radii.size < n + 1:
         raise ValueError("need at least n + 1 dilation radii")
     if not np.all(np.isfinite(radii) & (radii > 0)):
@@ -513,17 +512,3 @@ def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
                       covariance=cov, radii=radii, measured=y,
                       measured_se=np.sqrt(var), samples=per * radii.size,
                       seed=seed)
-
-
-@dataclass
-class Valuation:
-    """A functional on convex bodies, zero on the empty marker."""
-
-    name: str
-    func: Callable
-
-    def __call__(self, body) -> float:
-        if isinstance(body, bd.EmptyBody):
-            return 0.0
-        return float(self.func(body))
-

@@ -243,15 +243,11 @@ def load_constants(path: str) -> list[dict]:
     return data["constants"]
 
 
-def lookup_constants(records: list[dict], n: int,
-                     method: str | None = None) -> dict[int, EstimatorResult]:
-    """Pick the cached c_j records for (n, method); a method of None matches
-    any."""
+def lookup_constants(records: list[dict], n: int, method: str) -> dict[int, EstimatorResult]:
+    """Pick the cached c_j records for (n, method)."""
     out: dict[int, EstimatorResult] = {}
     for rec in records:
-        if rec["n"] != n:
-            continue
-        if method is not None and rec["method"] != method:
+        if rec["n"] != n or rec["method"] != method:
             continue
         out[rec["j"]] = EstimatorResult(mean=rec["mean"], std_error=rec["std_error"],
                                         samples=rec["samples"], seed=rec["seed"])

@@ -217,23 +217,18 @@ def test_affine_image_preserves_membership():
 # intersection and separation
 
 
-def test_intersect_hrep():
-    a = bd.cube(2, side=2.0, centered=True)
-    b = bd.HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-                     np.array([2.5, -0.5, 1.0, 1.0]))
-    inter = bd.intersect_hrep(a, b)
-    assert isinstance(inter, bd.HPolytope)
-    lo, hi = bd.bounding_box(inter)
-    np.testing.assert_allclose(lo, [0.5, -1.0], atol=1e-9)
-    np.testing.assert_allclose(hi, [1.0, 1.0], atol=1e-9)
-    # disjoint boxes give the empty marker
-    far = bd.HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-                       np.array([5.0, -3.0, 1.0, 1.0]))
-    assert isinstance(bd.intersect_hrep(a, far), bd.EmptyBody)
-    # shared-face contact is kept, not collapsed to empty
-    touch = bd.HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-                         np.array([3.0, -1.0, 1.0, 1.0]))
-    assert isinstance(bd.intersect_hrep(a, touch), bd.HPolytope)
+def test_polytopes_intersect_lp_hpolytopes():
+    # two H-polytopes at n = 3 meet when the stacked system's signed margin
+    # is at least -TOL, so a shared face counts as meeting; the distance
+    # kernels of intersects agree. Boxes [x_lo, x_hi] x [-1, 1]^2 against
+    # the cube [-1, 1]^3: overlapping, touching, far apart
+    a = bd.cube(3, side=2.0, centered=True)
+    eye = np.eye(3)
+    for x_lo, x_hi, meets in ((0.5, 2.5, True), (1.0, 3.0, True), (3.0, 5.0, False)):
+        b = bd.HPolytope(np.vstack([eye, -eye]), np.array([x_hi, 1.0, 1.0, -x_lo, 1.0, 1.0]))
+        assert bd._polytopes_intersect_lp(a, b) is meets
+        assert bd._polytopes_intersect_lp(b, a) is meets
+        assert bd.intersects(a, b) is meets
 
 
 def test_intersects_dispatch_pairs():
@@ -862,14 +857,6 @@ def test_distance_to_polytope_3d():
     np.testing.assert_allclose(d, [1.0, np.sqrt(3.0), 0.0], atol=1e-9)
 
 
-def test_diameter():
-    assert abs(bd.diameter(bd.Ball([1.0, 1.0], 1.5)) - 3.0) < 1e-12
-    ell = bd.Ellipsoid(np.zeros(2), rot2(0.3), [2.0, 0.5])
-    assert abs(bd.diameter(ell) - 4.0) < 1e-12
-    sq = bd.cube(2, side=2.0, centered=True)
-    assert abs(bd.diameter(sq) - 2.0 * np.sqrt(2.0)) < 1e-9
-
-
 def test_minkowski_sum_vpolytopes():
     sq = bd.VPolytope([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     seg = bd.VPolytope([[0.0, 0.0], [2.0, 0.0]])
@@ -1064,7 +1051,7 @@ def test_planar_hull_is_flat_where_qhull_raises(P):
     body = bd.VPolytope(P)
     assert volume_exact(body) == 0.0
     assert bd.contains_points(body, P[:1]).tolist() == [True]
-    length = bd.diameter(body)
+    length = np.max(np.linalg.norm(P[:, None] - P[None], axis=-1))
     np.testing.assert_allclose(closed_intrinsic_volumes(body), [1.0, length, 0.0], atol=1e-15)
     if len(P) > 1:
         assert bd.minkowski_sum_vpolytopes(body, body).dim == 2

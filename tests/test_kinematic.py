@@ -13,7 +13,7 @@ from intgeo.kinematic import (GROUPS, build_report,
                               crofton_coefficient, lhs_kinematic, merge_lhs,
                               rhs_hadwiger_gl, separation_lemma_check)
 from intgeo.symmetric import congruence
-from intgeo.volumes import Valuation, closed_intrinsic_volumes, kappa, volume_exact
+from intgeo.volumes import closed_intrinsic_volumes, kappa, volume_exact
 
 
 def test_groups_table():
@@ -581,46 +581,20 @@ def test_gl_chi_interval_anchor():
     assert z_score(res.mean, res.std_error, 2.0 + 2.0 * math.sqrt(math.e)) < 4.0
 
 
-def test_custom_valuation_matches_chi_path():
-    # a custom valuation equal to chi must retrace the chi hit-or-miss
-    # estimate exactly (same group samples, intersection emptiness decided
-    # consistently); under O(n) neither is trace tilted. chi on this pair
-    # (a polygon M) runs the exact loop first, which draws one k per row,
-    # so the custom valuation starts from the stream past those draws
-    sq = bd.cube(2, side=2.0, centered=True)
-    small = bd.cube(2, side=1.0, centered=True)
-    chi_like = Valuation("unit-mass", lambda body: 1.0)
-    a = lhs_kinematic("o", "chi", sq, small, 1200, np.random.default_rng(13))
-    rng = np.random.default_rng(13)
-    sym.sample_haar_orthogonal(2, rng, size=1200)
-    b = lhs_kinematic("o", chi_like, sq, small, 1200, rng)
-    assert abs(a.mean - b.mean) < 1e-9
-    assert abs(a.std_error - b.std_error) < 1e-9
-
-
 def test_only_gl_chi_with_an_exact_form_draws_the_lattice(monkeypatch):
     # the volume phi, chi without a translation-exact form (an ellipsoid
-    # M), the compact groups and custom valuations draw X (or X = 0) as
-    # before; a gl chi pair with that form is the one lattice consumer
+    # M) and the compact groups draw X (or X = 0) as before; a gl chi pair
+    # with that form is the one lattice consumer
     def refuse(*args, **kwargs):
         raise RuntimeError("lattice drawn")
 
     monkeypatch.setattr(kin, "lattice_normals", refuse)
     disc = bd.unit_ball(2)
-    sq = bd.cube(2, side=2.0, centered=True)
-    small = bd.cube(2, side=1.0, centered=True)
     lhs_kinematic("gl", "volume", disc, disc, 200, 1)
     assert lhs_kinematic("gl", "chi", TILTED, OFFSET_BALL, 200, 1).exact is None
     assert lhs_kinematic("o", "chi", disc, disc, 200, 1).exact is not None
-    lhs_kinematic("gl", Valuation("unit-mass", lambda body: 1.0), sq, small, 200, 1)
     with pytest.raises(RuntimeError, match="lattice drawn"):
         lhs_kinematic("gl", "chi", disc, disc, 200, 1)
-
-
-def test_custom_valuation_needs_hpolytopes():
-    chi_like = Valuation("unit-mass", lambda body: 1.0)
-    with pytest.raises(ValueError):
-        lhs_kinematic("gl", chi_like, bd.unit_ball(2), bd.unit_ball(2), 10, 0)
 
 
 def test_crofton_chi_normalization_disc():
@@ -656,9 +630,6 @@ def test_crofton_volume_is_analytic():
 def test_crofton_window_must_dominate():
     with pytest.raises(ValueError):
         crofton_coefficient("chi", bd.unit_ball(2), 1, 100, 0, window_radius=0.5)
-    with pytest.raises(ValueError):
-        crofton_coefficient(Valuation("w", lambda b: 2.0), bd.unit_ball(2),
-                            1, 100, 0)
 
 
 def test_rhs_assembly_propagates_errors():
@@ -766,6 +737,27 @@ def test_bad_windows_are_refused_before_drawing(monkeypatch, window):
         crofton_coefficient("chi", disc, 1, 100, 1, window_radius=window)
 
 
+class _NamedChi:
+    name = "chi"
+
+
+@pytest.mark.parametrize("phi", ["girth", lambda body: 1.0, _NamedChi()],
+                         ids=["unknown-string", "callable", "named-chi"])
+@pytest.mark.parametrize("entry", ["lhs_kinematic", "crofton_coefficient", "build_report"])
+def test_phi_other_than_chi_or_volume_is_refused_before_drawing(monkeypatch, phi, entry):
+    # the report evaluates the right-hand side of chi and the volume only
+    monkeypatch.setattr(kin, "run_chunks", _no_draw)
+    disc = bd.unit_ball(2)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    call = {"lhs_kinematic": lambda: lhs_kinematic("gl", phi, disc, disc, 100, rng),
+            "crofton_coefficient": lambda: crofton_coefficient(phi, disc, 1, 100, rng),
+            "build_report": lambda: build_report("gl", phi, disc, disc, 100, 1)}[entry]
+    with pytest.raises(ValueError, match="phi must be"):
+        call()
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("stage", ["samples", "cj_samples", "crofton_samples"])
 @pytest.mark.parametrize("budget", [0, -5])
 def test_stage_budgets_below_one_are_refused_before_drawing(monkeypatch, stage, budget):
@@ -869,14 +861,6 @@ def test_lemma_check_builds_two_hulls_per_trial(hull_builds):
 def test_lemma_check_refuses_flat_difference_bodies(M, L):
     with pytest.raises(ValueError, match="2-D difference body"):
         separation_lemma_check(M, L, 10, 0)
-
-
-def test_chi_and_volume_string_or_valuation_agree():
-    # passing the Valuation wrapper dispatches identically to the string name
-    res_s = lhs_kinematic("so", "chi", bd.unit_ball(2), bd.unit_ball(2), 5000, 23)
-    res_v = lhs_kinematic("so", Valuation("chi", lambda body: 1.0), bd.unit_ball(2),
-                          bd.unit_ball(2), 5000, 23)
-    assert abs(res_s.mean - res_v.mean) < 1e-12
 
 
 # the batched lemma check

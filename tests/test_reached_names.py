@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package is reached.
+"""Every public top-level function and class of the package, and every
+public method and property of a public class, is reached.
 
 A name counts as reached when the package (the command line included) or
 a demo refers to it, when the benchmark tracer wraps it (perfbench/tracer.py
@@ -24,7 +25,8 @@ def _traced() -> set[str]:
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED":
-            return {attr.split(".")[0] for _, attr in ast.literal_eval(node.value)}
+            return {part for _, attr in ast.literal_eval(node.value)
+                    for part in attr.split(".")}
     raise AssertionError("perfbench/tracer.py has no TRACED list")
 
 
@@ -39,16 +41,27 @@ def _referenced(paths) -> set[str]:
     return names
 
 
+def _public(nodes) -> list:
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def test_every_public_name_is_reached():
     # __init__ re-exports everything, so its imports reach nothing
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    public = {node.name: path.stem for path in modules
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
+    # (name, where it is defined): top-level names, then the methods and
+    # properties of public classes
+    public = []
+    for path in modules:
+        for node in _public(ast.parse(path.read_text()).body):
+            public.append((node.name, f"{path.stem}.{node.name}"))
+            if isinstance(node, ast.ClassDef):
+                public += [(member.name, f"{path.stem}.{node.name}.{member.name}")
+                           for member in _public(node.body)
+                           if isinstance(member, ast.FunctionDef)]
     reached = _referenced(modules + sorted((ROOT / "demos").glob("*.py")))
     reached |= _traced() | set(ALLOWED)
-    assert not set(ALLOWED) - set(public), "an allowed name no longer exists"
-    unreached = sorted(f"{module}.{name}" for name, module in public.items()
-                       if name not in reached)
+    assert not set(ALLOWED) - {name for name, _ in public}, "an allowed name no longer exists"
+    unreached = sorted(where for name, where in public if name not in reached)
     assert not unreached, f"public names nothing reaches: {unreached}"

@@ -7,7 +7,7 @@ import pytest
 
 from intgeo import bodies as bd
 from intgeo import sampling
-from intgeo.sampling import (AffineFlat, GroupElement, flat_hits, flat_weight,
+from intgeo.sampling import (AffineFlat, flat_hits, flat_weight,
                              sample_affine_flat, sample_group_element,
                              translation_region)
 from intgeo.symmetric import expm_sym
@@ -36,28 +36,6 @@ def test_translation_region_covers_contact_set():
             assert np.all(t >= lo - 1e-9) and np.all(t <= hi + 1e-9)
 
 
-def test_group_element_affine_map():
-    rng = np.random.default_rng(1)
-    k = np.array([[0.0, -1.0], [1.0, 0.0]])
-    X = np.array([[0.5, 0.1], [0.1, -0.3]])
-    t = np.array([1.0, 2.0])
-    g = GroupElement(k, X, t)
-    np.testing.assert_allclose(g.linear, k @ expm_sym(X), atol=1e-12)
-    amap = g.as_affine_map()
-    x = rng.standard_normal(2)
-    np.testing.assert_allclose(amap(x), g.linear @ x + t, atol=1e-12)
-
-
-def test_sample_group_element_compact_pins_symmetric_part():
-    rng = np.random.default_rng(2)
-    M = bd.unit_ball(2)
-    g, vol = sample_group_element(M, M, rng, component="special", compact=True)
-    assert np.all(g.X == 0.0)
-    np.testing.assert_allclose(g.linear @ g.linear.T, np.eye(2), atol=1e-10)
-    # rigid images of B^2 keep the translation box at [-2, 2]^2
-    assert abs(vol - 16.0) < 1e-9
-
-
 def test_sample_group_element_contact_consistency():
     # for sampled g the translation landed inside the box, so chi can be 1
     rng = np.random.default_rng(3)
@@ -67,7 +45,7 @@ def test_sample_group_element_contact_consistency():
     for _ in range(50):
         g, vol = sample_group_element(M, L, rng)
         assert vol > 0.0
-        moved = bd.affine_image(L, g.as_affine_map())
+        moved = bd.affine_image(L, bd.AffineMap(g.k @ expm_sym(g.X), g.t))
         hits += bd.intersects(M, moved)
     assert 0 < hits < 50
 
@@ -82,8 +60,14 @@ def test_sample_affine_flat_geometry():
         assert np.linalg.norm(off) <= 2.5 + 1e-12
     with pytest.raises(ValueError):
         sample_affine_flat(3, 4, rng, window_radius=1.0)
-    with pytest.raises(ValueError):
-        sample_affine_flat(3, 1, rng, window_radius=0.0)
+    # a window that is not finite and positive is refused before anything
+    # is drawn: NaN passed a radius <= 0 check and drew NaN offsets, inf
+    # drew infinite ones
+    state = rng.bit_generator.state
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sample_affine_flat(3, 1, rng, window_radius=radius, size=4)
+    assert rng.bit_generator.state == state
 
 
 def test_flat_offsets_fill_the_window_uniformly():

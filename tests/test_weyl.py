@@ -187,7 +187,8 @@ def test_constants_cache_roundtrip(tmp_path):
     for j in (0, 1, 2):
         assert sel[j].mean == out[j].mean
         assert sel[j].std_error == out[j].std_error
-    assert lookup_constants(back, 3) == {}
+    assert lookup_constants(back, 3, method="direct") == {}
+    assert lookup_constants(back, 2, method="weyl") == {}
 
 
 def test_load_constants_rejects_other_files(tmp_path):
