@@ -225,8 +225,7 @@ def cmd_kinematic(args) -> dict:
     L = _load_body_arg(args.L, "--L")
     n = M.dim
     samples = parse_samples(args.samples or "1000000")
-    inner = parse_samples(str(kinematic.INNER_SAMPLES if args.inner_samples is None
-                              else args.inner_samples))
+    inner = parse_samples(args.inner_samples or kinematic.INNER_SAMPLES)
     stage = kinematic.stage_samples(samples)
     cj_samples = parse_samples(args.cj_samples) if args.cj_samples else stage
     crofton_samples = parse_samples(args.crofton_samples) if args.crofton_samples else stage
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", default=None, help="body JSON file for M")
     p.add_argument("--L", default=None, help="body JSON file for L")
     p.add_argument("--samples", default=None)
-    p.add_argument("--inner-samples", dest="inner_samples", type=int, default=None)
+    p.add_argument("--inner-samples", dest="inner_samples", default=None)
     p.add_argument("--cj-samples", dest="cj_samples", default=None)
     p.add_argument("--crofton-samples", dest="crofton_samples", default=None)
     p.add_argument("--window-radius", dest="window_radius", default=None)

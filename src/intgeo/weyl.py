@@ -235,11 +235,27 @@ def save_constants(path: str, records: list[dict]) -> None:
         fh.write("\n")
 
 
+def _is_record(rec) -> bool:
+    """A cache record: int n, j and seed, int samples >= 1, str method, a
+    finite mean and a finite std_error >= 0 (bool is no int here)."""
+    if not isinstance(rec, dict):
+        return False
+    ints = all(type(rec.get(k)) is int for k in ("n", "j", "samples", "seed"))
+    reals = all(type(rec.get(k)) in (int, float) and math.isfinite(rec[k])
+                for k in ("mean", "std_error"))
+    return (ints and reals and isinstance(rec.get("method"), str)
+            and rec["samples"] >= 1 and rec["std_error"] >= 0)
+
+
 def load_constants(path: str) -> list[dict]:
+    """The records of a cache file; ValueError when any record is malformed."""
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "constants" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("constants"), list):
         raise ValueError("not a constants cache file")
+    for rec in data["constants"]:
+        if not _is_record(rec):
+            raise ValueError(f"malformed constants record {rec!r}")
     return data["constants"]
 
 

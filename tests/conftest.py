@@ -3,12 +3,18 @@
 Each acceptance test records one pass/fail line through record(); the
 terminal-summary hook replays them in a dedicated section so the verdicts
 stay visible even when pytest captures stdout. The hull_builds fixture
-counts the convex hulls bodies builds.
+counts the convex hulls bodies builds. tools/ is put on the import path,
+so tests import the calibration table of tools/replicates.py.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from intgeo import bodies as bd
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 _ACCEPTANCE_LINES = []
 

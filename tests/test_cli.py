@@ -104,6 +104,37 @@ def test_bad_values_are_configuration_errors(ball2, args, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_inner_samples_accept_scientific_notation(ball2, tmp_path, source):
+    out, cfg = tmp_path / "out.json", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inner-samples": "1e1"}))
+    extra = ["--inner-samples", "1e1"] if source == "flag" else ["--config", str(cfg)]
+    assert cli.main(["kinematic", "--phi", "volume", "--M", ball2, "--L", ball2,
+                     "--samples", "100", "--cj-samples", "100", "--seed", "1",
+                     "--threads", "1", "--out", str(out)] + extra) == 0
+    assert json.loads(out.read_text())["params"]["inner_samples"] == 10
+
+
+# every n = 2 record but c_1's mean, which each case below may replace
+CACHE_RECORDS = [{"n": 2, "j": j, "method": "direct", "mean": c, "std_error": 0.0,
+                  "samples": 100, "seed": 1} for j, c in ((0, 1.0), (2, math.e))]
+
+
+@pytest.mark.parametrize("cache", [
+    {"constants": [{"n": 2}]},
+    {"constants": 5},
+    {"constants": CACHE_RECORDS + [dict(CACHE_RECORDS[0], j=1, mean="x")]},
+    {"constants": CACHE_RECORDS + [dict(CACHE_RECORDS[0], j=1, mean=math.nan)]},
+], ids=["record-without-fields", "constants-not-a-list", "mean-a-string", "mean-nan"])
+def test_malformed_cj_cache_is_a_configuration_error(ball2, tmp_path, capsys, cache):
+    path, out = tmp_path / "cj2.json", tmp_path / "out.json"
+    path.write_text(json.dumps(cache))
+    assert cli.main(["kinematic", "--M", ball2, "--L", ball2, "--samples", "100",
+                     "--seed", "1", "--cj-cache", str(path), "--out", str(out)]) == 2
+    assert "bad constants cache" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
     # records the pool size instead of starting threads
     pools = []

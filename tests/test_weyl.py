@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from replicates import QUADRATURE_C
 
 from intgeo import sampling, weyl
 from intgeo.estimation import z_score
@@ -83,30 +84,12 @@ def test_traceless_weight_is_the_density_ratio():
             np.testing.assert_allclose(weyl._weyl_weight(lam0, sigma), p0 / q0, rtol=1e-12)
 
 
-# c_j by quadrature over the tridiagonal Hermite model, to ~1e-7 or better
-QUADRATURE_C = {(2, 1): 2.3453315089325, (3, 1): 3.1900001, (3, 2): 5.2594210}
-
-
 @pytest.mark.parametrize("route", [c_direct, c_weyl], ids=["direct", "weyl"])
 def test_both_routes_match_the_quadrature_values(route):
     for (n, j), want in QUADRATURE_C.items():
         for seed in (201, 202, 203):
             est = route(n, 20000, seed, js=[j])[j]
             assert z_score(est.mean, est.std_error, want) < 3.0, (n, j, seed, est)
-
-
-def test_interval_coverage_of_c_n():
-    # a heavy-tailed integrand makes the estimated standard error too small;
-    # integrating the trace keeps the nominal 95% interval honest at 2000
-    # samples (sampling it covers 86% on both routes). The direct c_0 and
-    # c_n are exact, so the direct case is a sampled j, against quadrature;
-    # the weyl c_n still carries the weight
-    for route, n, j, want in ((c_direct, 3, 2, QUADRATURE_C[(3, 2)]),
-                              (c_weyl, 3, 3, math.exp(1.5))):
-        covered = sum(abs(est.mean - want) <= 1.96 * est.std_error
-                      for est in (route(n, 2000, seed, js=[j])[j]
-                                  for seed in range(1000, 1200)))
-        assert 0.90 <= covered / 200 <= 1.0, f"{route.__name__} c_{j}: {covered}/200"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -200,30 +183,6 @@ def test_load_constants_rejects_other_files(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the shifted lattice rule behind both routes
-
-# c_1 ... c_4 at n = 5 from eight direct-route runs of 16 * 2^16 points
-# (seeds 70000-70007), each to about 1e-4 relative or better
-LONG_RUN_C5 = {1: 5.423197, 2: 16.13729, 3: 26.60201, 4: 24.30608}
-
-
-@pytest.mark.parametrize("route, n, truth", [
-    (c_direct, 2, {1: QUADRATURE_C[(2, 1)]}),
-    (c_direct, 3, {1: QUADRATURE_C[(3, 1)], 2: QUADRATURE_C[(3, 2)]}),
-    (c_direct, 5, LONG_RUN_C5),
-    (c_weyl, 2, {0: 1.0, 1: QUADRATURE_C[(2, 1)], 2: math.e}),
-    (c_weyl, 3, {0: 1.0, 1: QUADRATURE_C[(3, 1)], 2: QUADRATURE_C[(3, 2)],
-                 3: math.exp(1.5)}),
-], ids=["direct-2", "direct-3", "direct-5", "weyl-2", "weyl-3"])
-def test_lattice_interval_coverage(route, n, truth):
-    # the nominal 95% interval, mean +- 1.96 SE with the SE read from the
-    # SHIFTS shift means, over 200 replicates at 2000 points (125 per
-    # shift), pooled over the case's j; a t law with 15 degrees of freedom
-    # puts it near 0.93
-    hits = [abs(est[j].mean - want) <= 1.96 * est[j].std_error
-            for est in (route(n, 2000, seed) for seed in range(2000, 2200))
-            for j, want in truth.items()]
-    assert 0.90 <= np.mean(hits) <= 1.0, f"{route.__name__} n={n}: {np.mean(hits):.3f}"
-
 
 def test_lattice_cuts_the_error():
     # at the cj-spectra budgets and seeds plain Monte Carlo normals read
