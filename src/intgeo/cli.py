@@ -6,9 +6,17 @@ of the kinematic formula with a full report), lemma-check (the separation
 biconditional stress test). All estimators require an explicit --seed; there
 is no wall-clock default, so identical configurations reproduce byte-identical
 JSON up to the metadata block. Sample counts accept scientific notation
-("1e6"). The command checks only what is specific to a command line (the
-text of each flag, --seed, --threads, the dimensions cj supports, the cache
-file); the library checks every other input before it draws and refuses it
+("1e6").
+
+Every flag's text is read once, by one parse_args pass: each flag's type=
+converter (parse_samples, the comma lists, the body files), required= and
+choices are the whole of its check, and the parser's refusals raise
+ConfigError. The entries of a --config file are flag text too: they are
+spliced in right after the subcommand, where any explicit flag, coming
+later, overrides them, and a key that names no flag of the subcommand is
+refused. Beyond the flags the command checks only that --M comes with --L
+in lemma-check, that cj's weyl route is asked for at n <= 4, and the cache
+file; the library checks every other input before it draws and refuses it
 with ValueError. Exit codes: 2 for configuration errors, the library's
 ValueError among them, 3 for numerical failures (np.linalg.LinAlgError
 among them).
@@ -36,8 +44,17 @@ from .volumes import (QuadratureError, closed_intrinsic_volumes, steiner_fit)
 SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(argparse.ArgumentTypeError):
+    """A refused configuration: exit 2. When a type= converter raises it,
+    argparse puts the flag's name in front of the message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses with ConfigError, so main reports a bad flag as it reports
+    any other configuration error, in process and from a shell alike."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def parse_samples(text: str | int | float) -> int:
@@ -52,9 +69,35 @@ def parse_samples(text: str | int | float) -> int:
     return int(val)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _comma_list(kind):
+    """type= converter of comma-separated text ("0.5,1,2") to a list of kind."""
+    def convert(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"not a comma list of {kind.__name__}s: {text!r}") from exc
+    return convert
+
+
+def _body(path: str):
+    """type= converter of a body file's path to the body."""
+    try:
+        return bd.load_body(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read body file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad body file: {exc}") from exc
+
+
+def _config_flags(argv: list[str]) -> list[str]:
+    """The entries of the --config file named in argv as flag text:
+    {"inner_samples": 10} gives ["--inner-samples=10"]. A null value leaves
+    its flag unset."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -62,57 +105,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    return cfg
-
-
-def _merge_config(args: argparse.Namespace, cfg: dict,
-                  parser: argparse.ArgumentParser) -> None:
-    # explicit flags win; config fills the gaps. Each value takes the path a
-    # flag's text takes: as a string, through the subcommand parser's type=
-    # and choices checks
-    actions = {a.dest: a for a in parser._actions}
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if (val is None or attr not in actions or not hasattr(args, attr)
-                or getattr(args, attr) is not None):
-            continue
-        action = actions[attr]
-        val = str(val)
-        if action.type is not None:
-            try:
-                val = action.type(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad config value {key!r}: {val!r}") from exc
-        if action.choices is not None and val not in action.choices:
-            raise ConfigError(f"config value {key!r} must be one of "
-                              f"{sorted(action.choices)}, got {val!r}")
-        setattr(args, attr, val)
-
-
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise ConfigError("--seed is required (no wall-clock default)")
-    return int(args.seed)
-
-
-def _threads(args) -> int:
-    if args.threads is None:
-        return os.cpu_count() or 1
-    t = int(args.threads)
-    if t < 1:
-        raise ConfigError("--threads must be at least 1")
-    return t
-
-
-def _load_body_arg(path: str | None, flag: str):
-    if not path:
-        raise ConfigError(f"{flag} is required")
-    try:
-        return bd.load_body(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {flag} file: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad body in {flag} file: {exc}") from exc
+    return [f"--{key.replace('_', '-')}={val}" for key, val in cfg.items() if val is not None]
 
 
 def _emit(payload: dict, args) -> None:
@@ -122,8 +115,6 @@ def _emit(payload: dict, args) -> None:
         "version": __version__,
     }
     if getattr(args, "format", "json") == "csv":
-        if rows is None:
-            raise ConfigError("csv output is not available for this command")
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
         text = buf.getvalue()
@@ -141,28 +132,15 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_intrinsic(args) -> dict:
-    seed = _require_seed(args)
-    body = _load_body_arg(args.body, "--body")
-    method = args.method or "closed"
-    n = body.dim
-    if method == "closed":
+    body, n = args.body, args.body.dim
+    if args.method == "closed":
         values = closed_intrinsic_volumes(body)
         results = {"values": values.tolist(),
                    "std_errors": [0.0] * len(values),
                    "method": "closed"}
-        rows = [["j", "value", "std_error"]]
-        rows += [[j, float(values[j]), 0.0] for j in range(len(values))]
     else:
-        samples = parse_samples(args.samples or "100000")
-        if args.radii:
-            try:
-                radii = [float(r) for r in str(args.radii).split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"--radii must be a comma list of numbers, "
-                                  f"got {args.radii!r}") from exc
-        else:
-            radii = [0.25 * (i + 1) for i in range(n + 2)]
-        fit = steiner_fit(body, radii, samples, seed)
+        radii = args.radii or [0.25 * (i + 1) for i in range(n + 2)]
+        fit = steiner_fit(body, radii, args.samples, args.seed)
         results = {"values": fit.values.tolist(),
                    "std_errors": fit.std_errors.tolist(),
                    "radii": fit.radii.tolist(),
@@ -170,34 +148,20 @@ def cmd_intrinsic(args) -> dict:
                    "measured_se": fit.measured_se.tolist(),
                    "samples": fit.samples,
                    "method": "steiner"}
-        rows = [["j", "value", "std_error"]]
-        rows += [[j, float(fit.values[j]), float(fit.std_errors[j])]
-                 for j in range(len(fit.values))]
+    rows = [["j", "value", "std_error"]]
+    rows += [[j, *row] for j, row in enumerate(zip(results["values"], results["std_errors"]))]
     return {"schema_version": SCHEMA_VERSION, "command": "intrinsic",
-            "params": {"body": bd.body_to_dict(body), "method": method,
-                       "seed": seed, "n": n},
+            "params": {"body": bd.body_to_dict(body), "method": args.method,
+                       "seed": args.seed, "n": n},
             "results": results, "_csv_rows": rows}
 
 
 def cmd_cj(args) -> dict:
-    seed = _require_seed(args)
-    if args.n is None:
-        raise ConfigError("--n is required")
-    n = int(args.n)
-    if n < 1 or n > 8:
-        raise ConfigError("supported dimensions are 1 <= n <= 8")
-    method = args.method or "both"
-    if method in ("weyl", "both") and n > weyl.WEYL_MAX_N:
+    n, method, samples, seed = args.n, args.method, args.samples, args.seed
+    if method != "direct" and n > weyl.WEYL_MAX_N:
         raise ConfigError(f"the weyl route needs n <= {weyl.WEYL_MAX_N}; "
                           f"use --method direct for n = {n}")
-    samples = parse_samples(args.samples or "1000000")
-    js = None
-    if args.j is not None:
-        try:
-            js = sorted({int(x) for x in str(args.j).split(",")})
-        except ValueError as exc:
-            raise ConfigError(f"--j must be a comma list of integers, got {args.j!r}") from exc
-    threads = _threads(args)
+    js = None if args.j is None else sorted(set(args.j))
     out: dict = {}
     records = []
     methods = ("direct", "weyl") if method == "both" else (method,)
@@ -205,7 +169,7 @@ def cmd_cj(args) -> dict:
         [parts] = run_chunks(
             [(lambda rng, k, m=m: weyl.compute_constants(n, k, rng, method=m, js=js),
               samples)],
-            seed + (0 if m == "direct" else 1), threads)
+            seed + (0 if m == "direct" else 1), args.threads)
         merged = weyl.merge_constants(parts, seed)
         out[m] = {str(j): r.to_dict() for j, r in sorted(merged.items())}
         records += weyl.constants_to_records(n, m, merged)
@@ -213,29 +177,15 @@ def cmd_cj(args) -> dict:
         weyl.save_constants(args.cache, records)
     return {"schema_version": SCHEMA_VERSION, "command": "cj",
             "params": {"n": n, "method": method, "samples": samples,
-                       "seed": seed, "threads": threads, "j": js},
+                       "seed": seed, "threads": args.threads, "j": js},
             "results": out}
 
 
 def cmd_kinematic(args) -> dict:
-    seed = _require_seed(args)
-    group = args.group or "gl"
-    phi = args.phi or "chi"
-    M = _load_body_arg(args.M, "--M")
-    L = _load_body_arg(args.L, "--L")
-    n = M.dim
-    samples = parse_samples(args.samples or "1000000")
-    inner = parse_samples(args.inner_samples or kinematic.INNER_SAMPLES)
+    M, L, n, samples = args.M, args.L, args.M.dim, args.samples
     stage = kinematic.stage_samples(samples)
-    cj_samples = parse_samples(args.cj_samples) if args.cj_samples else stage
-    crofton_samples = parse_samples(args.crofton_samples) if args.crofton_samples else stage
-    window = None
-    if args.window_radius:
-        try:
-            window = float(args.window_radius)
-        except ValueError as exc:
-            raise ConfigError(f"bad --window-radius {args.window_radius!r}") from exc
-    threads = _threads(args)
+    cj_samples = args.cj_samples or stage
+    crofton_samples = args.crofton_samples or stage
 
     constants = None
     if args.cj_cache:
@@ -249,37 +199,34 @@ def cmd_kinematic(args) -> dict:
         if set(constants) < set(range(n + 1)):
             raise ConfigError("constants cache is missing some j for this n")
 
-    report = kinematic.build_report(group, phi, M, L, samples, seed,
-                                    inner_samples=inner, cj_samples=cj_samples,
+    report = kinematic.build_report(args.group, args.phi, M, L, samples, args.seed,
+                                    inner_samples=args.inner_samples,
+                                    cj_samples=cj_samples,
                                     crofton_samples=crofton_samples,
-                                    window_radius=window, constants=constants,
-                                    threads=threads)
-    payload = {"schema_version": SCHEMA_VERSION, "command": "kinematic",
-               "params": {"group": group, "phi": phi,
-                          "M": bd.body_to_dict(M), "L": bd.body_to_dict(L),
-                          "samples": samples, "inner_samples": inner,
-                          "cj_samples": cj_samples,
-                          "crofton_samples": crofton_samples,
-                          "window_radius": window, "seed": seed,
-                          "threads": threads},
-               "results": report.to_dict(),
-               "_csv_rows": report.csv_rows()}
-    return payload
+                                    window_radius=args.window_radius,
+                                    constants=constants, threads=args.threads)
+    return {"schema_version": SCHEMA_VERSION, "command": "kinematic",
+            "params": {"group": args.group, "phi": args.phi,
+                       "M": bd.body_to_dict(M), "L": bd.body_to_dict(L),
+                       "samples": samples, "inner_samples": args.inner_samples,
+                       "cj_samples": cj_samples,
+                       "crofton_samples": crofton_samples,
+                       "window_radius": args.window_radius, "seed": args.seed,
+                       "threads": args.threads},
+            "results": report.to_dict(),
+            "_csv_rows": report.csv_rows()}
 
 
 def cmd_lemma_check(args) -> dict:
-    seed = _require_seed(args)
-    trials = parse_samples(args.trials or "1000")
-    rng = np.random.default_rng(seed)
-    if args.M:
-        M = _load_body_arg(args.M, "--M")
-        L = _load_body_arg(args.L, "--L")
-    else:
-        M = bd.random_polytope(2, 8, rng)
-        L = bd.random_polytope(2, 8, rng)
-    res = kinematic.separation_lemma_check(M, L, trials, rng)
+    rng = np.random.default_rng(args.seed)
+    M, L = args.M, args.L
+    if M is None:
+        M, L = bd.random_polytope(2, 8, rng), bd.random_polytope(2, 8, rng)
+    elif L is None:
+        raise ConfigError("--L is required")
+    res = kinematic.separation_lemma_check(M, L, args.trials, rng)
     return {"schema_version": SCHEMA_VERSION, "command": "lemma-check",
-            "params": {"trials": trials, "seed": seed,
+            "params": {"trials": args.trials, "seed": args.seed,
                        "M": bd.body_to_dict(M), "L": bd.body_to_dict(L)},
             "results": res.to_dict()}
 
@@ -288,71 +235,69 @@ def cmd_lemma_check(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="intgeo",
-        description="Monte Carlo integral geometry for convex bodies")
+    parser = _Parser(prog="intgeo",
+                     description="Monte Carlo integral geometry for convex bodies")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=int, required=True,
                        help="RNG seed (required; no wall-clock default)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker threads (default: available cores)")
-        p.add_argument("--config", default=None,
-                       help="JSON config file; explicit flags win")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(parser=p)
+        p.add_argument("--config", help="JSON config file; explicit flags win")
+        p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("intrinsic", help="intrinsic volumes of one body")
-    p.add_argument("--body", default=None, help="body JSON file")
-    p.add_argument("--method", default=None, choices=["closed", "steiner"])
-    p.add_argument("--samples", default=None, help="MC budget (steiner)")
-    p.add_argument("--radii", default=None, help="comma list of dilation radii")
+    p.add_argument("--body", type=_body, required=True, help="body JSON file")
+    p.add_argument("--method", default="closed", choices=["closed", "steiner"])
+    p.add_argument("--samples", type=parse_samples, default=100000,
+                   help="MC budget (steiner)")
+    p.add_argument("--radii", type=_comma_list(float),
+                   help="comma list of dilation radii")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     common(p)
     p.set_defaults(func=cmd_intrinsic)
 
     p = sub.add_parser("cj", help="deformation constants c_j")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--method", default=None, choices=["direct", "weyl", "both"])
-    p.add_argument("--samples", default=None)
-    p.add_argument("--j", default=None, help="comma list of j (default all)")
-    p.add_argument("--cache", default=None, help="write constants cache JSON here")
+    p.add_argument("--n", type=int, required=True, choices=range(1, 9))
+    p.add_argument("--method", default="both", choices=["direct", "weyl", "both"])
+    p.add_argument("--samples", type=parse_samples, default=10**6)
+    p.add_argument("--j", type=_comma_list(int), help="comma list of j (default all)")
+    p.add_argument("--cache", help="write constants cache JSON here")
     common(p)
     p.set_defaults(func=cmd_cj)
 
     p = sub.add_parser("kinematic", help="compare both sides of the formula")
-    p.add_argument("--group", default=None, choices=list(kinematic.GROUPS))
-    p.add_argument("--phi", default=None, choices=["chi", "volume"])
-    p.add_argument("--M", default=None, help="body JSON file for M")
-    p.add_argument("--L", default=None, help="body JSON file for L")
-    p.add_argument("--samples", default=None)
-    p.add_argument("--inner-samples", dest="inner_samples", default=None)
-    p.add_argument("--cj-samples", dest="cj_samples", default=None)
-    p.add_argument("--crofton-samples", dest="crofton_samples", default=None)
-    p.add_argument("--window-radius", dest="window_radius", default=None)
-    p.add_argument("--cj-cache", dest="cj_cache", default=None,
+    p.add_argument("--group", default="gl", choices=list(kinematic.GROUPS))
+    p.add_argument("--phi", default="chi", choices=["chi", "volume"])
+    p.add_argument("--M", type=_body, required=True, help="body JSON file for M")
+    p.add_argument("--L", type=_body, required=True, help="body JSON file for L")
+    p.add_argument("--samples", type=parse_samples, default=10**6)
+    p.add_argument("--inner-samples", type=parse_samples, default=kinematic.INNER_SAMPLES)
+    p.add_argument("--cj-samples", type=parse_samples)
+    p.add_argument("--crofton-samples", type=parse_samples)
+    p.add_argument("--window-radius", type=float)
+    p.add_argument("--cj-cache",
                    help="constants cache JSON from `intgeo cj --cache` (--group gl only)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     common(p)
     p.set_defaults(func=cmd_kinematic)
 
     p = sub.add_parser("lemma-check", help="separation biconditional stress test")
-    p.add_argument("--trials", default=None)
-    p.add_argument("--M", default=None, help="V-polytope JSON (default random)")
-    p.add_argument("--L", default=None, help="V-polytope JSON (default random)")
+    p.add_argument("--trials", type=parse_samples, default=1000)
+    p.add_argument("--M", type=_body, help="V-polytope JSON (default random)")
+    p.add_argument("--L", type=_body, help="V-polytope JSON (default random)")
     common(p)
     p.set_defaults(func=cmd_lemma_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _merge_config(args, _load_config(args.config), args.parser)
-        payload = args.func(args)
-        _emit(payload, args)
+        # config entries go right after the subcommand: later flags win
+        args = build_parser().parse_args(argv[:1] + _config_flags(argv[1:]) + argv[1:])
+        _emit(args.func(args), args)
     except (QuadratureError, weyl.EssFloorError, SimplexError,
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -125,8 +125,10 @@ def run_chunks(stages, seed: int, threads: int) -> list[list]:
     min(threads, cores, chunks) threads runs the chunks, and the results
     come back per stage in chunk order: they depend only on (stages, seed),
     and threads changes the speed, never the output. A stage budget below 1
-    raises ValueError before any chunk runs.
+    or threads below 1 raises ValueError before any chunk runs.
     """
+    if not threads >= 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     plan = []  # (stage, chunk samples), one per chunk
     for s, (_, samples) in enumerate(stages):
         if not samples >= 1:

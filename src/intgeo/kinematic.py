@@ -31,7 +31,7 @@ rejection rounds for the planted translations and one separating-axis pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -654,11 +654,7 @@ class LemmaCheck:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"trials": self.trials, "agreements": self.agreements,
-                "disagreements": self.disagreements,
-                "boundary_skips": self.boundary_skips,
-                "stratum_counts": self.stratum_counts,
-                "failures": self.failures}
+        return asdict(self)
 
 
 def check_lemma_inputs(M, L) -> None:

@@ -100,10 +100,6 @@ class AffineFlat:
             if np.max(np.abs(BT @ self.offset[..., None])) > 1e-8:
                 raise ValueError("offset must lie in the orthogonal complement")
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[-1]
-
 
 def translation_region(M: bd.ConvexBody, moved: bd.ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Axis box containing every t with M meeting (moved + t).

@@ -32,23 +32,7 @@ def sym_dim(n: int) -> int:
 
 def sym_basis(n: int) -> list[np.ndarray]:
     """Orthonormal basis of Sym(n): diagonal units, then symmetrized off-diagonals."""
-    basis = []
-    for i in range(n):
-        B = np.zeros((n, n))
-        B[i, i] = 1.0
-        basis.append(B)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            B = np.zeros((n, n))
-            B[i, j] = B[j, i] = inv_sqrt2
-            basis.append(B)
-    return basis
-
-
-def _offdiag_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n, k=1)
-    return iu
+    return list(coords_to_sym(np.eye(sym_dim(n)), n))
 
 
 def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
@@ -63,7 +47,7 @@ def _sym_from_parts(diag: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
     X = np.zeros(diag.shape[:-1] + (n, n))
     idx = np.arange(n)
     X[..., idx, idx] = diag
-    iu, ju = _offdiag_indices(n)
+    iu, ju = np.triu_indices(n, k=1)
     off = off / np.sqrt(2.0)
     X[..., iu, ju] = off
     X[..., ju, iu] = off
@@ -104,7 +88,7 @@ def sym_to_coords(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     n = X.shape[-1]
     idx = np.arange(n)
-    iu, ju = _offdiag_indices(n)
+    iu, ju = np.triu_indices(n, k=1)
     return np.concatenate(
         [X[..., idx, idx], X[..., iu, ju] * np.sqrt(2.0)], axis=-1)
 

@@ -127,9 +127,11 @@ def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
     trace_moment(n, j) times the mean of V_j(exp(X_0) B^n) / V_j(B^n) over
     the shifted lattice; no weight is needed. c_0 = 1 and c_n = e^{n/2} come
     out exactly, with standard error 0 (V_0 = 1 and det exp(X_0) = 1), so
-    only 0 < j < n draw: none does at n = 1. A j outside [0, n] raises
-    ValueError.
+    only 0 < j < n draw: none does at n = 1. An n below 1 or a j outside
+    [0, n] raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
     if any(not 0 <= j <= n for j in js):
@@ -159,12 +161,12 @@ def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
     so both check Z_n; ess is the effective sample fraction of that weight
     over every point.
 
-    Raises ValueError for n > WEYL_MAX_N (the proposal is checked only there)
-    and EssFloorError when the effective sample fraction drops below
-    ESS_FLOOR.
+    Raises ValueError for n < 1 or n > WEYL_MAX_N (the proposal is checked
+    only there) and EssFloorError when the effective sample fraction drops
+    below ESS_FLOOR.
     """
-    if n > WEYL_MAX_N:
-        raise ValueError(f"weyl route supports n <= {WEYL_MAX_N}")
+    if not 1 <= n <= WEYL_MAX_N:
+        raise ValueError(f"weyl route supports 1 <= n <= {WEYL_MAX_N}, got {n}")
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
     scale = {j: trace_moment(n, j) / intrinsic_volume_ball(n, j) for j in js}

@@ -44,6 +44,29 @@ def test_hpolytope_validation():
     np.testing.assert_allclose(p.offsets, 1.0)
 
 
+@pytest.mark.parametrize("offsets, message", [
+    ([1.0] * 4 + [-2.0] + [1.0] * 3, "infeasible"),  # x_1 <= 1 and x_1 >= 2
+    ([1.0] * 4, "unbounded"),  # the four rows x_i <= 1 alone
+], ids=["infeasible", "unbounded"])
+def test_hpolytope_validation_by_lp_at_n_4(offsets, message):
+    # at n >= 4 a feasibility LP and the support LPs verify the system
+    normals = np.vstack([np.eye(4), -np.eye(4)])[:len(offsets)]
+    with pytest.raises(ValueError, match=message):
+        bd.HPolytope(normals, offsets)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: bd.Ellipsoid(np.zeros(2), np.eye(3), [1.0, 1.0]), "inconsistent ellipsoid"),
+    (lambda: bd.HPolytope(np.eye(2), [1.0]), "length mismatch"),
+    (lambda: bd.HPolytope([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0]), "zero normal row"),
+    (lambda: bd.VPolytope(np.zeros((0, 2))), "at least one vertex"),
+], ids=["ellipsoid-axes-of-another-dimension", "hpolytope-offsets-too-few",
+        "hpolytope-zero-normal", "vpolytope-no-vertex"])
+def test_malformed_bodies_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_cube_and_unit_ball_constructors():
     c = bd.cube(3, side=2.0, centered=True)
     lo, hi = bd.bounding_box(c)

@@ -265,6 +265,25 @@ def test_the_command_leaves_input_checks_to_the_library():
     assert "v_l" not in inspect.signature(kinematic.build_report).parameters
 
 
+def test_the_command_parses_flag_text_only_through_argparse():
+    # every flag and config value is converted once, by its type= in one
+    # parse_args pass; no subcommand reads flag text again, and nothing
+    # reaches into the parser's private actions
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_actions" not in attrs | names
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 4
+    for fn in commands:
+        called = {node.func.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not called & {"parse_samples", "float", "int"}, fn.name
+
+
 def test_chi_ball_vs_polytope_above_3d_is_refused(tmp_path):
     cube = tmp_path / "cube4.json"
     cube.write_text(json.dumps(bd.body_to_dict(bd.cube(4, side=2.0, centered=True))))
@@ -483,6 +502,23 @@ def test_config_values_outside_the_choices_are_refused(ball2, tmp_path, command,
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("cj", {"samlpes": "1e3", "n": 2}, "--samlpes"),
+    ("lemma-check", {"trials": "10", "samples": "10"}, "--samples"),
+], ids=["cj-misspelled-samples", "lemma-check-samples-of-another-command"])
+def test_config_keys_that_name_no_flag_are_refused(tmp_path, capsys, command, cfg, key):
+    # such a key was dropped: the cj run drew the default 10^6 samples
+    path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path), "--seed", "1", "--threads", "1"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and not out.exists()
+    # the same refusal, in the same words, through a fresh interpreter
+    rc, stdout, sub_err = run_cli(*argv)
+    assert (rc, stdout, sub_err) == (2, "", err)
+
+
 @pytest.fixture(scope="module")
 def ellipse2(tmp_path_factory):
     path = tmp_path_factory.mktemp("bodies") / "ellipse2.json"
@@ -573,6 +609,16 @@ def test_lemma_check_rejects_non_polytope(ball2):
                          "--M", ball2, "--L", ball2)
     assert rc == 2
     assert "polytope" in err
+
+
+def test_lemma_check_refuses_M_without_L(tmp_path, capsys):
+    M, out = tmp_path / "M.json", tmp_path / "out.json"
+    M.write_text(json.dumps({"type": "vpolytope", "vertices": [[0.0, 0.0], [1.0, 0.0],
+                                                              [0.0, 1.0]]}))
+    assert cli.main(["lemma-check", "--M", str(M), "--trials", "10", "--seed", "1",
+                     "--out", str(out)]) == 2
+    assert "--L is required" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lemma_check_refuses_a_flat_difference_body(tmp_path):

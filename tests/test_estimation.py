@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from intgeo.estimation import (EstimatorResult, RunningMean, merge_results,
-                               resolve_rng, z_score)
+                               resolve_rng, run_chunks, z_score)
 
 
 def test_resolve_rng_seed_reproducible():
@@ -122,3 +122,9 @@ def test_z_score():
     assert z_score(1.0, 0.0, 2.0) == float("inf")
     assert abs(z_score(1.0, 0.1, 1.3, 0.0) - 3.0) < 1e-12
     assert abs(z_score(0.0, 3.0, 5.0, 4.0) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_chunks_refuses_threads_below_1_before_any_chunk(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_chunks([(lambda rng, k: pytest.fail("ran"), 10)], 1, threads)

@@ -774,6 +774,18 @@ def test_lemma_check_refuses_flat_difference_bodies(M, L):
         separation_lemma_check(M, L, 10, 0)
 
 
+def test_lemma_check_refuses_polytopes_outside_the_plane():
+    tetra = bd.VPolytope(np.vstack([np.zeros(3), np.eye(3)]))
+    with pytest.raises(ValueError, match="in the plane"):
+        separation_lemma_check(tetra, tetra, 10, 0)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_crofton_refuses_j_outside_0_n(j):
+    with pytest.raises(ValueError, match="0 <= j <= n"):
+        crofton_coefficient("chi", bd.unit_ball(2), j, 100, 0)
+
+
 # the batched lemma check
 
 

@@ -102,6 +102,16 @@ def test_point_flats_draw_no_rotation(monkeypatch):
     assert one.basis.shape == (2, 0) and one.offset.shape == (2,)
 
 
+@pytest.mark.parametrize("basis, offset, message", [
+    (np.zeros(3), np.zeros(3), "basis must be"),
+    ([[1.0], [1.0]], np.zeros(2), "orthonormal"),
+    ([[1.0], [0.0]], [1.0, 0.0], "orthogonal complement"),
+], ids=["basis-1-d", "basis-not-orthonormal", "offset-in-the-span"])
+def test_malformed_affine_flats_are_refused(basis, offset, message):
+    with pytest.raises(ValueError, match=message):
+        AffineFlat(basis, offset)
+
+
 def test_flat_weight():
     assert abs(flat_weight(3, 1, 2.0) - kappa(2) * 4.0) < 1e-12
     assert abs(flat_weight(2, 2, 5.0) - 1.0) < 1e-12  # kappa_0 = 1

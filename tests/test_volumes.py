@@ -98,6 +98,14 @@ def test_ellipsoid_input_validation():
         intrinsic_volume_ellipsoid([1.0, 1e-30], 1)
 
 
+def test_kappa_and_the_batch_evaluator_refuse_what_has_no_meaning():
+    with pytest.raises(ValueError, match="nonnegative"):
+        kappa(-1)
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="0 <= j <= n"):
+            batch_ellipsoid_intrinsic_volumes([[1.0, 2.0]], [j])
+
+
 def test_batch_matches_quadrature_across_spreads():
     # every kernel of the batch evaluator (closed forms at n <= 3, the grid at
     # n >= 4) must track the adaptive reference closely, relative to the

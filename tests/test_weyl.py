@@ -118,6 +118,15 @@ def test_weyl_rejects_large_n():
         c_weyl(WEYL_MAX_N + 1, 100, 0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_both_routes_refuse_n_below_1_before_drawing(monkeypatch, n):
+    # c_direct returned {} at n = -1; at n = 0 both routes divided by n
+    monkeypatch.setattr(weyl, "lattice_normals", lambda *a, **k: pytest.fail("drew"))
+    for route in (c_direct, c_weyl):
+        with pytest.raises(ValueError, match="1 <= n|n >= 1"):
+            route(n, 100, 1)
+
+
 def test_compute_constants_dispatch():
     a = compute_constants(2, 500, 7, method="direct")
     b = compute_constants(2, 500, 7, method="weyl")
