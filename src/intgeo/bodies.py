@@ -17,7 +17,9 @@ batch_flat_hits, built from those kernels: the body types pick the kernels
 there and nowhere else. Polytopes whose vertex set is cheap (vertex_set)
 answer support, distances, volumes and hyperplane hits from it without the
 linear programs (linprog) that the others solve; an axis-aligned H-box
-(axis_box) answers support in closed form in any dimension. The principal
+(axis_box) answers support in closed form in any dimension, and
+box_proxy stands that box in for a body whose support would be an LP per
+row, where only an enclosing box is asked for. The principal
 axes of a moved ball or ellipsoid (moved_frames) come from
 symmetric.singular_frames.
 
@@ -478,7 +480,9 @@ def separating_hyperplane(a: VPolytope, b: VPolytope):
     if not isinstance(a, VPolytope) or not isinstance(b, VPolytope):
         raise TypeError("separating_hyperplane expects two V-polytopes")
     if a.dim == 2:
-        axes, gaps = polygon_gaps(a, b)
+        eye = np.eye(2)[None]
+        axes, gaps = polygon_gaps(a, b, eye, eye, np.zeros((1, 2)))
+        axes, gaps = axes[0], gaps[0]
         i = int(np.argmax(gaps))
         if gaps[i] < -TOL:
             return None
@@ -494,32 +498,22 @@ def _separating_hyperplane_lp(a: VPolytope, b: VPolytope):
     """The max-margin LP route of separating_hyperplane, in any dimension."""
     n = a.dim
     VA, VB = a.vertices, b.vertices
+    # variables (u, alpha, delta), maximize delta: <v,u> - alpha + delta <= 0
+    # over a's vertices, -<v,u> + alpha + delta <= 0 over b's, then the box
+    # rows +-u_l <= 1, +e_l before -e_l
+    box = np.zeros((2 * n, n + 2))
+    box[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
+    A_ub = np.vstack([np.column_stack([VA, np.full(len(VA), -1.0), np.ones(len(VA))]),
+                      np.column_stack([-VB, np.ones(len(VB)), np.ones(len(VB))]), box])
+    b_ub = np.concatenate([np.zeros(len(VA) + len(VB)), np.ones(2 * n)])
+    c = np.zeros(n + 2)
+    c[-1] = -1.0
     best = None
     for k in range(n):
         for sign in (1.0, -1.0):
-            # variables (u, alpha, delta), maximize delta
-            rows = []
-            rhs = []
-            for v in VA:  # <v,u> - alpha + delta <= 0
-                rows.append(np.concatenate([v, [-1.0, 1.0]]))
-                rhs.append(0.0)
-            for v in VB:  # -<v,u> + alpha + delta <= 0
-                rows.append(np.concatenate([-v, [1.0, 1.0]]))
-                rhs.append(0.0)
-            for l in range(n):
-                e = np.zeros(n + 2)
-                e[l] = 1.0
-                rows.append(e.copy())
-                rhs.append(1.0)
-                e[l] = -1.0
-                rows.append(e)
-                rhs.append(1.0)
             A_eq = np.zeros((1, n + 2))
             A_eq[0, k] = 1.0
-            c = np.zeros(n + 2)
-            c[-1] = -1.0
-            res = linprog.solve_lp(c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                                   A_eq=A_eq, b_eq=np.array([sign]))
+            res = linprog.solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.array([sign]))
             if res.status != "optimal":
                 continue
             delta = res.x[-1]
@@ -585,6 +579,12 @@ def axis_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray] | None:
     return lo, hi
 
 
+def _support_needs_lp(body: ConvexBody) -> bool:
+    """Whether the body's support is an LP (moved_support): an H-polytope
+    with no vertex_set (n >= 4) that is no axis_box."""
+    return isinstance(body, HPolytope) and vertex_set(body) is None and axis_box(body) is None
+
+
 def affine_rank(V: np.ndarray) -> int:
     """Dimension of the affine hull of the rows of V (tolerance 1e-10)."""
     return int(np.linalg.matrix_rank(V - V.mean(axis=0), tol=1e-10))
@@ -627,13 +627,18 @@ def separating_axis_gaps(VA: np.ndarray, VB: np.ndarray, axes: np.ndarray) -> np
     return np.maximum(pb.min(axis=-2) - pa.max(axis=-2), pa.min(axis=-2) - pb.max(axis=-2))
 
 
-def _polygon_gaps(M: HPolytope | VPolytope, L: HPolytope | VPolytope, G: np.ndarray,
-                  invG: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(axes (B, k, 2), gaps (B, k)) of the separating-axis test of the polygon
-    M against each g_b L + t_b, L a polygon.
+def polygon_gaps(M: HPolytope | VPolytope, L: HPolytope | VPolytope, G: np.ndarray,
+                 invG: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(axes (B, k, 2), gaps (B, k)) of the separating-axis test of the
+    polygon M against each g_b L + t_b, L a polygon (each a polytope with a
+    vertex set at n = 2).
 
     The axes are polygon_axes of M and those of L mapped by G^-T (the edge
-    normals of gL), renormalized; see separating_axis_gaps.
+    normals of gL), renormalized; see separating_axis_gaps. One gap vector
+    answers both questions the separation lemma asks: M and g_b L + t_b
+    meet when every gap is at most TOL (batch_intersects), and a hyperplane
+    separates them when the largest gap is at least -TOL
+    (separating_hyperplane).
     """
     axesM, axesL = polygon_axes(M), polygon_axes(L)
     axesG = axesL @ invG
@@ -641,19 +646,6 @@ def _polygon_gaps(M: HPolytope | VPolytope, L: HPolytope | VPolytope, G: np.ndar
     axes = np.concatenate([np.broadcast_to(axesM, (len(t),) + axesM.shape), axesG], axis=1)
     return axes, separating_axis_gaps(vertex_set(M), vertex_set(L) @ np.swapaxes(G, 1, 2)
                                       + t[:, None, :], axes)
-
-
-def polygon_gaps(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """(axes (k, 2), gaps (k,)) of the separating-axis test of two polygons
-    as they stand, each a planar polytope (whose kept hull gives its axes)
-    or an (m, 2) vertex set. One gap vector answers both questions the
-    separation lemma asks: the polygons meet when every gap is at most TOL
-    (intersects), and a hyperplane separates them when the largest gap is
-    at least -TOL (separating_hyperplane)."""
-    A, B = (P if isinstance(P, (HPolytope, VPolytope)) else VPolytope(P) for P in (A, B))
-    eye = np.eye(2)[None]
-    axes, gaps = _polygon_gaps(A, B, eye, eye, np.zeros((1, 2)))
-    return axes[0], gaps[0]
 
 
 def quadric_frame(body: Ball | Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -717,6 +709,20 @@ def moved_boxes(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
+def box_proxy(body: ConvexBody) -> ConvexBody:
+    """The body, or, where its support would be an LP per row
+    (_support_needs_lp), its axis box as an H-polytope. The box contains
+    the body, and moved_boxes reads the box of its image under any
+    orthogonal R in closed form (axis_box) from its half-widths h as
+    sum_k |R_kj| h_k, at most ||h||; the LPs of the body's own box are
+    solved once, here."""
+    if not _support_needs_lp(body):
+        return body
+    lo, hi = bounding_box(body)
+    eye = np.eye(body.dim)
+    return HPolytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]), validate=False)
+
+
 def moved_frames(L: ConvexBody, G: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(U, s): the principal axes U_b (columns) and semiaxes s_b of each
     g_b L for a ball or ellipsoid L {c + lin z}, the singular frames of
@@ -778,6 +784,13 @@ def has_difference_volumes(M: ConvexBody, L: ConvexBody) -> bool:
     return n == 2 and polytope_hull(M) is not None
 
 
+def rotation_invariant(body: ConvexBody) -> bool:
+    """Whether every rotation k about the body's centre c maps it onto
+    itself (a ball): k M is then M + (k c - c), so whatever reads M only up
+    to translation does not read k."""
+    return isinstance(body, Ball)
+
+
 def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
                        vj: np.ndarray | None = None) -> np.ndarray | None:
     """The parts of vol(M + (-g_b L)) by degree in g_b, (B, n + 1), for each
@@ -815,6 +828,17 @@ def difference_volumes(M: ConvexBody, L: ConvexBody, G: np.ndarray,
     mixed = moved_support(L, G, -eq[:, :2]) @ lengths
     return np.column_stack([np.full(B, hull.area), mixed,
                             np.abs(np.linalg.det(G)) * volume_exact(L)])
+
+
+def check_batch_intersects(M: ConvexBody, L: ConvexBody) -> None:
+    """Refuse, with ValueError, a pair batch_intersects has no kernel for: a
+    ball or ellipsoid against a polytope at n >= 4, whose test needs
+    polytope distances (n <= 3 only). chi is the valuation whose
+    integrand is that test, and the message says so."""
+    quadrics = [isinstance(body, (Ball, Ellipsoid)) for body in (M, L)]
+    if M.dim >= 4 and any(quadrics) and not all(quadrics):
+        raise ValueError("chi of a ball or ellipsoid against a polytope needs "
+                         f"n <= 3, got n = {M.dim}")
 
 
 def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarray,
@@ -855,7 +879,7 @@ def batch_intersects(M: ConvexBody, L: ConvexBody, G: np.ndarray, invG: np.ndarr
         P = -np.einsum("bji,bj->bi", U2, c2)
         return centered_ellipsoid_distance(P, S2) <= 1.0 + TOL
     if n == 2 and vertex_set(M) is not None and vertex_set(L) is not None:
-        return np.all(_polygon_gaps(M, L, G, invG, t)[1] <= TOL, axis=1)
+        return np.all(polygon_gaps(M, L, G, invG, t)[1] <= TOL, axis=1)
 
     hit = np.zeros(B, dtype=bool)
     # a flat V-polytope has no facets, so its membership would be an LP per row
@@ -922,13 +946,12 @@ def batch_flat_hits(body: ConvexBody, basis: np.ndarray, offset: np.ndarray) -> 
         return np.ones(m, dtype=bool)
     if j == 0:
         return contains_points(body, offset)
-    quadric = isinstance(body, (Ball, Ellipsoid))
-    if j == n - 1 and (quadric or vertex_set(body) is not None or axis_box(body) is not None):
+    if j == n - 1 and not _support_needs_lp(body):
         nu = _hyperplane_normals(basis)
         h = moved_support(body, _axes(n)[0], np.vstack([nu, -nu]))[0]
         s = np.einsum("bi,bi->b", offset, nu)
         return (-h[m:] - TOL <= s) & (s <= h[:m] + TOL)
-    if quadric:
+    if isinstance(body, (Ball, Ellipsoid)):
         lin, c, inv = quadric_frame(body)
         z = (offset - c) @ inv.T
         Q = []

@@ -9,13 +9,13 @@ JSON up to the metadata block. Sample counts accept scientific notation
 ("1e6").
 
 Every flag's text is read once, by one parse_args pass: each flag's type=
-converter (parse_samples, the comma lists, the body files), required= and
-choices are the whole of its check, and the parser's refusals raise
-ConfigError. The entries of a --config file are flag text too: they are
+converter (parse_samples, the comma lists, the body files, --threads at
+least 1), required= and choices are the whole of its check, and the
+parser's refusals raise ConfigError. The entries of a --config file are flag text too: they are
 spliced in right after the subcommand, where any explicit flag, coming
 later, overrides them, and a key that names no flag of the subcommand is
-refused. Beyond the flags the command checks only that --M comes with --L
-in lemma-check, that cj's weyl route is asked for at n <= 4, and the cache
+refused. Beyond the flags the command checks only that --M and --L come
+together in lemma-check, that cj's weyl route is asked for at n <= 4, and the cache
 file; the library checks every other input before it draws and refuses it
 with ValueError. Exit codes: 2 for configuration errors, the library's
 ValueError among them, 3 for numerical failures (np.linalg.LinAlgError
@@ -77,6 +77,17 @@ def _comma_list(kind):
         except ValueError as exc:
             raise ConfigError(f"not a comma list of {kind.__name__}s: {text!r}") from exc
     return convert
+
+
+def _threads(text: str) -> int:
+    """type= converter of --threads: an integer of at least 1."""
+    try:
+        val = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"not an integer: {text!r}") from exc
+    if val < 1:
+        raise ConfigError(f"threads must be at least 1, got {val}")
+    return val
 
 
 def _body(path: str):
@@ -220,10 +231,10 @@ def cmd_kinematic(args) -> dict:
 def cmd_lemma_check(args) -> dict:
     rng = np.random.default_rng(args.seed)
     M, L = args.M, args.L
+    if (M is None) != (L is None):
+        raise ConfigError(f"--M and --L go together: --{'L' if L is None else 'M'} is required")
     if M is None:
         M, L = bd.random_polytope(2, 8, rng), bd.random_polytope(2, 8, rng)
-    elif L is None:
-        raise ConfigError("--L is required")
     res = kinematic.separation_lemma_check(M, L, args.trials, rng)
     return {"schema_version": SCHEMA_VERSION, "command": "lemma-check",
             "params": {"trials": args.trials, "seed": args.seed,
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, required=True,
                        help="RNG seed (required; no wall-clock default)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
                        help="worker threads (default: available cores)")
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("--out", help="output path (default stdout)")
@@ -285,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="separation biconditional stress test")
     p.add_argument("--trials", type=parse_samples, default=1000)
-    p.add_argument("--M", type=_body, help="V-polytope JSON (default random)")
-    p.add_argument("--L", type=_body, help="V-polytope JSON (default random)")
+    p.add_argument("--M", type=_body, help="polygon JSON (default random)")
+    p.add_argument("--L", type=_body, help="polygon JSON (default random)")
     common(p)
     p.set_defaults(func=cmd_lemma_check)
     return parser

@@ -26,7 +26,13 @@ separation_lemma_check exercises the boundary characterization of the
 difference body: t lies on the boundary of M + (-gL) exactly when M and
 gL + t intersect but admit a separating hyperplane. It runs all of its
 trials at once: one draw of g, one edge merge for every difference body,
-rejection rounds for the planted translations and one separating-axis pass.
+each translation planted on a ray from the body's vertex mean (no
+rejection) and one separating-axis pass.
+
+The module holds estimators only: no body type is named here. Where a
+path depends on the bodies it asks bodies for the property it relies on
+(has_difference_volumes, rotation_invariant, box_proxy,
+check_batch_intersects, vertex_set), and bodies picks the kernels.
 """
 
 from __future__ import annotations
@@ -68,11 +74,8 @@ _BLOCK_POINTS = 1 << 16
 _VOLUME_ROWS_PER_G = 8
 _LHS_BATCH = 4096  # group elements drawn at a time
 _CROFTON_BATCH = 16384  # flats drawn at a time
-# interior/exterior lemma-check points this close to the boundary are skipped
+# interior/exterior lemma-check points lie at least this far from the boundary
 _SKIP_MARGIN = 1e-6
-# interior/exterior lemma-check candidates per trial: the cap, and per round
-_LEMMA_CANDIDATES = 400
-_LEMMA_ROUND = 8
 
 
 def stage_samples(samples: int) -> int:
@@ -91,9 +94,10 @@ def check_lhs_inputs(group: str, phi, M, L, inner_samples: int = INNER_SAMPLES) 
     """Refuse an LHS lhs_kinematic cannot evaluate.
 
     Raises ValueError for an unknown group, a phi other than "chi" or
-    "volume" (_check_phi), bodies of different dimensions, chi on a ball
-    or ellipsoid paired with a polytope at n >= 4, where the intersection
-    test needs polytope distances (n <= 3 only), and inner_samples below 1.
+    "volume" (_check_phi), bodies of different dimensions, chi on a pair
+    bodies.batch_intersects has no kernel for (check_batch_intersects: a
+    ball or ellipsoid against a polytope at n >= 4) and inner_samples
+    below 1.
     """
     if not inner_samples >= 1:
         raise ValueError(f"inner_samples must be at least 1, got {inner_samples!r}")
@@ -102,10 +106,8 @@ def check_lhs_inputs(group: str, phi, M, L, inner_samples: int = INNER_SAMPLES) 
     _check_phi(phi)
     if M.dim != L.dim:
         raise ValueError("bodies must share a dimension")
-    quadrics = [isinstance(b, (bd.Ball, bd.Ellipsoid)) for b in (M, L)]
-    if phi == "chi" and M.dim >= 4 and any(quadrics) and not all(quadrics):
-        raise ValueError("chi of a ball or ellipsoid against a polytope needs "
-                         f"n <= 3, got n = {M.dim}")
+    if phi == "chi":
+        bd.check_batch_intersects(M, L)
 
 
 def check_rhs_inputs(phi, M, L) -> np.ndarray:
@@ -176,7 +178,9 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     SHIFTS - 1 degrees of freedom. The compact groups take X = 0 in plain
     batches; with a ball M, where G = I on every row, the Steiner sum is
     evaluated once, drawing nothing, and reported with standard error 0
-    over samples rows. A ball M draws no k, since V_j(k G L) = V_j(G L):
+    over samples rows. A ball M (bodies.rotation_invariant, the one
+    predicate behind every ball path here) draws no k, since
+    V_j(k G L) = V_j(G L):
     its parts are Steiner's kappa_{n-j} r^{n-j} V_j(gL), and terms[j]
     estimates E_g V_j(gL) (bodies.moved_intrinsic_volumes), with the trace
     sampled, so the terms check the factorization apart from c_j's own
@@ -197,11 +201,11 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
     aligned with the axes, so the box stays within a bounded factor of
     M + (-gL) however gL is turned; a box in fixed axes would grow with
     that turn, so that most rows miss and a rare hit carries a huge box.
-    An M whose support would be an LP per row (an H-polytope at n >= 4
-    that is not an axis box) gives its box through its axis box
-    (_box_proxy), so no row solves an LP. A ball M draws no k and takes
-    R = V: a row's value then depends on k only through the centre of
-    R^T M, and t' is drawn relative to it.
+    A body whose support would be an LP per row (an H-polytope at n >= 4
+    that is not an axis box), M or L, gives its box through its axis box
+    (bodies.box_proxy), so no row solves an LP. A ball M draws no k and
+    takes R = V: a row's value then depends on k only through the centre
+    of R^T M, and t' is drawn relative to it.
 
     The loop runs over samples rows where the pair has no exact loop (its
     estimate is then the headline) and, where it has one, over
@@ -257,30 +261,28 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
         checks = min(samples, stage_samples(samples))
     acc = RunningMean()
     n = M.dim
-    quadric = (isinstance(M, (bd.Ball, bd.Ellipsoid))
-               and isinstance(L, (bd.Ball, bd.Ellipsoid)))
-    ball = isinstance(M, bd.Ball)
-    Mbox = _box_proxy(M)
+    invariant = bd.rotation_invariant(M)
+    Mbox, Lbox = bd.box_proxy(M), bd.box_proxy(L)
     rows = max(1, _BLOCK_POINTS // inner_samples)
     s = _TILT[phi] if deforms else 0.0
     moment = trace_moment(n, s * n)
     for done in range(0, checks, _LHS_BATCH):
         B = min(_LHS_BATCH, checks - done)
         m = -(-B // _VOLUME_ROWS_PER_G) if phi == "volume" else B  # group elements
-        # a ball M takes k = I: no row's value depends on k
-        k = None if ball else sample_haar_orthogonal(n, rng, component=component, size=m)
+        # a rotation-invariant M takes k = I: no row's value depends on k
+        k = None if invariant else sample_haar_orthogonal(n, rng, component=component, size=m)
         X = sample_gaussian_sym(n, rng, size=m) if deforms else np.zeros((m, n, n))
         lam, V = _eigenframe(X)
         lam = lam + s
         # times moment, the likelihood ratio of N(0, n) to N(s n, n) at tr X
         weight = np.exp(-s * lam.sum(axis=1))
-        R = V if ball else k @ V
+        R = V if invariant else k @ V
         RT, Vt = np.swapaxes(R, 1, 2), np.swapaxes(V, 1, 2)
         D = np.exp(lam)[:, :, None] * Vt  # R^T g = e^Lambda V^T
         PT = np.exp(-lam)[:, :, None] * Vt  # (g^-1 R)^T = e^-Lambda V^T
         # the axis boxes of R^T M and of R^T g L: centres and half-widths
         cM, hM = bd.moved_boxes(Mbox, RT)
-        cg, hw = bd.moved_boxes(L, D)
+        cg, hw = bd.moved_boxes(Lbox, D)
         if phi == "volume":
             # each g serves _VOLUME_ROWS_PER_G consecutive rows; the frame R^T
             # and the pull-back (g^-1 R)^T are repeated into contiguous
@@ -313,8 +315,7 @@ def lhs_kinematic(group: str, phi, M, L, samples: int, rng, *,
             val = volbox * volI * frac
         else:
             t = np.einsum("bij,bj->bi", R, tf)
-            # g^-1 = V e^-Lambda R^T; the kernel of two quadrics never reads it
-            invG = None if quadric else np.swapaxes(R @ PT, 1, 2)
+            invG = np.swapaxes(R @ PT, 1, 2)  # g^-1 = V e^-Lambda R^T
             val = np.where(bd.batch_intersects(M, L, R @ D, invG, t), volbox, 0.0)
         acc.update(val * moment * weight)
     return LhsEstimate(**vars(EstimatorResult.from_accumulator(acc, seed)),
@@ -330,26 +331,14 @@ def _eigenframe(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, V * np.sign(big)
 
 
-def _box_proxy(M):
-    """M, or, where M's support would be an LP per row (an H-polytope at
-    n >= 4 that is not an axis box), its axis box as an H-polytope: it
-    contains M, and bodies.moved_boxes reads its box in any frame R from
-    the box's half-widths h as sum_k |R_kj| h_k, which is at most ||h||."""
-    if (not isinstance(M, bd.HPolytope) or bd.vertex_set(M) is not None
-            or bd.axis_box(M) is not None):
-        return M
-    lo, hi = bd.bounding_box(M)
-    eye = np.eye(M.dim)
-    return bd.HPolytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]), validate=False)
-
-
 def _exact_loop(M, L, samples: int, rng, seed: int, component: str, deforms: bool
                 ) -> tuple[EstimatorResult, list[EstimatorResult] | None]:
-    """lhs_kinematic's translation-exact estimate and, for a ball M, its
-    per-j terms (its docstring has the estimator)."""
+    """lhs_kinematic's translation-exact estimate and, for a ball M
+    (bodies.rotation_invariant), its per-j terms (its docstring has the
+    estimator)."""
     n = M.dim
-    ball = isinstance(M, bd.Ball)
-    if ball and not deforms:
+    invariant = bd.rotation_invariant(M)
+    if invariant and not deforms:
         # G = I on every row: one row, which draws nothing, is the integral
         G = np.eye(n)[None]
         vj = bd.moved_intrinsic_volumes(L, G)
@@ -370,17 +359,17 @@ def _exact_loop(M, L, samples: int, rng, seed: int, component: str, deforms: boo
     for shift, X in blocks:
         lam, V = eigh_sym(X)
         G = congruence(V, np.exp(lam))
-        if not ball:
+        if not invariant:
             G = sample_haar_orthogonal(n, rng, component=component, size=len(G)) @ G
-        vj = bd.moved_intrinsic_volumes(L, G) if ball else None
+        vj = bd.moved_intrinsic_volumes(L, G) if invariant else None
         # integrate the trace of X out, part by part
         dv = (bd.difference_volumes(M, L, G, vj) * moments
               * np.exp(-np.outer(lam.sum(axis=1), degrees) / n))
         exact.update(dv.sum(axis=1), shift)
-        if ball:
+        if invariant:
             for j in range(n + 1):
                 terms[j].update(vj[:, j], shift)
-    return exact.result(seed), [a.result(seed) for a in terms] if ball else None
+    return exact.result(seed), [a.result(seed) for a in terms] if invariant else None
 
 
 class _PlainMean(RunningMean):
@@ -660,28 +649,28 @@ class LemmaCheck:
 def check_lemma_inputs(M, L) -> None:
     """Refuse a pair separation_lemma_check cannot run, with ValueError.
 
-    Both bodies must be V-polytopes in the plane, and their difference body
+    Both bodies must be polygons: polytopes in the plane with a vertex set
+    (bodies.vertex_set), V- or H-polygons alike. Their difference body
     M + (-gL) must be 2-D (it is for almost every g unless the affine hulls
     of M and L have dimensions summing below 2: a point and a point or a
     segment), since the boundary stratum walks its edges.
     """
-    if not isinstance(M, bd.VPolytope) or not isinstance(L, bd.VPolytope):
-        raise ValueError("lemma-check needs V-polytope bodies")
     if M.dim != 2 or L.dim != 2:
         raise ValueError("lemma-check runs in the plane")
-    if bd.affine_rank(M.vertices) + bd.affine_rank(L.vertices) < 2:
+    VM, VL = bd.vertex_set(M), bd.vertex_set(L)
+    if VM is None or VL is None:
+        raise ValueError("lemma-check needs polytope bodies")
+    if bd.affine_rank(VM) + bd.affine_rank(VL) < 2:
         raise ValueError("lemma-check needs a 2-D difference body; M and L "
                          "are a point and a point or a segment")
 
 
-def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
-                           rng) -> LemmaCheck:
+def separation_lemma_check(M, L, trials: int, rng) -> LemmaCheck:
     """Stress the boundary biconditional on random deformations of L.
 
     Trial i draws g = k exp(X), builds the difference body D = M + (-gL) and
     plants the translation t in stratum i mod 3: the interior of D, its
-    boundary (a point on an edge drawn by length, its position jittered
-    along the edge) or its exterior. The claim under test: M and gL + t
+    boundary or its exterior. The claim under test: M and gL + t
     intersect AND admit a separating hyperplane exactly when t lies on the
     boundary of D.
 
@@ -692,14 +681,18 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
     - each D is the edge merge bodies.minkowski_rings of M's ring and that
       of -gL (bodies.polygon_ring of L, reversed where det g < 0 so it
       stays counter-clockwise), from M's and L's geometry alone;
-    - interior and exterior candidates are drawn in rounds of
-      _LEMMA_ROUND per trial still open, from D's box (interior) or the box
-      twice its size around it (exterior), and the first that lies inside
-      (outside) D's edge half-planes and farther than _SKIP_MARGIN from its
-      boundary (bodies._edge_distance) is kept; a trial with none after
-      _LEMMA_CANDIDATES candidates counts as a boundary_skip;
+    - each t lies on the ray from D's vertex mean c through a boundary
+      point b (an edge drawn by length, the position on it uniform and
+      jittered, so corners come up too): t = c + s (b - c), with s = 1 on
+      the boundary, s = 1 - a inside and s = 1 + a outside, a uniform in
+      [m/r, 1), where r is the distance from c to D's edge lines and
+      m = _SKIP_MARGIN. D is convex and holds the disc of radius r about
+      c, so it holds the disc of radius (1 - s) r >= m about an interior
+      t, and an exterior t lies at least (s - 1) r >= m from D (a point
+      of D nearer would put b inside it). A trial off the boundary where
+      m/r >= 1 counts as a boundary_skip;
     - both predicates are read off one batched separating-axis pass
-      (bodies._polygon_gaps, the kernel of batch_intersects): M and gL + t
+      (bodies.polygon_gaps, the kernel of batch_intersects): M and gL + t
       meet when every gap is at most TOL, and a hyperplane separates them
       when the largest gap is at least -TOL.
     failures holds the first 10 disagreements in trial order. The result
@@ -724,33 +717,23 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
     ringL[flip] = ringL[flip, ::-1]
     D = bd.minkowski_rings(bd.polygon_ring(M), ringL)  # (T, K, 2)
     E = np.roll(D, -1, axis=1) - D
-    normals = np.stack([E[..., 1], -E[..., 0]], axis=-1)  # outward, unnormalized
-    offsets = np.einsum("tki,tki->tk", normals, D)
-    lo, hi = D.min(axis=1), D.max(axis=1)
-    span = hi - lo
-    t = np.full((T, 2), np.nan)
-    for s, box_lo, box_span in ((0, lo, span), (2, lo - 0.5 * span, 2.0 * span)):
-        open_ = np.flatnonzero(stratum == s)
-        for _ in range(_LEMMA_CANDIDATES // _LEMMA_ROUND):
-            if open_.size == 0:
-                break
-            cand = (box_lo[open_, None, :]
-                    + rng.random((open_.size, _LEMMA_ROUND, 2)) * box_span[open_, None, :])
-            inside = np.all(cand @ np.swapaxes(normals[open_], 1, 2)
-                            <= offsets[open_, None, :], axis=2)
-            ok = ((inside == (s == 0))
-                  & (bd._edge_distance(D[open_], cand) > _SKIP_MARGIN))
-            found = ok.any(axis=1)
-            t[open_[found]] = cand[found, ok[found].argmax(axis=1)]
-            open_ = open_[~found]
-    edge = np.flatnonzero(stratum == 1)
-    cum = np.cumsum(np.hypot(E[edge, :, 0], E[edge, :, 1]), axis=1)
-    pick = rng.random(edge.size) * cum[:, -1]
+    lengths = np.hypot(E[..., 0], E[..., 1])
+    c = D.mean(axis=1)
+    # the distance from c to D's edge lines; an edge of length 0 (two
+    # points of a ring on one corner) bounds nothing
+    height = E[..., 1] * (D[..., 0] - c[:, None, 0]) - E[..., 0] * (D[..., 1] - c[:, None, 1])
+    edge = lengths > 0.0
+    rad = np.where(edge, height / np.where(edge, lengths, 1.0), np.inf).min(axis=1)
+    cum = np.cumsum(lengths, axis=1)
+    pick = rng.random(T) * cum[:, -1]
     idx = np.minimum((cum <= pick[:, None]).sum(axis=1), D.shape[1] - 1)
-    u = np.clip(rng.random(edge.size) + 0.1 * rng.standard_normal(edge.size), 0.0, 1.0)
-    t[edge] = D[edge, idx] + u[:, None] * E[edge, idx]
-    have = np.flatnonzero(~np.isnan(t[:, 0]))
-    _, gaps = bd._polygon_gaps(M, L, G[have], invG[have], t[have])
+    u = np.clip(rng.random(T) + 0.1 * rng.standard_normal(T), 0.0, 1.0)
+    b = D[np.arange(T), idx] + u[:, None] * E[np.arange(T), idx]
+    q = _SKIP_MARGIN / rad
+    a = (stratum - 1) * (q + rng.random(T) * (1.0 - q))  # s - 1
+    have = np.flatnonzero((stratum == 1) | (q < 1.0))
+    t = b[have] + a[have, None] * (b[have] - c[have])
+    _, gaps = bd.polygon_gaps(M, L, G[have], invG[have], t)
     nonempty = np.all(gaps <= bd.TOL, axis=1)
     separable = gaps.max(axis=1) >= -bd.TOL
     agree = (nonempty & separable) == (stratum[have] == 1)
@@ -759,6 +742,6 @@ def separation_lemma_check(M: bd.VPolytope, L: bd.VPolytope, trials: int,
         trials=T, agreements=agreements, disagreements=have.size - agreements,
         boundary_skips=T - have.size,
         stratum_counts={name: int(np.sum(stratum[have] == s)) for s, name in enumerate(strata)},
-        failures=[{"stratum": strata[stratum[have[r]]], "t": t[have[r]].tolist(),
+        failures=[{"stratum": strata[stratum[have[r]]], "t": t[r].tolist(),
                    "nonempty": bool(nonempty[r]), "separable": bool(separable[r])}
                   for r in np.flatnonzero(~agree)[:10]])

@@ -3,8 +3,9 @@
 Each acceptance test records one pass/fail line through record(); the
 terminal-summary hook replays them in a dedicated section so the verdicts
 stay visible even when pytest captures stdout. The hull_builds fixture
-counts the convex hulls bodies builds. tools/ is put on the import path,
-so tests import the calibration table of tools/replicates.py.
+counts the convex hulls bodies builds, and lp_calls the linear programs
+it solves. tools/ is put on the import path, so tests import the
+calibration table of tools/replicates.py.
 """
 
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from intgeo import bodies as bd
+from intgeo import linprog
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -28,6 +30,16 @@ def hull_builds(monkeypatch):
         build = getattr(bd, name)
         monkeypatch.setattr(bd, name,
                             lambda P, name=name, build=build: calls.append(name) or build(P))
+    return calls
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """A list that gains one entry per linprog.solve_lp call made while the
+    test runs (bodies and linprog's own helpers look it up on the module)."""
+    calls = []
+    solve = linprog.solve_lp
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
     return calls
 
 

@@ -114,7 +114,7 @@ def test_contains_points_vectorized_matches_membership():
     assert np.array_equal(vec, np.einsum("ij,jk,ik->i", d, Q, d) <= 1.0)
 
 
-def test_flat_vpolytope_membership_solves_no_lp(monkeypatch):
+def test_flat_vpolytope_membership_solves_no_lp(lp_calls):
     # at n <= 3 a flat vertex set (a triangle in R^3, segments, a point)
     # reads the distance to its faces; it took one LP per point, which
     # stays the oracle
@@ -140,15 +140,13 @@ def test_flat_vpolytope_membership_solves_no_lp(monkeypatch):
                                    mid + scale * bd.TOL * outward]), want))
     oracle = [[bd._vpolytope_member_lp(b, p, bd.TOL) for p in pts]
               for b, pts in zip(bodies, random_pts)]
-    calls = []
-    solve = bd.linprog.solve_lp
-    monkeypatch.setattr(bd.linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    lp_calls.clear()
     for b, pts, want in zip(bodies, random_pts, oracle):
         np.testing.assert_array_equal(bd.contains_points(b, pts), want)
     tri_body = bodies[0]
     for pts, want in planted:
         assert np.all(bd.contains_points(tri_body, pts) == want)
-    assert calls == []
+    assert lp_calls == []
     # the LP agrees at TOL / 2 and at 2 TOL, and so does the distance
     assert all(bd._vpolytope_member_lp(tri_body, p, bd.TOL) for p in planted[0][0])
     assert not any(bd._vpolytope_member_lp(tri_body, p, bd.TOL) for p in planted[1][0])
@@ -770,12 +768,13 @@ def test_polygon_gaps_answer_both_lemma_predicates():
     # separating_hyperplane, on random pairs and on touching pairs: A and its
     # point reflection 2v - A through a vertex v meet at v alone
     rng = np.random.default_rng(23)
+    eye = np.eye(2)[None]
     for _ in range(40):
         A = bd.random_polytope(2, 7, rng)
         v = A.vertices[rng.integers(len(A.vertices))]
         other = bd.random_polytope(2, 6, rng, center=rng.uniform(-2, 2, 2))
         for B, touching in ((other, False), (bd.VPolytope(2.0 * v - A.vertices), True)):
-            _, gaps = bd.polygon_gaps(A.vertices, B.vertices)
+            _, [gaps] = bd.polygon_gaps(A, B, eye, eye, np.zeros((1, 2)))
             nonempty, separable = bool(np.all(gaps <= bd.TOL)), bool(gaps.max() >= -bd.TOL)
             assert nonempty == bd.intersects(A, B)
             assert separable == (bd.separating_hyperplane(A, B) is not None)
@@ -1543,7 +1542,7 @@ def _lp_valid(N, o):
     return True
 
 
-def test_hpolytopes_validate_without_lps_up_to_3d(monkeypatch):
+def test_hpolytopes_validate_without_lps_up_to_3d(lp_calls):
     # at n <= 3 the vertex enumeration and the extreme rays of {d : N d <= 0}
     # give the LPs' verdict on random systems without solving one; a
     # validated H-polytope at n = 4 that is not a box still solves 1 + 2n
@@ -1555,9 +1554,7 @@ def test_hpolytopes_validate_without_lps_up_to_3d(monkeypatch):
         systems.append((rng.standard_normal((m, n)), rng.uniform(-0.3, 1.0, m)))
     verdicts = [_lp_valid(N, o) for N, o in systems]
     assert 50 < sum(verdicts) < 250
-    calls = []
-    solve = linprog.solve_lp
-    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    lp_calls.clear()
     for (N, o), want in zip(systems, verdicts):
         try:
             bd.HPolytope(N, o)
@@ -1565,9 +1562,9 @@ def test_hpolytopes_validate_without_lps_up_to_3d(monkeypatch):
         except ValueError:
             got = False
         assert got == want
-    assert calls == []
+    assert lp_calls == []
     _h_polytope_with_a_corner_cut(4)
-    assert len(calls) == 1 + 2 * 4
+    assert len(lp_calls) == 1 + 2 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -1659,16 +1656,14 @@ def test_batch_flat_hits_of_quadrics_match_flat_by_flat_minimization(n, monkeypa
             assert np.all(hits == meet)
 
 
-def test_hyperplanes_of_a_4d_box_solve_no_lp(monkeypatch):
+def test_hyperplanes_of_a_4d_box_solve_no_lp(lp_calls):
     # the support interval of an axis box, against the LP per flat
     rng = np.random.default_rng(41)
     U, off = _flats(4, 3, 500, rng, radius=2.5)
     want = [bd._flat_hits_lp(H_BOX_4D, u, o) for u, o in zip(U, off)]
-    calls = []
-    solve = linprog.solve_lp
-    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    lp_calls.clear()
     got = bd.batch_flat_hits(H_BOX_4D, U, off)
-    assert calls == []
+    assert lp_calls == []
     assert got.tolist() == want
     assert 0 < got.sum() < 500
 
@@ -1690,7 +1685,7 @@ def test_hyperplane_normals_need_no_svd_at_n_le_3(n, monkeypatch):
     assert 0 < hits.sum() < 300
 
 
-def test_quadric_rows_against_flat_polytopes_solve_no_lp(monkeypatch):
+def test_quadric_rows_against_flat_polytopes_solve_no_lp(lp_calls):
     # a flat V-polytope decides membership by LP, so the midpoint shortcut
     # of batch_intersects skips it: a ball against a segment or a flat
     # triangle in R^3, either way round, reads the distance faces only and
@@ -1699,22 +1694,19 @@ def test_quadric_rows_against_flat_polytopes_solve_no_lp(monkeypatch):
     rng = np.random.default_rng(251)
     B = 200
     ball, cube = bd.unit_ball(3), bd.cube(3, side=1.2, centered=True)
-    calls = []
-    solve = linprog.solve_lp
-    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
     for P in (bd.VPolytope(_rotated_flat(rng, 2, 3, 1)), bd.VPolytope(_rotated_flat(rng, 3, 3, 2))):
         V = P.vertices
         for first in (True, False):
             G, invG = _draw_maps(3, B, rng)
             t = _box_translations(ball, P, G, rng) if first else _box_translations(P, ball, G, rng)
-            calls.clear()
+            lp_calls.clear()
             if first:  # the ball meets g P + t
                 got = bd.batch_intersects(ball, P, G, invG, t)
                 W = V @ np.swapaxes(G, 1, 2) + t[:, None, :]
             else:  # P meets g B + t: g^-1 (P - t) meets B
                 got = bd.batch_intersects(P, ball, G, invG, t)
                 W = (V - t[:, None, :]) @ np.swapaxes(invG, 1, 2)
-            assert calls == []
+            assert lp_calls == []
             want = [_vpolytope_distance(bd.VPolytope(w), np.zeros((1, 3)))[0] <= 1.0 + bd.TOL
                     for w in W]
             assert got.tolist() == want and 0 < got.sum() < B

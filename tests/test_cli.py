@@ -621,6 +621,41 @@ def test_lemma_check_refuses_M_without_L(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lemma_check_refuses_L_without_M(tmp_path, capsys):
+    # it ignored the given L and checked two random polygons
+    L, out = tmp_path / "L.json", tmp_path / "out.json"
+    L.write_text(json.dumps({"type": "vpolytope", "vertices": [[0.0, 0.0], [1.0, 0.0],
+                                                              [0.0, 1.0]]}))
+    assert cli.main(["lemma-check", "--L", str(L), "--trials", "10", "--seed", "1",
+                     "--out", str(out)]) == 2
+    assert "--M and --L go together" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lemma_check_takes_h_polygons(tmp_path):
+    # any polytope with a vertex set in the plane is a polygon
+    M, L, out = tmp_path / "M.json", tmp_path / "L.json", tmp_path / "out.json"
+    M.write_text(json.dumps(bd.body_to_dict(bd.cube(2, side=1.5, centered=True))))
+    L.write_text(json.dumps({"type": "vpolytope", "vertices": [[0.0, 0.0], [1.0, 0.0],
+                                                              [0.0, 1.0]]}))
+    assert cli.main(["lemma-check", "--M", str(M), "--L", str(L), "--trials", "30",
+                     "--seed", "1", "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["results"]
+    assert res["agreements"] == 30 and res["boundary_skips"] == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["intrinsic", "lemma-check"])
+def test_threads_below_1_are_refused_on_the_flag(ball2, tmp_path, capsys, command, threads):
+    # intrinsic and lemma-check never reach run_chunks, which refuses them
+    out = tmp_path / "out.json"
+    extra = ["--body", ball2] if command == "intrinsic" else ["--trials", "10"]
+    assert cli.main([command, "--seed", "1", "--threads", threads, "--out", str(out)]
+                    + extra) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lemma_check_refuses_a_flat_difference_body(tmp_path):
     # a one-vertex polygon and a segment have a 1-D difference body, which
     # has no edges to plant boundary translations on
@@ -679,11 +714,9 @@ print(json.dumps(report))
 """
 
 
-def test_kin_polytope_workload_solves_no_lp(tmp_path, monkeypatch):
+def test_kin_polytope_workload_solves_no_lp(tmp_path, monkeypatch, lp_calls):
     # the benchmark's kin-polytope commands, in process: loading its two
     # H-polygons, the chi LHS and Crofton terms and the lemma check
-    from intgeo import linprog
-
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
@@ -691,13 +724,11 @@ def test_kin_polytope_workload_solves_no_lp(tmp_path, monkeypatch):
     out = str(tmp_path / "out.json")
     for cmd in caches:
         assert cli.main(cmd.with_out(out)) == 0
-    calls = []
-    solve = linprog.solve_lp
-    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    lp_calls.clear()
     assert [cmd.name for cmd in commands] == ["chi-hpolygons", "lemma-vpolygons"]
     for cmd in commands:
         assert cli.main(cmd.with_out(out)) == 0
-    assert calls == []
+    assert lp_calls == []
 
 
 def test_workload_commands_never_load_scipy(tmp_path):

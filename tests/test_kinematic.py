@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -204,14 +205,16 @@ ROTATED_4CUBE = bd.HPolytope(
     (HEX, PENT),
     (bd.cube(4, side=1.5, centered=True), bd.VPolytope(np.vstack([np.zeros(4), np.eye(4)]))),
     (ROTATED_4CUBE, bd.unit_ball(4)),
-], ids=["ball-tilted", "tilted-ball", "hhex-vpent", "hbox4-vsimplex", "hrotated4-ball"])
-def test_frame_box_is_the_support_of_the_difference_body(monkeypatch, M, L):
+    (bd.unit_ball(4), ROTATED_4CUBE),
+], ids=["ball-tilted", "tilted-ball", "hhex-vpent", "hbox4-vsimplex", "hrotated4-ball",
+        "ball-hrotated4"])
+def test_frame_box_is_the_support_of_the_difference_body(lp_calls, M, L):
     # the translation box in the frame R = k V of g = k V e^Lambda V^T:
     # along each column r of R it spans [-h_D(-r), h_D(r)] of the
     # difference body D = M + (-gL), h_D(r) = h_M(r) + h_gL(-r). An
-    # H-polytope at n >= 4 that is no axis box gives its box through its
-    # axis box instead of a support LP per row, so the box contains D's
-    # extent and the rows solve no LP
+    # H-polytope at n >= 4 that is no axis box, M or L, gives its box
+    # through its axis box (bodies.box_proxy) instead of a support LP per
+    # row, so the box contains D's extent and the rows solve no LP
     n = M.dim
     rng = np.random.default_rng(40 + n)
     k = sym.sample_haar_orthogonal(n, rng, size=12)
@@ -219,15 +222,13 @@ def test_frame_box_is_the_support_of_the_difference_body(monkeypatch, M, L):
     R = np.concatenate([k @ V, V])  # a ball M's check takes R = V
     lam, V = np.concatenate([lam, lam]), np.concatenate([V, V])
     D = np.exp(lam)[:, :, None] * np.swapaxes(V, 1, 2)  # R^T g
-    Mbox = kin._box_proxy(M)
-    exact = Mbox is M
-    assert exact == (M is not ROTATED_4CUBE)
-    solve, lps = linprog.solve_lp, []
-    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **kw: lps.append(1) or solve(*a, **kw))
+    Mbox, Lbox = bd.box_proxy(M), bd.box_proxy(L)
+    exact = Mbox is M and Lbox is L
+    assert exact == (ROTATED_4CUBE not in (M, L))
+    lp_calls.clear()
     cM, hM = bd.moved_boxes(Mbox, np.swapaxes(R, 1, 2))
-    cg, hw = bd.moved_boxes(L, D)
-    monkeypatch.setattr(linprog, "solve_lp", solve)
-    assert not lps
+    cg, hw = bd.moved_boxes(Lbox, D)
+    assert not lp_calls
     hi, lo = cM + hM + hw - cg, cM - hM - hw - cg
     for b in range(len(R)):
         G = R[b] @ D[b]
@@ -240,6 +241,36 @@ def test_frame_box_is_the_support_of_the_difference_body(monkeypatch, M, L):
                 assert lo[b, j] == pytest.approx(down, rel=1e-12, abs=1e-12)
             else:
                 assert hi[b, j] >= up - 1e-12 and lo[b, j] <= down + 1e-12
+
+
+@pytest.mark.parametrize("M, L", [
+    (bd.unit_ball(4), ROTATED_4CUBE),
+    (ROTATED_4CUBE, bd.unit_ball(4)),
+], ids=["ball-hrotated4", "hrotated4-ball"])
+def test_lhs_boxes_of_a_turned_4d_hpolytope_solve_no_lp_per_row(lp_calls, M, L):
+    # the H-polytope's own box solves its LPs once per run, M or L alike;
+    # L's box solved 2n LPs per group element
+    counts = []
+    for samples in (200, 2000):
+        lp_calls.clear()
+        res = lhs_kinematic("gl", "volume", M, L, samples, 3)
+        counts.append(len(lp_calls))
+        assert res.samples == samples and np.isfinite(res.mean)
+    assert counts[0] == counts[1] <= 2 * 2 * 4
+
+
+def test_kinematic_holds_estimators_only():
+    # the body types pick their kernels in bodies and nowhere else: this
+    # module names no body type and reaches no private bodies kernel
+    tree = ast.parse(Path(kin.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "bd" and node.attr.startswith("_")}
+    assert not names & {"Ball", "Ellipsoid", "HPolytope", "VPolytope"}
+    assert not private
+    assert not {"_box_proxy", "_LEMMA_CANDIDATES", "_LEMMA_ROUND"} & set(vars(kin))
 
 
 @pytest.mark.parametrize("phi, M, samples, want", [
@@ -448,28 +479,20 @@ def test_polytope_lhs_matches_the_lp_route(group, phi, M, L, samples, seed, want
     assert res.std_error == pytest.approx(want[1], rel=1e-12)
 
 
-def test_polygon_lp_count_does_not_grow_with_samples(monkeypatch):
+def test_polygon_lp_count_does_not_grow_with_samples(lp_calls):
     # H-polygon LHS boxes and chi, and Crofton point and line flats, solve
     # no LP per sample: the count is the same at any budget
     M = bd.HPolytope(HEX.normals, HEX.offsets)
     L = bd.cube(2, side=1.5, centered=True)
-    calls = []
-    solve = linprog.solve_lp
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(linprog, "solve_lp", counting)
     counts = []
     for samples in (50, 2000):
-        calls.clear()
+        lp_calls.clear()
         lhs_kinematic("gl", "chi", M, L, samples, 1)
-        counts.append(len(calls))
+        counts.append(len(lp_calls))
         # Crofton's window takes the outer radius from the vertex set too
         for j in (0, 1, 2):
             crofton_coefficient("chi", M, j, samples, 2 + j)
-        assert len(calls) == counts[-1]
+        assert len(lp_calls) == counts[-1]
     assert counts[0] == counts[1]
 
 
@@ -801,6 +824,51 @@ def test_lemma_check_builds_only_the_hulls_of_M_and_L(hull_builds):
     assert len(hull_builds) <= 2
 
 
+def _h_polygon(rng, k):
+    """An H-polygon of k halfplanes whose normals are spread round the circle."""
+    a = (np.arange(k) + rng.uniform(-0.3, 0.3, k)) * 2.0 * np.pi / k
+    return bd.HPolytope(np.column_stack([np.cos(a), np.sin(a)]), rng.uniform(0.4, 1.2, k))
+
+
+@pytest.mark.parametrize("margin", [kin._SKIP_MARGIN, 0.02])
+@pytest.mark.parametrize("kinds", ["vv", "vh", "hv", "hh"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lemma_check_plants_every_trial_clear_of_the_boundary(monkeypatch, kinds, seed,
+                                                              margin):
+    # every interior and exterior t lies at least _SKIP_MARGIN from the
+    # boundary of D = M + (-gL), by D's own hull of the pairwise vertex
+    # sums: the distance to its edge lines inside, distance_to_body outside.
+    # The wider margin takes the planting to where a slip would show
+    monkeypatch.setattr(kin, "_SKIP_MARGIN", margin)
+    rng = np.random.default_rng(300 + seed)
+    M, L = (bd.random_polytope(2, 7, rng) if kind == "v" else _h_polygon(rng, 6)
+            for kind in kinds)
+    seen = []
+
+    def spy(M, L, G, invG, t):
+        seen.append((G.copy(), t.copy()))
+        return gaps_of(M, L, G, invG, t)
+
+    gaps_of = bd.polygon_gaps
+    monkeypatch.setattr(bd, "polygon_gaps", spy)
+    res = separation_lemma_check(M, L, 150, rng)
+    assert res.boundary_skips == 0 and res.disagreements == 0
+    assert res.stratum_counts == {"interior": 50, "boundary": 50, "exterior": 50}
+    [(G, t)] = seen
+    VM, VL = bd.vertex_set(M), bd.vertex_set(L)
+    for i in range(150):
+        if i % 3 == 1:
+            continue
+        sums = (VM[:, None, :] - (VL @ G[i].T)[None, :, :]).reshape(-1, 2)
+        hull = bd.planar_hull(sums)
+        if i % 3 == 0:
+            eq = hull.equations
+            assert -np.max(eq[:, :2] @ t[i] + eq[:, 2]) >= margin
+        else:
+            D = bd.VPolytope(sums[hull.vertices])
+            assert bd.distance_to_body(D, t[i])[0] >= margin
+
+
 def test_lemma_check_catches_a_difference_body_of_the_wrong_sign(monkeypatch):
     # D built as M + gL instead of M + (-gL): its boundary points are not
     # touching positions, and the separating-axis test has to say so
@@ -831,8 +899,8 @@ def test_lemma_check_keeps_the_first_ten_failures_in_trial_order(monkeypatch):
         axes, gaps = gaps_of(M, L, G, invG, t)
         return axes, np.abs(gaps) + 1.0
 
-    gaps_of = bd._polygon_gaps
-    monkeypatch.setattr(bd, "_polygon_gaps", disjoint)
+    gaps_of = bd.polygon_gaps
+    monkeypatch.setattr(bd, "polygon_gaps", disjoint)
     M, L, rng = _lemma_pair()
     res = separation_lemma_check(M, L, 150, rng)
     assert res.disagreements == 50 and res.agreements == 100

@@ -384,7 +384,7 @@ def qr_positive(G):
     return Q * np.sign(np.einsum("mii->mi", R))[:, None, :]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_orthonormal_factor_is_the_sign_fixed_householder_q(n):
     rng = np.random.default_rng(90 + n)
     G = rng.standard_normal((2000, n, n))
