@@ -5,8 +5,9 @@ Scaling constants by two independent routes
 c_j is the expected ratio V_j(e^X B^n) / V_j(B^n) over Gaussian symmetric X.
 The trace of X is independent of its traceless part and integrates exactly,
 to the factor e^(j^2 / (2n)), so both routes sample traceless spectra only.
-The direct route samples matrices, eigendecomposes and subtracts the mean
-eigenvalue; the eigenvalue route samples spectra from the normal proposal
+The direct route draws the traceless part X_0 itself, from lattice normals
+in the traceless split chart of Sym(n), and takes the eigenvalues of e^(X_0);
+the eigenvalue route samples spectra from the normal proposal
 N(0, (n+2)/2) projected onto the traceless hyperplane and reweights by the
 Vandermonde factor. They must agree. c_0 = 1 and c_n = e^(n/2) are exact
 anchors: the direct route returns them exactly, and the eigenvalue route

@@ -25,8 +25,8 @@ from .volumes import (QuadratureError, SteinerFit,
                       closed_intrinsic_volumes, intrinsic_volume_ball,
                       intrinsic_volume_ellipsoid, kappa, steiner_fit,
                       volume_exact)
-from .weyl import (EssFloorError, WeylEstimate, c_direct, c_weyl,
-                   compute_constants, load_constants, lookup_constants,
+from .weyl import (ROUTES, EssFloorError, WeylEstimate, c_direct, c_weyl,
+                   compute_constants, load_constants, run_constants,
                    save_constants, z_n)
 
 __version__ = "0.1.0"

@@ -15,11 +15,12 @@ parser's refusals raise ConfigError. The entries of a --config file are flag tex
 spliced in right after the subcommand, where any explicit flag, coming
 later, overrides them, and a key that names no flag of the subcommand is
 refused. Beyond the flags the command checks only that --M and --L come
-together in lemma-check, that cj's weyl route is asked for at n <= 4, and the cache
-file; the library checks every other input before it draws and refuses it
-with ValueError. Exit codes: 2 for configuration errors, the library's
-ValueError among them, 3 for numerical failures (np.linalg.LinAlgError
-among them).
+together in lemma-check; the library checks every other input before it
+draws and refuses it with ValueError. A cj run is weyl.run_constants, and
+its cache is read back by weyl.load_constants, so the commands parse and
+print. Exit codes: 2 for configuration errors, the library's ValueError
+among them, and for an output path that cannot be written (OSError); 3
+for numerical failures (np.linalg.LinAlgError among them).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 from . import __version__
 from . import bodies as bd
 from . import kinematic, weyl
-from .estimation import run_chunks
 from .linprog import SimplexError
 from .volumes import (QuadratureError, closed_intrinsic_volumes, steiner_fit)
 
@@ -150,14 +150,7 @@ def cmd_intrinsic(args) -> dict:
                    "std_errors": [0.0] * len(values),
                    "method": "closed"}
     else:
-        radii = args.radii or [0.25 * (i + 1) for i in range(n + 2)]
-        fit = steiner_fit(body, radii, args.samples, args.seed)
-        results = {"values": fit.values.tolist(),
-                   "std_errors": fit.std_errors.tolist(),
-                   "radii": fit.radii.tolist(),
-                   "measured": fit.measured.tolist(),
-                   "measured_se": fit.measured_se.tolist(),
-                   "samples": fit.samples,
+        results = {**steiner_fit(body, args.radii, args.samples, args.seed).to_dict(),
                    "method": "steiner"}
     rows = [["j", "value", "std_error"]]
     rows += [[j, *row] for j, row in enumerate(zip(results["values"], results["std_errors"]))]
@@ -169,27 +162,16 @@ def cmd_intrinsic(args) -> dict:
 
 def cmd_cj(args) -> dict:
     n, method, samples, seed = args.n, args.method, args.samples, args.seed
-    if method != "direct" and n > weyl.WEYL_MAX_N:
-        raise ConfigError(f"the weyl route needs n <= {weyl.WEYL_MAX_N}; "
-                          f"use --method direct for n = {n}")
     js = None if args.j is None else sorted(set(args.j))
-    out: dict = {}
-    records = []
-    methods = ("direct", "weyl") if method == "both" else (method,)
-    for m in methods:
-        [parts] = run_chunks(
-            [(lambda rng, k, m=m: weyl.compute_constants(n, k, rng, method=m, js=js),
-              samples)],
-            seed + (0 if m == "direct" else 1), args.threads)
-        merged = weyl.merge_constants(parts, seed)
-        out[m] = {str(j): r.to_dict() for j, r in sorted(merged.items())}
-        records += weyl.constants_to_records(n, m, merged)
+    routes = weyl.run_constants(n, samples, seed, weyl.ROUTES if method == "both" else (method,),
+                                js=js, threads=args.threads)
     if args.cache:
-        weyl.save_constants(args.cache, records)
+        weyl.save_constants(args.cache, n, routes)
     return {"schema_version": SCHEMA_VERSION, "command": "cj",
             "params": {"n": n, "method": method, "samples": samples,
                        "seed": seed, "threads": args.threads, "j": js},
-            "results": out}
+            "results": {route: {str(j): r.to_dict() for j, r in results.items()}
+                        for route, results in routes.items()}}
 
 
 def cmd_kinematic(args) -> dict:
@@ -201,14 +183,9 @@ def cmd_kinematic(args) -> dict:
     constants = None
     if args.cj_cache:
         try:
-            records = weyl.load_constants(args.cj_cache)
+            constants = weyl.load_constants(args.cj_cache, n)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad constants cache: {exc}") from exc
-        constants = weyl.lookup_constants(records, n, method="direct")
-        if set(constants) < set(range(n + 1)):
-            constants = weyl.lookup_constants(records, n, method="weyl")
-        if set(constants) < set(range(n + 1)):
-            raise ConfigError("constants cache is missing some j for this n")
 
     report = kinematic.build_report(args.group, args.phi, M, L, samples, args.seed,
                                     inner_samples=args.inner_samples,
@@ -313,7 +290,7 @@ def main(argv=None) -> int:
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, NotImplementedError, ValueError) as exc:
+    except (ConfigError, NotImplementedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -453,6 +453,7 @@ class SteinerFit:
     seed: int
 
     def to_dict(self) -> dict:
+        """The fit as JSON, without its seed, which a run's params record."""
         return {
             "values": self.values.tolist(),
             "std_errors": self.std_errors.tolist(),
@@ -460,22 +461,23 @@ class SteinerFit:
             "measured": self.measured.tolist(),
             "measured_se": self.measured_se.tolist(),
             "samples": self.samples,
-            "seed": self.seed,
         }
 
 
 def steiner_fit(body, radii, samples: int, rng) -> SteinerFit:
     """Estimate all intrinsic volumes of a body from dilated volume samples.
 
-    samples is the total budget, split evenly across the dilation radii. The
+    samples is the total budget, split evenly across the dilation radii;
+    radii None takes the n + 2 radii 0.25, 0.5, ..., 0.25 (n + 2). The
     number of radii must be at least n + 1 so the Vandermonde-like design
     matrix has full column rank, each radius finite and positive, and the
     budget at least one sample per radius; otherwise ValueError is raised
     before anything is drawn.
     """
     rng, seed = resolve_rng(rng)
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     n = body.dim
+    radii = np.atleast_1d(np.asarray(0.25 * np.arange(1, n + 3) if radii is None else radii,
+                                     dtype=float))
     if radii.size < n + 1:
         raise ValueError("need at least n + 1 dilation radii")
     if not np.all(np.isfinite(radii) & (radii > 0)):

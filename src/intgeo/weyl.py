@@ -47,6 +47,12 @@ by at most one), estimates each c_j by the mean of the shift means, and
 reports as standard error the standard deviation of the shift means over
 sqrt(SHIFTS) (sampling.ShiftSums); samples is the budget. On the weyl
 route the ESS still reads the weights of every point.
+
+run_constants is the one driver of a c_j run, the library's and the cj
+command's: it owns the route seeds, the weyl route's cap on n and the chunk
+plan. save_constants writes its estimates as a cache file, and
+load_constants reads c_0..c_n back for a kinematic report, from the direct
+route when it is complete and else from the weyl route.
 """
 
 from __future__ import annotations
@@ -57,12 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EstimatorResult, merge_results, resolve_rng
+from .estimation import EstimatorResult, merge_results, resolve_rng, run_chunks
 from .sampling import ShiftSums, lattice_normals
 from .symmetric import eigvals_sym_batch, helmert, split_coords_to_sym, sym_dim
 from .volumes import batch_ellipsoid_intrinsic_volumes, intrinsic_volume_ball
 
 WEYL_MAX_N = 4  # the scaled normal proposal is checked only this far
+ROUTES = ("direct", "weyl")
 ESS_FLOOR = 0.05
 
 
@@ -120,6 +127,23 @@ def _weyl_weight(lam0: np.ndarray, sigma: float) -> np.ndarray:
             * np.exp(-0.5 * (1.0 - sigma**-2) * sq))
 
 
+def _check_weyl_n(n: int) -> None:
+    """The weyl route's domain: 1 <= n <= WEYL_MAX_N, where its scaled normal
+    proposal is checked; ValueError otherwise."""
+    if not 1 <= n <= WEYL_MAX_N:
+        raise ValueError(f"the weyl route supports 1 <= n <= {WEYL_MAX_N}, got n = {n}; "
+                         f"use the direct route")
+
+
+def _ess(weight_sum: float, weight_sq_sum: float, samples: int) -> float:
+    """Effective sample fraction of importance weights with these sums over
+    samples points; EssFloorError when it falls below ESS_FLOOR."""
+    ess = weight_sum**2 / (samples * weight_sq_sum) if weight_sq_sum > 0 else 0.0
+    if ess < ESS_FLOOR:
+        raise EssFloorError(f"effective sample fraction {ess:.4f} below {ESS_FLOOR}")
+    return ess
+
+
 def c_direct(n: int, samples: int, rng, js=None) -> dict[int, EstimatorResult]:
     """Direct-route estimates of c_j for all requested j in one pass.
 
@@ -165,16 +189,14 @@ def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
     only there) and EssFloorError when the effective sample fraction drops
     below ESS_FLOOR.
     """
-    if not 1 <= n <= WEYL_MAX_N:
-        raise ValueError(f"weyl route supports 1 <= n <= {WEYL_MAX_N}, got {n}")
+    _check_weyl_n(n)
     rng, seed = resolve_rng(rng)
     js = list(range(n + 1)) if js is None else sorted(set(int(j) for j in js))
     scale = {j: trace_moment(n, j) / intrinsic_volume_ball(n, j) for j in js}
     sigma = math.sqrt((n + 2) / 2.0)
     sums = {j: ShiftSums(samples) for j in js}
     H = helmert(n)
-    w_sum = 0.0
-    w_sq = 0.0
+    w_sum = w_sq = 0.0
     for shift, w in lattice_normals(n - 1, samples, rng):
         lam0 = sigma * w @ H.T
         wt = _weyl_weight(lam0, sigma)
@@ -183,9 +205,7 @@ def c_weyl(n: int, samples: int, rng, js=None) -> dict[int, WeylEstimate]:
         vj = batch_ellipsoid_intrinsic_volumes(np.exp(lam0), js)
         for j in js:
             sums[j].update(vj[j] * scale[j] * wt, shift)
-    ess = w_sum**2 / (samples * w_sq) if w_sq > 0 else 0.0
-    if ess < ESS_FLOOR:
-        raise EssFloorError(f"effective sample fraction {ess:.4f} below {ESS_FLOOR}")
+    ess = _ess(w_sum, w_sq, samples)
     return {j: WeylEstimate(**vars(sums[j].result(seed)), ess=ess, weight_sum=w_sum,
                             weight_sq_sum=w_sq) for j in js}
 
@@ -211,26 +231,47 @@ def merge_constants(parts: list[dict[int, EstimatorResult]],
         return merged
     w_sum = sum(p[js[0]].weight_sum for p in parts)
     w_sq = sum(p[js[0]].weight_sq_sum for p in parts)
-    total = sum(p[js[0]].samples for p in parts)
-    ess = w_sum**2 / (total * w_sq) if w_sq > 0 else 0.0
-    if ess < ESS_FLOOR:
-        raise EssFloorError(f"effective sample fraction {ess:.4f} below {ESS_FLOOR}")
+    ess = _ess(w_sum, w_sq, sum(p[js[0]].samples for p in parts))
     return {j: WeylEstimate(**vars(r), ess=ess, weight_sum=w_sum, weight_sq_sum=w_sq)
             for j, r in merged.items()}
+
+
+def run_constants(n: int, samples: int, seed: int, routes=ROUTES, js=None,
+                  threads: int = 1) -> dict[str, dict[int, EstimatorResult]]:
+    """The c_j estimates of each requested route, the one driver of a cj run.
+
+    Route ROUTES[i] cuts its samples into the chunk plan of
+    estimation.run_chunks from seed + i, so the routes never share a stream,
+    and merge_constants joins its chunks under seed. The weyl route's n is
+    checked before any route draws; threads changes the speed, never the
+    output. Returns {route: {j: estimate}} in ROUTES order.
+    """
+    if any(route not in ROUTES for route in routes):
+        raise ValueError(f"unknown route in {routes!r}; the routes are {ROUTES}")
+    if "weyl" in routes:
+        _check_weyl_n(n)
+    out = {}
+    for i, route in enumerate(ROUTES):
+        if route in routes:
+            [parts] = run_chunks(
+                [(lambda rng, k, route=route: compute_constants(n, k, rng, method=route, js=js),
+                  samples)],
+                seed + i, threads)
+            out[route] = merge_constants(parts, seed)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cache files
 
-
-def constants_to_records(n: int, method: str,
-                         results: dict[int, EstimatorResult]) -> list[dict]:
-    return [{"n": n, "j": j, "method": method, "mean": r.mean,
-             "std_error": r.std_error, "samples": r.samples, "seed": r.seed}
-            for j, r in sorted(results.items())]
+_RECORD_FIELDS = ("mean", "std_error", "samples", "seed")
 
 
-def save_constants(path: str, records: list[dict]) -> None:
+def save_constants(path: str, n: int, routes: dict[str, dict[int, EstimatorResult]]) -> None:
+    """Write the estimates of run_constants as a cache file: one record per
+    route and j, in route order and then by j."""
+    records = [{"n": n, "j": j, "method": route, **{k: getattr(r, k) for k in _RECORD_FIELDS}}
+               for route, results in routes.items() for j, r in sorted(results.items())]
     with open(path, "w") as fh:
         json.dump({"schema_version": 1, "constants": records}, fh, indent=2,
                   sort_keys=True)
@@ -249,8 +290,10 @@ def _is_record(rec) -> bool:
             and rec["samples"] >= 1 and rec["std_error"] >= 0)
 
 
-def load_constants(path: str) -> list[dict]:
-    """The records of a cache file; ValueError when any record is malformed."""
+def load_constants(path: str, n: int) -> dict[int, EstimatorResult]:
+    """c_0..c_n from a cache file: those of the direct route when it holds
+    every j, else those of the weyl route. ValueError when any record is
+    malformed or neither route holds every j for this n."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("constants"), list):
@@ -258,15 +301,9 @@ def load_constants(path: str) -> list[dict]:
     for rec in data["constants"]:
         if not _is_record(rec):
             raise ValueError(f"malformed constants record {rec!r}")
-    return data["constants"]
-
-
-def lookup_constants(records: list[dict], n: int, method: str) -> dict[int, EstimatorResult]:
-    """Pick the cached c_j records for (n, method)."""
-    out: dict[int, EstimatorResult] = {}
-    for rec in records:
-        if rec["n"] != n or rec["method"] != method:
-            continue
-        out[rec["j"]] = EstimatorResult(mean=rec["mean"], std_error=rec["std_error"],
-                                        samples=rec["samples"], seed=rec["seed"])
-    return out
+    for route in ROUTES:
+        found = {rec["j"]: EstimatorResult(**{k: rec[k] for k in _RECORD_FIELDS})
+                 for rec in data["constants"] if rec["n"] == n and rec["method"] == route}
+        if all(j in found for j in range(n + 1)):
+            return {j: found[j] for j in range(n + 1)}
+    raise ValueError(f"no route of the cache holds every c_j, j = 0..{n}, for n = {n}")

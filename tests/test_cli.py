@@ -284,6 +284,24 @@ def test_the_command_parses_flag_text_only_through_argparse():
         assert not called & {"parse_samples", "float", "int"}, fn.name
 
 
+def test_the_command_leaves_the_cj_run_and_its_cache_to_weyl():
+    # route seeds, chunks, the weyl cap and the cache records live in weyl;
+    # the command names none of them and reads no record field
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not names & {"run_chunks", "WEYL_MAX_N", "merge_constants", "compute_constants"}
+    keys = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)}
+    assert not keys & {"n", "j", "method", "mean", "std_error", "samples", "seed"}
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert "constants" not in strings
+
+
 def test_chi_ball_vs_polytope_above_3d_is_refused(tmp_path):
     cube = tmp_path / "cube4.json"
     cube.write_text(json.dumps(bd.body_to_dict(bd.cube(4, side=2.0, centered=True))))
@@ -378,6 +396,31 @@ def test_one_chunk_cj_equals_the_library_routes(tmp_path):
         for j, est in want.items():
             got = results[route][str(j)]
             assert (got["mean"], got["std_error"]) == (est.mean, est.std_error)
+
+
+@pytest.mark.parametrize("samples", [3000, CHUNK_SAMPLES + 300],
+                         ids=["one-chunk", "two-chunks"])
+def test_run_constants_gives_the_cj_results(tmp_path, samples):
+    # weyl.run_constants drives the command, so a library caller gets the
+    # command's results bit for bit, route by route
+    out = tmp_path / "cj.json"
+    assert cli.main(["cj", "--n", "2", "--seed", "5", "--samples", str(samples),
+                     "--threads", "1", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    routes = weyl.run_constants(2, samples, 5)
+    assert list(routes) == list(results) == ["direct", "weyl"]
+    for route, want in routes.items():
+        assert results[route] == {str(j): r.to_dict() for j, r in want.items()}
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cache"])
+def test_an_unwritable_output_path_is_a_configuration_error(tmp_path, flag):
+    path = str(tmp_path / "missing" / "x.json")
+    rc, _, err = run_cli("cj", "--n", "2", "--method", "direct", "--samples", "100",
+                         "--seed", "1", "--threads", "1", flag, path)
+    assert rc == 2
+    assert err.startswith("error:") and path in err
+    assert "Traceback" not in err
 
 
 def test_two_chunk_direct_cj_keeps_the_exact_constants(tmp_path):
@@ -799,7 +842,7 @@ def test_library_and_cli_reports_agree(ball2, ellipse2, tmp_path, samples, cache
                          "--seed", "3", "--threads", "1", "--cache", path,
                          "--out", str(tmp_path / "cj.json")]) == 0
         stages += ["--cj-cache", path]
-        constants = weyl.lookup_constants(weyl.load_constants(path), 2, method="direct")
+        constants = weyl.load_constants(path, 2)
     out = tmp_path / "out.json"
     assert cli.main(["kinematic", "--group", "gl", "--M", ball2, "--L", ellipse2,
                      "--samples", str(samples), "--seed", "9", "--threads", "1",
@@ -875,3 +918,6 @@ def test_every_workload_shape_samples_first_where_the_setup_probe_stops(tmp_path
         with pytest.raises(FirstSample):
             cli.main(argv + common)
         assert drawn == [], argv
+    # the weyl cap refuses n = 5 before either route draws
+    assert cli.main(["cj", "--n", "5", "--method", "both", "--samples", "1000"] + common) == 2
+    assert drawn == []

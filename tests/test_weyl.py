@@ -6,10 +6,9 @@ from replicates import QUADRATURE_C
 
 from intgeo import sampling, weyl
 from intgeo.estimation import z_score
-from intgeo.weyl import (ESS_FLOOR, WEYL_MAX_N, EssFloorError, WeylEstimate,
-                         c_direct, c_weyl, compute_constants,
-                         constants_to_records, load_constants, lookup_constants,
-                         merge_constants, save_constants, z_n)
+from intgeo.weyl import (ESS_FLOOR, ROUTES, WEYL_MAX_N, EssFloorError, WeylEstimate,
+                         c_direct, c_weyl, compute_constants, load_constants,
+                         merge_constants, run_constants, save_constants, z_n)
 
 
 def test_z_n_closed_forms():
@@ -170,24 +169,53 @@ def test_ess_floor_constant():
 
 def test_constants_cache_roundtrip(tmp_path):
     out = c_direct(2, 2000, 17)
-    records = constants_to_records(2, "direct", out)
     path = tmp_path / "constants.json"
-    save_constants(str(path), records)
-    back = load_constants(str(path))
-    sel = lookup_constants(back, 2, method="direct")
-    assert set(sel) == {0, 1, 2}
+    save_constants(str(path), 2, {"direct": out})
+    back = load_constants(str(path), 2)
+    assert set(back) == {0, 1, 2}
     for j in (0, 1, 2):
-        assert sel[j].mean == out[j].mean
-        assert sel[j].std_error == out[j].std_error
-    assert lookup_constants(back, 3, method="direct") == {}
-    assert lookup_constants(back, 2, method="weyl") == {}
+        assert (back[j].mean, back[j].std_error) == (out[j].mean, out[j].std_error)
+        assert (back[j].samples, back[j].seed) == (out[j].samples, out[j].seed)
+
+
+def test_load_constants_reads_the_weyl_route_when_the_direct_one_is_incomplete(tmp_path):
+    path = str(tmp_path / "constants.json")
+    direct, spectral = c_direct(2, 2000, 17, js=[0, 2]), c_weyl(2, 2000, 18)
+    save_constants(path, 2, {"weyl": spectral})
+    assert {j: r.mean for j, r in load_constants(path, 2).items()} == {
+        j: r.mean for j, r in spectral.items()}
+    save_constants(path, 2, {"direct": direct, "weyl": spectral})
+    assert load_constants(path, 2)[1].mean == spectral[1].mean
+    save_constants(path, 2, {"direct": c_direct(2, 2000, 17), "weyl": spectral})
+    assert load_constants(path, 2)[1].mean != spectral[1].mean
+
+
+def test_load_constants_refuses_a_cache_without_a_complete_route(tmp_path):
+    path = str(tmp_path / "constants.json")
+    save_constants(path, 2, {"direct": c_direct(2, 2000, 17)})
+    with pytest.raises(ValueError, match="n = 3"):
+        load_constants(path, 3)
+    # j = 1 is missing from both routes
+    save_constants(path, 2, {"direct": c_direct(2, 2000, 17, js=[0, 2]),
+                             "weyl": c_weyl(2, 2000, 18, js=[0, 2])})
+    with pytest.raises(ValueError, match="no route"):
+        load_constants(path, 2)
+
+
+def test_run_constants_checks_the_weyl_cap_before_any_route_draws(monkeypatch):
+    monkeypatch.setattr(weyl, "lattice_normals", lambda *a, **k: pytest.fail("drew"))
+    for routes in (ROUTES, ("weyl",)):
+        with pytest.raises(ValueError, match="direct route"):
+            run_constants(WEYL_MAX_N + 1, 100, 1, routes=routes)
+    with pytest.raises(ValueError, match="unknown route"):
+        run_constants(2, 100, 1, routes=("direct", "luck"))
 
 
 def test_load_constants_rejects_other_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("[1, 2, 3]")
     with pytest.raises(ValueError):
-        load_constants(str(path))
+        load_constants(str(path), 2)
 
 
 # ---------------------------------------------------------------------------
